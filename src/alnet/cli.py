@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .conserved import drift_audit, z_quantity
 from .dynamics import SimConfig, record_trajectory
 from .errors import (
@@ -25,7 +23,12 @@ from .errors import (
     SiteRangeError,
     TopologyError,
 )
-from .experiments import scattering_run, track_broken_peaks, transmission_sweep
+from .experiments import (
+    partial_norm_series,
+    scattering_run,
+    track_broken_peaks,
+    transmission_sweep,
+)
 from .io import (
     DEFAULT_RATIO_GRID,
     RunConfig,
@@ -81,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help="semi-infinite bond length (overrides config)",
         )
-        sp.add_argument(
-            "--seed", type=int, help="reserved for future stochastic features; ignored"
-        )
     return parser
 
 
@@ -121,15 +121,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         ratios=config.ratios,
         snapshot_times=config.snapshot_times,
     )
-
-
-def _norm_series(trajectory, topology) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    times = np.array([s.time for s in trajectory])
-    series = {label: np.zeros(len(trajectory)) for label in topology.labels}
-    for i, st in enumerate(trajectory):
-        for label, value in partial_norms(st, topology).items():
-            series[label][i] = value
-    return times, series
 
 
 def _pick_snapshots(
@@ -171,7 +162,7 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         config_echo=serialize_config(config),
-        partial_norms=_norm_series(trajectory, topology),
+        partial_norms=partial_norm_series(trajectory, topology),
         snapshots=_pick_snapshots(trajectory, config.snapshot_times),
         topology=topology,
     )
@@ -272,7 +263,7 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         config_echo=serialize_config(config),
-        partial_norms=_norm_series(trajectory, topology),
+        partial_norms=partial_norm_series(trajectory, topology),
         drift=report,
         snapshots=_pick_snapshots(trajectory, config.snapshot_times),
         topology=topology,

@@ -3,14 +3,15 @@
 Four layers, from cheap to general:
 
 * ``norm``: N = sum over bonds of (1/gamma) sum_n ln(1 + gamma |psi_n|^2).
-* ``z_quantity``: the complex pair sum Z = sum psi*_n psi_{n+1} over every
-  bond plus the weighted vertex cross terms.  Its real and imaginary parts
-  carry the energy E = -2 Re Z and the norm current J = 2 Im Z (positive
-  for transport toward larger site index, i.e. from the incoming bond
-  through the vertex).
+* ``z_quantity``: the complex pair sum Z = sum_n psi*_n (R psi)_n, where R
+  is the topology's vertex-weighted forward shift, so the vertex cross
+  terms enter with their sqrt(gamma_parent/gamma_child) weights.  Its real
+  and imaginary parts carry the energy E = -2 Re Z and the norm current
+  J = 2 Im Z (positive for transport toward larger site index, i.e. from
+  the incoming bond through the vertex).
 * ``higher_constants_direct``: explicit stencil formulas for C2 and C3,
-  evaluated on a width-2 ghost extension so the vertex cross terms enter
-  with their sqrt(gamma_parent/gamma_child) weights.
+  evaluated on the whole flat field with the neighbors R psi, R R psi and
+  R^T psi in place of psi_{n+1}, psi_{n+2} and psi_{n-1}.
 * ``higher_constants_recursive``: the general C_m ladder on a plain chain
   field, built from the quotient recursion
 
@@ -41,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, SingularRecursionError
-from .state import FieldState, bond_field, ghost_extend, partial_norms
-from .topology import CouplingCoefficients, GraphTopology, ROOT_LABEL
+from .state import FieldState, _check_shape, bond_field, partial_norms
+from .topology import CouplingCoefficients, GraphTopology, ROOT_LABEL, coupling_coefficients
 
 DRIFT_FLOOR = 1e-12
 ZERO_FIELD_TOL = 1e-30
@@ -57,50 +58,38 @@ def z_quantity(
     state: FieldState, topology: GraphTopology, couplings: CouplingCoefficients
 ) -> complex:
     """Complex conserved pair sum: E = -2 Re Z, J = 2 Im Z."""
-    z = 0.0 + 0.0j
-    for label in topology.labels:
-        a = bond_field(state, topology, label)
-        z += np.sum(np.conj(a[:-1]) * a[1:])
-    for parent, p_last, children in topology.vertex_sites:
-        cross = 0.0 + 0.0j
-        for child, c_first in children:
-            cross += couplings.values[(parent, child)] * state.data[c_first]
-        z += np.conj(state.data[p_last]) * cross
-    return complex(z)
+    _check_shape(state, topology)
+    return complex(np.vdot(state.data, couplings.forward(state.data)))
 
 
 def higher_constants_direct(
     state: FieldState, topology: GraphTopology
 ) -> tuple[complex, complex]:
-    """Explicit (C2, C3) from their local stencils on a ghost extension.
+    """Explicit (C2, C3) from their local stencils.
 
-    The stencil spans sites n-1 .. n+2, so every bond must be at least
-    two sites long (the ghost extension enforces this).
+    The stencil spans sites n-1 .. n+2, read through the shift operator,
+    so on a bond shorter than the stencil it reaches on into the next
+    vertex's children with their weights.
     """
-    ghost = ghost_extend(state, topology, width=2)
-    w = ghost.width
+    _check_shape(state, topology)
+    shift = coupling_coefficients(topology)
+    g = topology.site_gamma
+    c = state.data
+    p1 = shift.forward(c)
+    p2 = shift.forward(p1)
+    m1 = shift.backward(c)
+    gc = 1.0 + g * (c.real**2 + c.imag**2)
+    gp = 1.0 + g * (p1.real**2 + p1.imag**2)
+    cp1 = np.conj(p1)
+    w = cp1 * c
+    # C2 density: psi*_{n+1} psi_{n-1} (1 + g|psi_n|^2) + (g/2) (psi*_{n+1} psi_n)^2
+    c2 = np.sum(cp1 * m1 * gc + (g / 2.0) * w * w)
+    # C3 density: [psi*_{n+2} psi_{n-1} (1 + g|psi_{n+1}|^2)
+    #   + g psi*_n psi*_{n+1} psi_{n-1}^2 + g psi*_{n+1}^2 psi_n psi_{n-1}] (1 + g|psi_n|^2)
+    #   + (g^2/3) (psi*_{n+1} psi_n)^3
+    t = m1 * gc * (np.conj(p2) * gp + g * cp1 * (np.conj(c) * m1 + w))
+    c3 = np.sum(t + (g * g / 3.0) * w**3)
     gamma1 = topology.bond(ROOT_LABEL).gamma
-    c2 = 0.0 + 0.0j
-    c3 = 0.0 + 0.0j
-    for label in topology.labels:
-        bond = topology.bond(label)
-        g = bond.gamma
-        length = bond.length
-        e = ghost.arrays[label]
-        c = e[w : w + length]
-        p1 = e[w + 1 : w + length + 1]
-        p2 = e[w + 2 : w + length + 2]
-        m1 = e[w - 1 : w + length - 1]
-        dc = c.real**2 + c.imag**2
-        dp = p1.real**2 + p1.imag**2
-        cp1 = np.conj(p1)
-        c2 += np.sum(cp1 * m1 * (1.0 + g * dc) + (g / 2.0) * c**2 * cp1**2)
-        t = (
-            np.conj(p2) * m1 * (1.0 + g * dp)
-            + g * np.conj(c) * cp1 * m1**2
-            + g * cp1**2 * c * m1
-        ) * (1.0 + g * dc)
-        c3 += np.sum(t) + (g * g / 3.0) * np.sum((cp1 * c) ** 3)
     return complex(-gamma1 * c2), complex(-gamma1 * c3)
 
 

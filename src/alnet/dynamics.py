@@ -4,13 +4,13 @@ Bulk sites obey the integrable discrete equation
 
     d psi_n / dt = i (psi_{n+1} + psi_{n-1}) (1 + gamma |psi_n|^2),
 
-written here in its first-order form.  At a branching vertex the missing
-lattice neighbors are replaced by weighted combinations of the adjacent
-bonds: the parent's last site sees ``sum_c s_c psi_{c,1}`` on its open
-side and each child's first site sees ``s_c psi_{parent,last}``, with
-``s_c = sqrt(gamma_parent / gamma_child)``.  Truncated far ends see a zero
-amplitude (hard wall), so runs must end before significant field reaches
-them.
+written here in its first-order form.  On the whole graph the neighbor
+sum is ``(R + R^T) psi``, with R the vertex-weighted forward shift of
+``coupling_coefficients``: the parent's last site sees
+``sum_c s_c psi_{c,1}`` on its open side and each child's first site sees
+``s_c psi_{parent,last}``, with ``s_c = sqrt(gamma_parent / gamma_child)``.
+Truncated far ends see a zero amplitude (hard wall), so runs must end
+before significant field reaches them.
 
 Integration uses the classical fixed-step fourth-order Runge-Kutta
 scheme.  Every accepted step is checked for non-finite amplitudes.
@@ -61,15 +61,8 @@ class SimConfig:
 def _rhs_flat(
     data: np.ndarray, topology: GraphTopology, couplings: CouplingCoefficients
 ) -> np.ndarray:
-    left, right = topology.neighbor_indices
-    buf = np.empty(topology.n_sites + 1, dtype=np.complex128)
-    buf[:-1] = data
-    buf[-1] = 0.0
-    neigh = buf[left]
-    neigh += buf[right]
-    # vertex couplings replace the phantom neighbors
-    np.add.at(neigh, couplings.pair_parent, couplings.pair_s * data[couplings.pair_child])
-    neigh[couplings.pair_child] += couplings.pair_s * data[couplings.pair_parent]
+    neigh = couplings.forward(data)
+    neigh += couplings.backward(data)
     dens = data.real**2 + data.imag**2
     dens *= topology.site_gamma
     dens += 1.0

@@ -15,7 +15,7 @@ class TopologyError(ValueError):
 
 
 class SiteRangeError(IndexError):
-    """A site index or ghost width falls outside the addressable range."""
+    """A site index falls outside the addressable range."""
 
 
 class DivergenceError(RuntimeError):

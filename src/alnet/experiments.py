@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -175,6 +175,18 @@ def _check_boundaries(state: FieldState, topology: GraphTopology):
             )
 
 
+def partial_norm_series(
+    trajectory: Sequence[FieldState], topology: GraphTopology
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Observation times and each bond's partial norm at every observation."""
+    times = np.array([s.time for s in trajectory])
+    series = {label: np.zeros(len(trajectory)) for label in topology.labels}
+    for i, st in enumerate(trajectory):
+        for label, value in partial_norms(st, topology).items():
+            series[label][i] = value
+    return times, series
+
+
 def scattering_run(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
 ) -> tuple[TransmissionReport, list[FieldState]]:
@@ -199,11 +211,7 @@ def scattering_run(
     )
     trajectory = [snap for _, snap in result.records[0]]
     _check_boundaries(result.final_state, topology)
-    times = np.array([s.time for s in trajectory])
-    series = {label: np.zeros(len(trajectory)) for label in topology.labels}
-    for i, st in enumerate(trajectory):
-        for label, value in partial_norms(st, topology).items():
-            series[label][i] = value
+    times, series = partial_norm_series(trajectory, topology)
     final = {label: series[label][-1] for label in topology.labels}
     total = sum(final.values())
     transmissions = {leaf: final[leaf] / total for leaf in topology.leaves}
@@ -325,16 +333,7 @@ def track_broken_peaks(
         if ps.velocity is not None and ps.moduli.size:
             tracked += _window_norm(final, topology, label, float(ps.sites[-1]))
     radiation = max(0.0, (report.total_norm - tracked) / report.total_norm)
-    report = TransmissionReport(
-        times=report.times,
-        partial_norm_series=report.partial_norm_series,
-        transmissions=report.transmissions,
-        reflection=report.reflection,
-        unitarity_residual=report.unitarity_residual,
-        total_norm=report.total_norm,
-        measurement_time=report.measurement_time,
-        radiation_fraction=radiation,
-    )
+    report = replace(report, radiation_fraction=radiation)
     return report, PeakTrack(series=series)
 
 

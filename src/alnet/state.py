@@ -5,23 +5,18 @@ single flat array whose layout is dictated by the topology (see
 ``GraphTopology.slices``).  States are cheap value objects: clone with
 :meth:`FieldState.copy`, and treat the data of shared states as read-only.
 
-``ghost_extend`` completes each bond with a few sites of the neighboring
-bonds' fields, rescaled by the vertex coupling weights.  On the parent
-side of a vertex a ghost site holds ``sqrt(gamma_parent / gamma_child) *
-psi_child``, summed over children; on a child side it holds
-``sqrt(gamma_parent / gamma_child) * psi_parent``.  Truncated far ends are
-padded with zeros.  The extension is what makes the conserved-quantity
-stencils well defined across vertices.
+A state knows nothing of the vertices: what lies across a vertex is read
+through the topology's shift operator (``coupling_coefficients``), which
+carries the ``sqrt(gamma_parent / gamma_child)`` weights.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidParameterError, SiteRangeError
+from .errors import DivergenceError, InvalidParameterError
 from .topology import GraphTopology
 
 
@@ -81,58 +76,3 @@ def partial_norms(state: FieldState, topology: GraphTopology) -> dict[str, float
         dens = a.real**2 + a.imag**2
         out[b.label] = float(np.sum(np.log1p(b.gamma * dens)) / b.gamma)
     return out
-
-
-@dataclass
-class GhostExtendedState:
-    """Per-bond arrays padded with ``width`` ghost sites on each side.
-
-    ``arrays[label][width : width + length]`` is the bond's real field;
-    the left pad continues it toward the parent and the right pad toward
-    the children (zeros past truncated ends).
-    """
-
-    arrays: dict[str, np.ndarray]
-    width: int
-    time: float = 0.0
-
-    def real_part_of(self, label: str) -> np.ndarray:
-        a = self.arrays[label]
-        return a[self.width : a.shape[0] - self.width]
-
-
-def ghost_extend(state: FieldState, topology: GraphTopology, width: int = 4) -> GhostExtendedState:
-    """Complete every bond with ghost sites borrowed from its vertex partners.
-
-    Raises :class:`SiteRangeError` when a neighboring bond is shorter than
-    the requested width, since the ghost values would be undefined.
-    """
-    _check_shape(state, topology)
-    if not (isinstance(width, int) and width >= 1):
-        raise InvalidParameterError("ghost width must be a positive integer")
-    arrays: dict[str, np.ndarray] = {}
-    for b in topology.bonds:
-        e = np.zeros(b.length + 2 * width, dtype=np.complex128)
-        e[width : width + b.length] = state.data[topology.slices[b.label]]
-        arrays[b.label] = e
-    for parent, kids in topology.vertices.items():
-        p = topology.bond(parent)
-        p_arr = state.data[topology.slices[parent]]
-        if p.length < width:
-            raise SiteRangeError(
-                f"ghost width {width} exceeds the {p.length} sites of bond {parent!r}"
-            )
-        ghost_into_parent = np.zeros(width, dtype=np.complex128)
-        for child in kids:
-            c = topology.bond(child)
-            if c.length < width:
-                raise SiteRangeError(
-                    f"ghost width {width} exceeds the {c.length} sites of bond {child!r}"
-                )
-            s = math.sqrt(p.gamma / c.gamma)
-            c_arr = state.data[topology.slices[child]]
-            ghost_into_parent += s * c_arr[:width]
-            # child's left pad: mirror of the parent's trailing sites
-            arrays[child][:width] = s * p_arr[p.length - width :]
-        arrays[parent][width + p.length :] = ghost_into_parent
-    return GhostExtendedState(arrays=arrays, width=width, time=state.time)

@@ -16,13 +16,18 @@ reflectionless when the strengths satisfy the sum rule
     1/gamma_parent = sum_children 1/gamma_child,
 
 and ``check_sum_rule`` reports the residual of that identity per vertex.
+
+``coupling_coefficients`` turns a topology into the one object the
+dynamics and the conserved quantities need: the forward shift R along the
+flat layout, which at each vertex hands the parent's last site the
+children's first sites weighted by ``sqrt(gamma_parent / gamma_child)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -187,74 +192,83 @@ class GraphTopology:
                 return b.label, offset + 1
         raise AssertionError("unreachable")
 
-    # -- neighbor tables used by the integrator --------------------------
-
-    @cached_property
-    def neighbor_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right neighbor flat indices per site.
-
-        Sites with no lattice neighbor on one side (truncated far ends and
-        vertex-adjacent slots, which couple through vertex terms instead)
-        point at the phantom index ``n_sites``, which callers must back
-        with a zero amplitude.
-        """
-        phantom = self.n_sites
-        left = np.arange(-1, self.n_sites - 1, dtype=np.intp)
-        right = np.arange(1, self.n_sites + 1, dtype=np.intp)
-        for b in self.bonds:
-            s = self.slices[b.label]
-            left[s.start] = phantom
-            right[s.stop - 1] = phantom
-        left.setflags(write=False)
-        right.setflags(write=False)
-        return left, right
-
-    @cached_property
-    def vertex_sites(self) -> tuple[tuple[str, int, tuple[tuple[str, int], ...]], ...]:
-        """Per vertex: (parent label, parent's last flat site, ((child, first flat site), ...))."""
-        out = []
-        for parent, kids in self.vertices.items():
-            p_last = self.slices[parent].stop - 1
-            out.append((parent, p_last, tuple((c, self.slices[c].start) for c in kids)))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class CouplingCoefficients:
-    """Vertex coupling weights ``s = sqrt(gamma_parent / gamma_child)``.
+    """The graph's forward shift R, weighted at the vertices.
 
-    The arrays mirror ``topology.vertex_sites`` in flat-index form so the
-    integrator can apply all vertex couplings with vectorized updates.
+    Within a bond ``(R y)_n = y_{n+1}``.  The last site of a parent bond
+    gets ``sum_c s_c y_{c,1}`` with ``s_c = sqrt(gamma_parent /
+    gamma_child)``, and the last site of a leaf gets 0.  ``backward``
+    applies the transpose: a child's first site gets ``s_c y_{parent,last}``
+    and the far end of the incoming bond gets 0.  The dynamics and every
+    conserved quantity see the graph only through these two maps.
+
+    ``values`` maps each (parent, child) pair to its weight ``s_c``.  The
+    index arrays give flat sites: the last site of every bond, the last
+    site of every parent bond, and per child its first site and its
+    parent's last site.  Children are grouped by parent, each group
+    starting at the entry that ``groups`` names, and ``weights`` holds
+    their ``s_c`` in the same order.
     """
 
     values: dict[tuple[str, str], float]
-    pair_parent: np.ndarray = field(compare=False, repr=False)
-    pair_child: np.ndarray = field(compare=False, repr=False)
-    pair_s: np.ndarray = field(compare=False, repr=False)
+    bond_ends: np.ndarray = field(compare=False, repr=False)
+    parent_ends: np.ndarray = field(compare=False, repr=False)
+    groups: np.ndarray = field(compare=False, repr=False)
+    child_starts: np.ndarray = field(compare=False, repr=False)
+    child_parents: np.ndarray = field(compare=False, repr=False)
+    weights: np.ndarray = field(compare=False, repr=False)
+
+    def forward(self, y: np.ndarray) -> np.ndarray:
+        """``R y``: every site takes its successor away from the root."""
+        out = np.empty_like(y)
+        out[:-1] = y[1:]
+        out[self.bond_ends] = 0.0
+        out[self.parent_ends] = np.add.reduceat(self.weights * y[self.child_starts], self.groups)
+        return out
+
+    def backward(self, y: np.ndarray) -> np.ndarray:
+        """``R^T y``: every site takes its predecessor toward the root."""
+        out = np.empty_like(y)
+        out[1:] = y[:-1]
+        out[0] = 0.0
+        out[self.child_starts] = self.weights * y[self.child_parents]
+        return out
 
 
 def coupling_coefficients(topology: GraphTopology) -> CouplingCoefficients:
-    """Coupling weights for every (parent, child) pair of the topology.
+    """The vertex-weighted shift operator of a topology, built once per topology.
 
     The weights depend only on the nonlinearity strengths and are defined
     whether or not the sum rule holds.
     """
+    return _build_couplings(topology)
+
+
+@lru_cache(maxsize=32)
+def _build_couplings(topology: GraphTopology) -> CouplingCoefficients:
     values: dict[tuple[str, str], float] = {}
-    pp, pc, ps = [], [], []
-    for parent, p_last, kids in topology.vertex_sites:
-        g_parent = topology.bond(parent).gamma
-        for child, c_first in kids:
-            s = math.sqrt(g_parent / topology.bond(child).gamma)
-            values[(parent, child)] = s
-            pp.append(p_last)
-            pc.append(c_first)
-            ps.append(s)
-    return CouplingCoefficients(
-        values=values,
-        pair_parent=np.asarray(pp, dtype=np.intp),
-        pair_child=np.asarray(pc, dtype=np.intp),
-        pair_s=np.asarray(ps),
-    )
+    parent_ends, groups, child_starts, child_parents = [], [], [], []
+    for parent, kids in topology.vertices.items():
+        p_last = topology.slices[parent].stop - 1
+        parent_ends.append(p_last)
+        groups.append(len(child_starts))
+        for child in kids:
+            values[(parent, child)] = math.sqrt(
+                topology.bond(parent).gamma / topology.bond(child).gamma
+            )
+            child_starts.append(topology.slices[child].start)
+            child_parents.append(p_last)
+    bond_ends = [s.stop - 1 for s in topology.slices.values()]
+    arrays = [
+        np.asarray(a, dtype=np.intp)
+        for a in (bond_ends, parent_ends, groups, child_starts, child_parents)
+    ]
+    arrays.append(np.asarray(list(values.values())))
+    for a in arrays:
+        a.setflags(write=False)
+    return CouplingCoefficients(values, *arrays)
 
 
 def check_sum_rule(topology: GraphTopology) -> dict[str, float]:

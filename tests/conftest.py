@@ -46,12 +46,12 @@ def glued_state(topology, chain_values):
     return st
 
 
-def tree_spec():
-    # two internal bonds, four leaves; sum rule holds at every vertex
+def tree_spec(length=30):
+    # two internal bonds of ``length`` sites, four leaves; sum rule holds at every vertex
     return {
         "gamma": 1.0,
         "children": [
-            {"gamma": 3.0, "length": 30, "children": [{"gamma": 6.0}, {"gamma": 6.0}]},
-            {"gamma": 1.5, "length": 30, "children": [{"gamma": 3.0}, {"gamma": 3.0}]},
+            {"gamma": 3.0, "length": length, "children": [{"gamma": 6.0}, {"gamma": 6.0}]},
+            {"gamma": 1.5, "length": length, "children": [{"gamma": 3.0}, {"gamma": 3.0}]},
         ],
     }

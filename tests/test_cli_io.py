@@ -33,6 +33,8 @@ from alnet.cli import (
 )
 from conftest import ALPHA_FIG4
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def config_dict(**overrides):
     cfg = {
@@ -267,6 +269,18 @@ class TestCli:
         )
         assert run_cli(["bifurcation", "--config", str(path)]) == EXIT_INCONCLUSIVE
         assert "inconclusive" in capsys.readouterr().err
+
+    def test_audit_accepts_one_site_internal_bonds(self, tmp_path):
+        config = json.loads((CONFIGS / "tree_audit.json").read_text())
+        for child in config["topology"]["tree"]["children"]:
+            child["length"] = 1
+        config["sim"]["t_final"] = 5.0
+        config["out"] = str(tmp_path / "results")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "results" / "summary.json").read_text())
+        assert max(summary["max_relative_drifts"].values()) < 1e-6
 
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -118,6 +118,20 @@ class TestDirectConstants:
             assert got[0] == pytest.approx(ref[0], rel=1e-13)
             assert got[1] == pytest.approx(ref[1], rel=1e-13)
 
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_short_internal_bonds_match_the_recursion(self, length):
+        # the stencils reach through a bond shorter than themselves into
+        # the grandchildren and still see the glued chain field
+        top = build_tree(tree_spec(length=length), truncation=200)
+        p = SolitonParams(alpha=ALPHA_FIG4, beta=0.3, n0=0.0)
+        st = soliton_profile(p, top)
+        q, residual = universal_chain_field(st, top)
+        assert residual < 1e-15
+        direct = higher_constants_direct(st, top)
+        rec = higher_constants_recursive(q, 3)
+        assert direct[0] == pytest.approx(rec[1], rel=1e-12)
+        assert direct[1] == pytest.approx(rec[2], rel=1e-12)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_soliton_closed_forms(self, m):
         top = build_psg(1.0, 1.5, 3.0, truncation=400)

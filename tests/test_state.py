@@ -3,17 +3,12 @@ import pytest
 
 from alnet import (
     DivergenceError,
-    SiteRangeError,
     assert_finite,
     bond_field,
     build_psg,
-    build_tree,
-    coupling_coefficients,
-    ghost_extend,
     partial_norms,
     zero_state,
 )
-from conftest import tree_spec
 
 
 def test_zero_state_shape_and_dtype():
@@ -64,45 +59,3 @@ def test_assert_finite_reports_bond_and_site():
     with pytest.raises(DivergenceError) as exc:
         assert_finite(st, top)
     assert exc.value.bond == "1"
-
-
-class TestGhostExtend:
-    def test_star_hand_values(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=8)
-        cp = coupling_coefficients(top)
-        st = zero_state(top)
-        for i, label in enumerate(top.labels):
-            bond_field(st, top, label)[:] = (i + 1) * np.arange(1, 9)
-        ext = ghost_extend(st, top, width=2)
-        assert ext.width == 2 and ext.time == st.time
-        root = ext.arrays["1"]
-        assert root.shape == (12,)
-        # pre-ghosts of the root bond stay zero
-        assert not np.any(root[:2])
-        np.testing.assert_allclose(root[2:10], bond_field(st, top, "1"))
-        s11 = cp.values[("1", "11")]
-        s12 = cp.values[("1", "12")]
-        expected_post = s11 * np.array([2.0, 4.0]) + s12 * np.array([3.0, 6.0])
-        np.testing.assert_allclose(root[10:], expected_post)
-        child = ext.arrays["11"]
-        # pre-ghosts of a child mirror the parent's tail
-        np.testing.assert_allclose(child[:2], s11 * np.array([7.0, 8.0]))
-        assert not np.any(child[10:])
-
-    def test_tree_internal_bond_has_both_ghosts(self):
-        top = build_tree(tree_spec(), truncation=40)
-        cp = coupling_coefficients(top)
-        st = zero_state(top)
-        st.data[:] = 1.0
-        ext = ghost_extend(st, top, width=3)
-        mid = ext.arrays["11"]
-        assert mid.shape == (36,)
-        s = cp.values[("1", "11")]
-        np.testing.assert_allclose(mid[:3], s)
-        post = cp.values[("11", "111")] + cp.values[("11", "112")]
-        np.testing.assert_allclose(mid[-3:], post)
-
-    def test_width_longer_than_bond_rejected(self):
-        top = build_tree(tree_spec(), truncation=40)
-        with pytest.raises(SiteRangeError):
-            ghost_extend(zero_state(top), top, width=31)

@@ -7,6 +7,7 @@ from alnet import (
     InvalidParameterError,
     SiteRangeError,
     TopologyError,
+    bond_field,
     build_chain,
     build_psg,
     build_star,
@@ -17,6 +18,7 @@ from alnet import (
     site_offset,
     topology_from_dict,
     topology_to_dict,
+    zero_state,
 )
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
 from conftest import tree_spec
@@ -103,18 +105,6 @@ class TestGraphTopology:
         with pytest.raises(TopologyError):
             GraphTopology(bonds, 10)
 
-    def test_neighbor_indices_interior_and_edges(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=50)
-        left, right = top.neighbor_indices
-        phantom = top.n_sites
-        assert left[0] == phantom and right[49] == phantom
-        assert left[50] == phantom and right[99] == phantom
-        assert left[1] == 0 and right[1] == 2
-        (parent, p_last, children), = top.vertex_sites
-        assert parent == "1" and p_last == 49
-        assert [c for c, _ in children] == ["11", "12"]
-        assert [i for _, i in children] == [50, 100]
-
 
 class TestBuilders:
     def test_star_size_limits(self):
@@ -153,6 +143,91 @@ class TestBuilders:
             build_tree(spec, truncation=50)
 
 
+def dense(op, n):
+    """Matrix of a linear map on the flat layout, one unit vector at a time."""
+    return np.column_stack([op(e) for e in np.eye(n, dtype=np.complex128)])
+
+
+class TestShiftOperator:
+    def test_bond_interiors_and_ends(self):
+        top = build_psg(1.0, 1.5, 3.0, truncation=50)
+        cp = coupling_coefficients(top)
+        R = dense(cp.forward, top.n_sites)
+        # within a bond R shifts by one site away from the root
+        assert R[1, 2] == 1.0 and R[60, 61] == 1.0 and R[120, 121] == 1.0
+        # leaf ends see nothing beyond them
+        assert not np.any(R[99]) and not np.any(R[149])
+        # nothing lies before the root's far end, and R never points back
+        # toward the root: the children reach the parent only through R^T
+        assert not np.any(R[:, 0])
+        assert not np.any(np.tril(R))
+        np.testing.assert_array_equal(dense(cp.backward, top.n_sites), R.T)
+
+    def test_star_hand_values(self):
+        top = build_psg(1.0, 1.5, 3.0, truncation=8)
+        cp = coupling_coefficients(top)
+        st = zero_state(top)
+        for i, label in enumerate(top.labels):
+            bond_field(st, top, label)[:] = (i + 1) * np.arange(1, 9)
+        s11 = cp.values[("1", "11")]
+        s12 = cp.values[("1", "12")]
+        fwd = cp.forward(st.data)
+        bwd = cp.backward(st.data)
+        assert fwd[7] == pytest.approx(s11 * 2.0 + s12 * 3.0, rel=1e-15)
+        assert bwd[8] == pytest.approx(s11 * 8.0, rel=1e-15)
+        assert bwd[16] == pytest.approx(s12 * 8.0, rel=1e-15)
+        # two steps across the vertex: second child sites, second-last root site
+        assert cp.forward(fwd)[7] == pytest.approx(s11 * 4.0 + s12 * 6.0, rel=1e-15)
+        assert cp.backward(bwd)[8] == pytest.approx(s11 * 7.0, rel=1e-15)
+        np.testing.assert_array_equal(fwd[:7], st.data[1:8])
+        np.testing.assert_array_equal(bwd[9:16], st.data[8:15])
+        # bond ends get 0: the root's far end, the leaves' far ends
+        assert bwd[0] == 0.0 and fwd[15] == 0.0 and fwd[23] == 0.0
+
+    def test_powers_reach_into_children(self, rng):
+        # R^k at a parent's last site sums its children's k-th sites;
+        # (R^T)^k at a child's first site reads the parent's k-th last site
+        top = build_tree(tree_spec(), truncation=40)
+        cp = coupling_coefficients(top)
+        st = zero_state(top)
+        st.data[:] = rng.random(top.n_sites) + 1j * rng.random(top.n_sites)
+        fwd = bwd = st.data
+        for k in range(1, 4):
+            fwd = cp.forward(fwd)
+            bwd = cp.backward(bwd)
+            for parent, kids in top.vertices.items():
+                expected = sum(
+                    cp.values[(parent, c)] * bond_field(st, top, c)[k - 1] for c in kids
+                )
+                assert fwd[top.slices[parent].stop - 1] == pytest.approx(expected, rel=1e-14)
+                for c in kids:
+                    assert bwd[top.slices[c].start] == pytest.approx(
+                        cp.values[(parent, c)] * bond_field(st, top, parent)[-k], rel=1e-14
+                    )
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            build_chain(1.0, truncation=20),
+            build_psg(1.0, 1.5, 3.0, truncation=20),
+            build_tree(tree_spec(), truncation=20),
+            build_tree(tree_spec(length=1), truncation=20),
+        ],
+        ids=["chain", "star", "tree", "tree-length-1"],
+    )
+    def test_backward_is_the_adjoint(self, topology, rng):
+        cp = coupling_coefficients(topology)
+        n = topology.n_sites
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lhs = np.vdot(x, cp.forward(y))
+        assert abs(lhs - np.vdot(cp.backward(x), y)) <= 1e-13 * abs(lhs)
+
+    def test_built_once_per_topology(self):
+        top = build_psg(1.0, 1.5, 3.0, truncation=20)
+        assert coupling_coefficients(top) is coupling_coefficients(top)
+
+
 class TestCouplings:
     def test_sum_rule_residuals(self):
         good = build_psg(1.0, 1.5, 3.0, truncation=20)
@@ -173,8 +248,11 @@ class TestCouplings:
         cp = coupling_coefficients(top)
         assert cp.values[("1", "11")] == pytest.approx(np.sqrt(1.0 / 1.5))
         assert cp.values[("1", "12")] == pytest.approx(np.sqrt(1.0 / 3.0))
-        np.testing.assert_array_equal(cp.pair_parent, [19, 19])
-        np.testing.assert_array_equal(cp.pair_child, [20, 40])
+        # the vertex row of R: the root's last site reads both first child sites
+        R = dense(cp.forward, top.n_sites)
+        np.testing.assert_array_equal(np.flatnonzero(R[19]), [20, 40])
+        assert R[19, 20] == cp.values[("1", "11")]
+        assert R[19, 40] == cp.values[("1", "12")]
 
     def test_site_offsets(self):
         top = build_tree(tree_spec(), truncation=50)
