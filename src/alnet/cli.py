@@ -24,9 +24,9 @@ from .errors import (
     TopologyError,
 )
 from .experiments import (
+    broken_rule_run,
     partial_norm_series,
     scattering_run,
-    track_broken_peaks,
     transmission_sweep,
 )
 from .io import (
@@ -39,14 +39,7 @@ from .io import (
 )
 from .soliton import soliton_profile
 from .state import FieldState, partial_norms
-from .topology import (
-    BondSpec,
-    GraphTopology,
-    KIND_INTERNAL,
-    ROOT_LABEL,
-    coupling_coefficients,
-    is_reflectionless,
-)
+from .topology import ROOT_LABEL, coupling_coefficients, is_reflectionless, with_truncation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -87,19 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_truncation(topology: GraphTopology, truncation: int) -> GraphTopology:
-    bonds = tuple(
-        BondSpec(
-            b.label,
-            b.gamma,
-            b.length if b.kind == KIND_INTERNAL else truncation,
-            b.kind,
-        )
-        for b in topology.bonds
-    )
-    return GraphTopology(bonds, truncation)
-
-
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     sim = config.sim
     if args.dt is not None or args.t_final is not None:
@@ -110,7 +90,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         )
     topology = config.topology
     if args.truncation is not None:
-        topology = _with_truncation(topology, args.truncation)
+        topology = with_truncation(topology, args.truncation)
     return RunConfig(
         experiment=args.command,
         topology=topology,
@@ -216,12 +196,7 @@ def _run_sweep(config: RunConfig) -> RunOutputs:
 
 def _run_broken_rule(config: RunConfig) -> RunOutputs:
     topology = config.topology
-    if is_reflectionless(topology):
-        raise InvalidParameterError(
-            "couplings satisfy the vertex sum rule; use the bifurcation subcommand"
-        )
-    report, trajectory = scattering_run(topology, config.soliton, config.sim)
-    report, track = track_broken_peaks(report, trajectory, topology, config.soliton)
+    report, track, trajectory = broken_rule_run(topology, config.soliton, config.sim)
     summary = {
         "experiment": "broken-rule",
         "measurement_time": report.measurement_time,

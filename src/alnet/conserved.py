@@ -24,7 +24,8 @@ Four layers, from cheap to general:
   Graph states are first collapsed to the universal chain field
   q = sqrt(gamma) psi along the first-child path; under the coupling sum
   rule every child yields the same q, and the disagreement between
-  siblings is reported as a residual diagnostic.
+  siblings is reported as a residual diagnostic.  Without the sum rule
+  the collapse is meaningless, so ``snapshot`` refuses orders above 3.
 
 The recursion assumes the field has decayed at both array ends; boundary
 sites contribute O(|q_end|^2).  Normalization note: with these
@@ -43,7 +44,13 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularRecursionError
 from .state import FieldState, _check_shape, bond_field, partial_norms
-from .topology import CouplingCoefficients, GraphTopology, ROOT_LABEL, coupling_coefficients
+from .topology import (
+    CouplingCoefficients,
+    GraphTopology,
+    ROOT_LABEL,
+    coupling_coefficients,
+    is_reflectionless,
+)
 
 DRIFT_FLOOR = 1e-12
 ZERO_FIELD_TOL = 1e-30
@@ -202,10 +209,16 @@ def snapshot(
     C2 and C3 come from the direct graph stencils; orders four and above
     come from the recursion on the universal chain field, which is
     faithful only under the coupling sum rule (the drift report carries
-    the gluing residual).
+    the gluing residual).  On a topology that breaks the sum rule,
+    ``m_max >= 4`` raises InvalidParameterError instead.
     """
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
         raise InvalidParameterError("m_max must be an integer >= 1")
+    if m_max >= 4 and not is_reflectionless(topology):
+        raise InvalidParameterError(
+            f"m_max = {m_max} needs the vertex sum rule, which this topology breaks: "
+            "C4 and above come from the chain reduction; C2 and C3 (m_max <= 3) do not"
+        )
     z = z_quantity(state, topology, couplings)
     cs: list[complex] = []
     if m_max >= 2:
@@ -246,7 +259,10 @@ def drift_audit(
     couplings: CouplingCoefficients,
     m_max: int = 4,
 ) -> DriftReport:
-    """Audit conservation over a trajectory of states."""
+    """Audit conservation over a trajectory of states.
+
+    ``m_max`` is limited as in ``snapshot``.
+    """
     if len(trajectory) == 0:
         raise InvalidParameterError("trajectory must contain at least one state")
     snaps = tuple(snapshot(s, topology, couplings, m_max) for s in trajectory)

@@ -14,6 +14,12 @@ before significant field reaches them.
 
 Integration uses the classical fixed-step fourth-order Runge-Kutta
 scheme.  Every accepted step is checked for non-finite amplitudes.
+
+The kernel is elementwise along a second axis: a state of shape
+``(n_sites, B)`` with the ``stacked_couplings`` of B same-layout
+topologies advances B independent runs in one step, and every column is
+bitwise equal to the single run on its topology.  A single run stays
+one-dimensional.
 """
 
 from __future__ import annotations
@@ -58,13 +64,11 @@ class SimConfig:
             raise InvalidParameterError("output_stride must be a positive integer")
 
 
-def _rhs_flat(
-    data: np.ndarray, topology: GraphTopology, couplings: CouplingCoefficients
-) -> np.ndarray:
+def _rhs_flat(data: np.ndarray, couplings: CouplingCoefficients) -> np.ndarray:
     neigh = couplings.forward(data)
     neigh += couplings.backward(data)
     dens = data.real**2 + data.imag**2
-    dens *= topology.site_gamma
+    dens *= couplings.site_gamma
     dens += 1.0
     neigh *= dens
     neigh *= 1j
@@ -77,7 +81,7 @@ def rhs(
     """Time derivative of the field, as a flat complex array."""
     if state.data.shape != (topology.n_sites,):
         raise InvalidParameterError("state does not match the topology layout")
-    return _rhs_flat(state.data, topology, couplings)
+    return _rhs_flat(state.data, couplings)
 
 
 def step(
@@ -86,12 +90,16 @@ def step(
     couplings: CouplingCoefficients,
     dt: float,
 ) -> FieldState:
-    """One classical Runge-Kutta step of size ``dt``; returns a new state."""
+    """One classical Runge-Kutta step of size ``dt``; returns a new state.
+
+    A stacked state takes the ``stacked_couplings`` of its columns'
+    topologies, and ``topology`` gives their shared layout.
+    """
     y = state.data
-    k1 = _rhs_flat(y, topology, couplings)
-    k2 = _rhs_flat(y + (0.5 * dt) * k1, topology, couplings)
-    k3 = _rhs_flat(y + (0.5 * dt) * k2, topology, couplings)
-    k4 = _rhs_flat(y + dt * k3, topology, couplings)
+    k1 = _rhs_flat(y, couplings)
+    k2 = _rhs_flat(y + (0.5 * dt) * k1, couplings)
+    k3 = _rhs_flat(y + (0.5 * dt) * k2, couplings)
+    k4 = _rhs_flat(y + dt * k3, couplings)
     k2 += k3
     out = y + (dt / 6.0) * (k1 + 2.0 * k2 + k4)
     new = FieldState(out, state.time + dt)
@@ -118,6 +126,7 @@ def evolve(
 
     Observers run on the initial state, after every ``output_stride``
     steps, and on the final step.  Observer exceptions abort the run.
+    A stacked state is integrated as in ``step``.
     """
     if config.t_final is None:
         raise InvalidParameterError("config.t_final is required by evolve")

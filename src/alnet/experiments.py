@@ -9,12 +9,17 @@ tails straddling the vertex are negligible) and at least
 ``MEASUREMENT_MARGIN`` sites from every truncated far end.  Runs whose
 geometry cannot satisfy this, or whose field visibly reaches a truncated
 end, raise InconclusiveRunError rather than report biased numbers.
+
+``scattering_run`` integrates one topology and keeps its trajectory for
+further analysis.  ``scattering_ensemble`` integrates several topologies
+of one site layout as the columns of one stacked state and keeps only
+their partial norms; ``transmission_sweep`` runs its whole ratio grid
+this way.  Both give bitwise-equal reports for the same topology.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -33,6 +38,7 @@ from .topology import (
     coupling_coefficients,
     is_reflectionless,
     site_offset,
+    stacked_couplings,
 )
 
 MEASUREMENT_MARGIN = 50
@@ -187,6 +193,33 @@ def partial_norm_series(
     return times, series
 
 
+def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConfig) -> SimConfig:
+    t_final = config.t_final
+    if t_final is None:
+        t_final = _measurement_time(topology, soliton, config)
+    return SimConfig(dt=config.dt, t_final=t_final, output_stride=config.output_stride)
+
+
+def _report(
+    times: np.ndarray,
+    series: dict[str, np.ndarray],
+    topology: GraphTopology,
+    measurement_time: float,
+) -> TransmissionReport:
+    final = {label: series[label][-1] for label in topology.labels}
+    total = sum(final.values())
+    transmissions = {leaf: final[leaf] / total for leaf in topology.leaves}
+    return TransmissionReport(
+        times=times,
+        partial_norm_series=series,
+        transmissions=transmissions,
+        reflection=final[ROOT_LABEL] / total,
+        unitarity_residual=abs(sum(transmissions.values()) - 1.0),
+        total_norm=float(total),
+        measurement_time=float(measurement_time),
+    )
+
+
 def scattering_run(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
 ) -> tuple[TransmissionReport, list[FieldState]]:
@@ -196,36 +229,65 @@ def scattering_run(
     can run further analyses (peak tracking, drift audits, snapshots)
     without re-integrating.
     """
-    couplings = coupling_coefficients(topology)
-    t_final = config.t_final
-    if t_final is None:
-        t_final = _measurement_time(topology, soliton, config)
-    run_cfg = SimConfig(dt=config.dt, t_final=t_final, output_stride=config.output_stride)
+    run_cfg = _run_config(topology, soliton, config)
     initial = soliton_profile(soliton, topology, 0.0)
     result = evolve(
         initial,
         topology,
-        couplings,
+        coupling_coefficients(topology),
         run_cfg,
         observers=[lambda t, s: s.copy()],
     )
     trajectory = [snap for _, snap in result.records[0]]
     _check_boundaries(result.final_state, topology)
     times, series = partial_norm_series(trajectory, topology)
-    final = {label: series[label][-1] for label in topology.labels}
-    total = sum(final.values())
-    transmissions = {leaf: final[leaf] / total for leaf in topology.leaves}
-    reflection = final[ROOT_LABEL] / total
-    report = TransmissionReport(
-        times=times,
-        partial_norm_series=series,
-        transmissions=transmissions,
-        reflection=reflection,
-        unitarity_residual=abs(sum(transmissions.values()) - 1.0),
-        total_norm=float(total),
-        measurement_time=float(t_final),
+    return _report(times, series, topology, run_cfg.t_final), trajectory
+
+
+def scattering_ensemble(
+    topologies: Sequence[GraphTopology], soliton: SolitonParams, config: SimConfig
+) -> list[TransmissionReport]:
+    """Scatter one soliton off several topologies of one site layout at once.
+
+    The runs are the columns of one ``(n_sites, B)`` state, advanced by
+    the single-run kernel, so each report equals ``scattering_run``'s on
+    its topology bit for bit.  A shared layout means a shared measurement
+    time.  The observer keeps each column's partial norms, not its
+    states.  Failures are checked column by column in the given order:
+    the first non-finite column raises DivergenceError naming its own
+    bond and site, and after the run the first column whose field reached
+    a truncated end raises InconclusiveRunError.
+    """
+    if not topologies:
+        return []
+    couplings = stacked_couplings(topologies)
+    layout = topologies[0]
+    run_cfg = _run_config(layout, soliton, config)
+    initial = FieldState(
+        np.stack([soliton_profile(soliton, top, 0.0).data for top in topologies], axis=1)
     )
-    return report, trajectory
+
+    def column_norms(t: float, stack: FieldState) -> list[dict[str, float]]:
+        return [
+            partial_norms(FieldState(stack.data[:, b]), top)
+            for b, top in enumerate(topologies)
+        ]
+
+    result = evolve(initial, layout, couplings, run_cfg, observers=[column_norms])
+    final = result.final_state
+    for b, top in enumerate(topologies):
+        _check_boundaries(FieldState(final.data[:, b], final.time), top)
+    records = result.records[0]
+    times = np.array([t for t, _ in records])
+    return [
+        _report(
+            times,
+            {label: np.array([norms[b][label] for _, norms in records]) for label in top.labels},
+            top,
+            run_cfg.t_final,
+        )
+        for b, top in enumerate(topologies)
+    ]
 
 
 def run_bifurcation(
@@ -268,8 +330,9 @@ def transmission_sweep(
 
     Each grid point r fixes gamma = (1, 1/r, 1/(1-r)), the unique
     sum-rule family with gamma1/gamma2 = r; the predicted transmissions
-    are then r and 1 - r.  Rows keep grid order regardless of
-    ``workers``.
+    are then r and 1 - r.  The stars share one layout, so the whole grid
+    is integrated at once by ``scattering_ensemble``; rows keep grid
+    order.  ``workers`` is accepted and has no effect.
     """
     grid = [float(r) for r in ratio_grid]
     for r in grid:
@@ -277,12 +340,10 @@ def transmission_sweep(
             raise InvalidParameterError(
                 f"ratio {r:g} is outside (0, 1); the third coupling would not be positive"
             )
-
-    def one(r: float) -> SweepRow:
-        report = run_bifurcation(
-            (1.0, 1.0 / r, 1.0 / (1.0 - r)), soliton, config, truncation
-        )
-        return SweepRow(
+    stars = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), truncation) for r in grid]
+    reports = scattering_ensemble(stars, soliton, config)
+    return [
+        SweepRow(
             ratio=r,
             t2=report.transmissions["11"],
             t3=report.transmissions["12"],
@@ -290,11 +351,8 @@ def transmission_sweep(
             predicted_t3=1.0 - r,
             unitarity_residual=report.unitarity_residual,
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, grid))
-    return [one(r) for r in grid]
+        for r, report in zip(grid, reports)
+    ]
 
 
 def _window_norm(state: FieldState, topology: GraphTopology, label: str, center: float) -> float:
@@ -337,22 +395,34 @@ def track_broken_peaks(
     return report, PeakTrack(series=series)
 
 
+def broken_rule_run(
+    topology: GraphTopology, soliton: SolitonParams, config: SimConfig
+) -> tuple[TransmissionReport, PeakTrack, list[FieldState]]:
+    """Scatter off couplings that violate the sum rule, keeping the trajectory.
+
+    Requires a genuinely broken rule (reflection regime); the sum rule
+    holding is a precondition error, raised before any integration.  See
+    track_broken_peaks for the extra analysis attached to the report.
+    """
+    if is_reflectionless(topology):
+        raise InvalidParameterError(
+            "couplings satisfy the vertex sum rule; use run_bifurcation "
+            "(the bifurcation subcommand) instead"
+        )
+    report, trajectory = scattering_run(topology, soliton, config)
+    report, track = track_broken_peaks(report, trajectory, topology, soliton)
+    return report, track, trajectory
+
+
 def run_broken_rule(
     gammas,
     soliton: SolitonParams,
     config: SimConfig = SimConfig(),
     truncation: int = 400,
 ) -> tuple[TransmissionReport, PeakTrack]:
-    """Scatter off couplings that violate the sum rule.
+    """``broken_rule_run`` on the topology that ``gammas`` describes.
 
-    Requires a genuinely broken rule (reflection regime); the sum rule
-    holding is a precondition error.  See track_broken_peaks for the
-    extra analysis attached to the report.
+    ``gammas`` takes the forms that run_bifurcation accepts.
     """
-    topology = _resolve_topology(gammas, truncation)
-    if is_reflectionless(topology):
-        raise InvalidParameterError(
-            "couplings satisfy the vertex sum rule; use run_bifurcation instead"
-        )
-    report, trajectory = scattering_run(topology, soliton, config)
-    return track_broken_peaks(report, trajectory, topology, soliton)
+    report, track, _ = broken_rule_run(_resolve_topology(gammas, truncation), soliton, config)
+    return report, track

@@ -4,6 +4,9 @@ A :class:`FieldState` stores one complex amplitude per lattice site in a
 single flat array whose layout is dictated by the topology (see
 ``GraphTopology.slices``).  States are cheap value objects: clone with
 :meth:`FieldState.copy`, and treat the data of shared states as read-only.
+An ensemble of runs on topologies of one layout is a state of shape
+``(n_sites, B)``, one run per column; the per-run readers here
+(``bond_field``, ``partial_norms``) take one column at a time.
 
 A state knows nothing of the vertices: what lies across a vertex is read
 through the topology's shift operator (``coupling_coefficients``), which
@@ -22,15 +25,19 @@ from .topology import GraphTopology
 
 @dataclass
 class FieldState:
-    """Flat complex field over all sites of a topology, plus a time stamp."""
+    """Flat complex field over all sites of a topology, plus a time stamp.
+
+    ``data`` has shape ``(n_sites,)``, or ``(n_sites, B)`` for a stack of
+    B runs that share one site layout.
+    """
 
     data: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 1:
-            raise InvalidParameterError("state data must be a one-dimensional array")
+        if self.data.ndim not in (1, 2):
+            raise InvalidParameterError("state data must be a (sites,) or (sites, runs) array")
 
     def copy(self) -> "FieldState":
         return FieldState(self.data.copy(), self.time)
@@ -49,17 +56,20 @@ def bond_field(state: FieldState, topology: GraphTopology, label: str) -> np.nda
 def _check_shape(state: FieldState, topology: GraphTopology):
     if state.data.shape != (topology.n_sites,):
         raise InvalidParameterError(
-            f"state has {state.data.shape[0]} sites, topology has {topology.n_sites}"
+            f"state has shape {state.data.shape}, topology has {topology.n_sites} sites"
         )
 
 
 def assert_finite(state: FieldState, topology: GraphTopology):
-    """Raise :class:`DivergenceError` at the first non-finite amplitude."""
-    view = state.data.view(np.float64)
-    if np.isfinite(view).all():
+    """Raise :class:`DivergenceError` at the first non-finite amplitude.
+
+    A stack is searched column by column, so the error names the first
+    failing run's bond and site in ``topology``'s layout.
+    """
+    if np.isfinite(state.data.view(np.float64)).all():
         return
-    bad = int(np.flatnonzero(~np.isfinite(view))[0]) // 2
-    bond, site = topology.locate(bad)
+    first = int(np.flatnonzero(~np.isfinite(state.data.T))[0])
+    bond, site = topology.locate(first % topology.n_sites)
     raise DivergenceError(bond, site, state.time)
 
 

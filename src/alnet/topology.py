@@ -20,13 +20,16 @@ and ``check_sum_rule`` reports the residual of that identity per vertex.
 ``coupling_coefficients`` turns a topology into the one object the
 dynamics and the conserved quantities need: the forward shift R along the
 flat layout, which at each vertex hands the parent's last site the
-children's first sites weighted by ``sqrt(gamma_parent / gamma_child)``.
+children's first sites weighted by ``sqrt(gamma_parent / gamma_child)``,
+together with each site's ``gamma``.  ``stacked_couplings`` does the same
+for several topologies of one site layout at once, one per column of an
+``(n_sites, B)`` field, so an ensemble of runs shares one integration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -195,7 +198,7 @@ class GraphTopology:
 
 @dataclass(frozen=True)
 class CouplingCoefficients:
-    """The graph's forward shift R, weighted at the vertices.
+    """The graph's forward shift R, weighted at the vertices, and each site's gamma.
 
     Within a bond ``(R y)_n = y_{n+1}``.  The last site of a parent bond
     gets ``sum_c s_c y_{c,1}`` with ``s_c = sqrt(gamma_parent /
@@ -209,7 +212,13 @@ class CouplingCoefficients:
     site of every parent bond, and per child its first site and its
     parent's last site.  Children are grouped by parent, each group
     starting at the entry that ``groups`` names, and ``weights`` holds
-    their ``s_c`` in the same order.
+    their ``s_c`` in the same order.  ``site_gamma`` is the nonlinearity
+    strength of every flat site.
+
+    Both maps act along the first axis, so ``y`` may be one field of shape
+    ``(n_sites,)`` or a stack of shape ``(n_sites, B)``; a stack needs the
+    per-column ``weights`` of shape ``(k, B)`` and ``site_gamma`` of shape
+    ``(n_sites, B)`` that ``stacked_couplings`` builds.
     """
 
     values: dict[tuple[str, str], float]
@@ -219,6 +228,7 @@ class CouplingCoefficients:
     child_starts: np.ndarray = field(compare=False, repr=False)
     child_parents: np.ndarray = field(compare=False, repr=False)
     weights: np.ndarray = field(compare=False, repr=False)
+    site_gamma: np.ndarray = field(compare=False, repr=False)
 
     def forward(self, y: np.ndarray) -> np.ndarray:
         """``R y``: every site takes its successor away from the root."""
@@ -268,7 +278,36 @@ def _build_couplings(topology: GraphTopology) -> CouplingCoefficients:
     arrays.append(np.asarray(list(values.values())))
     for a in arrays:
         a.setflags(write=False)
-    return CouplingCoefficients(values, *arrays)
+    return CouplingCoefficients(values, *arrays, topology.site_gamma)
+
+
+def _layout(topology: GraphTopology) -> tuple:
+    return tuple((b.label, b.length, b.kind) for b in topology.bonds)
+
+
+def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficients:
+    """The shift operators of same-layout topologies, one per column.
+
+    Column ``b`` of an ``(n_sites, B)`` field belongs to ``topologies[b]``:
+    ``weights`` and ``site_gamma`` gain a column axis, and each ``values``
+    entry becomes the tuple of the columns' weights.  Every column of
+    ``forward`` and ``backward`` equals, bit for bit, the single-topology
+    map applied to that column.  The topologies must share their bond
+    labels, lengths and kinds, so only the gammas differ.
+    """
+    if not topologies:
+        raise InvalidParameterError("stacking needs at least one topology")
+    layout = _layout(topologies[0])
+    if any(_layout(t) != layout for t in topologies[1:]):
+        raise InvalidParameterError("stacked topologies must share one site layout")
+    cols = [coupling_coefficients(t) for t in topologies]
+    first = cols[0]
+    values = {pair: tuple(c.values[pair] for c in cols) for pair in first.values}
+    weights = np.stack([c.weights for c in cols], axis=1)
+    site_gamma = np.stack([c.site_gamma for c in cols], axis=1)
+    for a in (weights, site_gamma):
+        a.setflags(write=False)
+    return replace(first, values=values, weights=weights, site_gamma=site_gamma)
 
 
 def check_sum_rule(topology: GraphTopology) -> dict[str, float]:
@@ -371,6 +410,23 @@ def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
 
     walk(spec, ROOT_LABEL)
     return GraphTopology(tuple(bonds), truncation)
+
+
+def with_truncation(topology: GraphTopology, truncation: int) -> GraphTopology:
+    """The same tree with its semi-infinite bonds truncated to ``truncation`` sites.
+
+    Internal bonds keep their exact lengths.
+    """
+    bonds = tuple(
+        BondSpec(
+            b.label,
+            b.gamma,
+            b.length if b.kind == KIND_INTERNAL else truncation,
+            b.kind,
+        )
+        for b in topology.bonds
+    )
+    return GraphTopology(bonds, truncation)
 
 
 # -- JSON-friendly form ----------------------------------------------------

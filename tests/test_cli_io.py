@@ -282,6 +282,15 @@ class TestCli:
         summary = json.loads((tmp_path / "results" / "summary.json").read_text())
         assert max(summary["max_relative_drifts"].values()) < 1e-6
 
+    def test_audit_refuses_recursion_orders_on_a_broken_rule(self, tmp_path, capsys):
+        path, _ = write_config(
+            tmp_path, topology={"gammas": [0.5, 1.5, 3.0], "truncation": 40}, m_max=4
+        )
+        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_CONFIG
+        assert "sum rule" in capsys.readouterr().err
+        code = run_cli(["conserved-audit", "--config", str(path), "--m-max", "3"])
+        assert code == EXIT_OK
+
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate"])

@@ -263,6 +263,19 @@ class TestSnapshotAndDrift:
                 snapshot(st, top, cp, m_max=bad)
         assert snapshot(st, top, cp, m_max=1).C == ()
 
+    def test_recursion_orders_need_the_sum_rule(self):
+        # C4 and above come from the first-child chain, which a broken rule makes meaningless
+        top = build_psg(0.5, 1.5, 3.0, truncation=60)
+        cp = coupling_coefficients(top)
+        st = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-20.0), top)
+        for m_max in (4, 6):
+            with pytest.raises(InvalidParameterError, match="sum rule"):
+                snapshot(st, top, cp, m_max=m_max)
+            with pytest.raises(InvalidParameterError, match="sum rule"):
+                drift_audit([st, st], top, cp, m_max=m_max)
+        assert len(snapshot(st, top, cp, m_max=3).C) == 2
+        assert set(drift_audit([st, st], top, cp, m_max=3).drifts) == {"N", "E", "J", "C2", "C3"}
+
     def test_drift_audit_on_a_short_run(self):
         # box wide enough that hard-wall tails stay below integrator error
         top = build_psg(1.0, 1.5, 3.0, truncation=200)

@@ -12,6 +12,7 @@ from alnet import (
     bond_field,
     build_chain,
     build_psg,
+    build_star,
     build_tree,
     coupling_coefficients,
     evolve,
@@ -23,6 +24,7 @@ from alnet import (
     zero_state,
 )
 from alnet.state import FieldState
+from alnet.topology import stacked_couplings
 from conftest import ALPHA_FIG4, tree_spec
 
 
@@ -185,6 +187,40 @@ class TestStepAndEvolve:
         a = step(st, top, cp, 0.01)
         b = step(rotated, top, cp, 0.01)
         np.testing.assert_allclose(b.data, a.data * np.exp(1j * theta), rtol=1e-12)
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize(
+        "tops",
+        [
+            [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 40) for r in (0.1, 0.5, 0.9)],
+            [build_star(g, 40) for g in ((1.0, 2.0, 4.0, 4.0), (1.0, 3.0, 3.0, 3.0))],
+            [build_tree(tree_spec(2), 30), build_tree(tree_spec(2) | {"gamma": 0.7}, 30)],
+        ],
+        ids=["stars", "four-way-stars", "trees"],
+    )
+    def test_columns_equal_single_runs(self, tops, rng):
+        n = tops[0].n_sites
+        start = 0.3 * (rng.standard_normal((n, len(tops))) + 1j * rng.standard_normal((n, len(tops))))
+        stack = FieldState(start)
+        singles = [FieldState(start[:, b]) for b in range(len(tops))]
+        cp = stacked_couplings(tops)
+        for _ in range(40):
+            stack = step(stack, tops[0], cp, 0.01)
+            singles = [step(s, t, coupling_coefficients(t), 0.01) for s, t in zip(singles, tops)]
+        assert stack.data.shape == (n, len(tops))
+        for b, single in enumerate(singles):
+            assert np.array_equal(stack.data[:, b], single.data)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_in_one_column_names_its_site(self):
+        tops = [build_psg(1.0, 1.5, 3.0, truncation=10), build_psg(1.0, 2.0, 2.0, truncation=10)]
+        st = FieldState(np.full((30, 2), 0.1 + 0j))
+        st.data[25, 1] = np.nan
+        with pytest.raises(DivergenceError) as exc:
+            step(st, tops[0], stacked_couplings(tops), 0.01)
+        # the four stages spread the NaN four sites each way, to flat site 21
+        assert (exc.value.bond, exc.value.site) == ("12", 2)
 
 
 class TestLocalCurrent:

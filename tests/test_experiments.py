@@ -132,6 +132,35 @@ class TestSweep:
             assert row.t3 == pytest.approx(row.predicted_t3, abs=5e-3)
             assert row.unitarity_residual < 1e-3
 
+    @pytest.mark.parametrize(
+        "grid", [[0.4], [0.2, 0.35, 0.6, 0.8]], ids=["1-point", "4-point"]
+    )
+    def test_rows_equal_separate_runs(self, grid):
+        # the grid is integrated as one stack; each column must be the single run exactly
+        rows = transmission_sweep(grid, INCIDENT, SimConfig(), truncation=150)
+        assert [row.ratio for row in rows] == grid
+        for r, row in zip(grid, rows):
+            report = run_bifurcation(
+                (1.0, 1.0 / r, 1.0 / (1.0 - r)), INCIDENT, SimConfig(), truncation=150
+            )
+            assert row.t2 == report.transmissions["11"]
+            assert row.t3 == report.transmissions["12"]
+            assert row.unitarity_residual == report.unitarity_residual
+
+    def test_overlong_sweep_trips_the_boundary_guard(self):
+        # as test_overlong_run_trips_the_boundary_guard, for every column of the stack
+        cfg = SimConfig(t_final=148.0)
+        with pytest.raises(InconclusiveRunError):
+            transmission_sweep([0.3, 0.6], INCIDENT, cfg, truncation=150)
+
+    def test_boundary_guard_checks_every_column(self):
+        # at t = 124 the leaf ends of the r = 0.5 star hold |psi|^2 = 7.1e-5 and
+        # those of the r = 0.1 star 1.3e-4, either side of the 1e-4 guard
+        cfg = SimConfig(t_final=124.0)
+        transmission_sweep([0.5], INCIDENT, cfg, truncation=150)
+        with pytest.raises(InconclusiveRunError, match="bond '12'"):
+            transmission_sweep([0.5, 0.1], INCIDENT, cfg, truncation=150)
+
     def test_workers_do_not_change_results(self):
         serial = transmission_sweep([0.3, 0.6], INCIDENT, SimConfig(), truncation=150)
         threaded = transmission_sweep(

@@ -3,6 +3,7 @@ import pytest
 
 from alnet import (
     DivergenceError,
+    FieldState,
     assert_finite,
     bond_field,
     build_psg,
@@ -59,3 +60,19 @@ def test_assert_finite_reports_bond_and_site():
     with pytest.raises(DivergenceError) as exc:
         assert_finite(st, top)
     assert exc.value.bond == "1"
+
+
+def test_assert_finite_reports_a_stack_column_by_column():
+    top = build_psg(1.0, 1.5, 3.0, truncation=10)
+    st = FieldState(np.zeros((top.n_sites, 3), dtype=complex), time=1.5)
+    assert_finite(st, top)
+    st.data[13, 1] = np.nan
+    with pytest.raises(DivergenceError) as exc:
+        assert_finite(st, top)
+    # the site's own bond and coordinate, not the stacked array's flat index 40
+    assert (exc.value.bond, exc.value.site, exc.value.time) == ("11", 4, 1.5)
+    # an earlier column wins over an earlier site
+    st.data[25, 0] = np.inf
+    with pytest.raises(DivergenceError) as exc:
+        assert_finite(st, top)
+    assert (exc.value.bond, exc.value.site) == ("12", 6)

@@ -20,7 +20,7 @@ from alnet import (
     topology_to_dict,
     zero_state,
 )
-from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
+from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF, stacked_couplings
 from conftest import tree_spec
 
 
@@ -226,6 +226,20 @@ class TestShiftOperator:
     def test_built_once_per_topology(self):
         top = build_psg(1.0, 1.5, 3.0, truncation=20)
         assert coupling_coefficients(top) is coupling_coefficients(top)
+
+    def test_stack_needs_one_layout(self):
+        tops = [build_psg(1.0, 1.5, 3.0, truncation=20), build_psg(0.5, 1.5, 3.0, truncation=20)]
+        cp = stacked_couplings(tops)
+        assert cp.weights.shape == (2, 2) and cp.site_gamma.shape == (60, 2)
+        assert cp.values[("1", "12")] == (
+            coupling_coefficients(tops[0]).values[("1", "12")],
+            coupling_coefficients(tops[1]).values[("1", "12")],
+        )
+        for other in (build_psg(1.0, 1.5, 3.0, truncation=21), build_star((1.0, 2.0, 4.0, 4.0), 20)):
+            with pytest.raises(InvalidParameterError, match="layout"):
+                stacked_couplings([tops[0], other])
+        with pytest.raises(InvalidParameterError):
+            stacked_couplings([])
 
 
 class TestCouplings:
