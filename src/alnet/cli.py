@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .conserved import drift_audit, z_quantity
+from .conserved import check_order, drift_audit, z_quantity
 from .dynamics import SimConfig, record_trajectory
 from .errors import (
     DivergenceError,
@@ -223,6 +223,7 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     if config.sim.t_final is None:
         raise InvalidParameterError("conserved-audit requires sim.t_final")
     topology = config.topology
+    check_order(topology, config.m_max)
     couplings = coupling_coefficients(topology)
     initial = soliton_profile(config.soliton, topology, 0.0)
     trajectory = record_trajectory(initial, topology, couplings, config.sim)

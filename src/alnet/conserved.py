@@ -198,6 +198,21 @@ class ConservedSnapshot:
     C: tuple[complex, ...]
 
 
+def check_order(topology: GraphTopology, m_max: int) -> None:
+    """Raise InvalidParameterError unless ``snapshot`` can audit to ``m_max``.
+
+    Orders four and above come from the chain reduction, so they need the
+    vertex sum rule.  Call this before integrating a trajectory to audit.
+    """
+    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
+        raise InvalidParameterError("m_max must be an integer >= 1")
+    if m_max >= 4 and not is_reflectionless(topology):
+        raise InvalidParameterError(
+            f"m_max = {m_max} needs the vertex sum rule, which this topology breaks: "
+            "C4 and above come from the chain reduction; C2 and C3 (m_max <= 3) do not"
+        )
+
+
 def snapshot(
     state: FieldState,
     topology: GraphTopology,
@@ -210,15 +225,9 @@ def snapshot(
     come from the recursion on the universal chain field, which is
     faithful only under the coupling sum rule (the drift report carries
     the gluing residual).  On a topology that breaks the sum rule,
-    ``m_max >= 4`` raises InvalidParameterError instead.
+    ``m_max >= 4`` raises InvalidParameterError instead (``check_order``).
     """
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise InvalidParameterError("m_max must be an integer >= 1")
-    if m_max >= 4 and not is_reflectionless(topology):
-        raise InvalidParameterError(
-            f"m_max = {m_max} needs the vertex sum rule, which this topology breaks: "
-            "C4 and above come from the chain reduction; C2 and C3 (m_max <= 3) do not"
-        )
+    check_order(topology, m_max)
     z = z_quantity(state, topology, couplings)
     cs: list[complex] = []
     if m_max >= 2:

@@ -9,11 +9,17 @@ sum is ``(R + R^T) psi``, with R the vertex-weighted forward shift of
 ``coupling_coefficients``: the parent's last site sees
 ``sum_c s_c psi_{c,1}`` on its open side and each child's first site sees
 ``s_c psi_{parent,last}``, with ``s_c = sqrt(gamma_parent / gamma_child)``.
-Truncated far ends see a zero amplitude (hard wall), so runs must end
-before significant field reaches them.
+``CouplingCoefficients.neighbors`` evaluates it as one whole-array add plus
+a fix-up at the end sites of the bonds.  Truncated far ends see a zero
+amplitude (hard wall), so runs must end before significant field reaches
+them.
 
 Integration uses the classical fixed-step fourth-order Runge-Kutta
-scheme.  Every accepted step is checked for non-finite amplitudes.
+scheme.  Every accepted step is checked for non-finite amplitudes.  A step
+writes its stage derivatives into a ``StepWorkspace`` (three complex
+arrays and one real one, reused by every step of an ``evolve``) and its
+stage inputs into the fresh array it returns, so a returned state never
+shares memory with the workspace.
 
 The kernel is elementwise along a second axis: a state of shape
 ``(n_sites, B)`` with the ``stacked_couplings`` of B same-layout
@@ -64,24 +70,43 @@ class SimConfig:
             raise InvalidParameterError("output_stride must be a positive integer")
 
 
-def _rhs_flat(data: np.ndarray, couplings: CouplingCoefficients) -> np.ndarray:
-    neigh = couplings.forward(data)
-    neigh += couplings.backward(data)
-    dens = data.real**2 + data.imag**2
-    dens *= couplings.site_gamma
-    dens += 1.0
-    neigh *= dens
-    neigh *= 1j
-    return neigh
+class StepWorkspace:
+    """Scratch arrays of ``step`` for states of one shape.
+
+    ``k1`` and ``k23`` hold the first stage derivative and the running sum
+    of the second and third, ``k`` the stage being evaluated and
+    ``density`` its factor ``1 + gamma |psi|^2``.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.k1, self.k23, self.k = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+        self.density = np.empty(shape)
+
+
+def _derivative(
+    y: np.ndarray, couplings: CouplingCoefficients, out: np.ndarray, density: np.ndarray
+) -> np.ndarray:
+    """Write ``i (R + R^T) y (1 + gamma |y|^2)`` into ``out``; ``density`` is scratch."""
+    # re^2 + im^2, squared in out's memory before the neighbour sum fills it
+    squares = out.view(np.float64)
+    np.square(y.view(np.float64), out=squares)
+    np.add(squares[..., 0::2], squares[..., 1::2], out=density)
+    density *= couplings.site_gamma
+    density += 1.0
+    couplings.neighbors(y, out)
+    out *= density
+    out *= 1j
+    return out
 
 
 def rhs(
     state: FieldState, topology: GraphTopology, couplings: CouplingCoefficients
 ) -> np.ndarray:
     """Time derivative of the field, as a flat complex array."""
-    if state.data.shape != (topology.n_sites,):
+    y = state.data
+    if y.shape != (topology.n_sites,):
         raise InvalidParameterError("state does not match the topology layout")
-    return _rhs_flat(state.data, couplings)
+    return _derivative(y, couplings, np.empty_like(y), np.empty(y.shape))
 
 
 def step(
@@ -89,19 +114,36 @@ def step(
     topology: GraphTopology,
     couplings: CouplingCoefficients,
     dt: float,
+    workspace: StepWorkspace | None = None,
 ) -> FieldState:
     """One classical Runge-Kutta step of size ``dt``; returns a new state.
 
     A stacked state takes the ``stacked_couplings`` of its columns'
-    topologies, and ``topology`` gives their shared layout.
+    topologies, and ``topology`` gives their shared layout.  ``workspace``
+    must fit the state's shape; without one the step makes its own.
     """
     y = state.data
-    k1 = _rhs_flat(y, couplings)
-    k2 = _rhs_flat(y + (0.5 * dt) * k1, couplings)
-    k3 = _rhs_flat(y + (0.5 * dt) * k2, couplings)
-    k4 = _rhs_flat(y + dt * k3, couplings)
-    k2 += k3
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + k4)
+    ws = StepWorkspace(y.shape) if workspace is None else workspace
+    k1, k23, k = ws.k1, ws.k23, ws.k
+    out = np.empty_like(y)
+    half = 0.5 * dt
+    # A complex product can round an underflow to a zero of either sign,
+    # depending on the operand order.  The stages take the scalar first and
+    # the final sum the array first; tests/test_dynamics.py pins these
+    # orders against its reference step, bit for bit.
+    _derivative(y, couplings, k1, ws.density)
+    np.add(y, np.multiply(half, k1, out=out), out=out)
+    _derivative(out, couplings, k23, ws.density)
+    np.add(y, np.multiply(half, k23, out=out), out=out)
+    _derivative(out, couplings, k, ws.density)
+    np.add(y, np.multiply(dt, k, out=out), out=out)
+    k23 += k
+    _derivative(out, couplings, k, ws.density)
+    # y + (dt/6) (k1 + 2 (k2 + k3) + k4)
+    np.add(k1, np.multiply(2.0, k23, out=k23), out=k23)
+    k23 += k
+    k23 *= dt / 6.0
+    np.add(y, k23, out=out)
     new = FieldState(out, state.time + dt)
     assert_finite(new, topology)
     return new
@@ -126,7 +168,8 @@ def evolve(
 
     Observers run on the initial state, after every ``output_stride``
     steps, and on the final step.  Observer exceptions abort the run.
-    A stacked state is integrated as in ``step``.
+    A stacked state is integrated as in ``step``, and one workspace
+    serves every step.
     """
     if config.t_final is None:
         raise InvalidParameterError("config.t_final is required by evolve")
@@ -137,10 +180,11 @@ def evolve(
         for rec, obs in zip(records, observers):
             rec.append((current.time, obs(current.time, current)))
 
+    workspace = StepWorkspace(state.data.shape)
     current = state.copy()
     notify(current)
     for i in range(1, n_steps + 1):
-        current = step(current, topology, couplings, config.dt)
+        current = step(current, topology, couplings, config.dt, workspace)
         if i % config.output_stride == 0 or i == n_steps:
             notify(current)
     return EvolveResult(

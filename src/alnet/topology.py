@@ -24,6 +24,9 @@ children's first sites weighted by ``sqrt(gamma_parent / gamma_child)``,
 together with each site's ``gamma``.  ``stacked_couplings`` does the same
 for several topologies of one site layout at once, one per column of an
 ``(n_sites, B)`` field, so an ensemble of runs shares one integration.
+The conserved quantities apply R and R^T separately; the dynamics needs
+only the neighbour sum ``(R + R^T) y``, which costs one whole-array add
+plus a fix-up at the two end sites of every bond.
 """
 
 from __future__ import annotations
@@ -204,21 +207,24 @@ class CouplingCoefficients:
     gets ``sum_c s_c y_{c,1}`` with ``s_c = sqrt(gamma_parent /
     gamma_child)``, and the last site of a leaf gets 0.  ``backward``
     applies the transpose: a child's first site gets ``s_c y_{parent,last}``
-    and the far end of the incoming bond gets 0.  The dynamics and every
-    conserved quantity see the graph only through these two maps.
+    and the far end of the incoming bond gets 0.  ``neighbors`` applies
+    ``R + R^T`` in one pass.  The dynamics and every conserved quantity see
+    the graph only through these maps.
 
     ``values`` maps each (parent, child) pair to its weight ``s_c``.  The
     index arrays give flat sites: the last site of every bond, the last
     site of every parent bond, and per child its first site and its
     parent's last site.  Children are grouped by parent, each group
     starting at the entry that ``groups`` names, and ``weights`` holds
-    their ``s_c`` in the same order.  ``site_gamma`` is the nonlinearity
+    their ``s_c`` in the same order.  The ``edge_*`` fields are the tables
+    of ``neighbors``, described there.  ``site_gamma`` is the nonlinearity
     strength of every flat site.
 
-    Both maps act along the first axis, so ``y`` may be one field of shape
+    All maps act along the first axis, so ``y`` may be one field of shape
     ``(n_sites,)`` or a stack of shape ``(n_sites, B)``; a stack needs the
-    per-column ``weights`` of shape ``(k, B)`` and ``site_gamma`` of shape
-    ``(n_sites, B)`` that ``stacked_couplings`` builds.
+    per-column ``weights`` and ``edge_weights`` of shape ``(k, B)`` and
+    ``site_gamma`` of shape ``(n_sites, B)`` that ``stacked_couplings``
+    builds.
     """
 
     values: dict[tuple[str, str], float]
@@ -229,6 +235,12 @@ class CouplingCoefficients:
     child_parents: np.ndarray = field(compare=False, repr=False)
     weights: np.ndarray = field(compare=False, repr=False)
     site_gamma: np.ndarray = field(compare=False, repr=False)
+    edge_sites: np.ndarray = field(compare=False, repr=False)
+    edge_terms: np.ndarray = field(compare=False, repr=False)
+    edge_zeros: np.ndarray = field(compare=False, repr=False)
+    edge_weights: np.ndarray = field(compare=False, repr=False)
+    edge_groups: np.ndarray = field(compare=False, repr=False)
+    edge_sums: slice = field(compare=False, repr=False)
 
     def forward(self, y: np.ndarray) -> np.ndarray:
         """``R y``: every site takes its successor away from the root."""
@@ -246,6 +258,43 @@ class CouplingCoefficients:
         out[self.child_starts] = self.weights * y[self.child_parents]
         return out
 
+    def neighbors(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``(R + R^T) y``, bit for bit ``forward(y) + backward(y)``.
+
+        Inside a bond this is ``y_{n+1} + y_{n-1}``, one whole-array add.
+        The end sites of the bonds (``edge_sites``, E of them) are then
+        overwritten with ``ahead + behind``: the term from the site's
+        successor away from the root and the term from its predecessor
+        toward it.  One gather of ``edge_terms`` fills a short array ``t``
+        with ``ahead`` (E rows), ``behind`` (E rows) and the children's
+        first sites.  The rows run root far end, leaf ends, parent ends,
+        one-site bonds, child first sites, so that:
+
+        * ``t[edge_zeros] = 0`` gives the root's far end no predecessor
+          and a leaf's end no successor;
+        * the trailing entries, the predecessors of one-site bonds and
+          child first sites and then every child's first site, are the
+          ones that carry a vertex weight (``edge_weights``);
+        * each parent end and one-site bond sums its children's weighted
+          first sites, grouped by ``edge_groups``, into ``t[edge_sums]``.
+
+        Every operation repeats one of ``forward`` or ``backward`` on the
+        same operands in the same order, including the weight-first
+        products and the ``np.add.reduceat`` over a vertex's children, so
+        the result matches to the last bit and the sign of zero.
+        """
+        if out is None:
+            out = np.empty_like(y)
+        np.add(y[2:], y[:-2], out=out[1:-1])
+        e = self.edge_sites.shape[0]
+        t = y[self.edge_terms]
+        t[self.edge_zeros] = 0.0
+        weighted = t[-self.edge_weights.shape[0]:]
+        np.multiply(self.edge_weights, weighted, out=weighted)
+        t[self.edge_sums] = np.add.reduceat(t[2 * e:], self.edge_groups)
+        out[self.edge_sites] = t[:e] + t[e:2 * e]
+        return out
+
 
 def coupling_coefficients(topology: GraphTopology) -> CouplingCoefficients:
     """The vertex-weighted shift operator of a topology, built once per topology.
@@ -254,6 +303,12 @@ def coupling_coefficients(topology: GraphTopology) -> CouplingCoefficients:
     whether or not the sum rule holds.
     """
     return _build_couplings(topology)
+
+
+def _frozen(values, dtype=np.intp) -> np.ndarray:
+    a = np.asarray(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=32)
@@ -271,14 +326,50 @@ def _build_couplings(topology: GraphTopology) -> CouplingCoefficients:
             child_starts.append(topology.slices[child].start)
             child_parents.append(p_last)
     bond_ends = [s.stop - 1 for s in topology.slices.values()]
-    arrays = [
-        np.asarray(a, dtype=np.intp)
-        for a in (bond_ends, parent_ends, groups, child_starts, child_parents)
-    ]
-    arrays.append(np.asarray(list(values.values())))
-    for a in arrays:
-        a.setflags(write=False)
-    return CouplingCoefficients(values, *arrays, topology.site_gamma)
+    return CouplingCoefficients(
+        values,
+        *(_frozen(a) for a in (bond_ends, parent_ends, groups, child_starts, child_parents)),
+        _frozen(list(values.values()), float),
+        topology.site_gamma,
+        *_edge_tables(topology, values),
+    )
+
+
+def _edge_tables(topology: GraphTopology, values: Mapping) -> tuple:
+    """``edge_sites`` .. ``edge_sums`` of ``CouplingCoefficients.neighbors``."""
+    slices, vertices = topology.slices, topology.vertices
+    # rows as (site, ahead site, behind site, bond); ahead/behind name the
+    # site itself where the term is a zero or a children's sum
+    far_end, leaf_ends, parent_ends, one_site, child_firsts = [], [], [], [], []
+    for b in topology.bonds:
+        first, last = slices[b.label].start, slices[b.label].stop - 1
+        entry = slices[b.label[:-1]].stop - 1 if b.label != ROOT_LABEL else first
+        if first == last:
+            one_site.append((first, first, entry, b.label))
+            continue
+        if b.label == ROOT_LABEL:
+            far_end.append((first, first + 1, first, b.label))
+        else:
+            child_firsts.append((first, first + 1, entry, b.label))
+        (parent_ends if b.label in vertices else leaf_ends).append((last, last, last - 1, b.label))
+    rows = far_end + leaf_ends + parent_ends + one_site + child_firsts
+    summed = parent_ends + one_site
+    entered = one_site + child_firsts
+    e = len(rows)
+    kids = [(values[(r[3], c)], slices[c].start) for r in summed for c in vertices[r[3]]]
+    edge_groups = np.cumsum([0] + [len(vertices[r[3]]) for r in summed[:-1]])
+    edge_terms = [r[1] for r in rows] + [r[2] for r in rows] + [site for _, site in kids]
+    edge_weights = [values[(r[3][:-1], r[3])] for r in entered] + [w for w, _ in kids]
+    edge_zeros = list(range(1, 1 + len(leaf_ends))) + [e]
+    sums = slice(1 + len(leaf_ends), 1 + len(leaf_ends) + len(summed))
+    return (
+        _frozen([r[0] for r in rows]),
+        _frozen(edge_terms),
+        _frozen(edge_zeros),
+        _frozen(edge_weights, float),
+        _frozen(edge_groups),
+        sums,
+    )
 
 
 def _layout(topology: GraphTopology) -> tuple:
@@ -289,11 +380,12 @@ def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficien
     """The shift operators of same-layout topologies, one per column.
 
     Column ``b`` of an ``(n_sites, B)`` field belongs to ``topologies[b]``:
-    ``weights`` and ``site_gamma`` gain a column axis, and each ``values``
-    entry becomes the tuple of the columns' weights.  Every column of
-    ``forward`` and ``backward`` equals, bit for bit, the single-topology
-    map applied to that column.  The topologies must share their bond
-    labels, lengths and kinds, so only the gammas differ.
+    ``weights``, ``edge_weights`` and ``site_gamma`` gain a column axis, and
+    each ``values`` entry becomes the tuple of the columns' weights.  Every
+    column of ``forward``, ``backward`` and ``neighbors`` equals, bit for
+    bit, the single-topology map applied to that column.  The topologies
+    must share their bond labels, lengths and kinds, so only the gammas
+    differ.
     """
     if not topologies:
         raise InvalidParameterError("stacking needs at least one topology")
@@ -303,11 +395,17 @@ def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficien
     cols = [coupling_coefficients(t) for t in topologies]
     first = cols[0]
     values = {pair: tuple(c.values[pair] for c in cols) for pair in first.values}
-    weights = np.stack([c.weights for c in cols], axis=1)
-    site_gamma = np.stack([c.site_gamma for c in cols], axis=1)
-    for a in (weights, site_gamma):
-        a.setflags(write=False)
-    return replace(first, values=values, weights=weights, site_gamma=site_gamma)
+    weights, edge_weights, site_gamma = (
+        _frozen(np.stack([getattr(c, name) for c in cols], axis=1), float)
+        for name in ("weights", "edge_weights", "site_gamma")
+    )
+    return replace(
+        first,
+        values=values,
+        weights=weights,
+        edge_weights=edge_weights,
+        site_gamma=site_gamma,
+    )
 
 
 def check_sum_rule(topology: GraphTopology) -> dict[str, float]:

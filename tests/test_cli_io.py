@@ -291,6 +291,16 @@ class TestCli:
         code = run_cli(["conserved-audit", "--config", str(path), "--m-max", "3"])
         assert code == EXIT_OK
 
+    def test_audit_refuses_recursion_orders_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("conserved-audit integrated before checking m_max")
+
+        monkeypatch.setattr("alnet.cli.record_trajectory", no_integration)
+        argv = ["conserved-audit", "--config", str(CONFIGS / "broken_rule.json"),
+                "--t-final", "100", "--m-max", "4", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "sum rule" in capsys.readouterr().err
+
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate"])

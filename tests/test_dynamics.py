@@ -23,8 +23,9 @@ from alnet import (
     step,
     zero_state,
 )
+from alnet.dynamics import StepWorkspace
 from alnet.state import FieldState
-from alnet.topology import stacked_couplings
+from alnet.topology import KIND_INTERNAL, stacked_couplings
 from conftest import ALPHA_FIG4, tree_spec
 
 
@@ -221,6 +222,141 @@ class TestStackedStep:
             step(st, tops[0], stacked_couplings(tops), 0.01)
         # the four stages spread the NaN four sites each way, to flat site 21
         assert (exc.value.bond, exc.value.site) == ("12", 2)
+
+
+def reference_step(state, couplings, dt):
+    """Reference RK4 step: R y + R^T y, an explicit factor i, out-of-place stages.
+
+    The last product is written array first.  Written as
+    ``(dt / 6.0) * (k1 + 2.0 * k2 + k4)`` it runs array first only on
+    states of 256 KiB and more, where numpy reuses the temporary in place,
+    and scalar first below; the two orders differ only in the sign of an
+    underflowed zero.  Array first is how the benchmark's 60k-site star
+    has always been integrated.
+    """
+
+    def f(y):
+        neigh = couplings.forward(y)
+        neigh += couplings.backward(y)
+        dens = y.real**2 + y.imag**2
+        dens *= couplings.site_gamma
+        dens += 1.0
+        neigh *= dens
+        neigh *= 1j
+        return neigh
+
+    y = state.data
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    k2 += k3
+    return FieldState(y + np.multiply(k1 + 2.0 * k2 + k4, dt / 6.0), state.time + dt)
+
+
+def tail_field(topology, rng, columns=None):
+    """Random field whose semi-infinite bonds fade through subnormal numbers.
+
+    Like a soliton's tail far from its peak, each such bond holds order-one
+    amplitudes within 20 sites of its vertex, then amplitudes that fall
+    from 1e-300 through the subnormal range into zeros of both signs.
+    There a kernel that rounds differently or flips the sign of a zero
+    shows up.
+    """
+    shape = (topology.n_sites,) if columns is None else (topology.n_sites, columns)
+    y = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for b in topology.bonds:
+        if b.kind == KIND_INTERNAL:
+            continue
+        depth = np.arange(b.length, dtype=float)
+        if b.label == "1":
+            depth = depth[::-1]
+        scale = np.where(depth < 20, 1.0, 10.0 ** (-300 - 0.1 * (depth - 20)))
+        y[topology.slices[b.label]] *= scale.reshape((-1,) + (1,) * (len(shape) - 1))
+    return y
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+REFERENCE_CASES = {
+    "chain": [build_chain(1.0, truncation=300)],
+    "fig4-star": [build_psg(1.0, 1.5, 3.0, truncation=400)],
+    "three-child-tree": [build_tree({
+        "gamma": 1.0,
+        "children": [
+            {"gamma": 3.0, "length": 25,
+             "children": [{"gamma": 9.0}, {"gamma": 9.0}, {"gamma": 9.0}]},
+            {"gamma": 3.0},
+            {"gamma": 3.0},
+        ],
+    }, truncation=300)],
+    "one-site-bonds": [build_tree(tree_spec(1), truncation=300)],
+    "five-leaf-star": [build_star((1.0, 4.0, 4.0, 8.0, 8.0, 4.0), truncation=300)],
+    "three-column-stack": [
+        build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 300) for r in (0.1, 0.5, 0.9)
+    ],
+}
+
+
+def reference_case(tops, rng):
+    """Couplings and a tail field for one topology, or for a stack of several."""
+    if len(tops) == 1:
+        return coupling_coefficients(tops[0]), tail_field(tops[0], rng)
+    return stacked_couplings(tops), tail_field(tops[0], rng, len(tops))
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("tops", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    def test_neighbors_is_forward_plus_backward(self, tops, rng):
+        cp, y = reference_case(tops, rng)
+        expected = cp.forward(y)
+        expected += cp.backward(y)
+        assert np.array_equal(bits(cp.neighbors(y)), bits(expected))
+
+    @pytest.mark.parametrize("tops", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    def test_evolve_matches_the_reference_step_bit_for_bit(self, tops, rng):
+        # every one of the 50 states is compared: a flipped sign of zero in
+        # the tail can wash out again a few steps later
+        cp, y = reference_case(tops, rng)
+        start = FieldState(y)
+        cfg = SimConfig(dt=0.01, t_final=0.5, output_stride=1)
+        fused = record_trajectory(start, tops[0], cp, cfg)
+        assert len(fused) == 51
+        ref = start
+        for state in fused[1:]:
+            ref = reference_step(ref, cp, 0.01)
+            assert state.time == ref.time
+            assert np.array_equal(bits(state.data), bits(ref.data))
+
+    def test_kept_states_equal_copied_states(self):
+        # an observer that keeps the states evolve hands it, without copying,
+        # must see what record_trajectory copies: no state is ever a
+        # workspace buffer or overwritten by a later step
+        top = build_psg(1.0, 1.5, 3.0, truncation=60)
+        cp = coupling_coefficients(top)
+        st = soliton_profile(SolitonParams(alpha=0.9, beta=0.3, n0=-20.0), top)
+        cfg = SimConfig(dt=0.01, t_final=0.3, output_stride=2)
+        result = evolve(st, top, cp, cfg, observers=[lambda t, s: s])
+        kept = [s for _, s in result.records[0]]
+        copied = record_trajectory(st, top, cp, cfg)
+        assert len(kept) == len(copied) == 16
+        for a, b in zip(kept, copied):
+            assert a.time == b.time
+            assert np.array_equal(bits(a.data), bits(b.data))
+        assert result.final_state is kept[-1]
+        assert len({id(s.data) for s in kept}) == len(kept)
+
+    def test_step_with_a_workspace_equals_step_without(self, rng):
+        top = build_psg(1.0, 1.5, 3.0, truncation=40)
+        cp = coupling_coefficients(top)
+        ws = StepWorkspace((top.n_sites,))
+        a = b = FieldState(tail_field(top, rng))
+        for _ in range(5):
+            a = step(a, top, cp, 0.01, ws)
+            b = step(b, top, cp, 0.01)
+        assert np.array_equal(bits(a.data), bits(b.data))
 
 
 class TestLocalCurrent:
