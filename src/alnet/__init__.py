@@ -24,7 +24,6 @@ from .dynamics import (
     EvolveResult,
     SimConfig,
     evolve,
-    local_current,
     record_trajectory,
     rhs,
     step,
@@ -46,6 +45,7 @@ from .experiments import (
     run_bifurcation,
     run_broken_rule,
     scattering_run,
+    soliton_trajectory,
     track_broken_peaks,
     transmission_sweep,
 )
@@ -96,75 +96,3 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BondSpec",
-    "ConservedSnapshot",
-    "CouplingCoefficients",
-    "DEFAULT_RATIO_GRID",
-    "DivergenceError",
-    "DriftReport",
-    "EXPERIMENTS",
-    "EvolveResult",
-    "FieldState",
-    "GraphTopology",
-    "InconclusiveRunError",
-    "InvalidParameterError",
-    "KIND_INCOMING",
-    "KIND_INTERNAL",
-    "KIND_LEAF",
-    "PeakSeries",
-    "PeakTrack",
-    "ROOT_LABEL",
-    "RunConfig",
-    "RunOutputs",
-    "SUM_RULE_TOL",
-    "SimConfig",
-    "SingularRecursionError",
-    "SiteRangeError",
-    "SolitonParams",
-    "SweepRow",
-    "TopologyError",
-    "TransmissionReport",
-    "analytic_Z",
-    "analytic_norm",
-    "assert_finite",
-    "bond_field",
-    "build_chain",
-    "build_psg",
-    "build_star",
-    "build_tree",
-    "check_sum_rule",
-    "coupling_coefficients",
-    "derive_kinematics",
-    "drift_audit",
-    "evolve",
-    "higher_constants_direct",
-    "higher_constants_recursive",
-    "is_reflectionless",
-    "load_config",
-    "local_current",
-    "norm",
-    "parse_config",
-    "partial_norms",
-    "peak_tracker",
-    "record_trajectory",
-    "rhs",
-    "run_bifurcation",
-    "run_broken_rule",
-    "scattering_run",
-    "sech",
-    "serialize_config",
-    "site_offset",
-    "snapshot",
-    "soliton_profile",
-    "step",
-    "topology_from_dict",
-    "topology_to_dict",
-    "track_broken_peaks",
-    "transmission_sweep",
-    "universal_chain_field",
-    "write_outputs",
-    "z_quantity",
-    "zero_state",
-]

@@ -4,8 +4,11 @@ Subcommands: simulate | bifurcation | sweep | broken-rule | conserved-audit.
 Every subcommand reads a JSON config (--config) and writes results under
 the output directory.  The subcommand overrides the config's
 "experiment" field; --out/--dt/--t-final/--m-max/--truncation override
-the corresponding config fields.  Exit codes: 0 success, 1 invalid
-configuration, 2 numerical failure, 3 inconclusive run.
+the corresponding config fields.  Each subcommand calls the experiment
+layer and only turns its result into ``RunOutputs``; every run launches
+its soliton through ``experiments.soliton_trajectory``.  Exit codes:
+0 success, 1 invalid configuration, 2 numerical failure, 3 inconclusive
+run.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import sys
 
 from .conserved import check_order, drift_audit, z_quantity
-from .dynamics import SimConfig, record_trajectory
+from .dynamics import SimConfig
 from .errors import (
     DivergenceError,
     InconclusiveRunError,
@@ -27,6 +30,7 @@ from .experiments import (
     broken_rule_run,
     partial_norm_series,
     scattering_run,
+    soliton_trajectory,
     transmission_sweep,
 )
 from .io import (
@@ -37,7 +41,6 @@ from .io import (
     serialize_config,
     write_outputs,
 )
-from .soliton import soliton_profile
 from .state import FieldState, partial_norms
 from .topology import ROOT_LABEL, coupling_coefficients, is_reflectionless, with_truncation
 
@@ -121,16 +124,12 @@ def _pick_snapshots(
 
 
 def _run_simulate(config: RunConfig) -> RunOutputs:
-    if config.sim.t_final is None:
-        raise InvalidParameterError("simulate requires sim.t_final")
     topology = config.topology
-    couplings = coupling_coefficients(topology)
-    initial = soliton_profile(config.soliton, topology, 0.0)
-    trajectory = record_trajectory(initial, topology, couplings, config.sim)
+    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
     final = trajectory[-1]
     norms = partial_norms(final, topology)
     total = sum(norms.values())
-    z = z_quantity(final, topology, couplings)
+    z = z_quantity(final, topology, coupling_coefficients(topology))
     summary = {
         "experiment": "simulate",
         "t_final": config.sim.t_final,
@@ -141,7 +140,6 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        config_echo=serialize_config(config),
         partial_norms=partial_norm_series(trajectory, topology),
         snapshots=_pick_snapshots(trajectory, config.snapshot_times),
         topology=topology,
@@ -165,7 +163,6 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        config_echo=serialize_config(config),
         partial_norms=(report.times, report.partial_norm_series),
         snapshots=_pick_snapshots(trajectory, config.snapshot_times),
         topology=topology,
@@ -191,7 +188,7 @@ def _run_sweep(config: RunConfig) -> RunOutputs:
             for row in rows
         ],
     }
-    return RunOutputs(summary=summary, config_echo=serialize_config(config))
+    return RunOutputs(summary=summary)
 
 
 def _run_broken_rule(config: RunConfig) -> RunOutputs:
@@ -212,7 +209,6 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        config_echo=serialize_config(config),
         partial_norms=(report.times, report.partial_norm_series),
         snapshots=_pick_snapshots(trajectory, config.snapshot_times),
         topology=topology,
@@ -220,14 +216,10 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
 
 
 def _run_conserved_audit(config: RunConfig) -> RunOutputs:
-    if config.sim.t_final is None:
-        raise InvalidParameterError("conserved-audit requires sim.t_final")
     topology = config.topology
     check_order(topology, config.m_max)
-    couplings = coupling_coefficients(topology)
-    initial = soliton_profile(config.soliton, topology, 0.0)
-    trajectory = record_trajectory(initial, topology, couplings, config.sim)
-    report = drift_audit(trajectory, topology, couplings, config.m_max)
+    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
+    report = drift_audit(trajectory, topology, coupling_coefficients(topology), config.m_max)
     summary = {
         "experiment": "conserved-audit",
         "t_final": config.sim.t_final,
@@ -238,7 +230,6 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        config_echo=serialize_config(config),
         partial_norms=partial_norm_series(trajectory, topology),
         drift=report,
         snapshots=_pick_snapshots(trajectory, config.snapshot_times),
@@ -264,6 +255,7 @@ def run_cli(argv=None) -> int:
         return EXIT_CONFIG
     try:
         outputs = _DISPATCH[config.experiment](config)
+        outputs.config_echo = serialize_config(config)
         manifest = write_outputs(outputs, config.out)
     except (InvalidParameterError, TopologyError, SiteRangeError) as exc:
         print(f"alnet: invalid configuration: {exc}", file=sys.stderr)

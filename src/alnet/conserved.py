@@ -48,7 +48,6 @@ from .topology import (
     CouplingCoefficients,
     GraphTopology,
     ROOT_LABEL,
-    coupling_coefficients,
     is_reflectionless,
 )
 
@@ -70,7 +69,7 @@ def z_quantity(
 
 
 def higher_constants_direct(
-    state: FieldState, topology: GraphTopology
+    state: FieldState, topology: GraphTopology, couplings: CouplingCoefficients
 ) -> tuple[complex, complex]:
     """Explicit (C2, C3) from their local stencils.
 
@@ -79,12 +78,11 @@ def higher_constants_direct(
     vertex's children with their weights.
     """
     _check_shape(state, topology)
-    shift = coupling_coefficients(topology)
     g = topology.site_gamma
     c = state.data
-    p1 = shift.forward(c)
-    p2 = shift.forward(p1)
-    m1 = shift.backward(c)
+    p1 = couplings.forward(c)
+    p2 = couplings.forward(p1)
+    m1 = couplings.backward(c)
     gc = 1.0 + g * (c.real**2 + c.imag**2)
     gp = 1.0 + g * (p1.real**2 + p1.imag**2)
     cp1 = np.conj(p1)
@@ -231,7 +229,7 @@ def snapshot(
     z = z_quantity(state, topology, couplings)
     cs: list[complex] = []
     if m_max >= 2:
-        c2, c3 = higher_constants_direct(state, topology)
+        c2, c3 = higher_constants_direct(state, topology, couplings)
         cs.append(c2)
         if m_max >= 3:
             cs.append(c3)

@@ -36,8 +36,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, SiteRangeError
-from .state import FieldState, assert_finite, bond_field
+from .errors import InvalidParameterError
+from .state import FieldState, assert_finite
 from .topology import CouplingCoefficients, GraphTopology
 
 Observer = Callable[[float, FieldState], Any]
@@ -203,18 +203,3 @@ def record_trajectory(
     result = evolve(state, topology, couplings, config, observers=[lambda t, s: s.copy()])
     return [snap for _, snap in result.records[0]]
 
-
-def local_current(state: FieldState, topology: GraphTopology, label: str, n: int) -> float:
-    """Norm current through the link between sites ``n`` and ``n+1`` of a bond.
-
-    Defined as ``2 Im(psi*_n psi_{n+1})``, positive for transport toward
-    larger site index.  Both sites must be real sites of the same bond.
-    """
-    a = bond_field(state, topology, label)
-    sites = topology.site_coordinates(label)
-    lo = int(sites[0])
-    i = n - lo
-    if not (0 <= i < a.shape[0] - 1):
-        raise SiteRangeError(f"link ({n}, {n + 1}) is not interior to bond {label!r}")
-    w = np.conj(a[i]) * a[i + 1]
-    return float(2.0 * w.imag)

@@ -10,8 +10,11 @@ tails straddling the vertex are negligible) and at least
 geometry cannot satisfy this, or whose field visibly reaches a truncated
 end, raise InconclusiveRunError rather than report biased numbers.
 
-``scattering_run`` integrates one topology and keeps its trajectory for
-further analysis.  ``scattering_ensemble`` integrates several topologies
+``soliton_trajectory`` is the one launch path: it puts the soliton on
+the incoming bond and records every observed state.  ``scattering_run``
+and the CLI's ``simulate`` and ``conserved-audit`` all integrate through
+it.  ``scattering_run`` integrates one topology and keeps its trajectory
+for further analysis.  ``scattering_ensemble`` integrates several topologies
 of one site layout as the columns of one stacked state and keeps only
 their partial norms; ``transmission_sweep`` runs its whole ratio grid
 this way.  Both give bitwise-equal reports for the same topology.
@@ -25,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, evolve
+from .dynamics import SimConfig, evolve, record_trajectory
 from .errors import InconclusiveRunError, InvalidParameterError
 from .soliton import SolitonParams, soliton_profile
 from .state import FieldState, bond_field, partial_norms
@@ -220,6 +223,20 @@ def _report(
     )
 
 
+def soliton_trajectory(
+    topology: GraphTopology, soliton: SolitonParams, config: SimConfig
+) -> list[FieldState]:
+    """Launch the soliton at t = 0 and record a copy of every observed state.
+
+    ``config.t_final`` must be set; InvalidParameterError is raised
+    before anything is built otherwise.
+    """
+    if config.t_final is None:
+        raise InvalidParameterError("this run requires sim.t_final")
+    initial = soliton_profile(soliton, topology, 0.0)
+    return record_trajectory(initial, topology, coupling_coefficients(topology), config)
+
+
 def scattering_run(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
 ) -> tuple[TransmissionReport, list[FieldState]]:
@@ -230,16 +247,8 @@ def scattering_run(
     without re-integrating.
     """
     run_cfg = _run_config(topology, soliton, config)
-    initial = soliton_profile(soliton, topology, 0.0)
-    result = evolve(
-        initial,
-        topology,
-        coupling_coefficients(topology),
-        run_cfg,
-        observers=[lambda t, s: s.copy()],
-    )
-    trajectory = [snap for _, snap in result.records[0]]
-    _check_boundaries(result.final_state, topology)
+    trajectory = soliton_trajectory(topology, soliton, run_cfg)
+    _check_boundaries(trajectory[-1], topology)
     times, series = partial_norm_series(trajectory, topology)
     return _report(times, series, topology, run_cfg.t_final), trajectory
 
@@ -324,7 +333,6 @@ def transmission_sweep(
     soliton: SolitonParams,
     config: SimConfig = SimConfig(),
     truncation: int = 300,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Transmission versus coupling ratio on three-bond stars.
 
@@ -332,7 +340,7 @@ def transmission_sweep(
     sum-rule family with gamma1/gamma2 = r; the predicted transmissions
     are then r and 1 - r.  The stars share one layout, so the whole grid
     is integrated at once by ``scattering_ensemble``; rows keep grid
-    order.  ``workers`` is accepted and has no effect.
+    order.
     """
     grid = [float(r) for r in ratio_grid]
     for r in grid:

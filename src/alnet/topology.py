@@ -26,7 +26,8 @@ for several topologies of one site layout at once, one per column of an
 ``(n_sites, B)`` field, so an ensemble of runs shares one integration.
 The conserved quantities apply R and R^T separately; the dynamics needs
 only the neighbour sum ``(R + R^T) y``, which costs one whole-array add
-plus a fix-up at the two end sites of every bond.
+plus a fix-up at the two end sites of every bond.  All three maps read one
+set of tables: each is a whole-array shift overwritten at those end sites.
 """
 
 from __future__ import annotations
@@ -212,28 +213,18 @@ class CouplingCoefficients:
     the graph only through these maps.
 
     ``values`` maps each (parent, child) pair to its weight ``s_c``.  The
-    index arrays give flat sites: the last site of every bond, the last
-    site of every parent bond, and per child its first site and its
-    parent's last site.  Children are grouped by parent, each group
-    starting at the entry that ``groups`` names, and ``weights`` holds
-    their ``s_c`` in the same order.  The ``edge_*`` fields are the tables
-    of ``neighbors``, described there.  ``site_gamma`` is the nonlinearity
-    strength of every flat site.
+    ``edge_*`` fields are one table set for all three maps, described in
+    ``neighbors``: away from the end sites of the bonds each map is a
+    whole-array shift, and at the end sites the tables give R's and R^T's
+    terms.  ``site_gamma`` is the nonlinearity strength of every flat site.
 
     All maps act along the first axis, so ``y`` may be one field of shape
     ``(n_sites,)`` or a stack of shape ``(n_sites, B)``; a stack needs the
-    per-column ``weights`` and ``edge_weights`` of shape ``(k, B)`` and
-    ``site_gamma`` of shape ``(n_sites, B)`` that ``stacked_couplings``
-    builds.
+    per-column ``edge_weights`` of shape ``(k, B)`` and ``site_gamma`` of
+    shape ``(n_sites, B)`` that ``stacked_couplings`` builds.
     """
 
     values: dict[tuple[str, str], float]
-    bond_ends: np.ndarray = field(compare=False, repr=False)
-    parent_ends: np.ndarray = field(compare=False, repr=False)
-    groups: np.ndarray = field(compare=False, repr=False)
-    child_starts: np.ndarray = field(compare=False, repr=False)
-    child_parents: np.ndarray = field(compare=False, repr=False)
-    weights: np.ndarray = field(compare=False, repr=False)
     site_gamma: np.ndarray = field(compare=False, repr=False)
     edge_sites: np.ndarray = field(compare=False, repr=False)
     edge_terms: np.ndarray = field(compare=False, repr=False)
@@ -244,19 +235,31 @@ class CouplingCoefficients:
 
     def forward(self, y: np.ndarray) -> np.ndarray:
         """``R y``: every site takes its successor away from the root."""
+        e = self.edge_sites.shape[0]
         out = np.empty_like(y)
         out[:-1] = y[1:]
-        out[self.bond_ends] = 0.0
-        out[self.parent_ends] = np.add.reduceat(self.weights * y[self.child_starts], self.groups)
+        out[self.edge_sites] = self._terms(y)[:e]
         return out
 
     def backward(self, y: np.ndarray) -> np.ndarray:
         """``R^T y``: every site takes its predecessor toward the root."""
+        e = self.edge_sites.shape[0]
         out = np.empty_like(y)
         out[1:] = y[:-1]
-        out[0] = 0.0
-        out[self.child_starts] = self.weights * y[self.child_parents]
+        out[self.edge_sites] = self._terms(y)[e:2 * e]
         return out
+
+    def _terms(self, y: np.ndarray) -> np.ndarray:
+        """The end sites' ``ahead`` and ``behind`` terms, as ``neighbors`` gathers them."""
+        # neighbors repeats these lines inline: it runs four times per RK4
+        # step, and the call to a shared helper measured slower there
+        e = self.edge_sites.shape[0]
+        t = y[self.edge_terms]
+        t[self.edge_zeros] = 0.0
+        weighted = t[-self.edge_weights.shape[0]:]
+        np.multiply(self.edge_weights, weighted, out=weighted)
+        t[self.edge_sums] = np.add.reduceat(t[2 * e:], self.edge_groups)
+        return t
 
     def neighbors(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``(R + R^T) y``, bit for bit ``forward(y) + backward(y)``.
@@ -313,30 +316,16 @@ def _frozen(values, dtype=np.intp) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _build_couplings(topology: GraphTopology) -> CouplingCoefficients:
-    values: dict[tuple[str, str], float] = {}
-    parent_ends, groups, child_starts, child_parents = [], [], [], []
-    for parent, kids in topology.vertices.items():
-        p_last = topology.slices[parent].stop - 1
-        parent_ends.append(p_last)
-        groups.append(len(child_starts))
-        for child in kids:
-            values[(parent, child)] = math.sqrt(
-                topology.bond(parent).gamma / topology.bond(child).gamma
-            )
-            child_starts.append(topology.slices[child].start)
-            child_parents.append(p_last)
-    bond_ends = [s.stop - 1 for s in topology.slices.values()]
-    return CouplingCoefficients(
-        values,
-        *(_frozen(a) for a in (bond_ends, parent_ends, groups, child_starts, child_parents)),
-        _frozen(list(values.values()), float),
-        topology.site_gamma,
-        *_edge_tables(topology, values),
-    )
+    values = {
+        (parent, child): math.sqrt(topology.bond(parent).gamma / topology.bond(child).gamma)
+        for parent, kids in topology.vertices.items()
+        for child in kids
+    }
+    return CouplingCoefficients(values, topology.site_gamma, *_edge_tables(topology, values))
 
 
 def _edge_tables(topology: GraphTopology, values: Mapping) -> tuple:
-    """``edge_sites`` .. ``edge_sums`` of ``CouplingCoefficients.neighbors``."""
+    """``edge_sites`` .. ``edge_sums``, the tables of ``CouplingCoefficients``."""
     slices, vertices = topology.slices, topology.vertices
     # rows as (site, ahead site, behind site, bond); ahead/behind name the
     # site itself where the term is a zero or a children's sum
@@ -380,8 +369,8 @@ def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficien
     """The shift operators of same-layout topologies, one per column.
 
     Column ``b`` of an ``(n_sites, B)`` field belongs to ``topologies[b]``:
-    ``weights``, ``edge_weights`` and ``site_gamma`` gain a column axis, and
-    each ``values`` entry becomes the tuple of the columns' weights.  Every
+    ``edge_weights`` and ``site_gamma`` gain a column axis, and each
+    ``values`` entry becomes the tuple of the columns' weights.  Every
     column of ``forward``, ``backward`` and ``neighbors`` equals, bit for
     bit, the single-topology map applied to that column.  The topologies
     must share their bond labels, lengths and kinds, so only the gammas
@@ -395,14 +384,13 @@ def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficien
     cols = [coupling_coefficients(t) for t in topologies]
     first = cols[0]
     values = {pair: tuple(c.values[pair] for c in cols) for pair in first.values}
-    weights, edge_weights, site_gamma = (
+    edge_weights, site_gamma = (
         _frozen(np.stack([getattr(c, name) for c in cols], axis=1), float)
-        for name in ("weights", "edge_weights", "site_gamma")
+        for name in ("edge_weights", "site_gamma")
     )
     return replace(
         first,
         values=values,
-        weights=weights,
         edge_weights=edge_weights,
         site_gamma=site_gamma,
     )

@@ -55,3 +55,58 @@ def tree_spec(length=30):
             {"gamma": 1.5, "length": length, "children": [{"gamma": 3.0}, {"gamma": 3.0}]},
         ],
     }
+
+
+class ReferenceShift:
+    """R, R^T and the site gammas of one topology or a same-layout stack.
+
+    An independent reference for ``CouplingCoefficients``: index arrays
+    built straight from ``vertices`` and ``slices``, and weights
+    ``sqrt(gamma_parent / gamma_child)`` computed from the bonds, one
+    column per topology of a stack.  Each map is a whole-array shift;
+    ``forward`` then zeroes every bond's last site and writes each parent's
+    last site as the ``np.add.reduceat`` of its children's weight-first
+    products, and ``backward`` zeroes the root's far end and writes each
+    child's first site.
+    """
+
+    def __init__(self, topologies):
+        top = topologies[0]
+        stacked = len(topologies) > 1
+        parent_ends, groups, child_starts, child_parents, weights = [], [], [], [], []
+        for parent, kids in top.vertices.items():
+            p_last = top.slices[parent].stop - 1
+            parent_ends.append(p_last)
+            groups.append(len(child_starts))
+            for child in kids:
+                child_starts.append(top.slices[child].start)
+                child_parents.append(p_last)
+                w = [math.sqrt(t.bond(parent).gamma / t.bond(child).gamma) for t in topologies]
+                weights.append(w if stacked else w[0])
+        self.bond_ends = np.array([s.stop - 1 for s in top.slices.values()])
+        self.parent_ends = np.array(parent_ends)
+        self.groups = np.array(groups)
+        self.child_starts = np.array(child_starts)
+        self.child_parents = np.array(child_parents)
+        self.weights = np.array(weights)
+        gammas = [t.site_gamma for t in topologies]
+        self.site_gamma = np.stack(gammas, axis=1) if stacked else gammas[0]
+
+    def forward(self, y):
+        out = np.empty_like(y)
+        out[:-1] = y[1:]
+        out[self.bond_ends] = 0.0
+        out[self.parent_ends] = np.add.reduceat(self.weights * y[self.child_starts], self.groups)
+        return out
+
+    def backward(self, y):
+        out = np.empty_like(y)
+        out[1:] = y[:-1]
+        out[0] = 0.0
+        out[self.child_starts] = self.weights * y[self.child_parents]
+        return out
+
+
+def bits(a):
+    """The words of a float or complex array, so that signs of zero count."""
+    return np.ascontiguousarray(a).view(np.uint64)

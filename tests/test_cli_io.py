@@ -235,9 +235,13 @@ class TestCli:
         assert run_cli(["simulate", "--config", missing]) == EXIT_CONFIG
         assert "invalid configuration" in capsys.readouterr().err
 
-    def test_simulate_requires_t_final(self, tmp_path):
-        path, _ = write_config(tmp_path, sim={"dt": 0.01})
-        assert run_cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    def test_simulate_requires_t_final(self, tmp_path, capsys):
+        # conserved-audit launches through the same path and needs it too
+        path, cfg = write_config(tmp_path, sim={"dt": 0.01})
+        for command in ("simulate", "conserved-audit"):
+            assert run_cli([command, "--config", str(path)]) == EXIT_CONFIG
+            assert "sim.t_final" in capsys.readouterr().err
+            assert not Path(cfg["out"]).exists()
 
     def test_broken_rule_rejects_sum_rule_couplings(self, tmp_path):
         path, _ = write_config(
@@ -295,7 +299,7 @@ class TestCli:
         def no_integration(*args, **kwargs):
             raise AssertionError("conserved-audit integrated before checking m_max")
 
-        monkeypatch.setattr("alnet.cli.record_trajectory", no_integration)
+        monkeypatch.setattr("alnet.experiments.record_trajectory", no_integration)
         argv = ["conserved-audit", "--config", str(CONFIGS / "broken_rule.json"),
                 "--t-final", "100", "--m-max", "4", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == EXIT_CONFIG

@@ -85,7 +85,7 @@ class TestDirectConstants:
         for n in range(1, len(e) - 1):
             acc += np.conj(e[n + 1]) * e[n - 1] * (1 + abs(e[n]) ** 2)
             acc += 0.5 * e[n] ** 2 * np.conj(e[n + 1]) ** 2
-        c2, _ = higher_constants_direct(st, top)
+        c2, _ = higher_constants_direct(st, top, coupling_coefficients(top))
         assert c2 == pytest.approx(complex(-acc), rel=1e-13)
 
     def test_c3_against_plain_loop(self, rng):
@@ -101,7 +101,7 @@ class TestDirectConstants:
             t += np.conj(e[n + 1]) ** 2 * e[n] * e[n - 1]
             acc += t * (1 + abs(e[n]) ** 2)
             acc += (1.0 / 3.0) * (np.conj(e[n + 1]) * e[n]) ** 3
-        _, c3 = higher_constants_direct(st, top)
+        _, c3 = higher_constants_direct(st, top, coupling_coefficients(top))
         assert c3 == pytest.approx(complex(-acc), rel=1e-13)
 
     def test_constants_are_gamma_independent_for_glued_states(self, rng):
@@ -109,12 +109,14 @@ class TestDirectConstants:
         # so a glued chain field keeps its plain-chain constants on any graph
         u = decaying_random_field(rng)
         uniform = build_chain(1.0, truncation=32)
-        ref = higher_constants_direct(glued_state(uniform, u), uniform)
+        ref = higher_constants_direct(
+            glued_state(uniform, u), uniform, coupling_coefficients(uniform)
+        )
         for top in (
             build_psg(2.0, 3.0, 6.0, truncation=32),
             build_psg(0.25, 0.5, 0.5, truncation=32),
         ):
-            got = higher_constants_direct(glued_state(top, u), top)
+            got = higher_constants_direct(glued_state(top, u), top, coupling_coefficients(top))
             assert got[0] == pytest.approx(ref[0], rel=1e-13)
             assert got[1] == pytest.approx(ref[1], rel=1e-13)
 
@@ -127,7 +129,7 @@ class TestDirectConstants:
         st = soliton_profile(p, top)
         q, residual = universal_chain_field(st, top)
         assert residual < 1e-15
-        direct = higher_constants_direct(st, top)
+        direct = higher_constants_direct(st, top, coupling_coefficients(top))
         rec = higher_constants_recursive(q, 3)
         assert direct[0] == pytest.approx(rec[1], rel=1e-12)
         assert direct[1] == pytest.approx(rec[2], rel=1e-12)
@@ -137,13 +139,13 @@ class TestDirectConstants:
         top = build_psg(1.0, 1.5, 3.0, truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         st = soliton_profile(p, top)
-        got = higher_constants_direct(st, top)[m - 2]
+        got = higher_constants_direct(st, top, coupling_coefficients(top))[m - 2]
         assert got == pytest.approx(closed_form_constant(m, ALPHA_FIG4, 0.1), abs=1e-12)
 
     def test_frozen_fig4_values(self):
         top = build_psg(1.0, 1.5, 3.0, truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
-        c2, c3 = higher_constants_direct(soliton_profile(p, top), top)
+        c2, c3 = higher_constants_direct(soliton_profile(p, top), top, coupling_coefficients(top))
         assert c2 == pytest.approx(-0.201336002541094j, abs=1e-12)
         assert c3 == pytest.approx(-0.1435522430035944 + 0.1435522430035948j, abs=1e-12)
 
@@ -178,7 +180,7 @@ class TestRecursion:
         for _ in range(5):
             u = decaying_random_field(rng)
             st = glued_state(top, u)
-            direct = higher_constants_direct(st, top)
+            direct = higher_constants_direct(st, top, coupling_coefficients(top))
             rec = higher_constants_recursive(u, 3)
             assert rec[1] == pytest.approx(direct[0], rel=1e-12)
             assert rec[2] == pytest.approx(direct[1], rel=1e-12)

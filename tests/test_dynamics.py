@@ -7,16 +7,13 @@ from alnet import (
     DivergenceError,
     InvalidParameterError,
     SimConfig,
-    SiteRangeError,
     SolitonParams,
-    bond_field,
     build_chain,
     build_psg,
     build_star,
     build_tree,
     coupling_coefficients,
     evolve,
-    local_current,
     record_trajectory,
     rhs,
     soliton_profile,
@@ -26,7 +23,7 @@ from alnet import (
 from alnet.dynamics import StepWorkspace
 from alnet.state import FieldState
 from alnet.topology import KIND_INTERNAL, stacked_couplings
-from conftest import ALPHA_FIG4, tree_spec
+from conftest import ALPHA_FIG4, ReferenceShift, bits, tree_spec
 
 
 class TestSimConfig:
@@ -224,8 +221,10 @@ class TestStackedStep:
         assert (exc.value.bond, exc.value.site) == ("12", 2)
 
 
-def reference_step(state, couplings, dt):
+def reference_step(state, ref, dt):
     """Reference RK4 step: R y + R^T y, an explicit factor i, out-of-place stages.
+
+    ``ref`` is the ``ReferenceShift`` of the state's topologies.
 
     The last product is written array first.  Written as
     ``(dt / 6.0) * (k1 + 2.0 * k2 + k4)`` it runs array first only on
@@ -236,10 +235,10 @@ def reference_step(state, couplings, dt):
     """
 
     def f(y):
-        neigh = couplings.forward(y)
-        neigh += couplings.backward(y)
+        neigh = ref.forward(y)
+        neigh += ref.backward(y)
         dens = y.real**2 + y.imag**2
-        dens *= couplings.site_gamma
+        dens *= ref.site_gamma
         dens += 1.0
         neigh *= dens
         neigh *= 1j
@@ -276,10 +275,6 @@ def tail_field(topology, rng, columns=None):
     return y
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 REFERENCE_CASES = {
     "chain": [build_chain(1.0, truncation=300)],
     "fig4-star": [build_psg(1.0, 1.5, 3.0, truncation=400)],
@@ -311,9 +306,22 @@ class TestFusedKernel:
     @pytest.mark.parametrize("tops", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
     def test_neighbors_is_forward_plus_backward(self, tops, rng):
         cp, y = reference_case(tops, rng)
-        expected = cp.forward(y)
-        expected += cp.backward(y)
+        ref = ReferenceShift(tops)
+        expected = ref.forward(y)
+        expected += ref.backward(y)
         assert np.array_equal(bits(cp.neighbors(y)), bits(expected))
+
+    @pytest.mark.parametrize("tops", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    def test_shift_powers_match_the_reference(self, tops, rng):
+        # R^2 and R^3 are what the C2/C3 stencils read
+        cp, y = reference_case(tops, rng)
+        ref = ReferenceShift(tops)
+        fwd = bwd = ref_fwd = ref_bwd = y
+        for _ in range(3):
+            fwd, ref_fwd = cp.forward(fwd), ref.forward(ref_fwd)
+            bwd, ref_bwd = cp.backward(bwd), ref.backward(ref_bwd)
+            assert np.array_equal(bits(fwd), bits(ref_fwd))
+            assert np.array_equal(bits(bwd), bits(ref_bwd))
 
     @pytest.mark.parametrize("tops", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
     def test_evolve_matches_the_reference_step_bit_for_bit(self, tops, rng):
@@ -324,9 +332,10 @@ class TestFusedKernel:
         cfg = SimConfig(dt=0.01, t_final=0.5, output_stride=1)
         fused = record_trajectory(start, tops[0], cp, cfg)
         assert len(fused) == 51
+        shift = ReferenceShift(tops)
         ref = start
         for state in fused[1:]:
-            ref = reference_step(ref, cp, 0.01)
+            ref = reference_step(ref, shift, 0.01)
             assert state.time == ref.time
             assert np.array_equal(bits(state.data), bits(ref.data))
 
@@ -358,29 +367,3 @@ class TestFusedKernel:
             b = step(b, top, cp, 0.01)
         assert np.array_equal(bits(a.data), bits(b.data))
 
-
-class TestLocalCurrent:
-    def test_hand_value_and_sign(self):
-        top = build_chain(1.0, truncation=30)
-        st = zero_state(top)
-        a = bond_field(st, top, "1")
-        a[10] = 1.0
-        a[11] = 1.0j
-        n = int(top.site_coordinates("1")[10])
-        assert local_current(st, top, "1", n) == pytest.approx(2.0)
-        # rightward soliton carries positive current
-        p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-15.0)
-        moving = soliton_profile(p, top)
-        assert p.velocity > 0
-        assert local_current(moving, top, "1", -15) > 0
-
-    def test_link_must_be_interior(self):
-        top = build_chain(1.0, truncation=30)
-        st = zero_state(top)
-        assert local_current(st, top, "1", -1) == 0.0
-        with pytest.raises(SiteRangeError):
-            local_current(st, top, "1", 0)  # partner would be the vertex
-        with pytest.raises(SiteRangeError):
-            local_current(st, top, "11", 30)
-        with pytest.raises(SiteRangeError):
-            local_current(st, top, "1", -30)

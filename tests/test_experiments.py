@@ -161,13 +161,6 @@ class TestSweep:
         with pytest.raises(InconclusiveRunError, match="bond '12'"):
             transmission_sweep([0.5, 0.1], INCIDENT, cfg, truncation=150)
 
-    def test_workers_do_not_change_results(self):
-        serial = transmission_sweep([0.3, 0.6], INCIDENT, SimConfig(), truncation=150)
-        threaded = transmission_sweep(
-            [0.3, 0.6], INCIDENT, SimConfig(), truncation=150, workers=2
-        )
-        assert serial == threaded
-
     @pytest.mark.parametrize("r", [0.0, 1.0, -0.2, 1.2])
     def test_rejects_ratios_outside_unit_interval(self, r):
         with pytest.raises(InvalidParameterError):

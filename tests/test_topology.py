@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alnet import (
     BondSpec,
@@ -21,7 +23,7 @@ from alnet import (
     zero_state,
 )
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF, stacked_couplings
-from conftest import tree_spec
+from conftest import ReferenceShift, bits, tree_spec
 
 
 class TestBondSpec:
@@ -230,7 +232,7 @@ class TestShiftOperator:
     def test_stack_needs_one_layout(self):
         tops = [build_psg(1.0, 1.5, 3.0, truncation=20), build_psg(0.5, 1.5, 3.0, truncation=20)]
         cp = stacked_couplings(tops)
-        assert cp.weights.shape == (2, 2) and cp.site_gamma.shape == (60, 2)
+        assert cp.edge_weights.shape[1] == 2 and cp.site_gamma.shape == (60, 2)
         assert cp.values[("1", "12")] == (
             coupling_coefficients(tops[0]).values[("1", "12")],
             coupling_coefficients(tops[1]).values[("1", "12")],
@@ -240,6 +242,57 @@ class TestShiftOperator:
                 stacked_couplings([tops[0], other])
         with pytest.raises(InvalidParameterError):
             stacked_couplings([])
+
+
+@st.composite
+def tree_stacks(draw):
+    """1-3 trees of one random shape, each with its own random gammas.
+
+    Depth at most 3 below the incoming bond, at most 4 children per
+    vertex, internal bonds of 1-4 sites.  The gammas ignore the sum rule,
+    which the shift maps do not need.
+    """
+    columns = draw(st.integers(1, 3))
+
+    def node(depth):
+        kids = draw(st.integers(1 if depth == 0 else 0, 4 if depth < 3 else 0))
+        return {
+            "gammas": [draw(st.floats(0.25, 8.0)) for _ in range(columns)],
+            "length": draw(st.integers(1, 4)),
+            "children": [node(depth + 1) for _ in range(kids)],
+        }
+
+    def spec(n, b):
+        return {
+            "gamma": n["gammas"][b],
+            "length": n["length"],
+            "children": [spec(c, b) for c in n["children"]],
+        }
+
+    shape, truncation = node(0), draw(st.integers(2, 5))
+    return [build_tree(spec(shape, b), truncation) for b in range(columns)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(tops=tree_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_shift_maps_match_the_reference_on_random_trees(tops, seed):
+    # magnitudes from order one down through the subnormals to signed zeros
+    rng = np.random.default_rng(seed)
+    shape = (tops[0].n_sites,) if len(tops) == 1 else (tops[0].n_sites, len(tops))
+    scale = 10.0 ** rng.uniform(-330, 0, shape)
+    y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    cp = coupling_coefficients(tops[0]) if len(tops) == 1 else stacked_couplings(tops)
+    ref = ReferenceShift(tops)
+    expected = ref.forward(y)
+    assert np.array_equal(bits(cp.forward(y)), bits(expected))
+    behind = ref.backward(y)
+    assert np.array_equal(bits(cp.backward(y)), bits(behind))
+    expected += behind
+    assert np.array_equal(bits(cp.neighbors(y)), bits(expected))
+    for top in tops:
+        single = coupling_coefficients(top)
+        n = top.n_sites
+        np.testing.assert_array_equal(dense(single.backward, n), dense(single.forward, n).T)
 
 
 class TestCouplings:
