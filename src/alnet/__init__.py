@@ -21,10 +21,8 @@ from .conserved import (
     z_quantity,
 )
 from .dynamics import (
-    EvolveResult,
     SimConfig,
     evolve,
-    record_trajectory,
     rhs,
     step,
 )
@@ -38,12 +36,10 @@ from .errors import (
 )
 from .experiments import (
     PeakSeries,
-    PeakTrack,
     SweepRow,
     TransmissionReport,
+    broken_rule_run,
     peak_tracker,
-    run_bifurcation,
-    run_broken_rule,
     scattering_run,
     soliton_trajectory,
     track_broken_peaks,

@@ -193,7 +193,7 @@ def _run_sweep(config: RunConfig) -> RunOutputs:
 
 def _run_broken_rule(config: RunConfig) -> RunOutputs:
     topology = config.topology
-    report, track, trajectory = broken_rule_run(topology, config.soliton, config.sim)
+    report, peaks, trajectory = broken_rule_run(topology, config.soliton, config.sim)
     summary = {
         "experiment": "broken-rule",
         "measurement_time": report.measurement_time,
@@ -203,7 +203,7 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
         "radiation_fraction": report.radiation_fraction,
         "incident_velocity": config.soliton.velocity,
         "peak_velocities": {
-            label: series.velocity for label, series in sorted(track.series.items())
+            label: series.velocity for label, series in sorted(peaks.items())
         },
         "total_norm": report.total_norm,
     }

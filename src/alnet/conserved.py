@@ -186,7 +186,11 @@ def higher_constants_recursive(
 
 @dataclass(frozen=True)
 class ConservedSnapshot:
-    """All audited quantities at one instant; C holds (C2, ..., C_m_max)."""
+    """All audited quantities at one instant; C holds (C2, ..., C_m_max).
+
+    ``chain_residual`` is the sibling-gluing residual of
+    ``universal_chain_field``.
+    """
 
     time: float
     N: float
@@ -194,6 +198,7 @@ class ConservedSnapshot:
     E: float
     J: float
     C: tuple[complex, ...]
+    chain_residual: float
 
 
 def check_order(topology: GraphTopology, m_max: int) -> None:
@@ -221,7 +226,7 @@ def snapshot(
 
     C2 and C3 come from the direct graph stencils; orders four and above
     come from the recursion on the universal chain field, which is
-    faithful only under the coupling sum rule (the drift report carries
+    faithful only under the coupling sum rule (``chain_residual`` carries
     the gluing residual).  On a topology that breaks the sum rule,
     ``m_max >= 4`` raises InvalidParameterError instead (``check_order``).
     """
@@ -233,8 +238,8 @@ def snapshot(
         cs.append(c2)
         if m_max >= 3:
             cs.append(c3)
+    q, residual = universal_chain_field(state, topology)
     if m_max >= 4:
-        q, _ = universal_chain_field(state, topology)
         cs.extend(higher_constants_recursive(q, m_max)[3:])
     return ConservedSnapshot(
         time=state.time,
@@ -243,6 +248,7 @@ def snapshot(
         E=-2.0 * z.real,
         J=2.0 * z.imag,
         C=tuple(cs),
+        chain_residual=residual,
     )
 
 
@@ -273,7 +279,7 @@ def drift_audit(
     if len(trajectory) == 0:
         raise InvalidParameterError("trajectory must contain at least one state")
     snaps = tuple(snapshot(s, topology, couplings, m_max) for s in trajectory)
-    residual = max(universal_chain_field(s, topology)[1] for s in trajectory)
+    residual = max(s.chain_residual for s in snaps)
     base = snaps[0]
 
     def rel(values, ref) -> float:

@@ -19,7 +19,9 @@ scheme.  Every accepted step is checked for non-finite amplitudes.  A step
 writes its stage derivatives into a ``StepWorkspace`` (three complex
 arrays and one real one, reused by every step of an ``evolve``) and its
 stage inputs into the fresh array it returns, so a returned state never
-shares memory with the workspace.
+shares memory with the workspace.  ``evolve`` is the one way out of a
+run: it yields the observed states, and each consumer keeps what it
+needs of them.
 
 The kernel is elementwise along a second axis: a state of shape
 ``(n_sites, B)`` with the ``stacked_couplings`` of B same-layout
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -40,14 +42,12 @@ from .errors import InvalidParameterError
 from .state import FieldState, assert_finite
 from .topology import CouplingCoefficients, GraphTopology
 
-Observer = Callable[[float, FieldState], Any]
-
 
 @dataclass(frozen=True)
 class SimConfig:
     """Integration parameters.
 
-    ``output_stride`` counts steps between observer calls.  ``t_final``
+    ``output_stride`` counts steps between observed states.  ``t_final``
     may be left as None when a driver (for example the scattering
     experiments) derives the run length itself.
     """
@@ -149,57 +149,28 @@ def step(
     return new
 
 
-@dataclass
-class EvolveResult:
-    """Final state plus per-observer records of (time, returned value)."""
-
-    final_state: FieldState
-    records: tuple[tuple[tuple[float, Any], ...], ...]
-
-
 def evolve(
     state: FieldState,
     topology: GraphTopology,
     couplings: CouplingCoefficients,
     config: SimConfig,
-    observers: Sequence[Observer] = (),
-) -> EvolveResult:
-    """Integrate to ``config.t_final``, notifying observers along the way.
+) -> Iterator[FieldState]:
+    """Integrate to ``config.t_final``, yielding the observed states.
 
-    Observers run on the initial state, after every ``output_stride``
-    steps, and on the final step.  Observer exceptions abort the run.
-    A stacked state is integrated as in ``step``, and one workspace
-    serves every step.
+    Yields a copy of the initial state, then the state after every
+    ``output_stride`` steps and after the final step.  Each yielded state
+    owns its data: ``step`` returns a fresh array and no later step
+    writes to it.  A stacked state is integrated as in ``step``, and one
+    workspace serves every step.  A missing ``t_final`` raises
+    InvalidParameterError on the first ``next()``.
     """
     if config.t_final is None:
         raise InvalidParameterError("config.t_final is required by evolve")
     n_steps = round(config.t_final / config.dt)
-    records: list[list[tuple[float, Any]]] = [[] for _ in observers]
-
-    def notify(current: FieldState):
-        for rec, obs in zip(records, observers):
-            rec.append((current.time, obs(current.time, current)))
-
     workspace = StepWorkspace(state.data.shape)
     current = state.copy()
-    notify(current)
+    yield current
     for i in range(1, n_steps + 1):
         current = step(current, topology, couplings, config.dt, workspace)
         if i % config.output_stride == 0 or i == n_steps:
-            notify(current)
-    return EvolveResult(
-        final_state=current,
-        records=tuple(tuple(r) for r in records),
-    )
-
-
-def record_trajectory(
-    state: FieldState,
-    topology: GraphTopology,
-    couplings: CouplingCoefficients,
-    config: SimConfig,
-) -> list[FieldState]:
-    """Convenience: evolve while storing state copies at every observation."""
-    result = evolve(state, topology, couplings, config, observers=[lambda t, s: s.copy()])
-    return [snap for _, snap in result.records[0]]
-
+            yield current

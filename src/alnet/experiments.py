@@ -10,25 +10,27 @@ tails straddling the vertex are negligible) and at least
 geometry cannot satisfy this, or whose field visibly reaches a truncated
 end, raise InconclusiveRunError rather than report biased numbers.
 
-``soliton_trajectory`` is the one launch path: it puts the soliton on
-the incoming bond and records every observed state.  ``scattering_run``
-and the CLI's ``simulate`` and ``conserved-audit`` all integrate through
-it.  ``scattering_run`` integrates one topology and keeps its trajectory
-for further analysis.  ``scattering_ensemble`` integrates several topologies
-of one site layout as the columns of one stacked state and keeps only
-their partial norms; ``transmission_sweep`` runs its whole ratio grid
-this way.  Both give bitwise-equal reports for the same topology.
+Each experiment has one entry point: ``scattering_run`` (bifurcation)
+and ``broken_rule_run`` take a built topology, ``transmission_sweep`` a
+ratio grid.  ``soliton_trajectory`` is the one launch path: it puts the
+soliton on the incoming bond and keeps every state that
+``dynamics.evolve`` yields; ``scattering_run`` and the CLI's ``simulate``
+and ``conserved-audit`` integrate through it.  ``scattering_ensemble``
+integrates topologies of one site layout as the columns of one stacked
+state and keeps only their partial norms as ``evolve`` yields the stacks;
+``transmission_sweep`` runs its whole ratio grid this way.  A column's
+report equals ``scattering_run``'s on its topology bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, evolve, record_trajectory
+from .dynamics import SimConfig, evolve
 from .errors import InconclusiveRunError, InvalidParameterError
 from .soliton import SolitonParams, soliton_profile
 from .state import FieldState, bond_field, partial_norms
@@ -37,7 +39,6 @@ from .topology import (
     KIND_INTERNAL,
     ROOT_LABEL,
     build_star,
-    build_tree,
     coupling_coefficients,
     is_reflectionless,
     site_offset,
@@ -95,13 +96,6 @@ class PeakSeries:
         return self.velocity is None
 
 
-@dataclass(frozen=True)
-class PeakTrack:
-    """Per-bond peak series of one run, keyed by bond label."""
-
-    series: dict[str, PeakSeries]
-
-
 def peak_tracker(
     trajectory: Sequence[FieldState], topology: GraphTopology, bond: str
 ) -> PeakSeries:
@@ -135,14 +129,6 @@ def peak_tracker(
         if int(window.sum()) >= 2 and np.ptp(times[window]) > 0:
             velocity = float(np.polyfit(times[window], sites[window], 1)[0])
     return PeakSeries(bond=bond, times=times, sites=sites, moduli=moduli, velocity=velocity)
-
-
-def _resolve_topology(gammas, truncation: int) -> GraphTopology:
-    if isinstance(gammas, GraphTopology):
-        return gammas
-    if isinstance(gammas, Mapping):
-        return build_tree(gammas, truncation)
-    return build_star(gammas, truncation)
 
 
 def _measurement_time(
@@ -226,7 +212,7 @@ def _report(
 def soliton_trajectory(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
 ) -> list[FieldState]:
-    """Launch the soliton at t = 0 and record a copy of every observed state.
+    """Launch the soliton at t = 0 and keep every state ``evolve`` yields.
 
     ``config.t_final`` must be set; InvalidParameterError is raised
     before anything is built otherwise.
@@ -234,7 +220,7 @@ def soliton_trajectory(
     if config.t_final is None:
         raise InvalidParameterError("this run requires sim.t_final")
     initial = soliton_profile(soliton, topology, 0.0)
-    return record_trajectory(initial, topology, coupling_coefficients(topology), config)
+    return list(evolve(initial, topology, coupling_coefficients(topology), config))
 
 
 def scattering_run(
@@ -261,11 +247,11 @@ def scattering_ensemble(
     The runs are the columns of one ``(n_sites, B)`` state, advanced by
     the single-run kernel, so each report equals ``scattering_run``'s on
     its topology bit for bit.  A shared layout means a shared measurement
-    time.  The observer keeps each column's partial norms, not its
-    states.  Failures are checked column by column in the given order:
-    the first non-finite column raises DivergenceError naming its own
-    bond and site, and after the run the first column whose field reached
-    a truncated end raises InconclusiveRunError.
+    time.  Only each column's partial norms are kept, not its states.
+    Failures are checked column by column in the given order: the first
+    non-finite column raises DivergenceError naming its own bond and
+    site, and after the run the first column whose field reached a
+    truncated end raises InconclusiveRunError.
     """
     if not topologies:
         return []
@@ -275,45 +261,20 @@ def scattering_ensemble(
     initial = FieldState(
         np.stack([soliton_profile(soliton, top, 0.0).data for top in topologies], axis=1)
     )
-
-    def column_norms(t: float, stack: FieldState) -> list[dict[str, float]]:
-        return [
-            partial_norms(FieldState(stack.data[:, b]), top)
-            for b, top in enumerate(topologies)
-        ]
-
-    result = evolve(initial, layout, couplings, run_cfg, observers=[column_norms])
-    final = result.final_state
+    times = []
+    series = [{label: [] for label in top.labels} for top in topologies]
+    for stack in evolve(initial, layout, couplings, run_cfg):
+        times.append(stack.time)
+        for b, top in enumerate(topologies):
+            for label, value in partial_norms(FieldState(stack.data[:, b]), top).items():
+                series[b][label].append(value)
     for b, top in enumerate(topologies):
-        _check_boundaries(FieldState(final.data[:, b], final.time), top)
-    records = result.records[0]
-    times = np.array([t for t, _ in records])
+        _check_boundaries(FieldState(stack.data[:, b], stack.time), top)
+    times = np.array(times)
     return [
-        _report(
-            times,
-            {label: np.array([norms[b][label] for _, norms in records]) for label in top.labels},
-            top,
-            run_cfg.t_final,
-        )
-        for b, top in enumerate(topologies)
+        _report(times, {label: np.array(v) for label, v in column.items()}, top, run_cfg.t_final)
+        for column, top in zip(series, topologies)
     ]
-
-
-def run_bifurcation(
-    gammas,
-    soliton: SolitonParams,
-    config: SimConfig = SimConfig(),
-    truncation: int = 400,
-) -> TransmissionReport:
-    """Scatter a soliton off the vertex structure defined by ``gammas``.
-
-    ``gammas`` is a flat sequence (star graph), a nested mapping (tree,
-    see build_tree), or a ready topology.  ``config.t_final`` overrides
-    the derived measurement time when set.
-    """
-    topology = _resolve_topology(gammas, truncation)
-    report, _ = scattering_run(topology, soliton, config)
-    return report
 
 
 @dataclass(frozen=True)
@@ -379,13 +340,14 @@ def track_broken_peaks(
     trajectory: Sequence[FieldState],
     topology: GraphTopology,
     soliton: SolitonParams,
-) -> tuple[TransmissionReport, PeakTrack]:
+) -> tuple[TransmissionReport, dict[str, PeakSeries]]:
     """Peak analysis of a reflection-regime trajectory.
 
     Tracks the reflected peak on the incoming bond (restricted to
     observations after the incident peak has cleared the vertex) and the
     transmitted peak on every leaf, then rebuilds the report with the
     radiation estimate: the norm fraction outside every peak window.
+    The peak series come back keyed by bond label.
     """
     v = soliton.velocity
     t_fit_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v)
@@ -400,12 +362,12 @@ def track_broken_peaks(
             tracked += _window_norm(final, topology, label, float(ps.sites[-1]))
     radiation = max(0.0, (report.total_norm - tracked) / report.total_norm)
     report = replace(report, radiation_fraction=radiation)
-    return report, PeakTrack(series=series)
+    return report, series
 
 
 def broken_rule_run(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
-) -> tuple[TransmissionReport, PeakTrack, list[FieldState]]:
+) -> tuple[TransmissionReport, dict[str, PeakSeries], list[FieldState]]:
     """Scatter off couplings that violate the sum rule, keeping the trajectory.
 
     Requires a genuinely broken rule (reflection regime); the sum rule
@@ -414,23 +376,10 @@ def broken_rule_run(
     """
     if is_reflectionless(topology):
         raise InvalidParameterError(
-            "couplings satisfy the vertex sum rule; use run_bifurcation "
+            "couplings satisfy the vertex sum rule; use scattering_run "
             "(the bifurcation subcommand) instead"
         )
     report, trajectory = scattering_run(topology, soliton, config)
-    report, track = track_broken_peaks(report, trajectory, topology, soliton)
-    return report, track, trajectory
+    report, peaks = track_broken_peaks(report, trajectory, topology, soliton)
+    return report, peaks, trajectory
 
-
-def run_broken_rule(
-    gammas,
-    soliton: SolitonParams,
-    config: SimConfig = SimConfig(),
-    truncation: int = 400,
-) -> tuple[TransmissionReport, PeakTrack]:
-    """``broken_rule_run`` on the topology that ``gammas`` describes.
-
-    ``gammas`` takes the forms that run_bifurcation accepts.
-    """
-    report, track, _ = broken_rule_run(_resolve_topology(gammas, truncation), soliton, config)
-    return report, track

@@ -82,7 +82,9 @@ def soliton_profile(params: SolitonParams, topology: GraphTopology, t: float = 0
 
     Every bond is evaluated on its unrolled chain coordinate, so on a
     sum-rule topology the result is a single coherent soliton regardless
-    of which bonds its tails currently occupy.
+    of which bonds its tails currently occupy.  A profile that underflows
+    to zero at every site raises InvalidParameterError: it carries no
+    norm to report fractions of.
     """
     omega, v = derive_kinematics(params.alpha, params.beta)
     amp = math.sinh(params.beta)
@@ -93,6 +95,10 @@ def soliton_profile(params: SolitonParams, topology: GraphTopology, t: float = 0
         envelope = (amp / math.sqrt(b.gamma)) * sech(x)
         phase = np.exp(-1j * (omega * t + params.alpha * coord + params.phi0))
         data[topology.slices[b.label]] = envelope * phase
+    if not data.any():
+        raise InvalidParameterError(
+            f"the soliton centred at n0 = {params.n0:g} has zero amplitude on every site"
+        )
     return FieldState(data, time=float(t))
 
 

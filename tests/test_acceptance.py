@@ -24,10 +24,10 @@ from alnet import (
     build_tree,
     coupling_coefficients,
     drift_audit,
+    evolve,
     higher_constants_direct,
     higher_constants_recursive,
     norm,
-    record_trajectory,
     scattering_run,
     soliton_profile,
     track_broken_peaks,
@@ -79,7 +79,7 @@ def test_criterion_3_conservation_and_convergence_rate():
     drift_sets = {}
     for dt in (0.01, 0.005):
         cfg = SimConfig(dt=dt, t_final=200.0, output_stride=round(1.0 / dt))
-        traj = record_trajectory(soliton_profile(FIG4_SOLITON, top), top, cp, cfg)
+        traj = list(evolve(soliton_profile(FIG4_SOLITON, top), top, cp, cfg))
         drift_sets[dt] = drift_audit(traj, top, cp, m_max=3).drifts
     coarse = drift_sets[0.01]
     ratios = {k: coarse[k] / drift_sets[0.005][k] for k in coarse}
@@ -115,9 +115,9 @@ def test_criterion_4_conservation_dichotomy():
     top = build_psg(0.5, 1.5, 3.0, truncation=400)
     cp = coupling_coefficients(top)
     report, trajectory = scattering_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
-    report, track = track_broken_peaks(report, trajectory, top, FIG4_SOLITON)
+    report, peaks = track_broken_peaks(report, trajectory, top, FIG4_SOLITON)
     drifts = drift_audit(trajectory, top, cp, m_max=2).drifts
-    reflected_speed = track.series["1"].velocity
+    reflected_speed = peaks["1"].velocity
     speed_err = abs(abs(reflected_speed) - FIG4_SOLITON.velocity) / FIG4_SOLITON.velocity
     ok = (
         drifts["N"] < 1e-6
@@ -140,7 +140,7 @@ def test_criterion_5_exact_solution_fidelity():
     cp = coupling_coefficients(top)
     p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-40.0)
     initial = soliton_profile(p, top)
-    traj = record_trajectory(initial, top, cp, SimConfig(dt=0.01, t_final=50.0))
+    traj = list(evolve(initial, top, cp, SimConfig(dt=0.01, t_final=50.0)))
     final = traj[-1]
     exact = soliton_profile(p, top, t=50.0)
     profile_err = float(np.max(np.abs(final.data - exact.data)))

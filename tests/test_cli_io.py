@@ -243,6 +243,20 @@ class TestCli:
             assert "sim.t_final" in capsys.readouterr().err
             assert not Path(cfg["out"]).exists()
 
+    @pytest.mark.parametrize("command", ["bifurcation", "simulate"])
+    def test_launch_without_amplitude_exits_1(self, tmp_path, capsys, command):
+        # so far from the graph that the profile underflows to zero on every
+        # site: there is no norm to take fractions of
+        path, cfg = write_config(
+            tmp_path,
+            experiment=command,
+            topology={"gammas": [1.0, 1.5, 3.0], "truncation": 40},
+            soliton={"alpha": ALPHA_FIG4, "beta": 0.2, "n0": -1e5},
+        )
+        assert run_cli([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "zero amplitude" in capsys.readouterr().err
+        assert not Path(cfg["out"]).exists()
+
     def test_broken_rule_rejects_sum_rule_couplings(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -299,7 +313,7 @@ class TestCli:
         def no_integration(*args, **kwargs):
             raise AssertionError("conserved-audit integrated before checking m_max")
 
-        monkeypatch.setattr("alnet.experiments.record_trajectory", no_integration)
+        monkeypatch.setattr("alnet.experiments.evolve", no_integration)
         argv = ["conserved-audit", "--config", str(CONFIGS / "broken_rule.json"),
                 "--t-final", "100", "--m-max", "4", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == EXIT_CONFIG

@@ -14,10 +14,10 @@ from alnet import (
     build_tree,
     coupling_coefficients,
     drift_audit,
+    evolve,
     higher_constants_direct,
     higher_constants_recursive,
     norm,
-    record_trajectory,
     snapshot,
     soliton_profile,
     universal_chain_field,
@@ -283,15 +283,32 @@ class TestSnapshotAndDrift:
         top = build_psg(1.0, 1.5, 3.0, truncation=200)
         cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-70.0)
-        traj = record_trajectory(
-            soliton_profile(p, top), top, cp, SimConfig(dt=0.01, t_final=2.0)
-        )
+        traj = list(evolve(soliton_profile(p, top), top, cp, SimConfig(dt=0.01, t_final=2.0)))
         report = drift_audit(traj, top, cp, m_max=4)
         assert set(report.drifts) == {"N", "E", "J", "C2", "C3", "C4"}
         assert max(report.drifts.values()) < 1e-9
         assert report.chain_residual < 1e-11
         assert report.snapshots[0].time == 0.0
         assert report.snapshots[-1].time == pytest.approx(2.0)
+
+    def test_drift_audit_collapses_each_state_once(self, monkeypatch):
+        # the audit's residual comes from the chain field snapshot computed
+        top = build_psg(1.0, 1.5, 3.0, truncation=40)
+        cp = coupling_coefficients(top)
+        p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-10.0)
+        states = [soliton_profile(p, top, t) for t in (0.0, 5.0, 10.0)]
+        calls = []
+
+        def counted(state, topology):
+            calls.append(state.time)
+            return universal_chain_field(state, topology)
+
+        monkeypatch.setattr("alnet.conserved.universal_chain_field", counted)
+        report = drift_audit(states, top, cp, m_max=4)
+        assert calls == [0.0, 5.0, 10.0]
+        assert report.chain_residual == max(
+            universal_chain_field(s, top)[1] for s in states
+        )
 
     def test_drift_audit_rejects_empty_trajectory(self):
         top = build_chain(1.0, truncation=4)

@@ -14,7 +14,6 @@ from alnet import (
     build_tree,
     coupling_coefficients,
     evolve,
-    record_trajectory,
     rhs,
     soliton_profile,
     step,
@@ -136,22 +135,29 @@ class TestStepAndEvolve:
     def test_observer_cadence(self):
         top = build_chain(1.0, truncation=20)
         cfg = SimConfig(dt=0.1, t_final=1.0, output_stride=3)
-        times = []
-        evolve(zero_state(top), top, coupling_coefficients(top), cfg,
-               observers=[lambda t, s: times.append(t)])
+        times = [s.time for s in evolve(zero_state(top), top, coupling_coefficients(top), cfg)]
         assert np.allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0])
 
     def test_evolve_requires_t_final(self):
         top = build_chain(1.0, truncation=20)
         with pytest.raises(InvalidParameterError):
-            evolve(zero_state(top), top, coupling_coefficients(top), SimConfig())
+            list(evolve(zero_state(top), top, coupling_coefficients(top), SimConfig()))
 
-    def test_record_trajectory_snapshots_are_copies(self):
+    def test_evolve_to_time_zero_yields_a_copy_of_the_initial_state(self):
+        top = build_chain(1.0, truncation=20)
+        st = soliton_profile(SolitonParams(alpha=0.4, beta=0.2, n0=0.0), top)
+        states = list(evolve(st, top, coupling_coefficients(top), SimConfig(t_final=0.0)))
+        assert len(states) == 1
+        assert states[0].time == st.time
+        assert np.array_equal(bits(states[0].data), bits(st.data))
+        assert not np.shares_memory(states[0].data, st.data)
+
+    def test_evolve_trajectory_snapshots_are_copies(self):
         top = build_chain(1.0, truncation=40)
         p = SolitonParams(alpha=0.4, beta=0.2, n0=0.0)
         st = soliton_profile(p, top)
-        traj = record_trajectory(st, top, coupling_coefficients(top),
-                                 SimConfig(dt=0.05, t_final=0.5, output_stride=5))
+        traj = list(evolve(st, top, coupling_coefficients(top),
+                           SimConfig(dt=0.05, t_final=0.5, output_stride=5)))
         assert len(traj) == 3
         assert [s.time for s in traj] == pytest.approx([0.0, 0.25, 0.5])
         assert traj[0].data is not st.data
@@ -330,7 +336,7 @@ class TestFusedKernel:
         cp, y = reference_case(tops, rng)
         start = FieldState(y)
         cfg = SimConfig(dt=0.01, t_final=0.5, output_stride=1)
-        fused = record_trajectory(start, tops[0], cp, cfg)
+        fused = list(evolve(start, tops[0], cp, cfg))
         assert len(fused) == 51
         shift = ReferenceShift(tops)
         ref = start
@@ -340,21 +346,19 @@ class TestFusedKernel:
             assert np.array_equal(bits(state.data), bits(ref.data))
 
     def test_kept_states_equal_copied_states(self):
-        # an observer that keeps the states evolve hands it, without copying,
-        # must see what record_trajectory copies: no state is ever a
-        # workspace buffer or overwritten by a later step
+        # the states evolve yields, kept without copying, must equal copies
+        # taken as they are yielded: no state is ever a workspace buffer or
+        # overwritten by a later step
         top = build_psg(1.0, 1.5, 3.0, truncation=60)
         cp = coupling_coefficients(top)
         st = soliton_profile(SolitonParams(alpha=0.9, beta=0.3, n0=-20.0), top)
         cfg = SimConfig(dt=0.01, t_final=0.3, output_stride=2)
-        result = evolve(st, top, cp, cfg, observers=[lambda t, s: s])
-        kept = [s for _, s in result.records[0]]
-        copied = record_trajectory(st, top, cp, cfg)
+        kept = list(evolve(st, top, cp, cfg))
+        copied = [s.copy() for s in evolve(st, top, cp, cfg)]
         assert len(kept) == len(copied) == 16
         for a, b in zip(kept, copied):
             assert a.time == b.time
             assert np.array_equal(bits(a.data), bits(b.data))
-        assert result.final_state is kept[-1]
         assert len({id(s.data) for s in kept}) == len(kept)
 
     def test_step_with_a_workspace_equals_step_without(self, rng):

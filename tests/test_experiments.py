@@ -8,11 +8,11 @@ from alnet import (
     InvalidParameterError,
     SimConfig,
     SolitonParams,
+    broken_rule_run,
     build_chain,
     build_psg,
+    build_star,
     peak_tracker,
-    run_bifurcation,
-    run_broken_rule,
     scattering_run,
     soliton_profile,
     transmission_sweep,
@@ -97,9 +97,8 @@ class TestScattering:
         assert report.transmissions["11"] == pytest.approx(0.5, abs=1e-3)
 
     def test_four_way_star(self):
-        report = run_bifurcation(
-            (1.0, 2.0, 4.0, 4.0), INCIDENT, SimConfig(), truncation=150
-        )
+        top = build_star((1.0, 2.0, 4.0, 4.0), truncation=150)
+        report, _ = scattering_run(top, INCIDENT, SimConfig())
         assert report.transmissions["11"] == pytest.approx(0.5, abs=1e-3)
         assert report.transmissions["12"] == pytest.approx(0.25, abs=1e-3)
         assert report.transmissions["13"] == pytest.approx(0.25, abs=1e-3)
@@ -108,17 +107,17 @@ class TestScattering:
         away = SolitonParams(alpha=3 * math.pi / 4, beta=0.1, n0=-60.0)
         assert away.velocity < 0
         with pytest.raises(InconclusiveRunError):
-            run_bifurcation((1.0, 1.5, 3.0), away, SimConfig(), truncation=150)
+            scattering_run(build_star((1.0, 1.5, 3.0), 150), away, SimConfig())
 
     def test_short_leaves_are_inconclusive(self):
         with pytest.raises(InconclusiveRunError):
-            run_bifurcation((1.0, 1.5, 3.0), INCIDENT, SimConfig(), truncation=100)
+            scattering_run(build_star((1.0, 1.5, 3.0), 100), INCIDENT, SimConfig())
 
     def test_overlong_run_trips_the_boundary_guard(self):
         # the peak reaches the truncated leaf ends near t = 148
         cfg = SimConfig(t_final=148.0)
         with pytest.raises(InconclusiveRunError):
-            run_bifurcation((1.0, 1.5, 3.0), INCIDENT, cfg, truncation=150)
+            scattering_run(build_star((1.0, 1.5, 3.0), 150), INCIDENT, cfg)
 
 
 class TestSweep:
@@ -140,9 +139,8 @@ class TestSweep:
         rows = transmission_sweep(grid, INCIDENT, SimConfig(), truncation=150)
         assert [row.ratio for row in rows] == grid
         for r, row in zip(grid, rows):
-            report = run_bifurcation(
-                (1.0, 1.0 / r, 1.0 / (1.0 - r)), INCIDENT, SimConfig(), truncation=150
-            )
+            top = build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), truncation=150)
+            report, _ = scattering_run(top, INCIDENT, SimConfig())
             assert row.t2 == report.transmissions["11"]
             assert row.t3 == report.transmissions["12"]
             assert row.unitarity_residual == report.unitarity_residual
@@ -170,17 +168,17 @@ class TestSweep:
 class TestBrokenRule:
     def test_rule_satisfying_couplings_are_a_precondition_error(self):
         with pytest.raises(InvalidParameterError):
-            run_broken_rule((1.0, 1.5, 3.0), INCIDENT, SimConfig(), truncation=150)
+            broken_rule_run(build_star((1.0, 1.5, 3.0), 150), INCIDENT, SimConfig())
 
     def test_reflection_regime(self):
-        report, track = run_broken_rule(
-            (0.5, 1.5, 3.0), INCIDENT, SimConfig(), truncation=150
+        report, peaks, _ = broken_rule_run(
+            build_star((0.5, 1.5, 3.0), truncation=150), INCIDENT, SimConfig()
         )
         assert report.reflection > 0.01
         assert report.radiation_fraction is not None
         assert 0.0 <= report.radiation_fraction < 1.0
-        assert set(track.series) == {"1", "11", "12"}
-        reflected = track.series["1"]
+        assert set(peaks) == {"1", "11", "12"}
+        reflected = peaks["1"]
         assert not reflected.no_peak
         # the reflected peak runs backwards at roughly the incident speed
         assert reflected.velocity == pytest.approx(-INCIDENT.velocity, rel=0.05)
@@ -188,6 +186,6 @@ class TestBrokenRule:
         t_clear = -INCIDENT.n0 / INCIDENT.velocity
         assert reflected.times.min() > t_clear
         for leaf in ("11", "12"):
-            assert track.series[leaf].velocity == pytest.approx(
+            assert peaks[leaf].velocity == pytest.approx(
                 INCIDENT.velocity, rel=0.05
             )

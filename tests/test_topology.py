@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from alnet import (
@@ -273,7 +273,15 @@ def tree_stacks(draw):
     return [build_tree(spec(shape, b), truncation) for b in range(columns)]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+# no shrink phase: a failure is reported as drawn, in seconds instead of the
+# minute or more that shrinking takes
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
 @given(tops=tree_stacks(), seed=st.integers(0, 2**32 - 1))
 def test_shift_maps_match_the_reference_on_random_trees(tops, seed):
     # magnitudes from order one down through the subnormals to signed zeros
