@@ -53,6 +53,7 @@ from .io import (
     load_config,
     parse_config,
     serialize_config,
+    topology_from_dict,
     write_outputs,
 )
 from .soliton import (
@@ -87,8 +88,6 @@ from .topology import (
     coupling_coefficients,
     is_reflectionless,
     site_offset,
-    topology_from_dict,
-    topology_to_dict,
 )
 
 __version__ = "0.1.0"

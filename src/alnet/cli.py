@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .conserved import check_order, drift_audit, z_quantity
 from .dynamics import SimConfig
@@ -49,14 +50,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_INCONCLUSIVE = 3
 
-_COMMANDS = {
-    "simulate": "evolve the configured soliton and record the field",
-    "bifurcation": "scatter a soliton off the vertex and report transmissions",
-    "sweep": "transmission versus coupling ratio over a grid",
-    "broken-rule": "scattering with a violated sum rule; track reflection",
-    "conserved-audit": "evolve and audit the conserved-quantity drifts",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -64,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Soliton dynamics on chains, stars, and trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in _COMMANDS.items():
-        sp = sub.add_parser(name, help=blurb)
+    for name, handler in _DISPATCH.items():
+        sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--dt", type=float, help="time step (overrides config)")
@@ -84,46 +77,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    sim = config.sim
-    if args.dt is not None or args.t_final is not None:
-        sim = SimConfig(
-            dt=sim.dt if args.dt is None else args.dt,
-            t_final=sim.t_final if args.t_final is None else args.t_final,
-            output_stride=sim.output_stride,
-        )
-    topology = config.topology
-    if args.truncation is not None:
-        topology = with_truncation(topology, args.truncation)
-    return RunConfig(
+    def given(*names):
+        return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+    config = replace(
+        config,
         experiment=args.command,
-        topology=topology,
-        soliton=config.soliton,
-        sim=sim,
-        out=config.out if args.out is None else args.out,
-        m_max=config.m_max if args.m_max is None else args.m_max,
-        ratios=config.ratios,
-        snapshot_times=config.snapshot_times,
+        sim=replace(config.sim, **given("dt", "t_final")),
+        **given("out", "m_max"),
     )
+    if args.truncation is not None:
+        config = replace(config, topology=with_truncation(config.topology, args.truncation))
+    return config
 
 
 def _pick_snapshots(
-    trajectory, requested: tuple[float, ...]
+    trajectory, requested: tuple[float, ...], sim: SimConfig
 ) -> tuple[tuple[float, FieldState], ...]:
     """Snapshot states at the observations nearest the requested times.
 
-    With no requested times, the first and last observations are kept.
+    With no requested times, the first and last observations are kept.  A
+    time more than one output interval past the last observation raises
+    InvalidParameterError instead of taking the last state.
     """
-    if requested:
-        chosen = {}
-        for t in requested:
-            best = min(trajectory, key=lambda s: abs(s.time - t))
-            chosen[best.time] = best
-    else:
-        chosen = {trajectory[0].time: trajectory[0], trajectory[-1].time: trajectory[-1]}
+    last = trajectory[-1].time
+    chosen = {}
+    for t in requested or (trajectory[0].time, last):
+        # counted in steps, since the accumulated time drifts off the dt grid
+        if round((t - last) / sim.dt) > sim.output_stride:
+            raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {last:g}")
+        best = min(trajectory, key=lambda s: abs(s.time - t))
+        chosen[best.time] = best
     return tuple(sorted(chosen.items()))
 
 
 def _run_simulate(config: RunConfig) -> RunOutputs:
+    """evolve the configured soliton and record the field"""
     topology = config.topology
     trajectory = soliton_trajectory(topology, config.soliton, config.sim)
     final = trajectory[-1]
@@ -141,12 +130,13 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         partial_norms=partial_norm_series(trajectory, topology),
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times),
+        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
         topology=topology,
     )
 
 
 def _run_bifurcation(config: RunConfig) -> RunOutputs:
+    """scatter a soliton off the vertex and report transmissions"""
     topology = config.topology
     report, trajectory = scattering_run(topology, config.soliton, config.sim)
     gamma1 = topology.bond(ROOT_LABEL).gamma
@@ -164,12 +154,13 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         partial_norms=(report.times, report.partial_norm_series),
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times),
+        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
         topology=topology,
     )
 
 
 def _run_sweep(config: RunConfig) -> RunOutputs:
+    """transmission versus coupling ratio over a grid"""
     ratios = config.ratios or DEFAULT_RATIO_GRID
     rows = transmission_sweep(
         ratios, config.soliton, config.sim, truncation=config.topology.truncation
@@ -192,6 +183,7 @@ def _run_sweep(config: RunConfig) -> RunOutputs:
 
 
 def _run_broken_rule(config: RunConfig) -> RunOutputs:
+    """scattering with a violated sum rule; track reflection"""
     topology = config.topology
     report, peaks, trajectory = broken_rule_run(topology, config.soliton, config.sim)
     summary = {
@@ -210,12 +202,13 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         partial_norms=(report.times, report.partial_norm_series),
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times),
+        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
         topology=topology,
     )
 
 
 def _run_conserved_audit(config: RunConfig) -> RunOutputs:
+    """evolve and audit the conserved-quantity drifts"""
     topology = config.topology
     check_order(topology, config.m_max)
     trajectory = soliton_trajectory(topology, config.soliton, config.sim)
@@ -232,7 +225,7 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
         summary=summary,
         partial_norms=partial_norm_series(trajectory, topology),
         drift=report,
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times),
+        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
         topology=topology,
     )
 

@@ -186,7 +186,7 @@ def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConf
     t_final = config.t_final
     if t_final is None:
         t_final = _measurement_time(topology, soliton, config)
-    return SimConfig(dt=config.dt, t_final=t_final, output_stride=config.output_stride)
+    return replace(config, t_final=t_final)
 
 
 def _report(

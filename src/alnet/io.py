@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -18,26 +18,13 @@ import numpy as np
 
 from .conserved import DriftReport
 from .dynamics import SimConfig
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, TopologyError
 from .soliton import SolitonParams
 from .state import FieldState, bond_field
-from .topology import GraphTopology, topology_from_dict, topology_to_dict
+from .topology import BondSpec, GraphTopology, build_chain, build_star, build_tree
 
 EXPERIMENTS = ("simulate", "bifurcation", "sweep", "broken-rule", "conserved-audit")
 DEFAULT_RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-_CONFIG_KEYS = {
-    "experiment",
-    "topology",
-    "soliton",
-    "sim",
-    "out",
-    "m_max",
-    "ratios",
-    "snapshot_times",
-}
-_SOLITON_KEYS = {"alpha", "beta", "n0", "phi0"}
-_SIM_KEYS = {"dt", "t_final", "output_stride"}
 
 
 @dataclass(frozen=True)
@@ -60,6 +47,7 @@ class RunConfig:
             )
         if isinstance(self.m_max, bool) or not isinstance(self.m_max, int) or self.m_max < 1:
             raise InvalidParameterError("m_max must be an integer >= 1")
+        object.__setattr__(self, "out", str(self.out))
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
@@ -69,76 +57,83 @@ class RunConfig:
                 raise InvalidParameterError("snapshot times must be finite and >= 0")
 
 
-def parse_config(data: Mapping) -> RunConfig:
-    """Build a RunConfig from a decoded JSON object; unknown keys are errors."""
+def _fields_of(cls, data, what: str) -> Mapping:
+    """``data``, checked to be an object whose keys are ``cls``'s field names.
+
+    Every field without a default must be present; the dataclass's own
+    defaults fill the rest when it is built from ``data``.
+    """
     if not isinstance(data, Mapping):
-        raise InvalidParameterError("config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+        raise InvalidParameterError(f"{what} must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("experiment", "topology", "soliton"):
-        if key not in data:
-            raise InvalidParameterError(f"config is missing required key {key!r}")
-    sol = data["soliton"]
-    if not isinstance(sol, Mapping):
-        raise InvalidParameterError("'soliton' must be an object")
-    unknown = set(sol) - _SOLITON_KEYS
-    if unknown:
-        raise InvalidParameterError(f"unknown soliton keys: {sorted(unknown)}")
-    for key in ("alpha", "beta", "n0"):
-        if key not in sol:
-            raise InvalidParameterError(f"soliton spec is missing {key!r}")
-    sim = data.get("sim", {})
-    if not isinstance(sim, Mapping):
-        raise InvalidParameterError("'sim' must be an object")
-    unknown = set(sim) - _SIM_KEYS
-    if unknown:
-        raise InvalidParameterError(f"unknown sim keys: {sorted(unknown)}")
-    stride = sim.get("output_stride", 100)
-    if isinstance(stride, bool) or not isinstance(stride, int):
-        raise InvalidParameterError("output_stride must be an integer")
-    return RunConfig(
-        experiment=data["experiment"],
-        topology=topology_from_dict(data["topology"]),
-        soliton=SolitonParams(
-            alpha=sol["alpha"],
-            beta=sol["beta"],
-            n0=sol["n0"],
-            phi0=sol.get("phi0", 0.0),
-        ),
-        sim=SimConfig(
-            dt=sim.get("dt", 0.01),
-            t_final=sim.get("t_final"),
-            output_stride=stride,
-        ),
-        out=str(data.get("out", "results")),
-        m_max=data.get("m_max", 4),
-        ratios=data.get("ratios", ()),
-        snapshot_times=data.get("snapshot_times", ()),
-    )
+        raise InvalidParameterError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in data:
+            raise InvalidParameterError(f"{what} is missing required key {f.name!r}")
+    return data
+
+
+def parse_config(data: Mapping) -> RunConfig:
+    """Build a RunConfig from a decoded JSON object.
+
+    The dataclasses are the schema: each section's keys are its
+    dataclass's fields, fields without a default are required and the
+    defaults fill absent keys.  Unknown keys and malformed values all
+    raise InvalidParameterError (TopologyError for a bond set that is not
+    a rooted tree).
+    """
+    try:
+        data = dict(_fields_of(RunConfig, data, "config"))
+        data["topology"] = topology_from_dict(data["topology"])
+        data["soliton"] = SolitonParams(**_fields_of(SolitonParams, data["soliton"], "soliton"))
+        if "sim" in data:
+            data["sim"] = SimConfig(**_fields_of(SimConfig, data["sim"], "sim"))
+        return RunConfig(**data)
+    except (InvalidParameterError, TopologyError):
+        raise
+    except (TypeError, ValueError) as exc:
+        # float(None), len(5) and the like: a value of the wrong JSON type
+        raise InvalidParameterError(f"malformed value: {exc}") from None
+
+
+def topology_from_dict(data: Mapping) -> GraphTopology:
+    """Build a topology from exactly one of three forms, plus an optional ``truncation``.
+
+    ``{"bonds": [...]}`` lists every bond with the fields of BondSpec; it
+    is the form ``dataclasses.asdict`` gives a GraphTopology, so
+    ``topology_from_dict(asdict(t)) == t``.  ``{"gammas": [...]}`` builds a
+    star graph (two equal entries make a chain) and ``{"tree": ...}`` a
+    tree from ``build_tree``'s nested nodes.  Unknown keys are errors.
+    """
+    if not isinstance(data, Mapping):
+        raise InvalidParameterError("topology must be a JSON object")
+    forms = set(data) - {"truncation"}
+    if len(forms) != 1 or not forms <= {"gammas", "tree", "bonds"}:
+        raise InvalidParameterError(
+            f"topology takes one of 'gammas', 'tree' or 'bonds' and an optional "
+            f"'truncation', not {sorted(data)}"
+        )
+    truncation = data.get("truncation", 400)
+    if "gammas" in data:
+        gammas = data["gammas"]
+        if len(gammas) == 2:
+            if gammas[0] != gammas[1]:
+                raise InvalidParameterError("a two-bond chain must have a uniform gamma")
+            return build_chain(gammas[0], truncation)
+        return build_star(gammas, truncation)
+    if "tree" in data:
+        return build_tree(data["tree"], truncation)
+    bonds = (BondSpec(**_fields_of(BondSpec, entry, "bond entry")) for entry in data["bonds"])
+    return GraphTopology(tuple(bonds), truncation)
 
 
 def serialize_config(config: RunConfig) -> dict:
-    """Inverse of parse_config: parse_config(serialize_config(c)) == c."""
-    return {
-        "experiment": config.experiment,
-        "topology": topology_to_dict(config.topology),
-        "soliton": {
-            "alpha": config.soliton.alpha,
-            "beta": config.soliton.beta,
-            "n0": config.soliton.n0,
-            "phi0": config.soliton.phi0,
-        },
-        "sim": {
-            "dt": config.sim.dt,
-            "t_final": config.sim.t_final,
-            "output_stride": config.sim.output_stride,
-        },
-        "out": config.out,
-        "m_max": config.m_max,
-        "ratios": list(config.ratios),
-        "snapshot_times": list(config.snapshot_times),
-    }
+    """The config as its dataclasses' fields: parse_config(serialize_config(c)) == c.
+
+    The topology takes its ``{"bonds": [...], "truncation": n}`` form.
+    """
+    return asdict(config)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -58,7 +58,10 @@ class BondSpec:
     """One bond of the graph.
 
     ``length`` is the stored site count: the exact length for internal
-    bonds and the truncation length for semi-infinite ones.
+    bonds and the truncation length for semi-infinite ones.  It must be an
+    ``int`` (not a ``bool``); ``gamma`` is coerced with ``float()`` and
+    ``label`` with ``str()``, so a config may write the label ``11`` as a
+    number.
     """
 
     label: str
@@ -67,11 +70,11 @@ class BondSpec:
     kind: str
 
     def __post_init__(self):
+        object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "length", int(self.length))
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise InvalidParameterError(f"bond {self.label!r}: gamma must be finite and > 0")
-        if self.length < 1:
+        if isinstance(self.length, bool) or not isinstance(self.length, int) or self.length < 1:
             raise InvalidParameterError(f"bond {self.label!r}: length must be a positive integer")
         if self.kind not in _KINDS:
             raise InvalidParameterError(f"bond {self.label!r}: unknown kind {self.kind!r}")
@@ -92,8 +95,8 @@ class GraphTopology:
     truncation: int
 
     def __post_init__(self):
-        object.__setattr__(self, "truncation", int(self.truncation))
-        if self.truncation < 2:
+        n = self.truncation
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
             raise InvalidParameterError("truncation must be an integer >= 2")
         if len({b.label for b in self.bonds}) != len(self.bonds):
             raise TopologyError("duplicate bond labels")
@@ -469,13 +472,18 @@ def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
 
     ``spec`` is a mapping with keys ``gamma`` (required), ``children``
     (list of child specs), and ``length`` (required for nodes that have
-    children, i.e. internal bonds; ignored for the root, which is the
-    incoming semi-infinite bond).  Nodes without children become
-    semi-infinite leaves.
+    children, i.e. internal bonds, and passed to BondSpec as it is, so it
+    must be an integer; ignored for the root, which is the incoming
+    semi-infinite bond).  Nodes without children become semi-infinite
+    leaves.  Any other key is an error, so a misspelt ``children`` cannot
+    turn an internal bond into a leaf.
     """
     bonds: list[BondSpec] = []
 
     def walk(node: Mapping, label: str):
+        unknown = set(node) - {"gamma", "length", "children"}
+        if unknown:
+            raise InvalidParameterError(f"tree node {label!r}: unknown keys {sorted(unknown)}")
         if "gamma" not in node:
             raise InvalidParameterError(f"tree node {label!r} is missing 'gamma'")
         kids = node.get("children", [])
@@ -486,7 +494,7 @@ def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
         elif kids:
             if "length" not in node:
                 raise InvalidParameterError(f"internal tree node {label!r} is missing 'length'")
-            bonds.append(BondSpec(label, float(node["gamma"]), int(node["length"]), KIND_INTERNAL))
+            bonds.append(BondSpec(label, float(node["gamma"]), node["length"], KIND_INTERNAL))
         else:
             bonds.append(_leaf(label, node["gamma"], truncation))
         if len(kids) > 9:
@@ -501,67 +509,9 @@ def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
 def with_truncation(topology: GraphTopology, truncation: int) -> GraphTopology:
     """The same tree with its semi-infinite bonds truncated to ``truncation`` sites.
 
-    Internal bonds keep their exact lengths.
+    Internal bonds keep their exact lengths; every other field is kept.
     """
     bonds = tuple(
-        BondSpec(
-            b.label,
-            b.gamma,
-            b.length if b.kind == KIND_INTERNAL else truncation,
-            b.kind,
-        )
-        for b in topology.bonds
+        b if b.kind == KIND_INTERNAL else replace(b, length=truncation) for b in topology.bonds
     )
-    return GraphTopology(bonds, truncation)
-
-
-# -- JSON-friendly form ----------------------------------------------------
-
-
-def topology_to_dict(topology: GraphTopology) -> dict:
-    return {
-        "bonds": [
-            {"label": b.label, "gamma": b.gamma, "length": b.length, "kind": b.kind}
-            for b in topology.bonds
-        ],
-        "truncation": topology.truncation,
-    }
-
-
-def topology_from_dict(data: Mapping) -> GraphTopology:
-    """Rebuild a topology from its dict form, accepting two shorthands.
-
-    Besides the explicit ``{"bonds": [...], "truncation": n}`` layout, a
-    ``{"gammas": [...]}`` entry builds a star graph and a ``{"tree": ...}``
-    entry builds a tree from the nested node format.
-    """
-    if not isinstance(data, Mapping):
-        raise InvalidParameterError("topology description must be a mapping")
-    truncation = data.get("truncation", 400)
-    if isinstance(truncation, bool) or not isinstance(truncation, int):
-        raise InvalidParameterError("truncation must be an integer")
-    if "gammas" in data:
-        gammas = data["gammas"]
-        if len(gammas) == 2:
-            if gammas[0] != gammas[1]:
-                raise InvalidParameterError("a two-bond chain must have a uniform gamma")
-            return build_chain(gammas[0], truncation)
-        return build_star(gammas, truncation)
-    if "tree" in data:
-        return build_tree(data["tree"], truncation)
-    if "bonds" not in data:
-        raise InvalidParameterError("topology description needs 'bonds', 'gammas', or 'tree'")
-    bonds = []
-    for entry in data["bonds"]:
-        try:
-            bonds.append(
-                BondSpec(
-                    label=str(entry["label"]),
-                    gamma=float(entry["gamma"]),
-                    length=int(entry["length"]),
-                    kind=str(entry["kind"]),
-                )
-            )
-        except KeyError as exc:
-            raise InvalidParameterError(f"bond entry is missing key {exc}") from None
-    return GraphTopology(tuple(bonds), truncation)
+    return replace(topology, bonds=bonds, truncation=truncation)

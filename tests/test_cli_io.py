@@ -1,12 +1,16 @@
 import filecmp
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alnet
 from alnet import (
     DEFAULT_RATIO_GRID,
     EXPERIMENTS,
@@ -29,8 +33,10 @@ from alnet.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _DISPATCH,
     run_cli,
 )
+from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
 from conftest import ALPHA_FIG4
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -45,6 +51,23 @@ def config_dict(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def tree_topology(**node):
+    # one internal bond of 3 sites below the root; ``node`` edits that bond
+    internal = {"gamma": 2.0, "length": 3, "children": [{"gamma": 4.0}, {"gamma": 4.0}]}
+    internal.update(node)
+    return {"tree": {"gamma": 1.0, "children": [internal, {"gamma": 2.0}]}, "truncation": 40}
+
+
+def bond_topology(**entry):
+    # the same tree as explicit bond entries; ``entry`` edits the internal bond
+    internal = {"label": "11", "gamma": 2.0, "length": 3, "kind": KIND_INTERNAL}
+    internal.update(entry)
+    leaves = [{"label": l, "gamma": 4.0, "length": 40, "kind": KIND_LEAF} for l in ("111", "112")]
+    root = {"label": "1", "gamma": 1.0, "length": 40, "kind": KIND_INCOMING}
+    leaf = {"label": "12", "gamma": 2.0, "length": 40, "kind": KIND_LEAF}
+    return {"bonds": [root, internal, *leaves, leaf], "truncation": 40}
 
 
 def write_config(tmp_path, **overrides):
@@ -93,6 +116,27 @@ class TestConfigParsing:
             lambda d: d["sim"].update(output_stride=True),
             lambda d: d.update(soliton=[1, 2, 3]),
             lambda d: d.update(sim="fast"),
+            # values of the wrong JSON type
+            lambda d: d["soliton"].update(alpha=None),
+            lambda d: d.update(topology={"tree": {"gamma": 1.0, "children": 3}}),
+            lambda d: d["topology"].update(gammas=5),
+            lambda d: d.update(ratios=5),
+            lambda d: d["soliton"].update(alpha="x"),
+            lambda d: d["sim"].update(dt="x"),
+            lambda d: d["sim"].update(t_final="x"),
+            lambda d: d["topology"].update(gammas=[1.0, 1.5, "x"]),
+            lambda d: d.update(ratios="x"),
+            lambda d: d.update(snapshot_times=[0.0, "x"]),
+            # lengths that are not integers
+            lambda d: d.update(topology=tree_topology(length=3.7)),
+            lambda d: d.update(topology=bond_topology(length=50.9)),
+            lambda d: d.update(topology=bond_topology(length="3")),
+            # unknown keys, more than one topology form, a misspelt "children"
+            lambda d: d["topology"].update(shape="star"),
+            lambda d: d.update(topology=tree_topology(colour="red")),
+            lambda d: d.update(topology=bond_topology(note="internal")),
+            lambda d: d["topology"].update(tree={"gamma": 1.0, "children": [{"gamma": 1.0}]}),
+            lambda d: d.update(topology=tree_topology(childs=[{"gamma": 4.0}, {"gamma": 4.0}])),
         ],
     )
     def test_malformed_configs_are_rejected(self, mutate):
@@ -113,6 +157,40 @@ class TestConfigParsing:
             parse_config(config_dict(snapshot_times=[-1.0]))
         assert good.experiment in EXPERIMENTS
         assert isinstance(good.topology.truncation, int)
+
+    def test_nested_topologies_parse(self):
+        # the two topologies the rejection inputs above edit, unedited
+        tops = [
+            parse_config(config_dict(topology=t)).topology
+            for t in (tree_topology(), bond_topology(), bond_topology(label=11))
+        ]
+        assert tops[0] == tops[1] == tops[2]
+        assert tops[0].bond("11").kind == KIND_INTERNAL
+
+    def test_serialized_text_is_pinned(self):
+        cfg = parse_config(
+            {
+                "experiment": "sweep",
+                "topology": {"gammas": [1.0, 1.5, 3.0], "truncation": 3},
+                "soliton": {"alpha": 0.5, "beta": 0.25, "n0": -2.5, "phi0": 1.0},
+                "sim": {"dt": 0.125, "t_final": 2.0, "output_stride": 4},
+                "out": "pinned",
+                "m_max": 3,
+                "ratios": [0.25, 0.75],
+                "snapshot_times": [0.0, 1.0],
+            }
+        )
+        assert json.dumps(serialize_config(cfg), sort_keys=True) == (
+            '{"experiment": "sweep", "m_max": 3, "out": "pinned", "ratios": [0.25, 0.75], '
+            '"sim": {"dt": 0.125, "output_stride": 4, "t_final": 2.0}, '
+            '"snapshot_times": [0.0, 1.0], '
+            '"soliton": {"alpha": 0.5, "beta": 0.25, "n0": -2.5, "phi0": 1.0}, '
+            '"topology": {"bonds": ['
+            '{"gamma": 1.0, "kind": "incoming-semi-infinite", "label": "1", "length": 3}, '
+            '{"gamma": 1.5, "kind": "leaf-semi-infinite", "label": "11", "length": 3}, '
+            '{"gamma": 3.0, "kind": "leaf-semi-infinite", "label": "12", "length": 3}'
+            '], "truncation": 3}}'
+        )
 
     def test_load_config_failures(self, tmp_path):
         with pytest.raises(InvalidParameterError, match="cannot read"):
@@ -229,6 +307,57 @@ class TestCli:
         assert run_cli(["simulate", "--config", str(path)]) == EXIT_OK
         snaps = sorted(p.name for p in (Path(cfg["out"]) / "snapshots").iterdir())
         assert snaps == ["t_0.0000.csv", "t_1.0000.csv"]
+
+    def test_config_echo_reproduces_the_run(self, tmp_path):
+        path, cfg = write_config(
+            tmp_path, topology=tree_topology(), m_max=3, snapshot_times=[0.0, 0.5]
+        )
+        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_OK
+        first = Path(cfg["out"])
+        again = tmp_path / "again"
+        echo = first / "config_echo.json"
+        argv = ["conserved-audit", "--config", str(echo), "--out", str(again)]
+        assert run_cli(argv) == EXIT_OK
+        names = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+        assert len(names) == 6
+        for name in names:
+            if name.name != "config_echo.json":
+                assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        echoes = [json.loads((d / "config_echo.json").read_text()) for d in (first, again)]
+        assert echoes[1].pop("out") == str(again)
+        echoes[0].pop("out")
+        assert echoes[0] == echoes[1]
+
+    def test_malformed_value_exits_1_without_a_traceback(self, tmp_path):
+        path, cfg = write_config(tmp_path, soliton={"alpha": None, "beta": 0.2, "n0": -10.0})
+        env = dict(os.environ, PYTHONPATH=str(Path(alnet.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "alnet.cli", "simulate", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("alnet: invalid configuration:")
+        assert "Traceback" not in proc.stderr
+        assert not Path(cfg["out"]).exists()
+
+    def test_snapshot_past_the_run_exits_1(self, tmp_path, capsys):
+        # the run ends at t = 1 and observes every 0.5: 1.5 is one interval
+        # past it and maps to t = 1, 1.6 lies beyond
+        path, cfg = write_config(tmp_path, snapshot_times=[1.5])
+        assert run_cli(["simulate", "--config", str(path)]) == EXIT_OK
+        assert (Path(cfg["out"]) / "snapshots" / "t_1.0000.csv").is_file()
+        shutil.rmtree(cfg["out"])
+        for late in (1.6, 5.0):
+            path, cfg = write_config(tmp_path, snapshot_times=[0.0, late])
+            assert run_cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+            assert "past the run" in capsys.readouterr().err
+            assert not Path(cfg["out"]).exists()
+
+    def test_every_experiment_has_a_subcommand(self):
+        assert set(_DISPATCH) == set(EXPERIMENTS)
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "none.json")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -19,7 +21,6 @@ from alnet import (
     is_reflectionless,
     site_offset,
     topology_from_dict,
-    topology_to_dict,
     zero_state,
 )
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF, stacked_couplings
@@ -301,6 +302,7 @@ def test_shift_maps_match_the_reference_on_random_trees(tops, seed):
         single = coupling_coefficients(top)
         n = top.n_sites
         np.testing.assert_array_equal(dense(single.backward, n), dense(single.forward, n).T)
+        assert topology_from_dict(asdict(top)) == top
 
 
 class TestCouplings:
@@ -343,7 +345,7 @@ def test_dict_round_trip():
         build_tree(tree_spec(), truncation=40),
         build_chain(2.5, truncation=12),
     ]:
-        assert topology_from_dict(topology_to_dict(top)) == top
+        assert topology_from_dict(asdict(top)) == top
 
 
 def test_dict_shorthands():
