@@ -81,7 +81,6 @@ from .topology import (
     ROOT_LABEL,
     SUM_RULE_TOL,
     build_chain,
-    build_psg,
     build_star,
     build_tree,
     check_sum_rule,

@@ -91,6 +91,14 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _check_snapshot_times(requested: tuple[float, ...], end: float, sim: SimConfig) -> None:
+    """Raise InvalidParameterError for a time more than one output interval past ``end``."""
+    for t in requested:
+        # counted in steps, since the accumulated time drifts off the dt grid
+        if round((t - end) / sim.dt) > sim.output_stride:
+            raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {end:g}")
+
+
 def _pick_snapshots(
     trajectory, requested: tuple[float, ...], sim: SimConfig
 ) -> tuple[tuple[float, FieldState], ...]:
@@ -101,11 +109,9 @@ def _pick_snapshots(
     InvalidParameterError instead of taking the last state.
     """
     last = trajectory[-1].time
+    _check_snapshot_times(requested, last, sim)
     chosen = {}
     for t in requested or (trajectory[0].time, last):
-        # counted in steps, since the accumulated time drifts off the dt grid
-        if round((t - last) / sim.dt) > sim.output_stride:
-            raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {last:g}")
         best = min(trajectory, key=lambda s: abs(s.time - t))
         chosen[best.time] = best
     return tuple(sorted(chosen.items()))
@@ -243,6 +249,9 @@ def run_cli(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
+        sim = config.sim
+        if sim.t_final is not None:  # the run's end is known: check before integrating
+            _check_snapshot_times(config.snapshot_times, round(sim.t_final / sim.dt) * sim.dt, sim)
     except (InvalidParameterError, TopologyError) as exc:
         print(f"alnet: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

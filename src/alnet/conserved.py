@@ -109,23 +109,18 @@ def universal_chain_field(
     it vanishes (to integrator accuracy) for states evolved from a glued
     profile under the coupling sum rule.
     """
-    residual = 0.0
-    for parent, children in topology.vertices.items():
-        ref = None
-        for child in children:
-            u = math.sqrt(topology.bond(child).gamma) * bond_field(state, topology, child)
-            if ref is None:
-                ref = u
-            else:
-                k = min(ref.shape[0], u.shape[0])
-                if k:
-                    residual = max(residual, float(np.max(np.abs(u[:k] - ref[:k]))))
-    parts = [math.sqrt(topology.bond(ROOT_LABEL).gamma) * bond_field(state, topology, ROOT_LABEL)]
-    label = ROOT_LABEL
+    q = {b.label: math.sqrt(b.gamma) * bond_field(state, topology, b.label) for b in topology.bonds}
     vertices = topology.vertices
+    residual = 0.0
+    for first, *others in vertices.values():
+        for child in others:
+            k = min(q[first].shape[0], q[child].shape[0])
+            residual = max(residual, float(np.max(np.abs(q[child][:k] - q[first][:k]))))
+    parts = [q[ROOT_LABEL]]
+    label = ROOT_LABEL
     while label in vertices:
         label = vertices[label][0]
-        parts.append(math.sqrt(topology.bond(label).gamma) * bond_field(state, topology, label))
+        parts.append(q[label])
     return np.concatenate(parts), residual
 
 

@@ -21,7 +21,7 @@ from .dynamics import SimConfig
 from .errors import InvalidParameterError, TopologyError
 from .soliton import SolitonParams
 from .state import FieldState, bond_field
-from .topology import BondSpec, GraphTopology, build_chain, build_star, build_tree
+from .topology import BondSpec, GraphTopology, build_star, build_tree
 
 EXPERIMENTS = ("simulate", "bifurcation", "sweep", "broken-rule", "conserved-audit")
 DEFAULT_RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -47,7 +47,8 @@ class RunConfig:
             )
         if isinstance(self.m_max, bool) or not isinstance(self.m_max, int) or self.m_max < 1:
             raise InvalidParameterError("m_max must be an integer >= 1")
-        object.__setattr__(self, "out", str(self.out))
+        if not isinstance(self.out, str):
+            raise InvalidParameterError("out must be a string")
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
@@ -74,6 +75,21 @@ def _fields_of(cls, data, what: str) -> Mapping:
     return data
 
 
+def _check_json_types(value, key: str = "config") -> None:
+    """Reject ``true``/``false`` anywhere and anything but a list for a list key."""
+    if isinstance(value, bool):
+        raise InvalidParameterError(f"{key} cannot be true or false: no config field is boolean")
+    # a string would otherwise be read as the list of its characters
+    if key in ("gammas", "ratios", "snapshot_times") and not isinstance(value, (list, tuple)):
+        raise InvalidParameterError(f"{key} must be a list")
+    if isinstance(value, Mapping):
+        for k, v in value.items():
+            _check_json_types(v, k)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _check_json_types(v, f"{key} entry")
+
+
 def parse_config(data: Mapping) -> RunConfig:
     """Build a RunConfig from a decoded JSON object.
 
@@ -81,9 +97,11 @@ def parse_config(data: Mapping) -> RunConfig:
     dataclass's fields, fields without a default are required and the
     defaults fill absent keys.  Unknown keys and malformed values all
     raise InvalidParameterError (TopologyError for a bond set that is not
-    a rooted tree).
+    a rooted tree), among them ``true``/``false`` anywhere and a string
+    or number where a list belongs.
     """
     try:
+        _check_json_types(data)
         data = dict(_fields_of(RunConfig, data, "config"))
         data["topology"] = topology_from_dict(data["topology"])
         data["soliton"] = SolitonParams(**_fields_of(SolitonParams, data["soliton"], "soliton"))
@@ -103,8 +121,9 @@ def topology_from_dict(data: Mapping) -> GraphTopology:
     ``{"bonds": [...]}`` lists every bond with the fields of BondSpec; it
     is the form ``dataclasses.asdict`` gives a GraphTopology, so
     ``topology_from_dict(asdict(t)) == t``.  ``{"gammas": [...]}`` builds a
-    star graph (two equal entries make a chain) and ``{"tree": ...}`` a
-    tree from ``build_tree``'s nested nodes.  Unknown keys are errors.
+    star graph (two entries make a two-bond graph, the uniform chain when
+    they are equal) and ``{"tree": ...}`` a tree from ``build_tree``'s
+    nested nodes.  Unknown keys are errors.
     """
     if not isinstance(data, Mapping):
         raise InvalidParameterError("topology must be a JSON object")
@@ -116,12 +135,7 @@ def topology_from_dict(data: Mapping) -> GraphTopology:
         )
     truncation = data.get("truncation", 400)
     if "gammas" in data:
-        gammas = data["gammas"]
-        if len(gammas) == 2:
-            if gammas[0] != gammas[1]:
-                raise InvalidParameterError("a two-bond chain must have a uniform gamma")
-            return build_chain(gammas[0], truncation)
-        return build_star(gammas, truncation)
+        return build_star(data["gammas"], truncation)
     if "tree" in data:
         return build_tree(data["tree"], truncation)
     bonds = (BondSpec(**_fields_of(BondSpec, entry, "bond entry")) for entry in data["bonds"])

@@ -98,36 +98,25 @@ class GraphTopology:
         n = self.truncation
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:
             raise InvalidParameterError("truncation must be an integer >= 2")
-        if len({b.label for b in self.bonds}) != len(self.bonds):
-            raise TopologyError("duplicate bond labels")
         object.__setattr__(self, "bonds", tuple(sorted(self.bonds, key=lambda b: b.label)))
-        by_label = {b.label: b for b in self.bonds}
-        if ROOT_LABEL not in by_label:
+        if len(self._by_label) != len(self.bonds):
+            raise TopologyError("duplicate bond labels")
+        if ROOT_LABEL not in self._by_label:
             raise TopologyError("missing incoming bond '1'")
-        children: dict[str, list[str]] = {}
         for b in self.bonds:
-            if b.label == ROOT_LABEL:
-                if b.kind != KIND_INCOMING:
-                    raise TopologyError("bond '1' must be incoming-semi-infinite")
-                continue
-            if b.kind == KIND_INCOMING:
-                raise TopologyError(f"bond {b.label!r}: only bond '1' may be incoming")
-            parent = b.label[:-1]
-            if parent not in by_label:
+            parent, branches = b.label[:-1], b.label in self.vertices
+            if (b.kind == KIND_INCOMING) != (b.label == ROOT_LABEL):
+                raise TopologyError(f"bond {b.label!r}: bond '1', and only it, is {KIND_INCOMING}")
+            if parent and parent not in self._by_label:
                 raise TopologyError(f"bond {b.label!r} has no parent bond {parent!r}")
-            children.setdefault(parent, []).append(b.label)
-        for b in self.bonds:
-            kids = children.get(b.label, [])
-            if b.kind == KIND_INTERNAL and not kids:
-                raise TopologyError(f"internal bond {b.label!r} has no children")
-            if b.kind == KIND_LEAF and kids:
-                raise TopologyError(f"leaf bond {b.label!r} has children")
-            if b.kind != KIND_INTERNAL and b.length != self.truncation:
+            # the root and internal bonds branch, leaves do not
+            if branches == (b.kind == KIND_LEAF):
+                has = "has" if branches else "has no"
+                raise TopologyError(f"{b.kind} bond {b.label!r} {has} children")
+            if b.kind != KIND_INTERNAL and b.length != n:
                 raise TopologyError(
-                    f"semi-infinite bond {b.label!r} must store truncation={self.truncation} sites"
+                    f"semi-infinite bond {b.label!r} must store truncation={n} sites"
                 )
-        if not children.get(ROOT_LABEL):
-            raise TopologyError("bond '1' must branch into at least one outgoing bond")
 
     # -- lookups ---------------------------------------------------------
 
@@ -149,10 +138,8 @@ class GraphTopology:
     def vertices(self) -> dict[str, tuple[str, ...]]:
         """Map from each branching bond's label to its ordered child labels."""
         out: dict[str, list[str]] = {}
-        for b in self.bonds:
-            if b.label == ROOT_LABEL:
-                continue
-            out.setdefault(b.label[:-1], []).append(b.label)
+        for label in self.labels[1:]:  # sorted, so the root comes first
+            out.setdefault(label[:-1], []).append(label)
         return {k: tuple(v) for k, v in sorted(out.items())}
 
     @cached_property
@@ -196,10 +183,7 @@ class GraphTopology:
         for b in self.bonds:
             s = self.slices[b.label]
             if s.start <= flat_index < s.stop:
-                offset = flat_index - s.start
-                if b.label == ROOT_LABEL:
-                    return b.label, offset - (b.length - 1)
-                return b.label, offset + 1
+                return b.label, int(self.site_coordinates(b.label)[flat_index - s.start])
         raise AssertionError("unreachable")
 
 
@@ -254,8 +238,6 @@ class CouplingCoefficients:
 
     def _terms(self, y: np.ndarray) -> np.ndarray:
         """The end sites' ``ahead`` and ``behind`` terms, as ``neighbors`` gathers them."""
-        # neighbors repeats these lines inline: it runs four times per RK4
-        # step, and the call to a shared helper measured slower there
         e = self.edge_sites.shape[0]
         t = y[self.edge_terms]
         t[self.edge_zeros] = 0.0
@@ -293,11 +275,7 @@ class CouplingCoefficients:
             out = np.empty_like(y)
         np.add(y[2:], y[:-2], out=out[1:-1])
         e = self.edge_sites.shape[0]
-        t = y[self.edge_terms]
-        t[self.edge_zeros] = 0.0
-        weighted = t[-self.edge_weights.shape[0]:]
-        np.multiply(self.edge_weights, weighted, out=weighted)
-        t[self.edge_sums] = np.add.reduceat(t[2 * e:], self.edge_groups)
+        t = self._terms(y)
         out[self.edge_sites] = t[:e] + t[e:2 * e]
         return out
 
@@ -391,12 +369,7 @@ def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficien
         _frozen(np.stack([getattr(c, name) for c in cols], axis=1), float)
         for name in ("edge_weights", "site_gamma")
     )
-    return replace(
-        first,
-        values=values,
-        edge_weights=edge_weights,
-        site_gamma=site_gamma,
-    )
+    return replace(first, values=values, edge_weights=edge_weights, site_gamma=site_gamma)
 
 
 def check_sum_rule(topology: GraphTopology) -> dict[str, float]:
@@ -423,35 +396,19 @@ def site_offset(topology: GraphTopology, label: str) -> int:
     the root.  Bond ``"1"`` and the root's direct children have offset 0.
     """
     topology.bond(label)
-    total = 0
-    for end in range(2, len(label)):
-        total += topology.bond(label[:end]).length
-    return total
+    return sum(topology.bond(label[:end]).length for end in range(2, len(label)))
 
 
 # -- builders -------------------------------------------------------------
 
 
-def _leaf(label: str, gamma: float, truncation: int) -> BondSpec:
-    return BondSpec(label, float(gamma), truncation, KIND_LEAF)
-
-
 def build_star(gammas: Sequence[float], truncation: int = 400) -> GraphTopology:
-    """Star graph: incoming bond plus ``len(gammas) - 1`` outgoing leaves."""
-    if len(gammas) < 3:
-        raise InvalidParameterError("a star graph needs at least three bonds")
-    if len(gammas) > 10:
-        raise InvalidParameterError("at most nine outgoing bonds are supported")
-    bonds = [BondSpec(ROOT_LABEL, float(gammas[0]), truncation, KIND_INCOMING)]
-    bonds += [_leaf(f"1{i}", g, truncation) for i, g in enumerate(gammas[1:], start=1)]
-    return GraphTopology(tuple(bonds), truncation)
+    """Star graph: the depth-one tree of an incoming bond and ``len(gammas) - 1`` leaves.
 
-
-def build_psg(
-    gamma1: float, gamma2: float, gamma3: float, truncation: int = 400
-) -> GraphTopology:
-    """Primary star graph: one incoming and exactly two outgoing bonds."""
-    return build_star((gamma1, gamma2, gamma3), truncation)
+    Two entries make the two-bond graph, the uniform chain when they are equal.
+    """
+    root, *leaves = gammas
+    return build_tree({"gamma": root, "children": [{"gamma": g} for g in leaves]}, truncation)
 
 
 def build_chain(gamma: float, truncation: int = 400) -> GraphTopology:
@@ -460,11 +417,7 @@ def build_chain(gamma: float, truncation: int = 400) -> GraphTopology:
     The junction's coupling weight is 1, so the dynamics reduce exactly to
     the single-chain lattice equation on ``2 * truncation`` sites.
     """
-    bonds = (
-        BondSpec(ROOT_LABEL, float(gamma), truncation, KIND_INCOMING),
-        _leaf("11", gamma, truncation),
-    )
-    return GraphTopology(bonds, truncation)
+    return build_star((gamma, gamma), truncation)
 
 
 def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
@@ -488,15 +441,14 @@ def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
             raise InvalidParameterError(f"tree node {label!r} is missing 'gamma'")
         kids = node.get("children", [])
         if label == ROOT_LABEL:
-            bonds.append(BondSpec(label, float(node["gamma"]), truncation, KIND_INCOMING))
-            if not kids:
-                raise TopologyError("the root node needs at least one child")
+            kind, length = KIND_INCOMING, truncation
         elif kids:
             if "length" not in node:
                 raise InvalidParameterError(f"internal tree node {label!r} is missing 'length'")
-            bonds.append(BondSpec(label, float(node["gamma"]), node["length"], KIND_INTERNAL))
+            kind, length = KIND_INTERNAL, node["length"]
         else:
-            bonds.append(_leaf(label, node["gamma"], truncation))
+            kind, length = KIND_LEAF, truncation
+        bonds.append(BondSpec(label, node["gamma"], length, kind))
         if len(kids) > 9:
             raise InvalidParameterError(f"node {label!r}: at most nine children are supported")
         for i, kid in enumerate(kids, start=1):

@@ -20,7 +20,7 @@ from alnet import (
     SolitonParams,
     analytic_Z,
     build_chain,
-    build_psg,
+    build_star,
     build_tree,
     coupling_coefficients,
     drift_audit,
@@ -46,7 +46,7 @@ def verdict(criterion: int, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_1_reflectionless_bifurcation():
-    top = build_psg(1.0, 1.5, 3.0, truncation=400)
+    top = build_star((1.0, 1.5, 3.0), truncation=400)
     start = time.perf_counter()
     report, _ = scattering_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
     elapsed = time.perf_counter() - start
@@ -74,7 +74,7 @@ def test_criterion_2_transmission_linearity():
 
 
 def test_criterion_3_conservation_and_convergence_rate():
-    top = build_psg(1.0, 1.5, 3.0, truncation=400)
+    top = build_star((1.0, 1.5, 3.0), truncation=400)
     cp = coupling_coefficients(top)
     drift_sets = {}
     for dt in (0.01, 0.005):
@@ -112,7 +112,7 @@ def test_criterion_3_conservation_and_convergence_rate():
 
 
 def test_criterion_4_conservation_dichotomy():
-    top = build_psg(0.5, 1.5, 3.0, truncation=400)
+    top = build_star((0.5, 1.5, 3.0), truncation=400)
     cp = coupling_coefficients(top)
     report, trajectory = scattering_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
     report, peaks = track_broken_peaks(report, trajectory, top, FIG4_SOLITON)

@@ -137,6 +137,15 @@ class TestConfigParsing:
             lambda d: d.update(topology=bond_topology(note="internal")),
             lambda d: d["topology"].update(tree={"gamma": 1.0, "children": [{"gamma": 1.0}]}),
             lambda d: d.update(topology=tree_topology(childs=[{"gamma": 4.0}, {"gamma": 4.0}])),
+            # no field is boolean, and out names a directory
+            lambda d: d["sim"].update(dt=True),
+            lambda d: d["soliton"].update(alpha=True),
+            lambda d: d.update(out=None),
+            # strings where a list belongs, and a star without bonds
+            lambda d: d.update(ratios="12"),
+            lambda d: d.update(snapshot_times="0"),
+            lambda d: d["topology"].update(gammas="132"),
+            lambda d: d["topology"].update(gammas=[]),
         ],
     )
     def test_malformed_configs_are_rejected(self, mutate):
@@ -437,6 +446,20 @@ class TestCli:
         assert "sum rule" in capsys.readouterr().err
         code = run_cli(["conserved-audit", "--config", str(path), "--m-max", "3"])
         assert code == EXIT_OK
+
+    def test_snapshot_past_the_run_exits_1_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the snapshot times")
+
+        monkeypatch.setattr("alnet.experiments.evolve", no_integration)
+        cfg = json.loads((CONFIGS / "chain.json").read_text())
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(dict(cfg, snapshot_times=[2000.0])))
+        for command in ("simulate", "conserved-audit"):
+            argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+            assert run_cli(argv) == EXIT_CONFIG
+            assert "past the run" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_audit_refuses_recursion_orders_before_integrating(self, tmp_path, capsys, monkeypatch):
         def no_integration(*args, **kwargs):

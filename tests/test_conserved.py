@@ -10,7 +10,7 @@ from alnet import (
     SolitonParams,
     bond_field,
     build_chain,
-    build_psg,
+    build_star,
     build_tree,
     coupling_coefficients,
     drift_audit,
@@ -55,7 +55,7 @@ class TestNormAndZ:
         assert z == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_z_reduces_to_chain_pair_sum_on_glued_states(self, rng):
-        top = build_psg(1.0, 1.5, 3.0, truncation=32)
+        top = build_star((1.0, 1.5, 3.0), truncation=32)
         cp = coupling_coefficients(top)
         u = decaying_random_field(rng)
         st = glued_state(top, u)
@@ -63,7 +63,7 @@ class TestNormAndZ:
         assert z_quantity(st, top, cp) == pytest.approx(complex(expected), abs=1e-14)
 
     def test_z_soliton_closed_form(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         st = soliton_profile(p, top)
@@ -113,8 +113,8 @@ class TestDirectConstants:
             glued_state(uniform, u), uniform, coupling_coefficients(uniform)
         )
         for top in (
-            build_psg(2.0, 3.0, 6.0, truncation=32),
-            build_psg(0.25, 0.5, 0.5, truncation=32),
+            build_star((2.0, 3.0, 6.0), truncation=32),
+            build_star((0.25, 0.5, 0.5), truncation=32),
         ):
             got = higher_constants_direct(glued_state(top, u), top, coupling_coefficients(top))
             assert got[0] == pytest.approx(ref[0], rel=1e-13)
@@ -136,14 +136,14 @@ class TestDirectConstants:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_soliton_closed_forms(self, m):
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         st = soliton_profile(p, top)
         got = higher_constants_direct(st, top, coupling_coefficients(top))[m - 2]
         assert got == pytest.approx(closed_form_constant(m, ALPHA_FIG4, 0.1), abs=1e-12)
 
     def test_frozen_fig4_values(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         c2, c3 = higher_constants_direct(soliton_profile(p, top), top, coupling_coefficients(top))
         assert c2 == pytest.approx(-0.201336002541094j, abs=1e-12)
@@ -152,7 +152,7 @@ class TestDirectConstants:
 
 class TestUniversalChainField:
     def test_round_trips_glued_states(self, rng):
-        top = build_psg(1.0, 1.5, 3.0, truncation=32)
+        top = build_star((1.0, 1.5, 3.0), truncation=32)
         u = decaying_random_field(rng)
         q, residual = universal_chain_field(glued_state(top, u), top)
         assert residual < 1e-15
@@ -167,7 +167,7 @@ class TestUniversalChainField:
         np.testing.assert_allclose(q, u, rtol=1e-13, atol=1e-18)
 
     def test_residual_flags_broken_gluing(self, rng):
-        top = build_psg(1.0, 1.5, 3.0, truncation=32)
+        top = build_star((1.0, 1.5, 3.0), truncation=32)
         st = glued_state(top, decaying_random_field(rng))
         bond_field(st, top, "12")[5] += 0.25 / math.sqrt(3.0)
         _, residual = universal_chain_field(st, top)
@@ -176,7 +176,7 @@ class TestUniversalChainField:
 
 class TestRecursion:
     def test_matches_direct_constants_on_random_fields(self, rng):
-        top = build_psg(1.0, 1.5, 3.0, truncation=32)
+        top = build_star((1.0, 1.5, 3.0), truncation=32)
         for _ in range(5):
             u = decaying_random_field(rng)
             st = glued_state(top, u)
@@ -196,7 +196,7 @@ class TestRecursion:
         assert c1 == pytest.approx(-np.conj(gamma * z), rel=1e-13)
 
     def test_soliton_fourth_order_closed_form(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         q, _ = universal_chain_field(soliton_profile(p, top), top)
         c4 = higher_constants_recursive(q, 4)[3]
@@ -243,7 +243,7 @@ class TestRecursion:
 
 class TestSnapshotAndDrift:
     def test_snapshot_assembles_all_quantities(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         st = soliton_profile(p, top)
@@ -267,7 +267,7 @@ class TestSnapshotAndDrift:
 
     def test_recursion_orders_need_the_sum_rule(self):
         # C4 and above come from the first-child chain, which a broken rule makes meaningless
-        top = build_psg(0.5, 1.5, 3.0, truncation=60)
+        top = build_star((0.5, 1.5, 3.0), truncation=60)
         cp = coupling_coefficients(top)
         st = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-20.0), top)
         for m_max in (4, 6):
@@ -280,7 +280,7 @@ class TestSnapshotAndDrift:
 
     def test_drift_audit_on_a_short_run(self):
         # box wide enough that hard-wall tails stay below integrator error
-        top = build_psg(1.0, 1.5, 3.0, truncation=200)
+        top = build_star((1.0, 1.5, 3.0), truncation=200)
         cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-70.0)
         traj = list(evolve(soliton_profile(p, top), top, cp, SimConfig(dt=0.01, t_final=2.0)))
@@ -293,7 +293,7 @@ class TestSnapshotAndDrift:
 
     def test_drift_audit_collapses_each_state_once(self, monkeypatch):
         # the audit's residual comes from the chain field snapshot computed
-        top = build_psg(1.0, 1.5, 3.0, truncation=40)
+        top = build_star((1.0, 1.5, 3.0), truncation=40)
         cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-10.0)
         states = [soliton_profile(p, top, t) for t in (0.0, 5.0, 10.0)]

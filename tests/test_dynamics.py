@@ -9,7 +9,6 @@ from alnet import (
     SimConfig,
     SolitonParams,
     build_chain,
-    build_psg,
     build_star,
     build_tree,
     coupling_coefficients,
@@ -60,7 +59,7 @@ class TestRhs:
         assert d[2] == pytest.approx(1j * (0.2j + 0.4) * (1 + 2.0 * 0.09))
 
     def test_vertex_weights_on_a_star(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=3)
+        top = build_star((1.0, 1.5, 3.0), truncation=3)
         cp = coupling_coefficients(top)
         st = zero_state(top)
         st.data[:] = np.arange(1.0, 10.0)
@@ -74,7 +73,7 @@ class TestRhs:
         "topology",
         [
             build_chain(1.0, truncation=400),
-            build_psg(1.0, 1.5, 3.0, truncation=400),
+            build_star((1.0, 1.5, 3.0), truncation=400),
             build_tree(tree_spec(), truncation=400),
         ],
         ids=["chain", "star", "tree"],
@@ -99,7 +98,7 @@ class TestRhs:
 
     def test_derivative_cross_check_by_finite_difference(self):
         # independent of the closed form above, up to O(eps^2) noise
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=0.0)
         st = soliton_profile(p, top)
         d = rhs(st, top, coupling_coefficients(top))
@@ -182,7 +181,7 @@ class TestStepAndEvolve:
 
     def test_global_phase_covariance(self):
         # psi -> e^{i theta} psi maps solutions to solutions
-        top = build_psg(1.0, 1.5, 3.0, truncation=60)
+        top = build_star((1.0, 1.5, 3.0), truncation=60)
         cp = coupling_coefficients(top)
         p = SolitonParams(alpha=0.9, beta=0.3, n0=-20.0)
         st = soliton_profile(p, top)
@@ -218,7 +217,7 @@ class TestStackedStep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_in_one_column_names_its_site(self):
-        tops = [build_psg(1.0, 1.5, 3.0, truncation=10), build_psg(1.0, 2.0, 2.0, truncation=10)]
+        tops = [build_star((1.0, 1.5, 3.0), truncation=10), build_star((1.0, 2.0, 2.0), truncation=10)]
         st = FieldState(np.full((30, 2), 0.1 + 0j))
         st.data[25, 1] = np.nan
         with pytest.raises(DivergenceError) as exc:
@@ -283,7 +282,7 @@ def tail_field(topology, rng, columns=None):
 
 REFERENCE_CASES = {
     "chain": [build_chain(1.0, truncation=300)],
-    "fig4-star": [build_psg(1.0, 1.5, 3.0, truncation=400)],
+    "fig4-star": [build_star((1.0, 1.5, 3.0), truncation=400)],
     "three-child-tree": [build_tree({
         "gamma": 1.0,
         "children": [
@@ -349,7 +348,7 @@ class TestFusedKernel:
         # the states evolve yields, kept without copying, must equal copies
         # taken as they are yielded: no state is ever a workspace buffer or
         # overwritten by a later step
-        top = build_psg(1.0, 1.5, 3.0, truncation=60)
+        top = build_star((1.0, 1.5, 3.0), truncation=60)
         cp = coupling_coefficients(top)
         st = soliton_profile(SolitonParams(alpha=0.9, beta=0.3, n0=-20.0), top)
         cfg = SimConfig(dt=0.01, t_final=0.3, output_stride=2)
@@ -362,7 +361,7 @@ class TestFusedKernel:
         assert len({id(s.data) for s in kept}) == len(kept)
 
     def test_step_with_a_workspace_equals_step_without(self, rng):
-        top = build_psg(1.0, 1.5, 3.0, truncation=40)
+        top = build_star((1.0, 1.5, 3.0), truncation=40)
         cp = coupling_coefficients(top)
         ws = StepWorkspace((top.n_sites,))
         a = b = FieldState(tail_field(top, rng))

@@ -10,7 +10,6 @@ from alnet import (
     SolitonParams,
     broken_rule_run,
     build_chain,
-    build_psg,
     build_star,
     peak_tracker,
     scattering_run,
@@ -25,7 +24,7 @@ INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
 
 @pytest.fixture(scope="module")
 def psg_run():
-    top = build_psg(1.0, 1.5, 3.0, truncation=150)
+    top = build_star((1.0, 1.5, 3.0), truncation=150)
     report, trajectory = scattering_run(top, INCIDENT, SimConfig())
     return top, report, trajectory
 
@@ -91,7 +90,7 @@ class TestScattering:
         assert ratio == pytest.approx(3.0 / 1.5, rel=0.01)
 
     def test_symmetric_star_splits_evenly(self):
-        top = build_psg(2.0, 4.0, 4.0, truncation=150)
+        top = build_star((2.0, 4.0, 4.0), truncation=150)
         report, _ = scattering_run(top, INCIDENT, SimConfig())
         assert report.transmissions["11"] == report.transmissions["12"]
         assert report.transmissions["11"] == pytest.approx(0.5, abs=1e-3)

@@ -10,7 +10,7 @@ from alnet import (
     analytic_norm,
     bond_field,
     build_chain,
-    build_psg,
+    build_star,
     derive_kinematics,
     norm,
     sech,
@@ -61,7 +61,7 @@ class TestProfile:
         assert 0 < abs(a[0]) < 1e-6
 
     def test_amplitude_scales_with_bond_gamma(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=120)
+        top = build_star((1.0, 1.5, 3.0), truncation=120)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=20.0)
         st = soliton_profile(p, top)
         a2 = np.abs(bond_field(st, top, "11")) ** 2
@@ -70,7 +70,7 @@ class TestProfile:
 
     def test_profile_is_continuous_through_vertex(self):
         # rescaled fields sqrt(gamma_b) psi_b all lie on one chain profile
-        top = build_psg(1.0, 1.5, 3.0, truncation=120)
+        top = build_star((1.0, 1.5, 3.0), truncation=120)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=0.0)
         st = soliton_profile(p, top)
 
@@ -134,7 +134,7 @@ class TestClosedForms:
             analytic_norm(p, 0.0)
 
     def test_numeric_norm_matches_closed_form(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         # non-integer center: the lattice sum still telescopes exactly
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.37)
         st = soliton_profile(p, top)

@@ -6,14 +6,14 @@ from alnet import (
     FieldState,
     assert_finite,
     bond_field,
-    build_psg,
+    build_star,
     partial_norms,
     zero_state,
 )
 
 
 def test_zero_state_shape_and_dtype():
-    top = build_psg(1.0, 1.5, 3.0, truncation=30)
+    top = build_star((1.0, 1.5, 3.0), truncation=30)
     st = zero_state(top)
     assert st.data.shape == (90,)
     assert st.data.dtype == np.complex128
@@ -22,7 +22,7 @@ def test_zero_state_shape_and_dtype():
 
 
 def test_bond_field_is_a_view():
-    top = build_psg(1.0, 1.5, 3.0, truncation=30)
+    top = build_star((1.0, 1.5, 3.0), truncation=30)
     st = zero_state(top)
     seg = bond_field(st, top, "11")
     seg[:] = 1.0 + 2.0j
@@ -33,7 +33,7 @@ def test_bond_field_is_a_view():
 
 
 def test_partial_norms_against_direct_sum(rng):
-    top = build_psg(1.0, 1.5, 3.0, truncation=16)
+    top = build_star((1.0, 1.5, 3.0), truncation=16)
     st = zero_state(top)
     st.data[:] = 0.3 * (rng.random(48) - 0.5) + 0.3j * (rng.random(48) - 0.5)
     norms = partial_norms(st, top)
@@ -46,7 +46,7 @@ def test_partial_norms_against_direct_sum(rng):
 
 
 def test_assert_finite_reports_bond_and_site():
-    top = build_psg(1.0, 1.5, 3.0, truncation=10)
+    top = build_star((1.0, 1.5, 3.0), truncation=10)
     st = zero_state(top)
     st.time = 2.5
     assert_finite(st, top)
@@ -63,7 +63,7 @@ def test_assert_finite_reports_bond_and_site():
 
 
 def test_assert_finite_reports_a_stack_column_by_column():
-    top = build_psg(1.0, 1.5, 3.0, truncation=10)
+    top = build_star((1.0, 1.5, 3.0), truncation=10)
     st = FieldState(np.zeros((top.n_sites, 3), dtype=complex), time=1.5)
     assert_finite(st, top)
     st.data[13, 1] = np.nan

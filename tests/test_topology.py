@@ -13,7 +13,6 @@ from alnet import (
     TopologyError,
     bond_field,
     build_chain,
-    build_psg,
     build_star,
     build_tree,
     check_sum_rule,
@@ -49,7 +48,7 @@ class TestBondSpec:
 
 class TestGraphTopology:
     def test_psg_layout(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=400)
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
         assert top.labels == ("1", "11", "12")
         assert top.n_sites == 1200
         assert top.bond("1").kind == KIND_INCOMING
@@ -67,7 +66,7 @@ class TestGraphTopology:
         assert stop == top.n_sites
 
     def test_locate_round_trip(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=50)
+        top = build_star((1.0, 1.5, 3.0), truncation=50)
         for flat in [0, 49, 50, 120, 149]:
             label, site = top.locate(flat)
             s = top.slices[label]
@@ -111,8 +110,13 @@ class TestGraphTopology:
 
 class TestBuilders:
     def test_star_size_limits(self):
-        with pytest.raises(InvalidParameterError):
-            build_star((1.0, 2.0), truncation=20)
+        # two entries are the smallest tree; one leaves the root without an
+        # outgoing bond, and eleven would give it a tenth child
+        pair = build_star((1.0, 2.0), truncation=20)
+        assert pair == build_tree({"gamma": 1.0, "children": [{"gamma": 2.0}]}, truncation=20)
+        assert pair.labels == ("1", "11") and pair.leaves == ("11",)
+        with pytest.raises(TopologyError):
+            build_star((1.0,), truncation=20)
         with pytest.raises(InvalidParameterError):
             build_star(tuple([1.0] * 11), truncation=20)
 
@@ -153,7 +157,7 @@ def dense(op, n):
 
 class TestShiftOperator:
     def test_bond_interiors_and_ends(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=50)
+        top = build_star((1.0, 1.5, 3.0), truncation=50)
         cp = coupling_coefficients(top)
         R = dense(cp.forward, top.n_sites)
         # within a bond R shifts by one site away from the root
@@ -167,7 +171,7 @@ class TestShiftOperator:
         np.testing.assert_array_equal(dense(cp.backward, top.n_sites), R.T)
 
     def test_star_hand_values(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=8)
+        top = build_star((1.0, 1.5, 3.0), truncation=8)
         cp = coupling_coefficients(top)
         st = zero_state(top)
         for i, label in enumerate(top.labels):
@@ -212,7 +216,7 @@ class TestShiftOperator:
         "topology",
         [
             build_chain(1.0, truncation=20),
-            build_psg(1.0, 1.5, 3.0, truncation=20),
+            build_star((1.0, 1.5, 3.0), truncation=20),
             build_tree(tree_spec(), truncation=20),
             build_tree(tree_spec(length=1), truncation=20),
         ],
@@ -227,18 +231,18 @@ class TestShiftOperator:
         assert abs(lhs - np.vdot(cp.backward(x), y)) <= 1e-13 * abs(lhs)
 
     def test_built_once_per_topology(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=20)
+        top = build_star((1.0, 1.5, 3.0), truncation=20)
         assert coupling_coefficients(top) is coupling_coefficients(top)
 
     def test_stack_needs_one_layout(self):
-        tops = [build_psg(1.0, 1.5, 3.0, truncation=20), build_psg(0.5, 1.5, 3.0, truncation=20)]
+        tops = [build_star((1.0, 1.5, 3.0), truncation=20), build_star((0.5, 1.5, 3.0), truncation=20)]
         cp = stacked_couplings(tops)
         assert cp.edge_weights.shape[1] == 2 and cp.site_gamma.shape == (60, 2)
         assert cp.values[("1", "12")] == (
             coupling_coefficients(tops[0]).values[("1", "12")],
             coupling_coefficients(tops[1]).values[("1", "12")],
         )
-        for other in (build_psg(1.0, 1.5, 3.0, truncation=21), build_star((1.0, 2.0, 4.0, 4.0), 20)):
+        for other in (build_star((1.0, 1.5, 3.0), truncation=21), build_star((1.0, 2.0, 4.0, 4.0), 20)):
             with pytest.raises(InvalidParameterError, match="layout"):
                 stacked_couplings([tops[0], other])
         with pytest.raises(InvalidParameterError):
@@ -276,13 +280,16 @@ def tree_stacks(draw):
 
 # no shrink phase: a failure is reported as drawn, in seconds instead of the
 # minute or more that shrinking takes
-@settings(
+PROPERTY_SETTINGS = settings(
     max_examples=80,
     deadline=None,
     derandomize=True,
     database=None,
     phases=(Phase.explicit, Phase.generate),
 )
+
+
+@PROPERTY_SETTINGS
 @given(tops=tree_stacks(), seed=st.integers(0, 2**32 - 1))
 def test_shift_maps_match_the_reference_on_random_trees(tops, seed):
     # magnitudes from order one down through the subnormals to signed zeros
@@ -307,10 +314,10 @@ def test_shift_maps_match_the_reference_on_random_trees(tops, seed):
 
 class TestCouplings:
     def test_sum_rule_residuals(self):
-        good = build_psg(1.0, 1.5, 3.0, truncation=20)
+        good = build_star((1.0, 1.5, 3.0), truncation=20)
         assert check_sum_rule(good)["1"] == pytest.approx(0.0, abs=1e-15)
         assert is_reflectionless(good)
-        bad = build_psg(0.5, 1.5, 3.0, truncation=20)
+        bad = build_star((0.5, 1.5, 3.0), truncation=20)
         assert check_sum_rule(bad)["1"] == pytest.approx(1.0)
         assert not is_reflectionless(bad)
 
@@ -321,7 +328,7 @@ class TestCouplings:
         assert max(abs(r) for r in residuals.values()) < 1e-12
 
     def test_coupling_values(self):
-        top = build_psg(1.0, 1.5, 3.0, truncation=20)
+        top = build_star((1.0, 1.5, 3.0), truncation=20)
         cp = coupling_coefficients(top)
         assert cp.values[("1", "11")] == pytest.approx(np.sqrt(1.0 / 1.5))
         assert cp.values[("1", "12")] == pytest.approx(np.sqrt(1.0 / 3.0))
@@ -341,20 +348,37 @@ class TestCouplings:
 
 def test_dict_round_trip():
     for top in [
-        build_psg(1.0, 1.5, 3.0, truncation=77),
+        build_star((1.0, 1.5, 3.0), truncation=77),
         build_tree(tree_spec(), truncation=40),
         build_chain(2.5, truncation=12),
     ]:
         assert topology_from_dict(asdict(top)) == top
 
 
+@PROPERTY_SETTINGS
+@given(
+    gammas=st.lists(st.floats(0.0, 1e6, exclude_min=True), min_size=2, max_size=10),
+    truncation=st.integers(2, 500),
+)
+def test_topology_forms_agree(gammas, truncation):
+    # a star is the depth-one tree, and both come back from their bond list
+    star = topology_from_dict({"gammas": gammas, "truncation": truncation})
+    tree = {"gamma": gammas[0], "children": [{"gamma": g} for g in gammas[1:]]}
+    assert topology_from_dict({"tree": tree, "truncation": truncation}) == star
+    assert topology_from_dict(asdict(star)) == star
+    assert len(star.bonds) == len(gammas) and star.leaves == star.labels[1:]
+
+
 def test_dict_shorthands():
     star = topology_from_dict({"gammas": [1.0, 1.5, 3.0], "truncation": 25})
-    assert star == build_psg(1.0, 1.5, 3.0, truncation=25)
+    assert star == build_star((1.0, 1.5, 3.0), truncation=25)
     chain = topology_from_dict({"gammas": [2.0, 2.0], "truncation": 25})
     assert chain == build_chain(2.0, truncation=25)
-    with pytest.raises(InvalidParameterError):
-        topology_from_dict({"gammas": [2.0, 3.0], "truncation": 25})
+    pair = topology_from_dict({"gammas": [2.0, 3.0], "truncation": 25})
+    assert pair == build_tree({"gamma": 2.0, "children": [{"gamma": 3.0}]}, truncation=25)
+    for gammas in ([2.0], [2.0] * 11):
+        with pytest.raises((InvalidParameterError, TopologyError)):
+            topology_from_dict({"gammas": gammas, "truncation": 25})
     tree = topology_from_dict({"tree": tree_spec(), "truncation": 30})
     assert tree == build_tree(tree_spec(), truncation=30)
     with pytest.raises(InvalidParameterError):
