@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .conserved import check_order, drift_audit, z_quantity
 from .dynamics import SimConfig
@@ -43,7 +43,7 @@ from .io import (
     write_outputs,
 )
 from .state import FieldState, partial_norms
-from .topology import ROOT_LABEL, coupling_coefficients, is_reflectionless, with_truncation
+from .topology import ROOT_LABEL, is_reflectionless, with_truncation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -122,14 +122,14 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
     topology = config.topology
     trajectory = soliton_trajectory(topology, config.soliton, config.sim)
     final = trajectory[-1]
-    norms = partial_norms(final, topology)
-    total = sum(norms.values())
-    z = z_quantity(final, topology, coupling_coefficients(topology))
+    norms = partial_norms(final, topology).tolist()
+    total = sum(norms)
+    z = z_quantity(final, topology)
     summary = {
         "experiment": "simulate",
         "t_final": config.sim.t_final,
         "total_norm": total,
-        "final_fractions": {label: norms[label] / total for label in topology.labels},
+        "final_fractions": {label: n / total for label, n in zip(topology.labels, norms)},
         "E": -2.0 * z.real,
         "J": 2.0 * z.imag,
     }
@@ -171,21 +171,7 @@ def _run_sweep(config: RunConfig) -> RunOutputs:
     rows = transmission_sweep(
         ratios, config.soliton, config.sim, truncation=config.topology.truncation
     )
-    summary = {
-        "experiment": "sweep",
-        "rows": [
-            {
-                "ratio": row.ratio,
-                "t2": row.t2,
-                "t3": row.t3,
-                "predicted_t2": row.predicted_t2,
-                "predicted_t3": row.predicted_t3,
-                "unitarity_residual": row.unitarity_residual,
-            }
-            for row in rows
-        ],
-    }
-    return RunOutputs(summary=summary)
+    return RunOutputs(summary={"experiment": "sweep", "rows": [asdict(row) for row in rows]})
 
 
 def _run_broken_rule(config: RunConfig) -> RunOutputs:
@@ -218,7 +204,7 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     topology = config.topology
     check_order(topology, config.m_max)
     trajectory = soliton_trajectory(topology, config.soliton, config.sim)
-    report = drift_audit(trajectory, topology, coupling_coefficients(topology), config.m_max)
+    report = drift_audit(trajectory, topology, config.m_max)
     summary = {
         "experiment": "conserved-audit",
         "t_final": config.sim.t_final,

@@ -44,12 +44,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularRecursionError
 from .state import FieldState, _check_shape, bond_field, partial_norms
-from .topology import (
-    CouplingCoefficients,
-    GraphTopology,
-    ROOT_LABEL,
-    is_reflectionless,
-)
+from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients, is_reflectionless
 
 DRIFT_FLOOR = 1e-12
 ZERO_FIELD_TOL = 1e-30
@@ -57,20 +52,16 @@ ZERO_FIELD_TOL = 1e-30
 
 def norm(state: FieldState, topology: GraphTopology) -> float:
     """Total conserved norm: the sum of the per-bond partial norms."""
-    return float(sum(partial_norms(state, topology).values()))
+    return float(sum(partial_norms(state, topology)))
 
 
-def z_quantity(
-    state: FieldState, topology: GraphTopology, couplings: CouplingCoefficients
-) -> complex:
+def z_quantity(state: FieldState, topology: GraphTopology) -> complex:
     """Complex conserved pair sum: E = -2 Re Z, J = 2 Im Z."""
     _check_shape(state, topology)
-    return complex(np.vdot(state.data, couplings.forward(state.data)))
+    return complex(np.vdot(state.data, coupling_coefficients(topology).forward(state.data)))
 
 
-def higher_constants_direct(
-    state: FieldState, topology: GraphTopology, couplings: CouplingCoefficients
-) -> tuple[complex, complex]:
+def higher_constants_direct(state: FieldState, topology: GraphTopology) -> tuple[complex, complex]:
     """Explicit (C2, C3) from their local stencils.
 
     The stencil spans sites n-1 .. n+2, read through the shift operator,
@@ -78,6 +69,7 @@ def higher_constants_direct(
     vertex's children with their weights.
     """
     _check_shape(state, topology)
+    couplings = coupling_coefficients(topology)
     g = topology.site_gamma
     c = state.data
     p1 = couplings.forward(c)
@@ -211,12 +203,7 @@ def check_order(topology: GraphTopology, m_max: int) -> None:
         )
 
 
-def snapshot(
-    state: FieldState,
-    topology: GraphTopology,
-    couplings: CouplingCoefficients,
-    m_max: int = 3,
-) -> ConservedSnapshot:
+def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> ConservedSnapshot:
     """Evaluate the hierarchy up to C_m_max on one state.
 
     C2 and C3 come from the direct graph stencils; orders four and above
@@ -226,10 +213,10 @@ def snapshot(
     ``m_max >= 4`` raises InvalidParameterError instead (``check_order``).
     """
     check_order(topology, m_max)
-    z = z_quantity(state, topology, couplings)
+    z = z_quantity(state, topology)
     cs: list[complex] = []
     if m_max >= 2:
-        c2, c3 = higher_constants_direct(state, topology, couplings)
+        c2, c3 = higher_constants_direct(state, topology)
         cs.append(c2)
         if m_max >= 3:
             cs.append(c3)
@@ -262,10 +249,7 @@ class DriftReport:
 
 
 def drift_audit(
-    trajectory: Sequence[FieldState],
-    topology: GraphTopology,
-    couplings: CouplingCoefficients,
-    m_max: int = 4,
+    trajectory: Sequence[FieldState], topology: GraphTopology, m_max: int = 4
 ) -> DriftReport:
     """Audit conservation over a trajectory of states.
 
@@ -273,7 +257,7 @@ def drift_audit(
     """
     if len(trajectory) == 0:
         raise InvalidParameterError("trajectory must contain at least one state")
-    snaps = tuple(snapshot(s, topology, couplings, m_max) for s in trajectory)
+    snaps = tuple(snapshot(s, topology, m_max) for s in trajectory)
     residual = max(s.chain_residual for s in snaps)
     base = snaps[0]
 

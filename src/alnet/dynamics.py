@@ -15,9 +15,10 @@ amplitude (hard wall), so runs must end before significant field reaches
 them.
 
 Integration uses the classical fixed-step fourth-order Runge-Kutta
-scheme.  Every accepted step is checked for non-finite amplitudes.  A step
-writes its stage derivatives into a ``StepWorkspace`` (three complex
-arrays and one real one, reused by every step of an ``evolve``) and its
+scheme.  ``step`` and ``evolve`` take R alone, and every accepted step
+is checked for non-finite amplitudes in the layout of R's ``topology``.
+A step writes its stage derivatives into a ``StepWorkspace`` (three
+complex arrays and one real one, reused by every step of an ``evolve``) and its
 stage inputs into the fresh array it returns, so a returned state never
 shares memory with the workspace.  ``evolve`` is the one way out of a
 run: it yields the observed states, and each consumer keeps what it
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .state import FieldState, assert_finite
-from .topology import CouplingCoefficients, GraphTopology
+from .topology import CouplingCoefficients, GraphTopology, coupling_coefficients
 
 
 @dataclass(frozen=True)
@@ -99,19 +100,16 @@ def _derivative(
     return out
 
 
-def rhs(
-    state: FieldState, topology: GraphTopology, couplings: CouplingCoefficients
-) -> np.ndarray:
+def rhs(state: FieldState, topology: GraphTopology) -> np.ndarray:
     """Time derivative of the field, as a flat complex array."""
     y = state.data
     if y.shape != (topology.n_sites,):
         raise InvalidParameterError("state does not match the topology layout")
-    return _derivative(y, couplings, np.empty_like(y), np.empty(y.shape))
+    return _derivative(y, coupling_coefficients(topology), np.empty_like(y), np.empty(y.shape))
 
 
 def step(
     state: FieldState,
-    topology: GraphTopology,
     couplings: CouplingCoefficients,
     dt: float,
     workspace: StepWorkspace | None = None,
@@ -119,8 +117,9 @@ def step(
     """One classical Runge-Kutta step of size ``dt``; returns a new state.
 
     A stacked state takes the ``stacked_couplings`` of its columns'
-    topologies, and ``topology`` gives their shared layout.  ``workspace``
-    must fit the state's shape; without one the step makes its own.
+    topologies.  A non-finite result raises DivergenceError at its site
+    in ``couplings.topology``'s layout.  ``workspace`` must fit the
+    state's shape; without one the step makes its own.
     """
     y = state.data
     ws = StepWorkspace(y.shape) if workspace is None else workspace
@@ -145,15 +144,12 @@ def step(
     k23 *= dt / 6.0
     np.add(y, k23, out=out)
     new = FieldState(out, state.time + dt)
-    assert_finite(new, topology)
+    assert_finite(new, couplings.topology)
     return new
 
 
 def evolve(
-    state: FieldState,
-    topology: GraphTopology,
-    couplings: CouplingCoefficients,
-    config: SimConfig,
+    state: FieldState, couplings: CouplingCoefficients, config: SimConfig
 ) -> Iterator[FieldState]:
     """Integrate to ``config.t_final``, yielding the observed states.
 
@@ -171,6 +167,6 @@ def evolve(
     current = state.copy()
     yield current
     for i in range(1, n_steps + 1):
-        current = step(current, topology, couplings, config.dt, workspace)
+        current = step(current, couplings, config.dt, workspace)
         if i % config.output_stride == 0 or i == n_steps:
             yield current

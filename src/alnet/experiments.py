@@ -18,15 +18,17 @@ soliton on the incoming bond and keeps every state that
 and ``conserved-audit`` integrate through it.  ``scattering_ensemble``
 integrates topologies of one site layout as the columns of one stacked
 state and keeps only their partial norms as ``evolve`` yields the stacks;
-``transmission_sweep`` runs its whole ratio grid this way.  A column's
-report equals ``scattering_run``'s on its topology bit for bit.
+``transmission_sweep`` runs its whole ratio grid this way.  Both hand
+their observed states, one state or one stack at a time, to the same
+report path, so a column's report equals ``scattering_run``'s on its
+topology bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,10 +92,6 @@ class PeakSeries:
     sites: np.ndarray
     moduli: np.ndarray
     velocity: float | None
-
-    @property
-    def no_peak(self) -> bool:
-        return self.velocity is None
 
 
 def peak_tracker(
@@ -174,12 +172,8 @@ def partial_norm_series(
     trajectory: Sequence[FieldState], topology: GraphTopology
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Observation times and each bond's partial norm at every observation."""
-    times = np.array([s.time for s in trajectory])
-    series = {label: np.zeros(len(trajectory)) for label in topology.labels}
-    for i, st in enumerate(trajectory):
-        for label, value in partial_norms(st, topology).items():
-            series[label][i] = value
-    return times, series
+    rows = np.array([partial_norms(st, topology) for st in trajectory])
+    return np.array([s.time for s in trajectory]), dict(zip(topology.labels, rows.T))
 
 
 def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConfig) -> SimConfig:
@@ -190,23 +184,44 @@ def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConf
 
 
 def _report(
-    times: np.ndarray,
-    series: dict[str, np.ndarray],
-    topology: GraphTopology,
-    measurement_time: float,
+    times: np.ndarray, norms: np.ndarray, topology: GraphTopology, measurement_time: float
 ) -> TransmissionReport:
-    final = {label: series[label][-1] for label in topology.labels}
+    final = dict(zip(topology.labels, norms[-1].tolist()))
     total = sum(final.values())
     transmissions = {leaf: final[leaf] / total for leaf in topology.leaves}
     return TransmissionReport(
         times=times,
-        partial_norm_series=series,
+        partial_norm_series=dict(zip(topology.labels, norms.T)),
         transmissions=transmissions,
         reflection=final[ROOT_LABEL] / total,
         unitarity_residual=abs(sum(transmissions.values()) - 1.0),
-        total_norm=float(total),
+        total_norm=total,
         measurement_time=float(measurement_time),
     )
+
+
+def _reports(
+    states: Iterable[FieldState], topologies: Sequence[GraphTopology], measurement_time: float
+) -> list[TransmissionReport]:
+    """The report of every run observed in ``states``, read one state at a time.
+
+    A state is one run on ``topologies[0]`` or a stack whose column b runs
+    on ``topologies[b]``.  Each observation adds one row of partial norms
+    per run; the boundary guard then checks the last state's runs in order.
+    """
+    times, rows = [], [[] for _ in topologies]
+    for state in states:
+        times.append(state.time)
+        columns = state.data.reshape(state.data.shape[0], -1).T
+        for column, top, norms in zip(columns, topologies, rows):
+            norms.append(partial_norms(FieldState(column), top))
+    for column, top in zip(columns, topologies):
+        _check_boundaries(FieldState(column), top)
+    times = np.array(times)
+    return [
+        _report(times, np.array(norms), top, measurement_time)
+        for norms, top in zip(rows, topologies)
+    ]
 
 
 def soliton_trajectory(
@@ -220,7 +235,7 @@ def soliton_trajectory(
     if config.t_final is None:
         raise InvalidParameterError("this run requires sim.t_final")
     initial = soliton_profile(soliton, topology, 0.0)
-    return list(evolve(initial, topology, coupling_coefficients(topology), config))
+    return list(evolve(initial, coupling_coefficients(topology), config))
 
 
 def scattering_run(
@@ -234,9 +249,7 @@ def scattering_run(
     """
     run_cfg = _run_config(topology, soliton, config)
     trajectory = soliton_trajectory(topology, soliton, run_cfg)
-    _check_boundaries(trajectory[-1], topology)
-    times, series = partial_norm_series(trajectory, topology)
-    return _report(times, series, topology, run_cfg.t_final), trajectory
+    return _reports(trajectory, [topology], run_cfg.t_final)[0], trajectory
 
 
 def scattering_ensemble(
@@ -256,25 +269,11 @@ def scattering_ensemble(
     if not topologies:
         return []
     couplings = stacked_couplings(topologies)
-    layout = topologies[0]
-    run_cfg = _run_config(layout, soliton, config)
+    run_cfg = _run_config(topologies[0], soliton, config)
     initial = FieldState(
         np.stack([soliton_profile(soliton, top, 0.0).data for top in topologies], axis=1)
     )
-    times = []
-    series = [{label: [] for label in top.labels} for top in topologies]
-    for stack in evolve(initial, layout, couplings, run_cfg):
-        times.append(stack.time)
-        for b, top in enumerate(topologies):
-            for label, value in partial_norms(FieldState(stack.data[:, b]), top).items():
-                series[b][label].append(value)
-    for b, top in enumerate(topologies):
-        _check_boundaries(FieldState(stack.data[:, b], stack.time), top)
-    times = np.array(times)
-    return [
-        _report(times, {label: np.array(v) for label, v in column.items()}, top, run_cfg.t_final)
-        for column, top in zip(series, topologies)
-    ]
+    return _reports(evolve(initial, couplings, run_cfg), topologies, run_cfg.t_final)
 
 
 @dataclass(frozen=True)
@@ -358,7 +357,7 @@ def track_broken_peaks(
     final = trajectory[-1]
     tracked = 0.0
     for label, ps in series.items():
-        if ps.velocity is not None and ps.moduli.size:
+        if ps.velocity is not None:
             tracked += _window_norm(final, topology, label, float(ps.sites[-1]))
     radiation = max(0.0, (report.total_norm - tracked) / report.total_norm)
     report = replace(report, radiation_fraction=radiation)

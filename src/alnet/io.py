@@ -79,8 +79,8 @@ def _check_json_types(value, key: str = "config") -> None:
     """Reject ``true``/``false`` anywhere and anything but a list for a list key."""
     if isinstance(value, bool):
         raise InvalidParameterError(f"{key} cannot be true or false: no config field is boolean")
-    # a string would otherwise be read as the list of its characters
-    if key in ("gammas", "ratios", "snapshot_times") and not isinstance(value, (list, tuple)):
+    # a string would otherwise be read as the list of its characters; build_star checks gammas
+    if key in ("ratios", "snapshot_times") and not isinstance(value, (list, tuple)):
         raise InvalidParameterError(f"{key} must be a list")
     if isinstance(value, Mapping):
         for k, v in value.items():

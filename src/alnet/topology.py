@@ -18,12 +18,14 @@ reflectionless when the strengths satisfy the sum rule
 and ``check_sum_rule`` reports the residual of that identity per vertex.
 
 ``coupling_coefficients`` turns a topology into the one object the
-dynamics and the conserved quantities need: the forward shift R along the
-flat layout, which at each vertex hands the parent's last site the
-children's first sites weighted by ``sqrt(gamma_parent / gamma_child)``,
-together with each site's ``gamma``.  ``stacked_couplings`` does the same
-for several topologies of one site layout at once, one per column of an
-``(n_sites, B)`` field, so an ensemble of runs shares one integration.
+dynamics need: the forward shift R along the flat layout, which at each
+vertex hands the parent's last site the children's first sites weighted
+by ``sqrt(gamma_parent / gamma_child)``, together with each site's
+``gamma`` and the topology itself.  It is cached per topology, so the
+conserved quantities, which take the topology, look R up on each call.
+``stacked_couplings`` does the same for several topologies of one site
+layout at once, one per column of an ``(n_sites, B)`` field, so an
+ensemble of runs shares one integration.
 The conserved quantities apply R and R^T separately; the dynamics needs
 only the neighbour sum ``(R + R^T) y``, which costs one whole-array add
 plus a fix-up at the two end sites of every bond.  All three maps read one
@@ -199,7 +201,9 @@ class CouplingCoefficients:
     ``R + R^T`` in one pass.  The dynamics and every conserved quantity see
     the graph only through these maps.
 
-    ``values`` maps each (parent, child) pair to its weight ``s_c``.  The
+    ``values`` maps each (parent, child) pair to its weight ``s_c``, and
+    ``topology`` is the graph the maps were built from (for a stack, its
+    first column's), so a caller that holds R also holds the layout.  The
     ``edge_*`` fields are one table set for all three maps, described in
     ``neighbors``: away from the end sites of the bonds each map is a
     whole-array shift, and at the end sites the tables give R's and R^T's
@@ -212,6 +216,7 @@ class CouplingCoefficients:
     """
 
     values: dict[tuple[str, str], float]
+    topology: GraphTopology = field(compare=False, repr=False)
     site_gamma: np.ndarray = field(compare=False, repr=False)
     edge_sites: np.ndarray = field(compare=False, repr=False)
     edge_terms: np.ndarray = field(compare=False, repr=False)
@@ -302,7 +307,9 @@ def _build_couplings(topology: GraphTopology) -> CouplingCoefficients:
         for parent, kids in topology.vertices.items()
         for child in kids
     }
-    return CouplingCoefficients(values, topology.site_gamma, *_edge_tables(topology, values))
+    return CouplingCoefficients(
+        values, topology, topology.site_gamma, *_edge_tables(topology, values)
+    )
 
 
 def _edge_tables(topology: GraphTopology, values: Mapping) -> tuple:
@@ -355,7 +362,7 @@ def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficien
     column of ``forward``, ``backward`` and ``neighbors`` equals, bit for
     bit, the single-topology map applied to that column.  The topologies
     must share their bond labels, lengths and kinds, so only the gammas
-    differ.
+    differ; ``topology`` is the first of them.
     """
     if not topologies:
         raise InvalidParameterError("stacking needs at least one topology")
@@ -383,9 +390,9 @@ def check_sum_rule(topology: GraphTopology) -> dict[str, float]:
     return out
 
 
-def is_reflectionless(topology: GraphTopology, tol: float = SUM_RULE_TOL) -> bool:
-    """True when every vertex satisfies the sum rule within ``tol``."""
-    return all(abs(r) <= tol for r in check_sum_rule(topology).values())
+def is_reflectionless(topology: GraphTopology) -> bool:
+    """True when every vertex satisfies the sum rule within ``SUM_RULE_TOL``."""
+    return all(abs(r) <= SUM_RULE_TOL for r in check_sum_rule(topology).values())
 
 
 def site_offset(topology: GraphTopology, label: str) -> int:
@@ -406,7 +413,10 @@ def build_star(gammas: Sequence[float], truncation: int = 400) -> GraphTopology:
     """Star graph: the depth-one tree of an incoming bond and ``len(gammas) - 1`` leaves.
 
     Two entries make the two-bond graph, the uniform chain when they are equal.
+    ``gammas`` must be a list or tuple, so a string or a mapping is refused.
     """
+    if not isinstance(gammas, (list, tuple)) or not gammas:
+        raise InvalidParameterError("gammas must be a non-empty list or tuple")
     root, *leaves = gammas
     return build_tree({"gamma": root, "children": [{"gamma": g} for g in leaves]}, truncation)
 

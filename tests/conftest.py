@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
+from hypothesis import strategies as st
 
 ALPHA_FIG4 = 5 * math.pi / 4
 
@@ -110,3 +112,45 @@ class ReferenceShift:
 def bits(a):
     """The words of a float or complex array, so that signs of zero count."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def tree_stacks(draw):
+    """1-3 trees of one random shape, each with its own random gammas.
+
+    Depth at most 3 below the incoming bond, at most 4 children per
+    vertex, internal bonds of 1-4 sites.  The gammas ignore the sum rule,
+    which the shift maps do not need.
+    """
+    from alnet import build_tree
+
+    columns = draw(st.integers(1, 3))
+
+    def node(depth):
+        kids = draw(st.integers(1 if depth == 0 else 0, 4 if depth < 3 else 0))
+        return {
+            "gammas": [draw(st.floats(0.25, 8.0)) for _ in range(columns)],
+            "length": draw(st.integers(1, 4)),
+            "children": [node(depth + 1) for _ in range(kids)],
+        }
+
+    def spec(n, b):
+        return {
+            "gamma": n["gammas"][b],
+            "length": n["length"],
+            "children": [spec(c, b) for c in n["children"]],
+        }
+
+    shape, truncation = node(0), draw(st.integers(2, 5))
+    return [build_tree(spec(shape, b), truncation) for b in range(columns)]
+
+
+# no shrink phase: a failure is reported as drawn, in seconds instead of the
+# minute or more that shrinking takes
+PROPERTY_SETTINGS = settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate),
+)

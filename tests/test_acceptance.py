@@ -79,8 +79,8 @@ def test_criterion_3_conservation_and_convergence_rate():
     drift_sets = {}
     for dt in (0.01, 0.005):
         cfg = SimConfig(dt=dt, t_final=200.0, output_stride=round(1.0 / dt))
-        traj = list(evolve(soliton_profile(FIG4_SOLITON, top), top, cp, cfg))
-        drift_sets[dt] = drift_audit(traj, top, cp, m_max=3).drifts
+        traj = list(evolve(soliton_profile(FIG4_SOLITON, top), cp, cfg))
+        drift_sets[dt] = drift_audit(traj, top, m_max=3).drifts
     coarse = drift_sets[0.01]
     ratios = {k: coarse[k] / drift_sets[0.005][k] for k in coarse}
     max_drift = max(coarse.values())
@@ -113,10 +113,9 @@ def test_criterion_3_conservation_and_convergence_rate():
 
 def test_criterion_4_conservation_dichotomy():
     top = build_star((0.5, 1.5, 3.0), truncation=400)
-    cp = coupling_coefficients(top)
     report, trajectory = scattering_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
     report, peaks = track_broken_peaks(report, trajectory, top, FIG4_SOLITON)
-    drifts = drift_audit(trajectory, top, cp, m_max=2).drifts
+    drifts = drift_audit(trajectory, top, m_max=2).drifts
     reflected_speed = peaks["1"].velocity
     speed_err = abs(abs(reflected_speed) - FIG4_SOLITON.velocity) / FIG4_SOLITON.velocity
     ok = (
@@ -140,7 +139,7 @@ def test_criterion_5_exact_solution_fidelity():
     cp = coupling_coefficients(top)
     p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-40.0)
     initial = soliton_profile(p, top)
-    traj = list(evolve(initial, top, cp, SimConfig(dt=0.01, t_final=50.0)))
+    traj = list(evolve(initial, cp, SimConfig(dt=0.01, t_final=50.0)))
     final = traj[-1]
     exact = soliton_profile(p, top, t=50.0)
     profile_err = float(np.max(np.abs(final.data - exact.data)))
@@ -150,9 +149,9 @@ def test_criterion_5_exact_solution_fidelity():
     # t = 50 at this step size, see the final-state figures in the line)
     n_err = abs(norm(initial, top) - 0.2)
     z_expected, _, _ = analytic_Z(p, 1.0)
-    z_err = abs(z_quantity(initial, top, cp) - z_expected)
+    z_err = abs(z_quantity(initial, top) - z_expected)
     n_drift = abs(norm(final, top) - 0.2)
-    z_drift = abs(z_quantity(final, top, cp) - z_expected)
+    z_drift = abs(z_quantity(final, top) - z_expected)
     ok = profile_err < 1e-6 and n_err < 1e-10 and z_err < 1e-10
     assert verdict(
         5,
@@ -168,7 +167,7 @@ def test_criterion_6_hierarchy_oracle_equivalence():
     pairs = []
     for _ in range(24):
         u = decaying_random_field(rng)
-        direct = higher_constants_direct(glued_state(top, u), top, coupling_coefficients(top))
+        direct = higher_constants_direct(glued_state(top, u), top)
         rec = higher_constants_recursive(u, 3)
         pairs.append((direct, (rec[1], rec[2])))
     # one constant factor per order, calibrated on the whole batch
@@ -200,7 +199,6 @@ def test_criterion_7_tree_graph_generalization():
         ],
     }
     top = build_tree(spec, truncation=400)
-    cp = coupling_coefficients(top)
     soliton = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-100.0)
     report, trajectory = scattering_run(top, soliton, SimConfig(dt=0.01))
     t_err = max(
@@ -208,7 +206,7 @@ def test_criterion_7_tree_graph_generalization():
         for leaf in top.leaves
     )
     sum_err = abs(sum(report.transmissions.values()) - 1.0)
-    drifts = drift_audit(trajectory, top, cp, m_max=1).drifts
+    drifts = drift_audit(trajectory, top, m_max=1).drifts
     ok = t_err < 1e-3 and sum_err < 1e-3 and drifts["N"] < 1e-6 and drifts["E"] < 1e-6
     assert verdict(
         7,

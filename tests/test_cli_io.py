@@ -20,7 +20,6 @@ from alnet import (
     SimConfig,
     SolitonParams,
     build_chain,
-    coupling_coefficients,
     drift_audit,
     load_config,
     parse_config,
@@ -253,8 +252,7 @@ class TestWriteOutputs:
 
     def test_drift_csv_layout(self, tmp_path):
         top = build_chain(1.0, truncation=4)
-        cp = coupling_coefficients(top)
-        report = drift_audit([zero_state(top)], top, cp, m_max=3)
+        report = drift_audit([zero_state(top)], top, m_max=3)
         write_outputs(RunOutputs(summary={}, drift=report), tmp_path)
         lines = (tmp_path / "drift.csv").read_text().splitlines()
         assert lines[0] == "time,N,ReZ,ImZ,E,J,ReC2,ImC2,ReC3,ImC3"

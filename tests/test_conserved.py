@@ -48,26 +48,23 @@ class TestNormAndZ:
         # one unit amplitude on each side of the vertex: Z comes entirely
         # from the vertex cross term and is +1
         top = build_chain(1.0, truncation=2)
-        cp = coupling_coefficients(top)
         st = zero_state(top)
         st.data[:] = [0.0, 1.0, 1.0, 0.0]
-        z = z_quantity(st, top, cp)
+        z = z_quantity(st, top)
         assert z == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_z_reduces_to_chain_pair_sum_on_glued_states(self, rng):
         top = build_star((1.0, 1.5, 3.0), truncation=32)
-        cp = coupling_coefficients(top)
         u = decaying_random_field(rng)
         st = glued_state(top, u)
         expected = np.sum(np.conj(u[:-1]) * u[1:])
-        assert z_quantity(st, top, cp) == pytest.approx(complex(expected), abs=1e-14)
+        assert z_quantity(st, top) == pytest.approx(complex(expected), abs=1e-14)
 
     def test_z_soliton_closed_form(self):
         top = build_star((1.0, 1.5, 3.0), truncation=400)
-        cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         st = soliton_profile(p, top)
-        z = z_quantity(st, top, cp)
+        z = z_quantity(st, top)
         assert z.real == pytest.approx(-0.14165717637689892, abs=1e-13)
         assert z.imag == pytest.approx(0.1416571763768989, abs=1e-13)
 
@@ -85,7 +82,7 @@ class TestDirectConstants:
         for n in range(1, len(e) - 1):
             acc += np.conj(e[n + 1]) * e[n - 1] * (1 + abs(e[n]) ** 2)
             acc += 0.5 * e[n] ** 2 * np.conj(e[n + 1]) ** 2
-        c2, _ = higher_constants_direct(st, top, coupling_coefficients(top))
+        c2, _ = higher_constants_direct(st, top)
         assert c2 == pytest.approx(complex(-acc), rel=1e-13)
 
     def test_c3_against_plain_loop(self, rng):
@@ -101,7 +98,7 @@ class TestDirectConstants:
             t += np.conj(e[n + 1]) ** 2 * e[n] * e[n - 1]
             acc += t * (1 + abs(e[n]) ** 2)
             acc += (1.0 / 3.0) * (np.conj(e[n + 1]) * e[n]) ** 3
-        _, c3 = higher_constants_direct(st, top, coupling_coefficients(top))
+        _, c3 = higher_constants_direct(st, top)
         assert c3 == pytest.approx(complex(-acc), rel=1e-13)
 
     def test_constants_are_gamma_independent_for_glued_states(self, rng):
@@ -109,14 +106,12 @@ class TestDirectConstants:
         # so a glued chain field keeps its plain-chain constants on any graph
         u = decaying_random_field(rng)
         uniform = build_chain(1.0, truncation=32)
-        ref = higher_constants_direct(
-            glued_state(uniform, u), uniform, coupling_coefficients(uniform)
-        )
+        ref = higher_constants_direct(glued_state(uniform, u), uniform)
         for top in (
             build_star((2.0, 3.0, 6.0), truncation=32),
             build_star((0.25, 0.5, 0.5), truncation=32),
         ):
-            got = higher_constants_direct(glued_state(top, u), top, coupling_coefficients(top))
+            got = higher_constants_direct(glued_state(top, u), top)
             assert got[0] == pytest.approx(ref[0], rel=1e-13)
             assert got[1] == pytest.approx(ref[1], rel=1e-13)
 
@@ -129,7 +124,7 @@ class TestDirectConstants:
         st = soliton_profile(p, top)
         q, residual = universal_chain_field(st, top)
         assert residual < 1e-15
-        direct = higher_constants_direct(st, top, coupling_coefficients(top))
+        direct = higher_constants_direct(st, top)
         rec = higher_constants_recursive(q, 3)
         assert direct[0] == pytest.approx(rec[1], rel=1e-12)
         assert direct[1] == pytest.approx(rec[2], rel=1e-12)
@@ -139,13 +134,13 @@ class TestDirectConstants:
         top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         st = soliton_profile(p, top)
-        got = higher_constants_direct(st, top, coupling_coefficients(top))[m - 2]
+        got = higher_constants_direct(st, top)[m - 2]
         assert got == pytest.approx(closed_form_constant(m, ALPHA_FIG4, 0.1), abs=1e-12)
 
     def test_frozen_fig4_values(self):
         top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
-        c2, c3 = higher_constants_direct(soliton_profile(p, top), top, coupling_coefficients(top))
+        c2, c3 = higher_constants_direct(soliton_profile(p, top), top)
         assert c2 == pytest.approx(-0.201336002541094j, abs=1e-12)
         assert c3 == pytest.approx(-0.1435522430035944 + 0.1435522430035948j, abs=1e-12)
 
@@ -180,7 +175,7 @@ class TestRecursion:
         for _ in range(5):
             u = decaying_random_field(rng)
             st = glued_state(top, u)
-            direct = higher_constants_direct(st, top, coupling_coefficients(top))
+            direct = higher_constants_direct(st, top)
             rec = higher_constants_recursive(u, 3)
             assert rec[1] == pytest.approx(direct[0], rel=1e-12)
             assert rec[2] == pytest.approx(direct[1], rel=1e-12)
@@ -188,11 +183,10 @@ class TestRecursion:
     def test_first_order_is_minus_conjugate_pair_sum(self, rng):
         gamma = 2.0
         top = build_chain(gamma, truncation=32)
-        cp = coupling_coefficients(top)
         u = decaying_random_field(rng)
         st = glued_state(top, u)
         c1 = higher_constants_recursive(u, 1)[0]
-        z = z_quantity(st, top, cp)
+        z = z_quantity(st, top)
         assert c1 == pytest.approx(-np.conj(gamma * z), rel=1e-13)
 
     def test_soliton_fourth_order_closed_form(self):
@@ -244,10 +238,9 @@ class TestRecursion:
 class TestSnapshotAndDrift:
     def test_snapshot_assembles_all_quantities(self):
         top = build_star((1.0, 1.5, 3.0), truncation=400)
-        cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         st = soliton_profile(p, top)
-        snap = snapshot(st, top, cp, m_max=4)
+        snap = snapshot(st, top, m_max=4)
         assert snap.time == 0.0
         assert snap.N == pytest.approx(0.2, abs=1e-13)
         assert snap.E == pytest.approx(-2 * snap.Z.real)
@@ -258,33 +251,31 @@ class TestSnapshotAndDrift:
 
     def test_snapshot_m_max_validation(self):
         top = build_chain(1.0, truncation=4)
-        cp = coupling_coefficients(top)
         st = zero_state(top)
         for bad in (0, -1, 1.5, True):
             with pytest.raises(InvalidParameterError):
-                snapshot(st, top, cp, m_max=bad)
-        assert snapshot(st, top, cp, m_max=1).C == ()
+                snapshot(st, top, m_max=bad)
+        assert snapshot(st, top, m_max=1).C == ()
 
     def test_recursion_orders_need_the_sum_rule(self):
         # C4 and above come from the first-child chain, which a broken rule makes meaningless
         top = build_star((0.5, 1.5, 3.0), truncation=60)
-        cp = coupling_coefficients(top)
         st = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-20.0), top)
         for m_max in (4, 6):
             with pytest.raises(InvalidParameterError, match="sum rule"):
-                snapshot(st, top, cp, m_max=m_max)
+                snapshot(st, top, m_max=m_max)
             with pytest.raises(InvalidParameterError, match="sum rule"):
-                drift_audit([st, st], top, cp, m_max=m_max)
-        assert len(snapshot(st, top, cp, m_max=3).C) == 2
-        assert set(drift_audit([st, st], top, cp, m_max=3).drifts) == {"N", "E", "J", "C2", "C3"}
+                drift_audit([st, st], top, m_max=m_max)
+        assert len(snapshot(st, top, m_max=3).C) == 2
+        assert set(drift_audit([st, st], top, m_max=3).drifts) == {"N", "E", "J", "C2", "C3"}
 
     def test_drift_audit_on_a_short_run(self):
         # box wide enough that hard-wall tails stay below integrator error
         top = build_star((1.0, 1.5, 3.0), truncation=200)
         cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-70.0)
-        traj = list(evolve(soliton_profile(p, top), top, cp, SimConfig(dt=0.01, t_final=2.0)))
-        report = drift_audit(traj, top, cp, m_max=4)
+        traj = list(evolve(soliton_profile(p, top), cp, SimConfig(dt=0.01, t_final=2.0)))
+        report = drift_audit(traj, top, m_max=4)
         assert set(report.drifts) == {"N", "E", "J", "C2", "C3", "C4"}
         assert max(report.drifts.values()) < 1e-9
         assert report.chain_residual < 1e-11
@@ -294,7 +285,6 @@ class TestSnapshotAndDrift:
     def test_drift_audit_collapses_each_state_once(self, monkeypatch):
         # the audit's residual comes from the chain field snapshot computed
         top = build_star((1.0, 1.5, 3.0), truncation=40)
-        cp = coupling_coefficients(top)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-10.0)
         states = [soliton_profile(p, top, t) for t in (0.0, 5.0, 10.0)]
         calls = []
@@ -304,7 +294,7 @@ class TestSnapshotAndDrift:
             return universal_chain_field(state, topology)
 
         monkeypatch.setattr("alnet.conserved.universal_chain_field", counted)
-        report = drift_audit(states, top, cp, m_max=4)
+        report = drift_audit(states, top, m_max=4)
         assert calls == [0.0, 5.0, 10.0]
         assert report.chain_residual == max(
             universal_chain_field(s, top)[1] for s in states
@@ -313,10 +303,9 @@ class TestSnapshotAndDrift:
     def test_drift_audit_rejects_empty_trajectory(self):
         top = build_chain(1.0, truncation=4)
         with pytest.raises(InvalidParameterError):
-            drift_audit([], top, coupling_coefficients(top))
+            drift_audit([], top)
 
     def test_drift_audit_zero_field(self):
         top = build_chain(1.0, truncation=8)
-        cp = coupling_coefficients(top)
-        report = drift_audit([zero_state(top), zero_state(top)], top, cp, m_max=2)
+        report = drift_audit([zero_state(top), zero_state(top)], top, m_max=2)
         assert report.drifts == {"N": 0.0, "E": 0.0, "J": 0.0, "C2": 0.0}

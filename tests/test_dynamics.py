@@ -50,7 +50,7 @@ class TestRhs:
         top = build_chain(2.0, truncation=2)
         st = zero_state(top)
         st.data[:] = [0.1, 0.2j, 0.3, 0.4]
-        d = rhs(st, top, coupling_coefficients(top))
+        d = rhs(st, top)
         # interior site 1: neighbors 0.1 and 0.3, density |0.2|^2
         assert d[1] == pytest.approx(1j * (0.1 + 0.3) * (1 + 2.0 * 0.04))
         # end site 0: only right neighbor
@@ -63,7 +63,7 @@ class TestRhs:
         cp = coupling_coefficients(top)
         st = zero_state(top)
         st.data[:] = np.arange(1.0, 10.0)
-        d = rhs(st, top, cp)
+        d = rhs(st, top)
         s2, s3 = cp.values[("1", "11")], cp.values[("1", "12")]
         assert d[2] == pytest.approx(1j * (2.0 + s2 * 4.0 + s3 * 7.0) * (1 + 9.0))
         assert d[3] == pytest.approx(1j * (s2 * 3.0 + 5.0) * (1 + 1.5 * 16.0))
@@ -87,7 +87,7 @@ class TestRhs:
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=0.0)
         omega, v = p.omega, p.velocity
         st = soliton_profile(p, topology)
-        d = rhs(st, topology, coupling_coefficients(topology))
+        d = rhs(st, topology)
         exact = np.empty_like(st.data)
         for label in topology.labels:
             coords = topology.site_coordinates(label) + site_offset(topology, label)
@@ -101,7 +101,7 @@ class TestRhs:
         top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=0.0)
         st = soliton_profile(p, top)
-        d = rhs(st, top, coupling_coefficients(top))
+        d = rhs(st, top)
         eps = 1e-4
         fd = (soliton_profile(p, top, t=eps).data - soliton_profile(p, top, t=-eps).data) / (2 * eps)
         assert np.max(np.abs(d - fd)) < 1e-8
@@ -110,7 +110,7 @@ class TestRhs:
         top = build_chain(1.0, truncation=10)
         other = build_chain(1.0, truncation=11)
         with pytest.raises(InvalidParameterError):
-            rhs(zero_state(other), top, coupling_coefficients(top))
+            rhs(zero_state(other), top)
 
 
 class TestStepAndEvolve:
@@ -118,7 +118,7 @@ class TestStepAndEvolve:
         top = build_chain(1.0, truncation=50)
         p = SolitonParams(alpha=0.4, beta=0.2, n0=0.0)
         st = soliton_profile(p, top)
-        new = step(st, top, coupling_coefficients(top), 0.01)
+        new = step(st, coupling_coefficients(top), 0.01)
         assert new is not st
         assert new.time == pytest.approx(0.01)
         assert np.max(np.abs(new.data - st.data)) > 0
@@ -129,23 +129,23 @@ class TestStepAndEvolve:
         st = zero_state(top)
         st.data[:] = 1e8
         with pytest.raises(DivergenceError):
-            step(st, top, coupling_coefficients(top), 10.0)
+            step(st, coupling_coefficients(top), 10.0)
 
     def test_observer_cadence(self):
         top = build_chain(1.0, truncation=20)
         cfg = SimConfig(dt=0.1, t_final=1.0, output_stride=3)
-        times = [s.time for s in evolve(zero_state(top), top, coupling_coefficients(top), cfg)]
+        times = [s.time for s in evolve(zero_state(top), coupling_coefficients(top), cfg)]
         assert np.allclose(times, [0.0, 0.3, 0.6, 0.9, 1.0])
 
     def test_evolve_requires_t_final(self):
         top = build_chain(1.0, truncation=20)
         with pytest.raises(InvalidParameterError):
-            list(evolve(zero_state(top), top, coupling_coefficients(top), SimConfig()))
+            list(evolve(zero_state(top), coupling_coefficients(top), SimConfig()))
 
     def test_evolve_to_time_zero_yields_a_copy_of_the_initial_state(self):
         top = build_chain(1.0, truncation=20)
         st = soliton_profile(SolitonParams(alpha=0.4, beta=0.2, n0=0.0), top)
-        states = list(evolve(st, top, coupling_coefficients(top), SimConfig(t_final=0.0)))
+        states = list(evolve(st, coupling_coefficients(top), SimConfig(t_final=0.0)))
         assert len(states) == 1
         assert states[0].time == st.time
         assert np.array_equal(bits(states[0].data), bits(st.data))
@@ -155,7 +155,7 @@ class TestStepAndEvolve:
         top = build_chain(1.0, truncation=40)
         p = SolitonParams(alpha=0.4, beta=0.2, n0=0.0)
         st = soliton_profile(p, top)
-        traj = list(evolve(st, top, coupling_coefficients(top),
+        traj = list(evolve(st, coupling_coefficients(top),
                            SimConfig(dt=0.05, t_final=0.5, output_stride=5)))
         assert len(traj) == 3
         assert [s.time for s in traj] == pytest.approx([0.0, 0.25, 0.5])
@@ -174,7 +174,7 @@ class TestStepAndEvolve:
         for dt in (0.02, 0.01):
             cur = st
             for _ in range(round(2.0 / dt)):
-                cur = step(cur, top, cp, dt)
+                cur = step(cur, cp, dt)
             errs.append(np.max(np.abs(cur.data - exact.data)))
         ratio = errs[0] / errs[1]
         assert 14.0 < ratio < 18.0
@@ -187,8 +187,8 @@ class TestStepAndEvolve:
         st = soliton_profile(p, top)
         theta = 0.77
         rotated = FieldState(st.data * np.exp(1j * theta), st.time)
-        a = step(st, top, cp, 0.01)
-        b = step(rotated, top, cp, 0.01)
+        a = step(st, cp, 0.01)
+        b = step(rotated, cp, 0.01)
         np.testing.assert_allclose(b.data, a.data * np.exp(1j * theta), rtol=1e-12)
 
 
@@ -209,8 +209,8 @@ class TestStackedStep:
         singles = [FieldState(start[:, b]) for b in range(len(tops))]
         cp = stacked_couplings(tops)
         for _ in range(40):
-            stack = step(stack, tops[0], cp, 0.01)
-            singles = [step(s, t, coupling_coefficients(t), 0.01) for s, t in zip(singles, tops)]
+            stack = step(stack, cp, 0.01)
+            singles = [step(s, coupling_coefficients(t), 0.01) for s, t in zip(singles, tops)]
         assert stack.data.shape == (n, len(tops))
         for b, single in enumerate(singles):
             assert np.array_equal(stack.data[:, b], single.data)
@@ -221,7 +221,7 @@ class TestStackedStep:
         st = FieldState(np.full((30, 2), 0.1 + 0j))
         st.data[25, 1] = np.nan
         with pytest.raises(DivergenceError) as exc:
-            step(st, tops[0], stacked_couplings(tops), 0.01)
+            step(st, stacked_couplings(tops), 0.01)
         # the four stages spread the NaN four sites each way, to flat site 21
         assert (exc.value.bond, exc.value.site) == ("12", 2)
 
@@ -335,7 +335,7 @@ class TestFusedKernel:
         cp, y = reference_case(tops, rng)
         start = FieldState(y)
         cfg = SimConfig(dt=0.01, t_final=0.5, output_stride=1)
-        fused = list(evolve(start, tops[0], cp, cfg))
+        fused = list(evolve(start, cp, cfg))
         assert len(fused) == 51
         shift = ReferenceShift(tops)
         ref = start
@@ -352,8 +352,8 @@ class TestFusedKernel:
         cp = coupling_coefficients(top)
         st = soliton_profile(SolitonParams(alpha=0.9, beta=0.3, n0=-20.0), top)
         cfg = SimConfig(dt=0.01, t_final=0.3, output_stride=2)
-        kept = list(evolve(st, top, cp, cfg))
-        copied = [s.copy() for s in evolve(st, top, cp, cfg)]
+        kept = list(evolve(st, cp, cfg))
+        copied = [s.copy() for s in evolve(st, cp, cfg)]
         assert len(kept) == len(copied) == 16
         for a, b in zip(kept, copied):
             assert a.time == b.time
@@ -366,7 +366,7 @@ class TestFusedKernel:
         ws = StepWorkspace((top.n_sites,))
         a = b = FieldState(tail_field(top, rng))
         for _ in range(5):
-            a = step(a, top, cp, 0.01, ws)
-            b = step(b, top, cp, 0.01)
+            a = step(a, cp, 0.01, ws)
+            b = step(b, cp, 0.01)
         assert np.array_equal(bits(a.data), bits(b.data))
 

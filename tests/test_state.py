@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alnet import (
     DivergenceError,
@@ -10,6 +12,8 @@ from alnet import (
     partial_norms,
     zero_state,
 )
+from alnet.topology import with_truncation
+from conftest import PROPERTY_SETTINGS, bits, tree_stacks
 
 
 def test_zero_state_shape_and_dtype():
@@ -32,17 +36,23 @@ def test_bond_field_is_a_view():
         bond_field(st, top, "13")
 
 
-def test_partial_norms_against_direct_sum(rng):
-    top = build_star((1.0, 1.5, 3.0), truncation=16)
-    st = zero_state(top)
-    st.data[:] = 0.3 * (rng.random(48) - 0.5) + 0.3j * (rng.random(48) - 0.5)
-    norms = partial_norms(st, top)
-    for label in top.labels:
-        g = top.bond(label).gamma
-        seg = bond_field(st, top, label)
-        expected = np.sum(np.log(1.0 + g * np.abs(seg) ** 2)) / g
-        assert norms[label] == pytest.approx(expected, rel=1e-14)
-    assert set(norms) == set(top.labels)
+@PROPERTY_SETTINGS
+@given(tops=tree_stacks(), truncation=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+def test_partial_norms_against_direct_sum(tops, truncation, seed):
+    # one log1p pass and per-slice sums give each bond's own sum, bit for
+    # bit; leaves long enough for numpy's blocked summation
+    top = with_truncation(tops[0], truncation)
+    rng = np.random.default_rng(seed)
+    n = top.n_sites
+    scale = 10.0 ** rng.uniform(-20, 0, n)
+    state = FieldState((rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale)
+    expected = []
+    for b in top.bonds:
+        a = bond_field(state, top, b.label).copy()
+        expected.append(np.sum(np.log1p(b.gamma * (a.real**2 + a.imag**2))) / b.gamma)
+    norms = partial_norms(state, top)
+    assert norms.shape == (len(top.labels),)
+    assert np.array_equal(bits(norms), bits(np.array(expected)))
 
 
 def test_assert_finite_reports_bond_and_site():

@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from alnet import (
@@ -23,7 +23,7 @@ from alnet import (
     zero_state,
 )
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF, stacked_couplings
-from conftest import ReferenceShift, bits, tree_spec
+from conftest import PROPERTY_SETTINGS, ReferenceShift, bits, tree_spec, tree_stacks
 
 
 class TestBondSpec:
@@ -119,6 +119,12 @@ class TestBuilders:
             build_star((1.0,), truncation=20)
         with pytest.raises(InvalidParameterError):
             build_star(tuple([1.0] * 11), truncation=20)
+
+    def test_star_takes_only_a_list_or_tuple(self):
+        # a string or a mapping would otherwise be read as its characters or keys
+        for gammas in ("132", {1.0: "a", 3.0: "b", 2.0: "c"}, []):
+            with pytest.raises(InvalidParameterError, match="list or tuple"):
+                build_star(gammas, truncation=20)
 
     def test_chain_is_two_equal_bonds(self):
         top = build_chain(2.0, truncation=30)
@@ -234,6 +240,15 @@ class TestShiftOperator:
         top = build_star((1.0, 1.5, 3.0), truncation=20)
         assert coupling_coefficients(top) is coupling_coefficients(top)
 
+    def test_couplings_carry_their_topology(self):
+        # two stars of one layout: R knows which gammas it was built from
+        tops = [build_star(gammas, truncation=20) for gammas in ((1.0, 1.5, 3.0), (1.0, 2.0, 2.0))]
+        for top in tops:
+            assert coupling_coefficients(top).topology == top
+        assert coupling_coefficients(tops[1]).topology != tops[0]
+        assert stacked_couplings(tops).topology == tops[0]
+        assert stacked_couplings(tops[::-1]).topology == tops[1]
+
     def test_stack_needs_one_layout(self):
         tops = [build_star((1.0, 1.5, 3.0), truncation=20), build_star((0.5, 1.5, 3.0), truncation=20)]
         cp = stacked_couplings(tops)
@@ -247,46 +262,6 @@ class TestShiftOperator:
                 stacked_couplings([tops[0], other])
         with pytest.raises(InvalidParameterError):
             stacked_couplings([])
-
-
-@st.composite
-def tree_stacks(draw):
-    """1-3 trees of one random shape, each with its own random gammas.
-
-    Depth at most 3 below the incoming bond, at most 4 children per
-    vertex, internal bonds of 1-4 sites.  The gammas ignore the sum rule,
-    which the shift maps do not need.
-    """
-    columns = draw(st.integers(1, 3))
-
-    def node(depth):
-        kids = draw(st.integers(1 if depth == 0 else 0, 4 if depth < 3 else 0))
-        return {
-            "gammas": [draw(st.floats(0.25, 8.0)) for _ in range(columns)],
-            "length": draw(st.integers(1, 4)),
-            "children": [node(depth + 1) for _ in range(kids)],
-        }
-
-    def spec(n, b):
-        return {
-            "gamma": n["gammas"][b],
-            "length": n["length"],
-            "children": [spec(c, b) for c in n["children"]],
-        }
-
-    shape, truncation = node(0), draw(st.integers(2, 5))
-    return [build_tree(spec(shape, b), truncation) for b in range(columns)]
-
-
-# no shrink phase: a failure is reported as drawn, in seconds instead of the
-# minute or more that shrinking takes
-PROPERTY_SETTINGS = settings(
-    max_examples=80,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    phases=(Phase.explicit, Phase.generate),
-)
 
 
 @PROPERTY_SETTINGS
