@@ -30,7 +30,6 @@ from .errors import (
     DivergenceError,
     InconclusiveRunError,
     InvalidParameterError,
-    SingularRecursionError,
     SiteRangeError,
     TopologyError,
 )

@@ -7,7 +7,7 @@ the output directory.  The subcommand overrides the config's
 the corresponding config fields.  Each subcommand calls the experiment
 layer and only turns its result into ``RunOutputs``; every run launches
 its soliton through ``experiments.soliton_trajectory``.  Exit codes:
-0 success, 1 invalid configuration, 2 numerical failure, 3 inconclusive
+0 success, 1 invalid configuration, 2 numerical divergence, 3 inconclusive
 run.
 """
 
@@ -23,7 +23,6 @@ from .errors import (
     DivergenceError,
     InconclusiveRunError,
     InvalidParameterError,
-    SingularRecursionError,
     SiteRangeError,
     TopologyError,
 )
@@ -248,7 +247,7 @@ def run_cli(argv=None) -> int:
     except (InvalidParameterError, TopologyError, SiteRangeError) as exc:
         print(f"alnet: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, SingularRecursionError) as exc:
+    except DivergenceError as exc:
         print(f"alnet: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except InconclusiveRunError as exc:

@@ -13,14 +13,16 @@ Four layers, from cheap to general:
   evaluated on the whole flat field with the neighbors R psi, R R psi and
   R^T psi in place of psi_{n+1}, psi_{n+2} and psi_{n-1}.
 * ``higher_constants_recursive``: the general C_m ladder on a plain chain
-  field, built from the quotient recursion
+  field.  Its terms g_n^(m) = q*_{n+1} h_n^(m) come from the division-free
+  recursion
 
-      g_n^(0) = 1,   g_n^(1) = -q*_{n+1} q_n,
-      g_n^(m) = (q*_{n+1}/q*_n) g_{n-1}^(m-1)
-                - sum_{l=1}^{m-1} g_{n-1}^(m-l) g_n^(l),
+      h_n^(1) = -q_n,
+      h_n^(m) = h_{n-1}^(m-1) - q*_n sum_{l=1}^{m-1} h_{n-1}^(m-l) h_n^(l),
 
-  followed by the formal series logarithm
-  f_m = g_m - (1/m) sum_{j<m} j f_j g_{m-j}, giving C_m = sum_n f_m^(n).
+  with h_{-1} = 0 and q = 0 past the last site.  It is followed by the
+  formal series logarithm f_m = g_m - (1/m) sum_{j<m} j f_j g_{m-j},
+  giving C_m = sum_n f_m^(n).  Every C_m is thus a polynomial in q and
+  q*, continuous in the field, exact zeros included.
   Graph states are first collapsed to the universal chain field
   q = sqrt(gamma) psi along the first-child path; under the coupling sum
   rule every child yields the same q, and the disagreement between
@@ -42,12 +44,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularRecursionError
+from .errors import InvalidParameterError
 from .state import FieldState, _check_shape, bond_field, partial_norms
 from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients, is_reflectionless
 
 DRIFT_FLOOR = 1e-12
-ZERO_FIELD_TOL = 1e-30
 
 
 def norm(state: FieldState, topology: GraphTopology) -> float:
@@ -116,57 +117,40 @@ def universal_chain_field(
     return np.concatenate(parts), residual
 
 
-def _g_ladder(q: np.ndarray, m_max: int) -> list[np.ndarray]:
-    """Per-site ladder g^(0) .. g^(m_max); g^(m)[0] = 0 for m >= 1."""
-    n = q.shape[0]
-    qc = np.conj(q)
-    num_factor = np.zeros(n, dtype=np.complex128)
-    num_factor[: n - 1] = qc[1:]
-    ladder = [np.ones(n, dtype=np.complex128)]
-    g1 = num_factor * q
-    np.negative(g1, out=g1)
-    ladder.append(g1)
-    if m_max < 2:
-        return ladder
-    small = np.abs(qc[1:]) < ZERO_FIELD_TOL
-    den = np.where(small, 1.0, qc[1:])
-    for m in range(2, m_max + 1):
-        prev = ladder[m - 1]
-        numer = num_factor[1:] * prev[:-1]
-        bad = small & (np.abs(numer) >= ZERO_FIELD_TOL)
-        if np.any(bad):
-            raise SingularRecursionError(int(np.argmax(bad)) + 1)
-        gm = np.zeros(n, dtype=np.complex128)
-        gm[1:] = np.where(small, 0.0, numer / den)
-        for l in range(1, m):
-            gm[1:] -= ladder[m - l][:-1] * ladder[l][1:]
-        ladder.append(gm)
-    return ladder
+def _check_m_max(m_max: int) -> None:
+    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
+        raise InvalidParameterError("m_max must be an integer >= 1")
 
 
 def higher_constants_recursive(
     chain_field: Sequence[complex] | np.ndarray, m_max: int
 ) -> list[complex]:
-    """C_1 .. C_m_max of a plain chain field via the quotient recursion.
+    """C_1 .. C_m_max of a plain chain field via the division-free ladder.
 
-    The field must be effectively zero at both ends of the array; sites
-    where the field vanishes exactly are taken in the zero-numerator
-    limit, and a vanishing site with a nonvanishing carried term raises
-    SingularRecursionError.
+    The field must be effectively zero at both ends of the array.  The
+    ladder divides by no field value, so a field with exact zeros gets
+    the limit of nearby nonzero fields and no finite field raises; a field
+    of fewer than two sites has all constants zero.
     """
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise InvalidParameterError("m_max must be an integer >= 1")
+    _check_m_max(m_max)
     q = np.ascontiguousarray(chain_field, dtype=np.complex128)
     if q.ndim != 1:
         raise InvalidParameterError("chain_field must be one-dimensional")
-    if q.shape[0] < 2:
-        return [0j] * m_max
-    ladder = _g_ladder(q, m_max)
-    fs: list[np.ndarray] = [ladder[1]]
+    qc = np.conj(q)
+    hs = [-q]  # hs[m - 1] is h^(m); h^(m)_0 = 0 for m >= 2
     for m in range(2, m_max + 1):
-        fm = ladder[m].copy()
+        carried = sum(hs[m - l - 1][:-1] * hs[l - 1][1:] for l in range(1, m))
+        hm = np.zeros_like(q)
+        hm[1:] = hs[m - 2][:-1] - qc[1:] * carried
+        hs.append(hm)
+    ahead = np.zeros_like(q)
+    ahead[:-1] = qc[1:]
+    gs = [ahead * h for h in hs]  # gs[m - 1] is g^(m)
+    fs: list[np.ndarray] = []
+    for m in range(1, m_max + 1):
+        fm = gs[m - 1].copy()
         for j in range(1, m):
-            fm -= (j / m) * fs[j - 1] * ladder[m - j]
+            fm -= (j / m) * fs[j - 1] * gs[m - j - 1]
         fs.append(fm)
     return [complex(np.sum(f)) for f in fs]
 
@@ -194,8 +178,7 @@ def check_order(topology: GraphTopology, m_max: int) -> None:
     Orders four and above come from the chain reduction, so they need the
     vertex sum rule.  Call this before integrating a trajectory to audit.
     """
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise InvalidParameterError("m_max must be an integer >= 1")
+    _check_m_max(m_max)
     if m_max >= 4 and not is_reflectionless(topology):
         raise InvalidParameterError(
             f"m_max = {m_max} needs the vertex sum rule, which this topology breaks: "

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: configuration and topology
-problems exit 1, numerical divergence exits 2, and runs that cannot
-produce a meaningful measurement exit 3.
+problems exit 1, numerical divergence (``DivergenceError``, the only
+numerical failure) exits 2, and runs that cannot produce a meaningful
+measurement exit 3.
 """
 
 
@@ -36,15 +37,3 @@ class DivergenceError(RuntimeError):
 
 class InconclusiveRunError(RuntimeError):
     """A scattering run cannot reach its measurement configuration."""
-
-
-class SingularRecursionError(ArithmeticError):
-    """The conserved-quantity recursion hit a vanishing denominator.
-
-    Raised when the field modulus underflows at a site where the
-    recursion numerator does not, so no finite limit exists.
-    """
-
-    def __init__(self, site: int):
-        self.site = site
-        super().__init__(f"vanishing field at chain site {site} with nonzero numerator")

@@ -120,6 +120,14 @@ class GraphTopology:
                     f"semi-infinite bond {b.label!r} must store truncation={n} sites"
                 )
 
+    # frozen, so the hash over every BondSpec is computed once
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.bonds, self.truncation))
+
     # -- lookups ---------------------------------------------------------
 
     @cached_property

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from alnet import (
     InvalidParameterError,
     SimConfig,
-    SingularRecursionError,
     SolitonParams,
     bond_field,
     build_chain,
@@ -24,12 +25,39 @@ from alnet import (
     z_quantity,
     zero_state,
 )
-from conftest import ALPHA_FIG4, decaying_random_field, glued_state, tree_spec
+from conftest import (
+    ALPHA_FIG4,
+    PROPERTY_SETTINGS,
+    decaying_random_field,
+    glued_state,
+    tree_spec,
+)
 
 
 def closed_form_constant(m, alpha, beta):
     # soliton value of the m-th constant on a sum-rule graph
     return -(2.0 / m) * math.sinh(m * beta) * np.exp(1j * m * alpha)
+
+
+def with_sites(field, sites, value):
+    out = np.array(field, dtype=np.complex128)
+    out[list(sites)] = value
+    return out
+
+
+def assert_continuous_at_zeros(evaluate, field, sites):
+    # constants with exact zeros equal those with the zeros nudged to 1e-20
+    exact = np.array(evaluate(with_sites(field, sites, 0.0)))
+    nudged = np.array(evaluate(with_sites(field, sites, 1e-20)))
+    assert np.max(np.abs(exact - nudged)) <= 1e-12 * np.max(np.abs(nudged))
+
+
+@st.composite
+def fields_with_zeros(draw):
+    u = decaying_random_field(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    sites = draw(st.sets(st.integers(1, len(u) - 2), min_size=1, max_size=3))
+    return u, sorted(sites)
+
 
 
 class TestNormAndZ:
@@ -198,20 +226,20 @@ class TestRecursion:
         assert c4.real == pytest.approx(0.5 * math.sinh(0.4), rel=1e-12)
 
     def test_exact_zeros_take_the_limit_branch(self):
-        # isolated bumps: every carried numerator vanishes with the field,
-        # so all constants above first order are exactly zero
-        q = np.zeros(12, dtype=np.complex128)
-        q[2] = 1.3
-        q[7] = 0.7j
-        cs = higher_constants_recursive(q, 5)
-        assert cs == [0j, 0j, 0j, 0j, 0j]
+        # isolated bumps at sites 2 and 7: only C5, their five-site hopping
+        # term 1.3 * 0.7j, survives, as it does for nearly-zero sites
+        q = with_sites(np.zeros(12), (2, 7), (1.3, 0.7j))
+        cs = higher_constants_recursive(q, 6)
+        assert cs == pytest.approx([0j, 0j, 0j, 0j, 0.91j, 0j], abs=1e-15)
+        zeros = [n for n in range(12) if n not in (2, 7)]
+        assert_continuous_at_zeros(lambda v: higher_constants_recursive(v, 6), q, zeros)
 
-    def test_vanishing_site_with_carried_term_raises(self):
-        q = np.array([1e20, 1e-31, 1e20, 0.3, 0.3], dtype=np.complex128)
-        with pytest.raises(SingularRecursionError) as exc:
-            higher_constants_recursive(q, 3)
-        assert exc.value.site == 1
-        assert "site 1" in str(exc.value)
+    @PROPERTY_SETTINGS
+    @given(fields_with_zeros())
+    @example((np.array([1e20, 1e-31, 1e20, 0.3, 0.3]), [1]))
+    def test_continuous_at_exact_zeros(self, case):
+        field, sites = case
+        assert_continuous_at_zeros(lambda q: higher_constants_recursive(q, 6), field, sites)
 
     def test_order_truncation_consistency(self, rng):
         u = decaying_random_field(rng)
@@ -232,7 +260,8 @@ class TestRecursion:
             higher_constants_recursive(np.zeros(4, dtype=complex), True)
         with pytest.raises(InvalidParameterError):
             higher_constants_recursive(np.zeros((2, 2), dtype=complex), 2)
-        assert higher_constants_recursive(np.zeros(1, dtype=complex), 3) == [0j, 0j, 0j]
+        for n in (0, 1):
+            assert higher_constants_recursive(np.zeros(n, dtype=complex), 3) == [0j, 0j, 0j]
 
 
 class TestSnapshotAndDrift:
@@ -248,6 +277,16 @@ class TestSnapshotAndDrift:
         assert len(snap.C) == 3
         for m, c in zip((2, 3, 4), snap.C):
             assert c == pytest.approx(closed_form_constant(m, ALPHA_FIG4, 0.1), abs=1e-11)
+
+    def test_snapshot_is_continuous_at_a_node(self):
+        # a glued tanh x Gaussian with an exact node on the children's bonds
+        top = build_star((1.0, 1.5, 3.0), truncation=32)
+        x = np.arange(64) - 36.0
+        u = 0.5 * np.tanh(0.3 * x) * np.exp(-((x / 6.0) ** 2) + 0.7j * x)
+        assert u[36] == 0.0
+        assert_continuous_at_zeros(
+            lambda v: snapshot(glued_state(top, v), top, m_max=6).C, u, [36]
+        )
 
     def test_snapshot_m_max_validation(self):
         top = build_chain(1.0, truncation=4)

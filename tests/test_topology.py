@@ -22,7 +22,13 @@ from alnet import (
     topology_from_dict,
     zero_state,
 )
-from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF, stacked_couplings
+from alnet.topology import (
+    KIND_INCOMING,
+    KIND_INTERNAL,
+    KIND_LEAF,
+    stacked_couplings,
+    with_truncation,
+)
 from conftest import PROPERTY_SETTINGS, ReferenceShift, bits, tree_spec, tree_stacks
 
 
@@ -239,6 +245,11 @@ class TestShiftOperator:
     def test_built_once_per_topology(self):
         top = build_star((1.0, 1.5, 3.0), truncation=20)
         assert coupling_coefficients(top) is coupling_coefficients(top)
+        # the cached hash keeps equal topologies equal and apart ones apart
+        twin = build_star((1.0, 1.5, 3.0), truncation=20)
+        assert twin is not top and twin == top and hash(twin) == hash(top)
+        assert coupling_coefficients(twin) is coupling_coefficients(top)
+        assert with_truncation(top, 21) != top
 
     def test_couplings_carry_their_topology(self):
         # two stars of one layout: R knows which gammas it was built from
