@@ -35,13 +35,13 @@ from .errors import (
 )
 from .experiments import (
     PeakSeries,
+    SnapshotPicker,
     SweepRow,
     TransmissionReport,
     broken_rule_run,
     peak_tracker,
     scattering_run,
     soliton_trajectory,
-    track_broken_peaks,
     transmission_sweep,
 )
 from .io import (

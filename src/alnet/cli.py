@@ -6,7 +6,11 @@ the output directory.  The subcommand overrides the config's
 "experiment" field; --out/--dt/--t-final/--m-max/--truncation override
 the corresponding config fields.  Each subcommand calls the experiment
 layer and only turns its result into ``RunOutputs``; every run launches
-its soliton through ``experiments.soliton_trajectory``.  Exit codes:
+its soliton through ``experiments.soliton_trajectory`` and reads the
+observed states once, as they are integrated.  A run holds only the
+states its ``experiments.SnapshotPicker`` keeps for the snapshot files,
+and ``experiments.check_snapshot_times`` refuses a snapshot time past
+the run's end before the first step.  Exit codes:
 0 success, 1 invalid configuration, 2 numerical divergence, 3 inconclusive
 run.
 """
@@ -17,8 +21,9 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from .conserved import check_order, drift_audit, z_quantity
-from .dynamics import SimConfig
 from .errors import (
     DivergenceError,
     InconclusiveRunError,
@@ -27,7 +32,9 @@ from .errors import (
     TopologyError,
 )
 from .experiments import (
+    SnapshotPicker,
     broken_rule_run,
+    check_snapshot_times,
     partial_norm_series,
     scattering_run,
     soliton_trajectory,
@@ -41,7 +48,7 @@ from .io import (
     serialize_config,
     write_outputs,
 )
-from .state import FieldState, partial_norms
+from .state import partial_norms
 from .topology import ROOT_LABEL, is_reflectionless, with_truncation
 
 EXIT_OK = 0
@@ -90,37 +97,13 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _check_snapshot_times(requested: tuple[float, ...], end: float, sim: SimConfig) -> None:
-    """Raise InvalidParameterError for a time more than one output interval past ``end``."""
-    for t in requested:
-        # counted in steps, since the accumulated time drifts off the dt grid
-        if round((t - end) / sim.dt) > sim.output_stride:
-            raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {end:g}")
-
-
-def _pick_snapshots(
-    trajectory, requested: tuple[float, ...], sim: SimConfig
-) -> tuple[tuple[float, FieldState], ...]:
-    """Snapshot states at the observations nearest the requested times.
-
-    With no requested times, the first and last observations are kept.  A
-    time more than one output interval past the last observation raises
-    InvalidParameterError instead of taking the last state.
-    """
-    last = trajectory[-1].time
-    _check_snapshot_times(requested, last, sim)
-    chosen = {}
-    for t in requested or (trajectory[0].time, last):
-        best = min(trajectory, key=lambda s: abs(s.time - t))
-        chosen[best.time] = best
-    return tuple(sorted(chosen.items()))
-
-
 def _run_simulate(config: RunConfig) -> RunOutputs:
     """evolve the configured soliton and record the field"""
     topology = config.topology
-    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
-    final = trajectory[-1]
+    picker = SnapshotPicker(config.snapshot_times, config.sim)
+    states = picker.watch(soliton_trajectory(topology, config.soliton, config.sim))
+    series = partial_norm_series(states, topology)
+    final = picker.last
     norms = partial_norms(final, topology).tolist()
     total = sum(norms)
     z = z_quantity(final, topology)
@@ -134,8 +117,8 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        partial_norms=partial_norm_series(trajectory, topology),
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
+        partial_norms=series,
+        snapshots=picker.picks(),
         topology=topology,
     )
 
@@ -143,7 +126,9 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
 def _run_bifurcation(config: RunConfig) -> RunOutputs:
     """scatter a soliton off the vertex and report transmissions"""
     topology = config.topology
-    report, trajectory = scattering_run(topology, config.soliton, config.sim)
+    report, snapshots = scattering_run(
+        topology, config.soliton, config.sim, config.snapshot_times
+    )
     gamma1 = topology.bond(ROOT_LABEL).gamma
     summary = {
         "experiment": "bifurcation",
@@ -159,7 +144,7 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         partial_norms=(report.times, report.partial_norm_series),
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
+        snapshots=snapshots,
         topology=topology,
     )
 
@@ -167,6 +152,8 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
 def _run_sweep(config: RunConfig) -> RunOutputs:
     """transmission versus coupling ratio over a grid"""
     ratios = config.ratios or DEFAULT_RATIO_GRID
+    if config.sim.t_final is not None:  # writes no snapshots, but refuses a time past its end
+        check_snapshot_times(config.snapshot_times, config.sim)
     rows = transmission_sweep(
         ratios, config.soliton, config.sim, truncation=config.topology.truncation
     )
@@ -176,7 +163,9 @@ def _run_sweep(config: RunConfig) -> RunOutputs:
 def _run_broken_rule(config: RunConfig) -> RunOutputs:
     """scattering with a violated sum rule; track reflection"""
     topology = config.topology
-    report, peaks, trajectory = broken_rule_run(topology, config.soliton, config.sim)
+    report, peaks, snapshots = broken_rule_run(
+        topology, config.soliton, config.sim, config.snapshot_times
+    )
     summary = {
         "experiment": "broken-rule",
         "measurement_time": report.measurement_time,
@@ -193,7 +182,7 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         partial_norms=(report.times, report.partial_norm_series),
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
+        snapshots=snapshots,
         topology=topology,
     )
 
@@ -201,9 +190,12 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
 def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     """evolve and audit the conserved-quantity drifts"""
     topology = config.topology
+    picker = SnapshotPicker(config.snapshot_times, config.sim)
     check_order(topology, config.m_max)
-    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
-    report = drift_audit(trajectory, topology, config.m_max)
+    states = picker.watch(soliton_trajectory(topology, config.soliton, config.sim))
+    report = drift_audit(states, topology, config.m_max)
+    # each snapshot carries the partial norms its N was summed from
+    norms = np.array([s.bond_norms for s in report.snapshots])
     summary = {
         "experiment": "conserved-audit",
         "t_final": config.sim.t_final,
@@ -214,9 +206,12 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        partial_norms=partial_norm_series(trajectory, topology),
+        partial_norms=(
+            np.array([s.time for s in report.snapshots]),
+            dict(zip(topology.labels, norms.T)),
+        ),
         drift=report,
-        snapshots=_pick_snapshots(trajectory, config.snapshot_times, config.sim),
+        snapshots=picker.picks(),
         topology=topology,
     )
 
@@ -234,9 +229,6 @@ def run_cli(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
-        sim = config.sim
-        if sim.t_final is not None:  # the run's end is known: check before integrating
-            _check_snapshot_times(config.snapshot_times, round(sim.t_final / sim.dt) * sim.dt, sim)
     except (InvalidParameterError, TopologyError) as exc:
         print(f"alnet: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

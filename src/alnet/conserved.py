@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,9 +51,14 @@ from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients, is_refle
 DRIFT_FLOOR = 1e-12
 
 
+def _summed(bond_norms: np.ndarray) -> float:
+    """The total norm of one row of partial norms; ``norm`` and ``snapshot`` share it."""
+    return float(sum(bond_norms))
+
+
 def norm(state: FieldState, topology: GraphTopology) -> float:
     """Total conserved norm: the sum of the per-bond partial norms."""
-    return float(sum(partial_norms(state, topology)))
+    return _summed(partial_norms(state, topology))
 
 
 def z_quantity(state: FieldState, topology: GraphTopology) -> complex:
@@ -159,11 +164,13 @@ def higher_constants_recursive(
 class ConservedSnapshot:
     """All audited quantities at one instant; C holds (C2, ..., C_m_max).
 
-    ``chain_residual`` is the sibling-gluing residual of
-    ``universal_chain_field``.
+    ``bond_norms`` holds each bond's partial norm in ``topology.labels``
+    order, and N is their sum.  ``chain_residual`` is the sibling-gluing
+    residual of ``universal_chain_field``.
     """
 
     time: float
+    bond_norms: tuple[float, ...]
     N: float
     Z: complex
     E: float
@@ -206,9 +213,11 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
     q, residual = universal_chain_field(state, topology)
     if m_max >= 4:
         cs.extend(higher_constants_recursive(q, m_max)[3:])
+    bond_norms = partial_norms(state, topology)
     return ConservedSnapshot(
         time=state.time,
-        N=norm(state, topology),
+        bond_norms=tuple(bond_norms.tolist()),
+        N=_summed(bond_norms),
         Z=z,
         E=-2.0 * z.real,
         J=2.0 * z.imag,
@@ -232,15 +241,17 @@ class DriftReport:
 
 
 def drift_audit(
-    trajectory: Sequence[FieldState], topology: GraphTopology, m_max: int = 4
+    states: Iterable[FieldState], topology: GraphTopology, m_max: int = 4
 ) -> DriftReport:
-    """Audit conservation over a trajectory of states.
+    """Audit conservation over observed states, read once and in order.
 
-    ``m_max`` is limited as in ``snapshot``.
+    Each state is reduced to its ``ConservedSnapshot`` and not kept, so
+    ``states`` may be the iterator ``evolve`` returns.  ``m_max`` is limited as in ``snapshot``; no states at all raise
+    InvalidParameterError.
     """
-    if len(trajectory) == 0:
+    snaps = tuple(snapshot(s, topology, m_max) for s in states)
+    if not snaps:
         raise InvalidParameterError("trajectory must contain at least one state")
-    snaps = tuple(snapshot(s, topology, m_max) for s in trajectory)
     residual = max(s.chain_residual for s in snaps)
     base = snaps[0]
 

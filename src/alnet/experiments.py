@@ -13,22 +13,23 @@ end, raise InconclusiveRunError rather than report biased numbers.
 Each experiment has one entry point: ``scattering_run`` (bifurcation)
 and ``broken_rule_run`` take a built topology, ``transmission_sweep`` a
 ratio grid.  ``soliton_trajectory`` is the one launch path: it puts the
-soliton on the incoming bond and keeps every state that
-``dynamics.evolve`` yields; ``scattering_run`` and the CLI's ``simulate``
-and ``conserved-audit`` integrate through it.  ``scattering_ensemble``
+soliton on the incoming bond and returns ``dynamics.evolve``'s iterator
+of observed states.  No run holds its trajectory.  Every experiment reads
+the states once, in order, and keeps only what its consumers ask for: a
+row of partial norms per observation, the tracked peaks, the boundary
+guard's verdict on every observation, and the few states a
+``SnapshotPicker`` keeps as they pass through it.  ``scattering_ensemble``
 integrates topologies of one site layout as the columns of one stacked
-state and keeps only their partial norms as ``evolve`` yields the stacks;
-``transmission_sweep`` runs its whole ratio grid this way.  Both hand
-their observed states, one state or one stack at a time, to the same
-report path, so a column's report equals ``scattering_run``'s on its
-topology bit for bit.
+state; ``transmission_sweep`` runs its whole ratio grid this way.  Single
+runs and stacks share one report path, so a column's report equals
+``scattering_run``'s on its topology bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,22 +95,18 @@ class PeakSeries:
     velocity: float | None
 
 
-def peak_tracker(
-    trajectory: Sequence[FieldState], topology: GraphTopology, bond: str
-) -> PeakSeries:
-    """Track the modulus peak of one bond across a trajectory.
+class _PeakTrack:
+    """The modulus peak of one bond, added one observation at a time."""
 
-    The discrete argmax is refined by a three-point parabolic fit, so
-    positions are real-valued site coordinates.
-    """
-    axis = topology.site_coordinates(bond)
-    times = np.array([s.time for s in trajectory], dtype=float)
-    sites = np.zeros(len(trajectory))
-    moduli = np.zeros(len(trajectory))
-    for i, st in enumerate(trajectory):
-        mod = np.abs(bond_field(st, topology, bond))
+    def __init__(self, topology: GraphTopology, bond: str):
+        self.topology, self.bond = topology, bond
+        self.axis = topology.site_coordinates(bond)
+        self.rows: list[tuple[float, float, float]] = []  # (time, position, height)
+
+    def add(self, state: FieldState) -> None:
+        mod = np.abs(bond_field(state, self.topology, self.bond))
         j = int(np.argmax(mod))
-        pos = float(axis[j])
+        pos = float(self.axis[j])
         peak = float(mod[j])
         if 0 < j < mod.size - 1:
             a = 0.5 * (mod[j - 1] + mod[j + 1]) - mod[j]
@@ -119,14 +116,32 @@ def peak_tracker(
                 if abs(shift) <= 1.0:
                     pos += shift
                     peak = float(mod[j] + a * shift * shift + b * shift)
-        sites[i] = pos
-        moduli[i] = peak
-    velocity = None
-    if moduli.size and float(moduli.max()) >= PEAK_MODULUS_FLOOR:
-        window = moduli > 0.5 * moduli.max()
-        if int(window.sum()) >= 2 and np.ptp(times[window]) > 0:
-            velocity = float(np.polyfit(times[window], sites[window], 1)[0])
-    return PeakSeries(bond=bond, times=times, sites=sites, moduli=moduli, velocity=velocity)
+        self.rows.append((state.time, pos, peak))
+
+    def series(self) -> PeakSeries:
+        times, sites, moduli = np.array(self.rows, dtype=float).reshape(-1, 3).T
+        velocity = None
+        if moduli.size and float(moduli.max()) >= PEAK_MODULUS_FLOOR:
+            window = moduli > 0.5 * moduli.max()
+            if int(window.sum()) >= 2 and np.ptp(times[window]) > 0:
+                velocity = float(np.polyfit(times[window], sites[window], 1)[0])
+        return PeakSeries(
+            bond=self.bond, times=times, sites=sites, moduli=moduli, velocity=velocity
+        )
+
+
+def peak_tracker(
+    states: Iterable[FieldState], topology: GraphTopology, bond: str
+) -> PeakSeries:
+    """Track the modulus peak of one bond across observed states, read once in order.
+
+    The discrete argmax is refined by a three-point parabolic fit, so
+    positions are real-valued site coordinates.
+    """
+    track = _PeakTrack(topology, bond)
+    for state in states:
+        track.add(state)
+    return track.series()
 
 
 def _measurement_time(
@@ -169,11 +184,14 @@ def _check_boundaries(state: FieldState, topology: GraphTopology):
 
 
 def partial_norm_series(
-    trajectory: Sequence[FieldState], topology: GraphTopology
+    states: Iterable[FieldState], topology: GraphTopology
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Observation times and each bond's partial norm at every observation."""
-    rows = np.array([partial_norms(st, topology) for st in trajectory])
-    return np.array([s.time for s in trajectory]), dict(zip(topology.labels, rows.T))
+    times, rows = [], []
+    for state in states:
+        times.append(state.time)
+        rows.append(partial_norms(state, topology))
+    return np.array(times), dict(zip(topology.labels, np.array(rows).T))
 
 
 def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConfig) -> SimConfig:
@@ -181,6 +199,63 @@ def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConf
     if t_final is None:
         t_final = _measurement_time(topology, soliton, config)
     return replace(config, t_final=t_final)
+
+
+def _end_time(config: SimConfig) -> float:
+    """The time of a run's last step; InvalidParameterError if ``t_final`` is unset."""
+    if config.t_final is None:
+        raise InvalidParameterError("this run requires sim.t_final")
+    return round(config.t_final / config.dt) * config.dt
+
+
+def check_snapshot_times(requested: Sequence[float], config: SimConfig) -> None:
+    """Refuse a requested time more than one output interval past the run's end.
+
+    Raises InvalidParameterError, as ``_end_time`` does without ``t_final``.
+    """
+    end = _end_time(config)
+    for t in requested:
+        # counted in steps, since the accumulated time drifts off the dt grid
+        if round((t - end) / config.dt) > config.output_stride:
+            raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {end:g}")
+
+
+Snapshots = tuple[tuple[float, FieldState], ...]
+
+
+class SnapshotPicker:
+    """Keeps the observation nearest each requested time as the states pass.
+
+    A picker serves one run of ``config`` and checks ``requested`` with
+    ``check_snapshot_times`` when it is built, before anything is
+    integrated.  ``watch`` hands every state on unchanged and remembers,
+    for each requested time, the nearest state seen so far; of two
+    equally near states the earlier stays.  With no requested times the first and last observations are
+    kept.
+    """
+
+    def __init__(self, requested: Sequence[float], config: SimConfig):
+        check_snapshot_times(requested, config)
+        self.requested = tuple(requested)
+        self.nearest: list[FieldState | None] = [None] * len(self.requested)
+        self.first: FieldState | None = None
+        self.last: FieldState | None = None
+
+    def watch(self, states: Iterable[FieldState]) -> Iterator[FieldState]:
+        for state in states:
+            for i, t in enumerate(self.requested):
+                kept = self.nearest[i]
+                if kept is None or abs(state.time - t) < abs(kept.time - t):
+                    self.nearest[i] = state
+            if self.first is None:
+                self.first = state
+            self.last = state
+            yield state
+
+    def picks(self) -> Snapshots:
+        """The kept ``(time, state)`` pairs, one per observation, in time order."""
+        kept = self.nearest if self.requested else (self.first, self.last)
+        return tuple(sorted({state.time: state for state in kept}.items()))
 
 
 def _report(
@@ -207,16 +282,18 @@ def _reports(
 
     A state is one run on ``topologies[0]`` or a stack whose column b runs
     on ``topologies[b]``.  Each observation adds one row of partial norms
-    per run; the boundary guard then checks the last state's runs in order.
+    per run, and the boundary guard checks every observation: the first
+    observation in which a run's field reached a truncated end raises,
+    naming the first such run in order.
     """
     times, rows = [], [[] for _ in topologies]
     for state in states:
         times.append(state.time)
         columns = state.data.reshape(state.data.shape[0], -1).T
         for column, top, norms in zip(columns, topologies, rows):
-            norms.append(partial_norms(FieldState(column), top))
-    for column, top in zip(columns, topologies):
-        _check_boundaries(FieldState(column), top)
+            run = FieldState(column, state.time)
+            _check_boundaries(run, top)
+            norms.append(partial_norms(run, top))
     times = np.array(times)
     return [
         _report(times, np.array(norms), top, measurement_time)
@@ -226,30 +303,34 @@ def _reports(
 
 def soliton_trajectory(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
-) -> list[FieldState]:
-    """Launch the soliton at t = 0 and keep every state ``evolve`` yields.
+) -> Iterator[FieldState]:
+    """Launch the soliton at t = 0 and return ``evolve``'s iterator of observed states.
 
     ``config.t_final`` must be set; InvalidParameterError is raised
     before anything is built otherwise.
     """
-    if config.t_final is None:
-        raise InvalidParameterError("this run requires sim.t_final")
+    _end_time(config)  # raises without t_final
     initial = soliton_profile(soliton, topology, 0.0)
-    return list(evolve(initial, coupling_coefficients(topology), config))
+    return evolve(initial, coupling_coefficients(topology), config)
 
 
 def scattering_run(
-    topology: GraphTopology, soliton: SolitonParams, config: SimConfig
-) -> tuple[TransmissionReport, list[FieldState]]:
+    topology: GraphTopology,
+    soliton: SolitonParams,
+    config: SimConfig,
+    snapshot_times: Sequence[float] = (),
+) -> tuple[TransmissionReport, Snapshots]:
     """Launch, evolve, and account one scattering scenario.
 
-    Returns the report together with the observed trajectory so callers
-    can run further analyses (peak tracking, drift audits, snapshots)
-    without re-integrating.
+    Returns the report and the states a ``SnapshotPicker`` kept for
+    ``snapshot_times``, as ``(time, state)`` pairs.  The measurement time
+    is derived before the first step, so a snapshot time past it raises
+    InvalidParameterError before anything is integrated.
     """
     run_cfg = _run_config(topology, soliton, config)
-    trajectory = soliton_trajectory(topology, soliton, run_cfg)
-    return _reports(trajectory, [topology], run_cfg.t_final)[0], trajectory
+    picker = SnapshotPicker(snapshot_times, run_cfg)
+    states = picker.watch(soliton_trajectory(topology, soliton, run_cfg))
+    return _reports(states, [topology], run_cfg.t_final)[0], picker.picks()
 
 
 def scattering_ensemble(
@@ -263,8 +344,8 @@ def scattering_ensemble(
     time.  Only each column's partial norms are kept, not its states.
     Failures are checked column by column in the given order: the first
     non-finite column raises DivergenceError naming its own bond and
-    site, and after the run the first column whose field reached a
-    truncated end raises InconclusiveRunError.
+    site, and at the first observation in which a column's field reached
+    a truncated end, the first such column raises InconclusiveRunError.
     """
     if not topologies:
         return []
@@ -334,51 +415,47 @@ def _window_norm(state: FieldState, topology: GraphTopology, label: str, center:
     return float(np.sum(np.log1p(g * dens)) / g)
 
 
-def track_broken_peaks(
-    report: TransmissionReport,
-    trajectory: Sequence[FieldState],
+def broken_rule_run(
     topology: GraphTopology,
     soliton: SolitonParams,
-) -> tuple[TransmissionReport, dict[str, PeakSeries]]:
-    """Peak analysis of a reflection-regime trajectory.
-
-    Tracks the reflected peak on the incoming bond (restricted to
-    observations after the incident peak has cleared the vertex) and the
-    transmitted peak on every leaf, then rebuilds the report with the
-    radiation estimate: the norm fraction outside every peak window.
-    The peak series come back keyed by bond label.
-    """
-    v = soliton.velocity
-    t_fit_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v)
-    reflected_part = [s for s in trajectory if s.time > t_fit_start]
-    series = {ROOT_LABEL: peak_tracker(reflected_part, topology, ROOT_LABEL)}
-    for leaf in topology.leaves:
-        series[leaf] = peak_tracker(trajectory, topology, leaf)
-    final = trajectory[-1]
-    tracked = 0.0
-    for label, ps in series.items():
-        if ps.velocity is not None:
-            tracked += _window_norm(final, topology, label, float(ps.sites[-1]))
-    radiation = max(0.0, (report.total_norm - tracked) / report.total_norm)
-    report = replace(report, radiation_fraction=radiation)
-    return report, series
-
-
-def broken_rule_run(
-    topology: GraphTopology, soliton: SolitonParams, config: SimConfig
-) -> tuple[TransmissionReport, dict[str, PeakSeries], list[FieldState]]:
-    """Scatter off couplings that violate the sum rule, keeping the trajectory.
+    config: SimConfig,
+    snapshot_times: Sequence[float] = (),
+) -> tuple[TransmissionReport, dict[str, PeakSeries], Snapshots]:
+    """Scatter off couplings that violate the sum rule and track the peaks.
 
     Requires a genuinely broken rule (reflection regime); the sum rule
-    holding is a precondition error, raised before any integration.  See
-    track_broken_peaks for the extra analysis attached to the report.
+    holding is a precondition error, raised before any integration.  As
+    the states pass, the reflected peak is tracked on the incoming bond
+    (over the observations after the incident peak has cleared the
+    vertex) and the transmitted peak on every leaf.  The report carries
+    the radiation estimate: the norm fraction outside every peak window at
+    the last observation.  Returns the report, the peak series keyed by
+    bond label, and the snapshots as ``scattering_run`` does.
     """
     if is_reflectionless(topology):
         raise InvalidParameterError(
             "couplings satisfy the vertex sum rule; use scattering_run "
             "(the bifurcation subcommand) instead"
         )
-    report, trajectory = scattering_run(topology, soliton, config)
-    report, peaks = track_broken_peaks(report, trajectory, topology, soliton)
-    return report, peaks, trajectory
+    tracks = {label: _PeakTrack(topology, label) for label in (ROOT_LABEL, *topology.leaves)}
 
+    def tracked(states: Iterator[FieldState]) -> Iterator[FieldState]:
+        v = soliton.velocity
+        t_fit_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v)
+        for state in states:
+            for label, track in tracks.items():
+                if label != ROOT_LABEL or state.time > t_fit_start:
+                    track.add(state)
+            yield state
+
+    run_cfg = _run_config(topology, soliton, config)
+    picker = SnapshotPicker(snapshot_times, run_cfg)
+    states = tracked(picker.watch(soliton_trajectory(topology, soliton, run_cfg)))
+    report = _reports(states, [topology], run_cfg.t_final)[0]
+    series = {label: track.series() for label, track in tracks.items()}
+    tracked_norm = 0.0
+    for label, ps in series.items():
+        if ps.velocity is not None:
+            tracked_norm += _window_norm(picker.last, topology, label, float(ps.sites[-1]))
+    radiation = max(0.0, (report.total_norm - tracked_norm) / report.total_norm)
+    return replace(report, radiation_fraction=radiation), series, picker.picks()

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -192,6 +192,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _snapshot_chunks(state: FieldState, topology: GraphTopology) -> Iterator[str]:
+    """A snapshot CSV's header, then one chunk of rows per bond."""
+    yield "bond,site,re,im\n"
+    for label in topology.labels:
+        a = bond_field(state, topology, label)
+        yield "".join(
+            f"{label},{site},{re:.17g},{im:.17g}\n"
+            for site, re, im in zip(
+                topology.site_coordinates(label).tolist(), a.real.tolist(), a.imag.tolist()
+            )
+        )
+
+
 def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
     """Write every populated section; returns the manifest of files written.
 
@@ -202,15 +215,16 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
         root.mkdir(parents=True, exist_ok=True)
         manifest: list[str] = []
 
-        def emit(name: str, text: str):
+        def emit(name: str, chunks: Iterable[str]):
             target = root / name
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text)
+            with open(target, "w") as fh:
+                fh.writelines(chunks)
             manifest.append(name)
 
-        emit("summary.json", _json_text(outputs.summary))
+        emit("summary.json", [_json_text(outputs.summary)])
         if outputs.config_echo is not None:
-            emit("config_echo.json", _json_text(outputs.config_echo))
+            emit("config_echo.json", [_json_text(outputs.config_echo)])
         if outputs.partial_norms is not None:
             times, series = outputs.partial_norms
             labels = sorted(series)
@@ -218,7 +232,7 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
             for i, t in enumerate(times):
                 row = [series[l][i] for l in labels]
                 lines.append(",".join(_fmt(x) for x in [t, *row, sum(row)]))
-            emit("partial_norms.csv", "\n".join(lines) + "\n")
+            emit("partial_norms.csv", ["\n".join(lines) + "\n"])
         if outputs.drift is not None:
             snaps = outputs.drift.snapshots
             n_c = len(snaps[0].C) if snaps else 0
@@ -231,19 +245,12 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
                 for c in s.C:
                     row += [c.real, c.imag]
                 lines.append(",".join(_fmt(x) for x in row))
-            emit("drift.csv", "\n".join(lines) + "\n")
+            emit("drift.csv", ["\n".join(lines) + "\n"])
         if outputs.snapshots:
             if outputs.topology is None:
                 raise InvalidParameterError("snapshots need the topology for their layout")
             for t, state in outputs.snapshots:
-                lines = ["bond,site,re,im"]
-                for label in outputs.topology.labels:
-                    a = bond_field(state, outputs.topology, label)
-                    for site, value in zip(outputs.topology.site_coordinates(label), a):
-                        lines.append(
-                            f"{label},{site},{_fmt(value.real)},{_fmt(value.imag)}"
-                        )
-                emit(f"snapshots/t_{t:.4f}.csv", "\n".join(lines) + "\n")
+                emit(f"snapshots/t_{t:.4f}.csv", _snapshot_chunks(state, outputs.topology))
         return manifest
     except OSError as exc:
         raise InvalidParameterError(f"cannot write outputs under {root}: {exc}") from None

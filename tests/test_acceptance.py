@@ -19,6 +19,7 @@ from alnet import (
     SimConfig,
     SolitonParams,
     analytic_Z,
+    broken_rule_run,
     build_chain,
     build_star,
     build_tree,
@@ -30,7 +31,7 @@ from alnet import (
     norm,
     scattering_run,
     soliton_profile,
-    track_broken_peaks,
+    soliton_trajectory,
     transmission_sweep,
     z_quantity,
 )
@@ -113,9 +114,10 @@ def test_criterion_3_conservation_and_convergence_rate():
 
 def test_criterion_4_conservation_dichotomy():
     top = build_star((0.5, 1.5, 3.0), truncation=400)
-    report, trajectory = scattering_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
-    report, peaks = track_broken_peaks(report, trajectory, top, FIG4_SOLITON)
-    drifts = drift_audit(trajectory, top, m_max=2).drifts
+    report, peaks, _ = broken_rule_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
+    # no run keeps its states: stream the same run again for the audit
+    cfg = SimConfig(dt=0.01, t_final=report.measurement_time)
+    drifts = drift_audit(soliton_trajectory(top, FIG4_SOLITON, cfg), top, m_max=2).drifts
     reflected_speed = peaks["1"].velocity
     speed_err = abs(abs(reflected_speed) - FIG4_SOLITON.velocity) / FIG4_SOLITON.velocity
     ok = (
@@ -200,13 +202,15 @@ def test_criterion_7_tree_graph_generalization():
     }
     top = build_tree(spec, truncation=400)
     soliton = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-100.0)
-    report, trajectory = scattering_run(top, soliton, SimConfig(dt=0.01))
+    report, _ = scattering_run(top, soliton, SimConfig(dt=0.01))
     t_err = max(
         abs(report.transmissions[leaf] - 1.0 / top.bond(leaf).gamma)
         for leaf in top.leaves
     )
     sum_err = abs(sum(report.transmissions.values()) - 1.0)
-    drifts = drift_audit(trajectory, top, m_max=1).drifts
+    # no run keeps its states: stream the same run again for the audit
+    cfg = SimConfig(dt=0.01, t_final=report.measurement_time)
+    drifts = drift_audit(soliton_trajectory(top, soliton, cfg), top, m_max=1).drifts
     ok = t_err < 1e-3 and sum_err < 1e-3 and drifts["N"] < 1e-6 and drifts["E"] < 1e-6
     assert verdict(
         7,

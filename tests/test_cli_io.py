@@ -459,6 +459,40 @@ class TestCli:
             assert "past the run" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["fig4", "broken_rule"])
+    def test_snapshot_past_the_measured_end_exits_1_before_integrating(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # a scattering run derives its end (163 here) before the first step
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the snapshot times")
+
+        monkeypatch.setattr("alnet.experiments.evolve", no_integration)
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(dict(cfg, snapshot_times=[0.0, 165.0])))
+        argv = [cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "snapshot time 165 lies past the run's end 163" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_snapshot_past_a_given_end_exits_1_before_integrating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a sweep writes no snapshots, but a given t_final still bounds them
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the snapshot times")
+
+        monkeypatch.setattr("alnet.experiments.evolve", no_integration)
+        cfg = json.loads((CONFIGS / "sweep.json").read_text())
+        sim = dict(cfg["sim"], t_final=100.0)
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(dict(cfg, sim=sim, snapshot_times=[50.0, 5000.0])))
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "snapshot time 5000 lies past the run's end 100" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_audit_refuses_recursion_orders_before_integrating(self, tmp_path, capsys, monkeypatch):
         def no_integration(*args, **kwargs):
             raise AssertionError("conserved-audit integrated before checking m_max")

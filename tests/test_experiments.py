@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from alnet import (
+    FieldState,
     InconclusiveRunError,
     InvalidParameterError,
     SimConfig,
@@ -24,9 +25,10 @@ INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
 
 @pytest.fixture(scope="module")
 def psg_run():
+    # the run observes every 1.0 up to its measurement time, 99; keep t = 60 .. 99
     top = build_star((1.0, 1.5, 3.0), truncation=150)
-    report, trajectory = scattering_run(top, INCIDENT, SimConfig())
-    return top, report, trajectory
+    report, snapshots = scattering_run(top, INCIDENT, SimConfig(), tuple(range(60, 100)))
+    return top, report, [state for _, state in snapshots]
 
 
 class TestPeakTracker:
@@ -54,6 +56,16 @@ class TestPeakTracker:
         series = peak_tracker([zero_state(top)] * 3, top, "1")
         assert series.velocity is None
 
+    def test_reads_any_iterable_once(self):
+        top = build_chain(1.0, truncation=100)
+        p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-50.0)
+        states = [soliton_profile(p, top, t) for t in np.arange(0.0, 12.0, 4.0)]
+        streamed = peak_tracker(iter(states), top, "1")
+        listed = peak_tracker(states, top, "1")
+        assert streamed.velocity == listed.velocity
+        np.testing.assert_array_equal(streamed.sites, listed.sites)
+        assert peak_tracker(iter(()), top, "1").times.shape == (0,)
+
 
 class TestScattering:
     def test_transmission_fractions(self, psg_run):
@@ -71,10 +83,10 @@ class TestScattering:
         assert all(type(v) is float for v in values)
 
     def test_measurement_time_snaps_to_observation_grid(self, psg_run):
-        _, report, trajectory = psg_run
+        _, report, late = psg_run
         # target sits 80 sites past the vertex; ceil((80 + 60) / v) = 99
         assert report.measurement_time == pytest.approx(99.0)
-        assert trajectory[-1].time == pytest.approx(99.0)
+        assert late[-1].time == pytest.approx(99.0)
         np.testing.assert_allclose(report.times, np.arange(0.0, 100.0))
 
     def test_norm_series_bookkeeping(self, psg_run):
@@ -84,8 +96,9 @@ class TestScattering:
         np.testing.assert_allclose(totals, totals[0], rtol=1e-6)
 
     def test_transmitted_peaks_keep_shape_and_speed(self, psg_run):
-        top, _, trajectory = psg_run
-        late = [s for s in trajectory if s.time > 60.0]
+        top, _, kept = psg_run
+        late = [s for s in kept if s.time > 60.0]
+        assert len(late) == 39
         p11 = peak_tracker(late, top, "11")
         p12 = peak_tracker(late, top, "12")
         assert p11.velocity == pytest.approx(INCIDENT.velocity, rel=0.01)
@@ -116,6 +129,18 @@ class TestScattering:
     def test_short_leaves_are_inconclusive(self):
         with pytest.raises(InconclusiveRunError):
             scattering_run(build_star((1.0, 1.5, 3.0), 100), INCIDENT, SimConfig())
+
+    def test_boundary_guard_checks_every_observation(self, monkeypatch):
+        # a field that reaches a leaf's truncated end mid-run and comes back
+        # inside must not pass: only the middle observation fails the guard
+        top = build_star((1.0, 1.5, 3.0), truncation=150)
+        quiet = soliton_profile(INCIDENT, top)
+        loud = FieldState(quiet.data.copy(), 50.0)
+        loud.data[top.slices["12"].stop - 1] = 0.05  # |psi|^2 = 2.5e-3
+        states = [quiet, loud, FieldState(quiet.data, 99.0)]
+        monkeypatch.setattr("alnet.experiments.evolve", lambda *args: iter(states))
+        with pytest.raises(InconclusiveRunError, match="bond '12'"):
+            scattering_run(top, INCIDENT, SimConfig())
 
     def test_overlong_run_trips_the_boundary_guard(self):
         # the peak reaches the truncated leaf ends near t = 148
@@ -162,6 +187,32 @@ class TestSweep:
         transmission_sweep([0.5], INCIDENT, cfg, truncation=150)
         with pytest.raises(InconclusiveRunError, match="bond '12'"):
             transmission_sweep([0.5, 0.1], INCIDENT, cfg, truncation=150)
+
+    def test_boundary_guard_raises_at_the_first_failing_observation(self, monkeypatch):
+        # column 1 fails on bond '11' at t = 50 and column 0 on bond '12' at
+        # t = 60: the earlier observation decides.  Within one observation
+        # the first failing column decides, whatever its bond's place.
+        stars = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 150) for r in (0.3, 0.6)]
+        quiet = np.stack([soliton_profile(INCIDENT, top).data for top in stars], axis=1)
+        end = {label: stars[0].slices[label].stop - 1 for label in ("11", "12")}
+
+        def observed(*loud):
+            data = quiet.copy()
+            for column, label in loud:
+                data[end[label], column] = 0.05
+            return data
+
+        def run(*middle):
+            states = [FieldState(quiet)]
+            states += [FieldState(observed(*loud), t) for t, loud in middle]
+            states.append(FieldState(quiet, 99.0))
+            monkeypatch.setattr("alnet.experiments.evolve", lambda *args: iter(states))
+            transmission_sweep([0.3, 0.6], INCIDENT, SimConfig(), truncation=150)
+
+        with pytest.raises(InconclusiveRunError, match="bond '11'"):
+            run((50.0, [(1, "11")]), (60.0, [(0, "12")]))
+        with pytest.raises(InconclusiveRunError, match="bond '12'"):
+            run((50.0, [(0, "12"), (1, "11")]))
 
     @pytest.mark.parametrize("r", [0.0, 1.0, -0.2, 1.2])
     def test_rejects_ratios_outside_unit_interval(self, r):
