@@ -13,7 +13,9 @@ each ``configs/*.json`` ``E2E_REPEATS`` times through
 included), and record its wall time and its peak resident set size, the
 process's own ``VmHWM`` (Linux).  Every row gives the median, the spread
 (min and max), the number of repeats and the host; timings come from
-``time.perf_counter``.  The two regimes stay apart: at the paper's sizes
+``time.perf_counter``.  A last end-to-end row times the tier-1 suite
+(the tier-1 command of ROADMAP.md, run from the checkout root) the same
+way.  The two regimes stay apart: at the paper's sizes
 a step pays for numpy call overhead, at 60k sites for memory traffic.
 """
 
@@ -167,6 +169,24 @@ def end_to_end_rows(machine: str, scratch: Path) -> list[dict]:
     return rows
 
 
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def tier1_rows(machine: str) -> list[dict]:
+    """Wall time of the tier-1 suite, ``E2E_REPEATS`` runs, each in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    walls = []
+    for _ in range(E2E_REPEATS):
+        start = time.perf_counter()
+        proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+        walls.append(time.perf_counter() - start)
+        if proc.returncode != 0:
+            raise SystemExit(f"tier-1 exited {proc.returncode}: {proc.stdout[-2000:]}")
+    summary = proc.stdout.strip().splitlines()[-1]
+    print(f"{'tier-1':24s} {statistics.median(walls):6.2f} s ({summary})", file=sys.stderr)
+    return [row("tier-1", walls, "s", machine, metric="wall", last_summary=summary)]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -175,7 +195,7 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory(prefix="alnet-bench-") as tmp:
         scratch = Path(tmp)
         layers = layer_rows(machine, scratch)
-        e2e = end_to_end_rows(machine, scratch)
+        e2e = end_to_end_rows(machine, scratch) + tier1_rows(machine)
     result = {
         "host": machine,
         "timer": "time.perf_counter",

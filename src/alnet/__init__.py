@@ -13,7 +13,6 @@ from .conserved import (
     ConservedSnapshot,
     DriftReport,
     drift_audit,
-    higher_constants_direct,
     higher_constants_recursive,
     norm,
     snapshot,

@@ -23,7 +23,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .conserved import check_order, drift_audit, z_quantity
+from .conserved import drift_audit, z_quantity
 from .errors import (
     DivergenceError,
     InconclusiveRunError,
@@ -191,7 +191,6 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     """evolve and audit the conserved-quantity drifts"""
     topology = config.topology
     picker = SnapshotPicker(config.snapshot_times, config.sim)
-    check_order(topology, config.m_max)
     states = picker.watch(soliton_trajectory(topology, config.soliton, config.sim))
     report = drift_audit(states, topology, config.m_max)
     # each snapshot carries the partial norms its N was summed from

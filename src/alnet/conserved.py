@@ -1,6 +1,6 @@
 """Conserved quantities of the graph dynamics and drift auditing.
 
-Four layers, from cheap to general:
+Three layers: the norm, the pair sum Z, and one ladder for every C_m.
 
 * ``norm``: N = sum over bonds of (1/gamma) sum_n ln(1 + gamma |psi_n|^2).
 * ``z_quantity``: the complex pair sum Z = sum_n psi*_n (R psi)_n, where R
@@ -9,44 +9,39 @@ Four layers, from cheap to general:
   and imaginary parts carry the energy E = -2 Re Z and the norm current
   J = 2 Im Z (positive for transport toward larger site index, i.e. from
   the incoming bond through the vertex).
-* ``higher_constants_direct``: explicit stencil formulas for C2 and C3,
-  evaluated on the whole flat field with the neighbors R psi, R R psi and
-  R^T psi in place of psi_{n+1}, psi_{n+2} and psi_{n-1}.
-* ``higher_constants_recursive``: the general C_m ladder on a plain chain
-  field.  Its terms g_n^(m) = q*_{n+1} h_n^(m) come from the division-free
-  recursion
+* One division-free ladder for every higher constant C_m.  With p(n) the
+  site before n and a_n the conjugate field one site ahead,
 
       h_n^(1) = -q_n,
-      h_n^(m) = h_{n-1}^(m-1) - q*_n sum_{l=1}^{m-1} h_{n-1}^(m-l) h_n^(l),
+      h_n^(m) = h_{p(n)}^(m-1) - q*_n sum_{l=1}^{m-1} h_{p(n)}^(m-l) h_n^(l),
 
-  with h_{-1} = 0 and q = 0 past the last site.  It is followed by the
-  formal series logarithm f_m = g_m - (1/m) sum_{j<m} j f_j g_{m-j},
-  giving C_m = sum_n f_m^(n).  Every C_m is thus a polynomial in q and
-  q*, continuous in the field, exact zeros included.
-  Graph states are first collapsed to the universal chain field
-  q = sqrt(gamma) psi along the first-child path; under the coupling sum
-  rule every child yields the same q, and the disagreement between
-  siblings is reported as a residual diagnostic.  Without the sum rule
-  the collapse is meaningless, so ``snapshot`` refuses orders above 3.
+  (h = 0 before the first site) gives g_n^(m) = a_n h_n^(m); the series
+  logarithm f_m = g_m - (1/m) sum_{j<m} j f_j g_{m-j} then gives
+  C_m = sum_n w_n f_m^(n).  Each C_m is a polynomial in q and q*, so it
+  is continuous in the field, exact zeros included.  ``snapshot`` runs
+  the ladder on the graph itself: q = sqrt(gamma) psi on the flat layout,
+  p(n) the site toward the root (a child's first site reads its parent's
+  last), a = conj(sqrt(gamma) R psi) and w = gamma_1 / gamma.
+  ``higher_constants_recursive`` runs it on one chain field, the graph of
+  one bond (a_n = q*_{n+1}, w = 1).  Under the sum rule a glued state
+  gives the chain values of ``universal_chain_field``'s q; off the rule
+  the constants exist, but the flow does not conserve them.
 
-The recursion assumes the field has decayed at both array ends; boundary
-sites contribute O(|q_end|^2).  Normalization note: with these
-conventions the recursive C2, C3 agree with the direct stencils exactly
-(calibration factor 1); the acceptance tests re-derive the factor rather
-than assume it.
+The ladder assumes the field has decayed at the truncated ends; boundary
+sites contribute O(|q_end|^2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .state import FieldState, _check_shape, bond_field, partial_norms
-from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients, is_reflectionless
+from .state import FieldState, _check_shape, partial_norms
+from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients
 
 DRIFT_FLOOR = 1e-12
 
@@ -67,33 +62,37 @@ def z_quantity(state: FieldState, topology: GraphTopology) -> complex:
     return complex(np.vdot(state.data, coupling_coefficients(topology).forward(state.data)))
 
 
-def higher_constants_direct(state: FieldState, topology: GraphTopology) -> tuple[complex, complex]:
-    """Explicit (C2, C3) from their local stencils.
+@dataclass(frozen=True)
+class _GraphTables:
+    """What ``snapshot`` and ``universal_chain_field`` read, built once per topology.
 
-    The stencil spans sites n-1 .. n+2, read through the shift operator,
-    so on a bond shorter than the stencil it reaches on into the next
-    vertex's children with their weights.
+    ``entries`` pairs each child's first site that does not follow its parent
+    in the layout (row 0) with the parent's last site (row 1).  ``siblings``
+    pairs each later child's sites with the first child's over their common
+    length.
     """
-    _check_shape(state, topology)
-    couplings = coupling_coefficients(topology)
-    g = topology.site_gamma
-    c = state.data
-    p1 = couplings.forward(c)
-    p2 = couplings.forward(p1)
-    m1 = couplings.backward(c)
-    gc = 1.0 + g * (c.real**2 + c.imag**2)
-    gp = 1.0 + g * (p1.real**2 + p1.imag**2)
-    cp1 = np.conj(p1)
-    w = cp1 * c
-    # C2 density: psi*_{n+1} psi_{n-1} (1 + g|psi_n|^2) + (g/2) (psi*_{n+1} psi_n)^2
-    c2 = np.sum(cp1 * m1 * gc + (g / 2.0) * w * w)
-    # C3 density: [psi*_{n+2} psi_{n-1} (1 + g|psi_{n+1}|^2)
-    #   + g psi*_n psi*_{n+1} psi_{n-1}^2 + g psi*_{n+1}^2 psi_n psi_{n-1}] (1 + g|psi_n|^2)
-    #   + (g^2/3) (psi*_{n+1} psi_n)^3
-    t = m1 * gc * (np.conj(p2) * gp + g * cp1 * (np.conj(c) * m1 + w))
-    c3 = np.sum(t + (g * g / 3.0) * w**3)
-    gamma1 = topology.bond(ROOT_LABEL).gamma
-    return complex(-gamma1 * c2), complex(-gamma1 * c3)
+
+    sqrt_gamma: np.ndarray
+    weight: np.ndarray
+    entries: np.ndarray
+    siblings: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _graph_tables(topology: GraphTopology) -> _GraphTables:
+    slices, vertices = topology.slices, topology.vertices
+    entries, siblings = [], []
+    for parent, (first, *others) in vertices.items():
+        for child in others:
+            entries.append((slices[child].start, slices[parent].stop - 1))
+            k = min(topology.bond(first).length, topology.bond(child).length)
+            siblings += [(slices[child].start + i, slices[first].start + i) for i in range(k)]
+    return _GraphTables(
+        np.sqrt(topology.site_gamma),
+        topology.bond(ROOT_LABEL).gamma / topology.site_gamma,
+        np.array(entries, dtype=np.intp).reshape(-1, 2).T,
+        np.array(siblings, dtype=np.intp).reshape(-1, 2).T,
+    )
 
 
 def universal_chain_field(
@@ -107,19 +106,12 @@ def universal_chain_field(
     it vanishes (to integrator accuracy) for states evolved from a glued
     profile under the coupling sum rule.
     """
-    q = {b.label: math.sqrt(b.gamma) * bond_field(state, topology, b.label) for b in topology.bonds}
-    vertices = topology.vertices
-    residual = 0.0
-    for first, *others in vertices.values():
-        for child in others:
-            k = min(q[first].shape[0], q[child].shape[0])
-            residual = max(residual, float(np.max(np.abs(q[child][:k] - q[first][:k]))))
-    parts = [q[ROOT_LABEL]]
-    label = ROOT_LABEL
-    while label in vertices:
-        label = vertices[label][0]
-        parts.append(q[label])
-    return np.concatenate(parts), residual
+    _check_shape(state, topology)
+    t = _graph_tables(topology)
+    stop = topology.slices[topology.leaves[0]].stop  # the chain is the layout up to its first leaf
+    q = t.sqrt_gamma[:stop] * state.data[:stop]
+    later, first = t.sqrt_gamma[t.siblings] * state.data[t.siblings]
+    return q, float(np.abs(later - first).max(initial=0.0))
 
 
 def _check_m_max(m_max: int) -> None:
@@ -127,37 +119,63 @@ def _check_m_max(m_max: int) -> None:
         raise InvalidParameterError("m_max must be an integer >= 1")
 
 
+def _ladder(
+    q: np.ndarray,
+    ahead: np.ndarray,
+    m_max: int,
+    entries: np.ndarray = np.zeros((2, 0), dtype=np.intp),
+    weight: np.ndarray | None = None,
+) -> list[complex]:
+    """C_1 .. C_m_max of the ladder on ``q`` (see the module docstring).
+
+    The site before n is n - 1, except at site 0, which has none, and at
+    each site of ``entries[0]``, which reads the matching ``entries[1]``.
+    ``ahead`` is a_n and ``weight`` is w_n (1 when None).  The scratch is
+    two (m_max, n) buffers: ``h`` holds h^(m) and then g^(m); ``back``
+    holds h^(m) at the site before and then m f^(m), the form of the
+    series logarithm that needs no factor j / m.
+    """
+    _check_m_max(m_max)
+    h = np.empty((m_max, q.shape[0]), dtype=np.complex128)
+    back = np.empty_like(h)
+    carried, term = np.empty_like(q), np.empty_like(q)
+    np.negative(q, out=h[0])
+    qc = np.conj(q)
+    for m in range(2, m_max + 1):
+        before = back[m - 2]
+        before[1:] = h[m - 2][:-1]
+        before[:1] = 0.0
+        before[entries[0]] = h[m - 2][entries[1]]
+        np.multiply(before, h[0], out=carried)
+        for l in range(2, m):
+            carried += np.multiply(back[m - l - 1], h[l - 1], out=term)
+        carried *= qc
+        np.subtract(before, carried, out=h[m - 1])
+    h *= ahead
+    for m in range(1, m_max + 1):
+        mf = np.multiply(h[m - 1], m, out=back[m - 1])
+        for j in range(1, m):
+            mf -= np.multiply(back[j - 1], h[m - j - 1], out=term)
+    if weight is not None:
+        back *= weight
+    return [complex(c) / m for m, c in enumerate(back.sum(axis=1), start=1)]
+
+
 def higher_constants_recursive(
     chain_field: Sequence[complex] | np.ndarray, m_max: int
 ) -> list[complex]:
-    """C_1 .. C_m_max of a plain chain field via the division-free ladder.
+    """C_1 .. C_m_max of a plain chain field: the ladder on the graph of one bond.
 
-    The field must be effectively zero at both ends of the array.  The
-    ladder divides by no field value, so a field with exact zeros gets
-    the limit of nearby nonzero fields and no finite field raises; a field
-    of fewer than two sites has all constants zero.
+    The field must be effectively zero at both ends of the array.  No
+    finite field raises, exact zeros get the limit of nearby nonzero
+    fields, and a field of fewer than two sites has all constants zero.
     """
-    _check_m_max(m_max)
     q = np.ascontiguousarray(chain_field, dtype=np.complex128)
     if q.ndim != 1:
         raise InvalidParameterError("chain_field must be one-dimensional")
-    qc = np.conj(q)
-    hs = [-q]  # hs[m - 1] is h^(m); h^(m)_0 = 0 for m >= 2
-    for m in range(2, m_max + 1):
-        carried = sum(hs[m - l - 1][:-1] * hs[l - 1][1:] for l in range(1, m))
-        hm = np.zeros_like(q)
-        hm[1:] = hs[m - 2][:-1] - qc[1:] * carried
-        hs.append(hm)
     ahead = np.zeros_like(q)
-    ahead[:-1] = qc[1:]
-    gs = [ahead * h for h in hs]  # gs[m - 1] is g^(m)
-    fs: list[np.ndarray] = []
-    for m in range(1, m_max + 1):
-        fm = gs[m - 1].copy()
-        for j in range(1, m):
-            fm -= (j / m) * fs[j - 1] * gs[m - j - 1]
-        fs.append(fm)
-    return [complex(np.sum(f)) for f in fs]
+    ahead[:-1] = np.conj(q[1:])
+    return _ladder(q, ahead, m_max)
 
 
 @dataclass(frozen=True)
@@ -179,40 +197,20 @@ class ConservedSnapshot:
     chain_residual: float
 
 
-def check_order(topology: GraphTopology, m_max: int) -> None:
-    """Raise InvalidParameterError unless ``snapshot`` can audit to ``m_max``.
-
-    Orders four and above come from the chain reduction, so they need the
-    vertex sum rule.  Call this before integrating a trajectory to audit.
-    """
-    _check_m_max(m_max)
-    if m_max >= 4 and not is_reflectionless(topology):
-        raise InvalidParameterError(
-            f"m_max = {m_max} needs the vertex sum rule, which this topology breaks: "
-            "C4 and above come from the chain reduction; C2 and C3 (m_max <= 3) do not"
-        )
-
-
 def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> ConservedSnapshot:
-    """Evaluate the hierarchy up to C_m_max on one state.
+    """Evaluate the hierarchy up to C_m_max on one state, on any topology.
 
-    C2 and C3 come from the direct graph stencils; orders four and above
-    come from the recursion on the universal chain field, which is
-    faithful only under the coupling sum rule (``chain_residual`` carries
-    the gluing residual).  On a topology that breaks the sum rule,
-    ``m_max >= 4`` raises InvalidParameterError instead (``check_order``).
+    R is applied once: Z is ``z_quantity``'s pair sum and the ladder's term
+    ahead is read from the same R psi.  Every C_m comes from the graph
+    ladder; ``chain_residual`` is ``universal_chain_field``'s gluing
+    residual, a diagnostic only.
     """
-    check_order(topology, m_max)
-    z = z_quantity(state, topology)
-    cs: list[complex] = []
-    if m_max >= 2:
-        c2, c3 = higher_constants_direct(state, topology)
-        cs.append(c2)
-        if m_max >= 3:
-            cs.append(c3)
-    q, residual = universal_chain_field(state, topology)
-    if m_max >= 4:
-        cs.extend(higher_constants_recursive(q, m_max)[3:])
+    _, residual = universal_chain_field(state, topology)  # checks the shape
+    t = _graph_tables(topology)
+    psi = state.data
+    r_psi = coupling_coefficients(topology).forward(psi)
+    z = complex(np.vdot(psi, r_psi))
+    cs = _ladder(t.sqrt_gamma * psi, np.conj(t.sqrt_gamma * r_psi), m_max, t.entries, t.weight)
     bond_norms = partial_norms(state, topology)
     return ConservedSnapshot(
         time=state.time,
@@ -221,7 +219,7 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
         Z=z,
         E=-2.0 * z.real,
         J=2.0 * z.imag,
-        C=tuple(cs),
+        C=tuple(cs[1:]),
         chain_residual=residual,
     )
 
@@ -246,8 +244,8 @@ def drift_audit(
     """Audit conservation over observed states, read once and in order.
 
     Each state is reduced to its ``ConservedSnapshot`` and not kept, so
-    ``states`` may be the iterator ``evolve`` returns.  ``m_max`` is limited as in ``snapshot``; no states at all raise
-    InvalidParameterError.
+    ``states`` may be the iterator ``evolve`` returns.  An ``m_max`` below 1
+    or no states at all raise InvalidParameterError.
     """
     snaps = tuple(snapshot(s, topology, m_max) for s in states)
     if not snaps:

@@ -147,11 +147,6 @@ def peak_tracker(
 def _measurement_time(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
 ) -> float:
-    v = soliton.velocity
-    if not (v > 0):
-        raise InconclusiveRunError(
-            f"soliton velocity {v:g} does not carry it toward the vertex"
-        )
     target = (
         max(site_offset(topology, leaf) for leaf in topology.leaves)
         + MEASUREMENT_MARGIN
@@ -165,7 +160,7 @@ def _measurement_time(
                 f"{MEASUREMENT_MARGIN} sites from its far end"
             )
     interval = config.dt * config.output_stride
-    raw = (target - soliton.n0) / v
+    raw = (target - soliton.n0) / soliton.velocity
     return math.ceil(raw / interval - 1e-9) * interval
 
 
@@ -195,6 +190,12 @@ def partial_norm_series(
 
 
 def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConfig) -> SimConfig:
+    # every scattering run starts here, with or without a given t_final
+    v = soliton.velocity
+    if not (v > 0):
+        raise InconclusiveRunError(
+            f"soliton velocity {v:g} does not carry it toward the vertex"
+        )
     t_final = config.t_final
     if t_final is None:
         t_final = _measurement_time(topology, soliton, config)

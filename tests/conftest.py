@@ -109,14 +109,62 @@ class ReferenceShift:
         return out
 
 
+def stencil_constants(state, topology):
+    """(C2, C3) from their hand-derived local stencils: the oracle for the ladder.
+
+    The stencils span sites n-1 .. n+2, read through ``ReferenceShift`` as
+    ``R psi``, ``R R psi`` and ``R^T psi``, so on a bond shorter than the
+    stencil they reach on into the next vertex's children with their
+    weights.  C2 is the ladder's for any field and any gammas.  C3 is the
+    ladder's on glued fields under the sum rule; elsewhere the two are
+    different extensions off the rule.
+    """
+    from alnet import ROOT_LABEL
+
+    shift = ReferenceShift([topology])
+    g = topology.site_gamma
+    c = state.data
+    p1 = shift.forward(c)
+    p2 = shift.forward(p1)
+    m1 = shift.backward(c)
+    gc = 1.0 + g * (c.real**2 + c.imag**2)
+    gp = 1.0 + g * (p1.real**2 + p1.imag**2)
+    cp1 = np.conj(p1)
+    w = cp1 * c
+    # C2 density: psi*_{n+1} psi_{n-1} (1 + g|psi_n|^2) + (g/2) (psi*_{n+1} psi_n)^2
+    c2 = np.sum(cp1 * m1 * gc + (g / 2.0) * w * w)
+    # C3 density: [psi*_{n+2} psi_{n-1} (1 + g|psi_{n+1}|^2)
+    #   + g psi*_n psi*_{n+1} psi_{n-1}^2 + g psi*_{n+1}^2 psi_n psi_{n-1}] (1 + g|psi_n|^2)
+    #   + (g^2/3) (psi*_{n+1} psi_n)^3
+    t = m1 * gc * (np.conj(p2) * gp + g * cp1 * (np.conj(c) * m1 + w))
+    c3 = np.sum(t + (g * g / 3.0) * w**3)
+    gamma1 = topology.bond(ROOT_LABEL).gamma
+    return complex(-gamma1 * c2), complex(-gamma1 * c3)
+
+
+def with_sum_rule(topology):
+    """The same tree with every branching bond's gamma solved from the sum rule.
+
+    Leaves keep their gammas; working up from the leaves, each parent
+    gets ``1 / sum_children 1 / gamma_child``.
+    """
+    from dataclasses import replace
+
+    gammas = {b.label: b.gamma for b in topology.bonds}
+    for parent in sorted(topology.vertices, key=len, reverse=True):
+        gammas[parent] = 1.0 / sum(1.0 / gammas[c] for c in topology.vertices[parent])
+    bonds = tuple(replace(b, gamma=gammas[b.label]) for b in topology.bonds)
+    return replace(topology, bonds=bonds)
+
+
 def bits(a):
     """The words of a float or complex array, so that signs of zero count."""
     return np.ascontiguousarray(a).view(np.uint64)
 
 
 @st.composite
-def tree_stacks(draw):
-    """1-3 trees of one random shape, each with its own random gammas.
+def tree_stacks(draw, max_columns=3):
+    """1 to ``max_columns`` trees of one random shape, each with its own random gammas.
 
     Depth at most 3 below the incoming bond, at most 4 children per
     vertex, internal bonds of 1-4 sites.  The gammas ignore the sum rule,
@@ -124,7 +172,7 @@ def tree_stacks(draw):
     """
     from alnet import build_tree
 
-    columns = draw(st.integers(1, 3))
+    columns = draw(st.integers(1, max_columns))
 
     def node(depth):
         kids = draw(st.integers(1 if depth == 0 else 0, 4 if depth < 3 else 0))

@@ -26,7 +26,6 @@ from alnet import (
     coupling_coefficients,
     drift_audit,
     evolve,
-    higher_constants_direct,
     higher_constants_recursive,
     norm,
     scattering_run,
@@ -36,7 +35,7 @@ from alnet import (
     z_quantity,
 )
 from alnet.cli import EXIT_OK, run_cli
-from conftest import ALPHA_FIG4, decaying_random_field, glued_state
+from conftest import ALPHA_FIG4, decaying_random_field, glued_state, stencil_constants
 
 FIG4_SOLITON = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0, phi0=0.0)
 
@@ -169,7 +168,7 @@ def test_criterion_6_hierarchy_oracle_equivalence():
     pairs = []
     for _ in range(24):
         u = decaying_random_field(rng)
-        direct = higher_constants_direct(glued_state(top, u), top)
+        direct = stencil_constants(glued_state(top, u), top)
         rec = higher_constants_recursive(u, 3)
         pairs.append((direct, (rec[1], rec[2])))
     # one constant factor per order, calibrated on the whole batch

@@ -436,14 +436,15 @@ class TestCli:
         summary = json.loads((tmp_path / "results" / "summary.json").read_text())
         assert max(summary["max_relative_drifts"].values()) < 1e-6
 
-    def test_audit_refuses_recursion_orders_on_a_broken_rule(self, tmp_path, capsys):
-        path, _ = write_config(
-            tmp_path, topology={"gammas": [0.5, 1.5, 3.0], "truncation": 40}, m_max=4
+    def test_audit_runs_every_order_on_a_broken_rule(self, tmp_path):
+        # the ladder runs on the graph itself, so no order needs the sum rule
+        path, cfg = write_config(
+            tmp_path, topology={"gammas": [0.5, 1.5, 3.0], "truncation": 40}, m_max=6
         )
-        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_CONFIG
-        assert "sum rule" in capsys.readouterr().err
-        code = run_cli(["conserved-audit", "--config", str(path), "--m-max", "3"])
-        assert code == EXIT_OK
+        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((Path(cfg["out"]) / "summary.json").read_text())
+        assert not summary["sum_rule_satisfied"]
+        assert set(summary["max_relative_drifts"]) == {"N", "E", "J", "C2", "C3", "C4", "C5", "C6"}
 
     def test_snapshot_past_the_run_exits_1_before_integrating(self, tmp_path, capsys, monkeypatch):
         def no_integration(*args, **kwargs):
@@ -499,9 +500,31 @@ class TestCli:
 
         monkeypatch.setattr("alnet.experiments.evolve", no_integration)
         argv = ["conserved-audit", "--config", str(CONFIGS / "broken_rule.json"),
-                "--t-final", "100", "--m-max", "4", "--out", str(tmp_path / "out")]
+                "--t-final", "100", "--m-max", "0", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == EXIT_CONFIG
-        assert "sum rule" in capsys.readouterr().err
+        assert "m_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [0.0, -ALPHA_FIG4], ids=["still", "receding"])
+    def test_scattering_without_an_approach_exits_3_before_integrating(
+        self, tmp_path, capsys, monkeypatch, alpha
+    ):
+        # a given t_final skips the derived measurement time, but not the
+        # check that the soliton moves toward the vertex
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a soliton that never reaches the vertex")
+
+        monkeypatch.setattr("alnet.experiments.evolve", no_integration)
+        for command, name in (("broken-rule", "broken_rule"), ("bifurcation", "fig4")):
+            cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+            cfg["topology"]["truncation"] = 100
+            cfg["soliton"]["alpha"] = alpha
+            cfg["sim"]["t_final"] = 1.0
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            argv = [command, "--config", str(path), "--out", str(tmp_path / name)]
+            assert run_cli(argv) == EXIT_INCONCLUSIVE
+            assert "toward the vertex" in capsys.readouterr().err
+            assert not (tmp_path / name).exists()
 
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit) as exc:

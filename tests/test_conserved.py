@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alnet import (
+    FieldState,
     InvalidParameterError,
     SimConfig,
     SolitonParams,
@@ -16,11 +17,12 @@ from alnet import (
     coupling_coefficients,
     drift_audit,
     evolve,
-    higher_constants_direct,
     higher_constants_recursive,
     norm,
     snapshot,
     soliton_profile,
+    site_offset,
+    soliton_trajectory,
     universal_chain_field,
     z_quantity,
     zero_state,
@@ -30,7 +32,10 @@ from conftest import (
     PROPERTY_SETTINGS,
     decaying_random_field,
     glued_state,
+    stencil_constants,
     tree_spec,
+    tree_stacks,
+    with_sum_rule,
 )
 
 
@@ -58,6 +63,41 @@ def fields_with_zeros(draw):
     sites = draw(st.sets(st.integers(1, len(u) - 2), min_size=1, max_size=3))
     return u, sorted(sites)
 
+
+def random_field(rng, n, scale=0.4):
+    return scale * (rng.random(n) - 0.5) + 1j * scale * (rng.random(n) - 0.5)
+
+
+@st.composite
+def glued_trees(draw):
+    """A random sum-rule tree and a random chain field to glue onto it.
+
+    The field vanishes past the end of the shortest leaf in unrolled
+    coordinates, so every sibling subtree sees all of it, as on a tree
+    whose leaves reach far past the field.  Also returns 1-3 of its
+    nonzero sites, leaving at least two.
+    """
+    (top,) = draw(tree_stacks(max_columns=1))
+    top = with_sum_rule(top)
+    root = top.bond("1").length
+    ends = [site_offset(top, leaf) + top.bond(leaf).length for leaf in top.leaves]
+    span = root + max(site_offset(top, b.label) + b.length for b in top.bonds[1:])
+    u = np.zeros(span, dtype=np.complex128)
+    support = root + min(ends)
+    u[:support] = random_field(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), support)
+    sites = draw(st.sets(st.integers(0, support - 1), min_size=1, max_size=min(3, support - 2)))
+    return top, u, sorted(sites)
+
+
+def assert_close(got, want, rel):
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= rel * abs(w)
+
+
+NODE_STAR = build_star((1.0, 1.5, 3.0), truncation=32)
+# a glued tanh x Gaussian with an exact node on the children's bonds
+NODE_X = np.arange(64) - 36.0
+NODE_FIELD = 0.5 * np.tanh(0.3 * NODE_X) * np.exp(-((NODE_X / 6.0) ** 2) + 0.7j * NODE_X)
 
 
 class TestNormAndZ:
@@ -98,6 +138,8 @@ class TestNormAndZ:
 
 
 class TestDirectConstants:
+    """The graph ladder's C2 and C3 against explicit loops and the stencil oracle."""
+
     def test_c2_against_plain_loop(self, rng):
         # independent re-derivation: explicit per-site loop on the padded
         # chain field, no slicing tricks
@@ -110,8 +152,8 @@ class TestDirectConstants:
         for n in range(1, len(e) - 1):
             acc += np.conj(e[n + 1]) * e[n - 1] * (1 + abs(e[n]) ** 2)
             acc += 0.5 * e[n] ** 2 * np.conj(e[n + 1]) ** 2
-        c2, _ = higher_constants_direct(st, top)
-        assert c2 == pytest.approx(complex(-acc), rel=1e-13)
+        assert snapshot(st, top, m_max=2).C[0] == pytest.approx(complex(-acc), rel=1e-13)
+        assert stencil_constants(st, top)[0] == pytest.approx(complex(-acc), rel=1e-13)
 
     def test_c3_against_plain_loop(self, rng):
         top = build_chain(1.0, truncation=32)
@@ -126,51 +168,82 @@ class TestDirectConstants:
             t += np.conj(e[n + 1]) ** 2 * e[n] * e[n - 1]
             acc += t * (1 + abs(e[n]) ** 2)
             acc += (1.0 / 3.0) * (np.conj(e[n + 1]) * e[n]) ** 3
-        _, c3 = higher_constants_direct(st, top)
-        assert c3 == pytest.approx(complex(-acc), rel=1e-13)
+        assert snapshot(st, top, m_max=3).C[1] == pytest.approx(complex(-acc), rel=1e-13)
+        assert stencil_constants(st, top)[1] == pytest.approx(complex(-acc), rel=1e-13)
 
     def test_constants_are_gamma_independent_for_glued_states(self, rng):
-        # the incoming-bond prefactor cancels the per-bond 1/gamma weights,
-        # so a glued chain field keeps its plain-chain constants on any graph
+        # the gamma_1 / gamma bond weights cancel the sqrt(gamma) field
+        # scaling, so a glued chain field keeps its plain-chain constants
+        # at every order on any sum-rule graph
         u = decaying_random_field(rng)
         uniform = build_chain(1.0, truncation=32)
-        ref = higher_constants_direct(glued_state(uniform, u), uniform)
+        ref = snapshot(glued_state(uniform, u), uniform, m_max=6).C
         for top in (
             build_star((2.0, 3.0, 6.0), truncation=32),
             build_star((0.25, 0.5, 0.5), truncation=32),
         ):
-            got = higher_constants_direct(glued_state(top, u), top)
-            assert got[0] == pytest.approx(ref[0], rel=1e-13)
-            assert got[1] == pytest.approx(ref[1], rel=1e-13)
+            assert_close(snapshot(glued_state(top, u), top, m_max=6).C, ref, rel=1e-13)
 
     @pytest.mark.parametrize("length", [1, 2])
     def test_short_internal_bonds_match_the_recursion(self, length):
-        # the stencils reach through a bond shorter than themselves into
-        # the grandchildren and still see the glued chain field
+        # the ladder steps from a bond shorter than the stencils into the
+        # grandchildren and still sees the glued chain field
         top = build_tree(tree_spec(length=length), truncation=200)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.3, n0=0.0)
         st = soliton_profile(p, top)
         q, residual = universal_chain_field(st, top)
         assert residual < 1e-15
-        direct = higher_constants_direct(st, top)
-        rec = higher_constants_recursive(q, 3)
-        assert direct[0] == pytest.approx(rec[1], rel=1e-12)
-        assert direct[1] == pytest.approx(rec[2], rel=1e-12)
+        cs = snapshot(st, top, m_max=6).C
+        assert_close(cs, higher_constants_recursive(q, 6)[1:], rel=1e-12)
+        assert_close(cs[:2], stencil_constants(st, top), rel=1e-12)
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_soliton_closed_forms(self, m):
         top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
-        st = soliton_profile(p, top)
-        got = higher_constants_direct(st, top)[m - 2]
+        got = snapshot(soliton_profile(p, top), top, m_max=6).C[m - 2]
         assert got == pytest.approx(closed_form_constant(m, ALPHA_FIG4, 0.1), abs=1e-12)
 
     def test_frozen_fig4_values(self):
         top = build_star((1.0, 1.5, 3.0), truncation=400)
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
-        c2, c3 = higher_constants_direct(soliton_profile(p, top), top)
+        c2, c3 = snapshot(soliton_profile(p, top), top, m_max=3).C
         assert c2 == pytest.approx(-0.201336002541094j, abs=1e-12)
         assert c3 == pytest.approx(-0.1435522430035944 + 0.1435522430035948j, abs=1e-12)
+
+
+class TestGraphLadder:
+    """``snapshot``'s ladder on random trees from ``tree_stacks``."""
+
+    @PROPERTY_SETTINGS
+    @given(glued_trees())
+    def test_matches_the_chain_and_the_stencils_on_sum_rule_trees(self, case):
+        top, u, _ = case
+        st = glued_state(top, u)
+        q, residual = universal_chain_field(st, top)
+        assert residual < 1e-15
+        cs = snapshot(st, top, m_max=6).C
+        assert_close(cs, higher_constants_recursive(q, 6)[1:], 1e-12)
+        assert_close(cs[:2], stencil_constants(st, top), 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(tree_stacks(max_columns=1), st.integers(0, 2**32 - 1))
+    def test_c2_matches_the_stencil_on_any_tree(self, tops, seed):
+        # arbitrary gammas, sum rule or not, and an arbitrary field
+        (top,) = tops
+        st = FieldState(random_field(np.random.default_rng(seed), top.n_sites))
+        c2 = snapshot(st, top, m_max=2).C[0]
+        assert c2 == pytest.approx(stencil_constants(st, top)[0], rel=1e-12)
+
+    def test_c3_off_the_rule_is_another_extension(self):
+        # the stencil reads two sites ahead through R, the ladder one site
+        # back; off the rule the two extensions differ at the vertex
+        top = build_star((0.5, 1.5, 3.0), truncation=60)
+        st = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.3, n0=-1.0), top)
+        c2, c3 = snapshot(st, top, m_max=3).C
+        o2, o3 = stencil_constants(st, top)
+        assert c2 == pytest.approx(o2, rel=1e-12)
+        assert abs(c3 - o3) > 1e-4 * abs(o3)
 
 
 class TestUniversalChainField:
@@ -203,7 +276,7 @@ class TestRecursion:
         for _ in range(5):
             u = decaying_random_field(rng)
             st = glued_state(top, u)
-            direct = higher_constants_direct(st, top)
+            direct = stencil_constants(st, top)
             rec = higher_constants_recursive(u, 3)
             assert rec[1] == pytest.approx(direct[0], rel=1e-12)
             assert rec[2] == pytest.approx(direct[1], rel=1e-12)
@@ -272,20 +345,23 @@ class TestSnapshotAndDrift:
         snap = snapshot(st, top, m_max=4)
         assert snap.time == 0.0
         assert snap.N == pytest.approx(0.2, abs=1e-13)
+        assert snap.Z == z_quantity(st, top)
         assert snap.E == pytest.approx(-2 * snap.Z.real)
         assert snap.J == pytest.approx(2 * snap.Z.imag)
         assert len(snap.C) == 3
         for m, c in zip((2, 3, 4), snap.C):
             assert c == pytest.approx(closed_form_constant(m, ALPHA_FIG4, 0.1), abs=1e-11)
 
-    def test_snapshot_is_continuous_at_a_node(self):
-        # a glued tanh x Gaussian with an exact node on the children's bonds
-        top = build_star((1.0, 1.5, 3.0), truncation=32)
-        x = np.arange(64) - 36.0
-        u = 0.5 * np.tanh(0.3 * x) * np.exp(-((x / 6.0) ** 2) + 0.7j * x)
-        assert u[36] == 0.0
+    @PROPERTY_SETTINGS
+    @given(glued_trees())
+    @example((NODE_STAR, NODE_FIELD, [36]))
+    def test_snapshot_is_continuous_at_a_node(self, case):
+        # exact zeros of a glued field on a sum-rule tree, which land on
+        # every sibling bond at once; the example has its node on the
+        # children's bonds
+        top, u, sites = case
         assert_continuous_at_zeros(
-            lambda v: snapshot(glued_state(top, v), top, m_max=6).C, u, [36]
+            lambda v: snapshot(glued_state(top, v), top, m_max=6).C, u, sites
         )
 
     def test_snapshot_m_max_validation(self):
@@ -297,16 +373,19 @@ class TestSnapshotAndDrift:
         assert snapshot(st, top, m_max=1).C == ()
 
     def test_recursion_orders_need_the_sum_rule(self):
-        # C4 and above come from the first-child chain, which a broken rule makes meaningless
-        top = build_star((0.5, 1.5, 3.0), truncation=60)
-        st = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-20.0), top)
-        for m_max in (4, 6):
-            with pytest.raises(InvalidParameterError, match="sum rule"):
-                snapshot(st, top, m_max=m_max)
-            with pytest.raises(InvalidParameterError, match="sum rule"):
-                drift_audit([st, st], top, m_max=m_max)
-        assert len(snapshot(st, top, m_max=3).C) == 2
-        assert set(drift_audit([st, st], top, m_max=3).drifts) == {"N", "E", "J", "C2", "C3"}
+        # every order is evaluated on any graph; the flow conserves them
+        # all under the sum rule and none of them off it
+        p = SolitonParams(alpha=ALPHA_FIG4, beta=0.3, n0=-20.0)
+        config = SimConfig(dt=0.01, t_final=20.0, output_stride=10)
+        orders = [f"C{m}" for m in range(2, 7)]
+        drifts = {}
+        for gammas in ((0.5, 1.5, 3.0), (1.0, 1.5, 3.0)):
+            top = build_star(gammas, truncation=60)
+            report = drift_audit(soliton_trajectory(top, p, config), top, m_max=6)
+            assert set(report.drifts) == {"N", "E", "J", *orders}
+            drifts[gammas] = report.drifts
+        assert min(drifts[(0.5, 1.5, 3.0)][c] for c in orders) > 1e-2
+        assert max(drifts[(1.0, 1.5, 3.0)].values()) < 1e-8
 
     def test_drift_audit_on_a_short_run(self):
         # box wide enough that hard-wall tails stay below integrator error

@@ -18,6 +18,7 @@ from alnet import (
     transmission_sweep,
     zero_state,
 )
+from alnet.experiments import scattering_ensemble
 from conftest import ALPHA_FIG4
 
 INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
@@ -147,6 +148,22 @@ class TestScattering:
         cfg = SimConfig(t_final=148.0)
         with pytest.raises(InconclusiveRunError):
             scattering_run(build_star((1.0, 1.5, 3.0), 150), INCIDENT, cfg)
+
+
+class TestSumRuleIsSharp:
+    def test_reflection_grows_quadratically_in_the_residual(self):
+        # stars (1, 1.5, 3(1 + delta)) miss the sum rule by delta / (3 (1 + delta));
+        # the vertex is transparent on the rule, and reflection grows as the
+        # residual squared, so it quadruples per doubling of delta; dt = 0.02
+        # halves the cost and moves no reflection in its first eight digits
+        deltas = (0.0, 0.01, 0.02, 0.04)
+        stars = [build_star((1.0, 1.5, 3.0 * (1.0 + d)), 300) for d in deltas]
+        soliton = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-120.0)
+        reports = scattering_ensemble(stars, soliton, SimConfig(dt=0.02))
+        reflections = [r.reflection for r in reports]
+        assert reflections[0] < 1e-6
+        for smaller, larger in zip(reflections[1:], reflections[2:]):
+            assert 3.5 <= larger / smaller <= 4.5
 
 
 class TestSweep:
