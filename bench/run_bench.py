@@ -7,7 +7,11 @@ Layer rows time one call of ``step``, ``snapshot`` (m_max 6),
 ``write_outputs`` (one snapshot file) on a soliton state of the
 (1, 1.5, 3) star at n = 600, 1200, 6000 and 60000 sites.  Each of
 ``LAYER_REPEATS`` repeats times a batch of calls long enough to read (at
-least ``BATCH_S``) and reports the mean per call.  End-to-end rows run
+least ``BATCH_S``) and reports the mean per call.  The ``evolve`` row
+runs the big-star launch (n = 60000, n0 = -150, ``EVOLVE_STEPS`` steps,
+output stride 100) to its end and reports microseconds per step: the
+steps run on the window of sites that are not exact zeros, so this row
+shows what ``step`` alone at 60000 sites does not.  End-to-end rows run
 each ``configs/*.json`` ``E2E_REPEATS`` times through
 ``alnet.cli.run_cli``, each in a fresh process (so the ~0.3 s import is
 included), and record its wall time and its peak resident set size, the
@@ -43,6 +47,7 @@ from alnet import (  # noqa: E402
     SolitonParams,
     build_star,
     coupling_coefficients,
+    evolve,
     partial_norms,
     peak_tracker,
     snapshot,
@@ -57,6 +62,7 @@ GAMMAS = (1.0, 1.5, 3.0)
 LAYER_REPEATS = 7  # batches per layer row
 BATCH_S = 0.1  # least seconds per batch
 E2E_REPEATS = 3  # CLI runs per config
+EVOLVE_STEPS = 400  # the big-star run: t_final 4 at dt 0.01
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -122,7 +128,21 @@ def layer_rows(machine: str, scratch: Path) -> list[dict]:
                 row(name, samples, "us", machine, n_sites=top.n_sites, calls_per_repeat=batch)
             )
             print(f"{name:14s} n={top.n_sites:6d} {rows[-1]['median']:12.1f} us", file=sys.stderr)
-    return rows
+    return rows + [evolve_row(machine)]
+
+
+def evolve_row(machine: str) -> dict:
+    """Microseconds per step of the big-star run, launch to end, through ``evolve``."""
+    top = build_star(GAMMAS, 20000)
+    state = soliton_profile(SolitonParams(alpha=5 * math.pi / 4, beta=0.1, n0=-150.0), top)
+    couplings = coupling_coefficients(top)
+    config = SimConfig(dt=0.01, t_final=EVOLVE_STEPS * 0.01, output_stride=100)
+    samples, batch = per_call_us(lambda: sum(1 for _ in evolve(state, couplings, config)))
+    per_step = [s / EVOLVE_STEPS for s in samples]
+    result = row("evolve", per_step, "us per step", machine, n_sites=top.n_sites,
+                 calls_per_repeat=batch, steps=EVOLVE_STEPS)
+    print(f"{'evolve':14s} n={top.n_sites:6d} {result['median']:12.1f} us per step", file=sys.stderr)
+    return result
 
 
 # The child reports its own high-water mark: ru_maxrss from wait4 or

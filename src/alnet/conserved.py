@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError
 from .state import FieldState, _check_shape, partial_norms
 from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients
 
@@ -119,6 +119,7 @@ def _check_m_max(m_max: int) -> None:
         raise InvalidParameterError("m_max must be an integer >= 1")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ladder(
     q: np.ndarray,
     ahead: np.ndarray,
@@ -133,7 +134,9 @@ def _ladder(
     ``ahead`` is a_n and ``weight`` is w_n (1 when None).  The scratch is
     two (m_max, n) buffers: ``h`` holds h^(m) and then g^(m); ``back``
     holds h^(m) at the site before and then m f^(m), the form of the
-    series logarithm that needs no factor j / m.
+    series logarithm that needs no factor j / m.  C_m multiplies 2m field
+    values, so a large finite field can overflow it: that raises
+    OverflowError, and numpy's warnings are silenced.
     """
     _check_m_max(m_max)
     h = np.empty((m_max, q.shape[0]), dtype=np.complex128)
@@ -158,7 +161,10 @@ def _ladder(
             mf -= np.multiply(back[j - 1], h[m - j - 1], out=term)
     if weight is not None:
         back *= weight
-    return [complex(c) / m for m, c in enumerate(back.sum(axis=1), start=1)]
+    sums = back.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise OverflowError("a conserved constant C_m overflows")
+    return [complex(c) / m for m, c in enumerate(sums, start=1)]
 
 
 def higher_constants_recursive(
@@ -166,16 +172,20 @@ def higher_constants_recursive(
 ) -> list[complex]:
     """C_1 .. C_m_max of a plain chain field: the ladder on the graph of one bond.
 
-    The field must be effectively zero at both ends of the array.  No
-    finite field raises, exact zeros get the limit of nearby nonzero
-    fields, and a field of fewer than two sites has all constants zero.
+    The field must be effectively zero at both ends of the array.  Exact
+    zeros get the limit of nearby nonzero fields, and a field of fewer
+    than two sites has all constants zero.  A field so large that a
+    constant overflows raises InvalidParameterError.
     """
     q = np.ascontiguousarray(chain_field, dtype=np.complex128)
     if q.ndim != 1:
         raise InvalidParameterError("chain_field must be one-dimensional")
     ahead = np.zeros_like(q)
     ahead[:-1] = np.conj(q[1:])
-    return _ladder(q, ahead, m_max)
+    try:
+        return _ladder(q, ahead, m_max)
+    except OverflowError:
+        raise InvalidParameterError(f"chain field too large: C_1 .. C_{m_max} overflow") from None
 
 
 @dataclass(frozen=True)
@@ -203,14 +213,20 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
     R is applied once: Z is ``z_quantity``'s pair sum and the ladder's term
     ahead is read from the same R psi.  Every C_m comes from the graph
     ladder; ``chain_residual`` is ``universal_chain_field``'s gluing
-    residual, a diagnostic only.
+    residual, a diagnostic only.  A field so large that a constant
+    overflows raises DivergenceError at the site of the largest |q|.
     """
     _, residual = universal_chain_field(state, topology)  # checks the shape
     t = _graph_tables(topology)
     psi = state.data
     r_psi = coupling_coefficients(topology).forward(psi)
     z = complex(np.vdot(psi, r_psi))
-    cs = _ladder(t.sqrt_gamma * psi, np.conj(t.sqrt_gamma * r_psi), m_max, t.entries, t.weight)
+    q = t.sqrt_gamma * psi
+    try:
+        cs = _ladder(q, np.conj(t.sqrt_gamma * r_psi), m_max, t.entries, t.weight)
+    except OverflowError:
+        bond, site = topology.locate(int(np.argmax(np.abs(q))))
+        raise DivergenceError(bond, site, state.time, f"C_{m_max} overflows at the largest |q|") from None
     bond_norms = partial_norms(state, topology)
     return ConservedSnapshot(
         time=state.time,

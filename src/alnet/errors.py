@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: configuration and topology
 problems exit 1, numerical divergence (``DivergenceError``, the only
-numerical failure) exits 2, and runs that cannot produce a meaningful
+numerical failure, also raised when a field is too large for its
+conserved constants to be finite) exits 2, and runs that cannot produce a meaningful
 measurement exit 3.
 """
 
@@ -20,19 +21,18 @@ class SiteRangeError(IndexError):
 
 
 class DivergenceError(RuntimeError):
-    """The integrated field stopped being finite.
+    """The integrated field stopped being finite, or grew past what can be audited.
 
     Carries the bond label, the signed site coordinate, and the time at
-    which the first non-finite amplitude appeared.
+    which the first non-finite amplitude appeared; ``what`` names the
+    failure in the message.
     """
 
-    def __init__(self, bond: str, site: int, time: float):
+    def __init__(self, bond: str, site: int, time: float, what: str = "non-finite amplitude"):
         self.bond = bond
         self.site = site
         self.time = time
-        super().__init__(
-            f"non-finite amplitude on bond {bond!r} at site {site} (t={time:g})"
-        )
+        super().__init__(f"{what} on bond {bond!r} at site {site} (t={time:g})")
 
 
 class InconclusiveRunError(RuntimeError):

@@ -26,6 +26,9 @@ conserved quantities, which take the topology, look R up on each call.
 ``stacked_couplings`` does the same for several topologies of one site
 layout at once, one per column of an ``(n_sites, B)`` field, so an
 ensemble of runs shares one integration.
+``CouplingCoefficients.truncated`` gives the same maps on a shorter
+truncation (the sites ``kept_sites`` names), the window that ``evolve``
+steps while the far tails are exact zeros.
 The conserved quantities apply R and R^T separately; the dynamics needs
 only the neighbour sum ``(R + R^T) y``, which costs one whole-array add
 plus a fix-up at the two end sites of every bond.  All three maps read one
@@ -172,6 +175,16 @@ class GraphTopology:
         return sum(b.length for b in self.bonds)
 
     @cached_property
+    def walls(self) -> np.ndarray:
+        """Flat index of every semi-infinite bond's truncated far end, its hard wall."""
+        ends = [
+            self.slices[b.label].start if b.label == ROOT_LABEL else self.slices[b.label].stop - 1
+            for b in self.bonds
+            if b.kind != KIND_INTERNAL
+        ]
+        return _frozen(ends)
+
+    @cached_property
     def site_gamma(self) -> np.ndarray:
         out = np.empty(self.n_sites)
         for b in self.bonds:
@@ -291,6 +304,23 @@ class CouplingCoefficients:
         t = self._terms(y)
         out[self.edge_sites] = t[:e] + t[e:2 * e]
         return out
+
+    def truncated(self, truncation: int) -> "CouplingCoefficients":
+        """These maps on ``with_truncation(topology, truncation)``, for one run or a stack.
+
+        ``truncation`` may not exceed the topology's.  The edge-table rows
+        keep their order for every semi-infinite length of at least 2, so
+        ``values`` and ``edge_weights`` carry over unchanged, the site
+        tables are rebuilt for the shorter layout and ``site_gamma`` is
+        sliced to the sites it keeps (``kept_sites``).
+        """
+        top = with_truncation(self.topology, truncation)
+        sites, terms, zeros, _, groups, sums = _edge_tables(top, self.values)
+        gamma = np.concatenate([self.site_gamma[s] for s in kept_sites(self.topology, truncation)])
+        return replace(
+            self, topology=top, site_gamma=_frozen(gamma, float), edge_sites=sites,
+            edge_terms=terms, edge_zeros=zeros, edge_groups=groups, edge_sums=sums,
+        )
 
 
 def coupling_coefficients(topology: GraphTopology) -> CouplingCoefficients:
@@ -474,6 +504,25 @@ def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
 
     walk(spec, ROOT_LABEL)
     return GraphTopology(tuple(bonds), truncation)
+
+
+def kept_sites(topology: GraphTopology, truncation: int) -> tuple[slice, ...]:
+    """Per bond, the sites of ``topology``'s layout that a shorter truncation keeps.
+
+    A semi-infinite bond keeps the ``truncation`` sites nearest its vertex
+    and an internal bond all of its sites, so the layout of
+    ``with_truncation(topology, truncation)`` is these slices, in bond
+    order, laid end to end.
+    """
+    out = []
+    for b in topology.bonds:
+        s = topology.slices[b.label]
+        if b.kind == KIND_INCOMING:
+            s = slice(s.stop - truncation, s.stop)
+        elif b.kind == KIND_LEAF:
+            s = slice(s.start, s.start + truncation)
+        out.append(s)
+    return tuple(out)
 
 
 def with_truncation(topology: GraphTopology, truncation: int) -> GraphTopology:

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alnet import (
+    DivergenceError,
     FieldState,
     InvalidParameterError,
     SimConfig,
@@ -336,6 +337,12 @@ class TestRecursion:
         for n in (0, 1):
             assert higher_constants_recursive(np.zeros(n, dtype=complex), 3) == [0j, 0j, 0j]
 
+    def test_an_overflowing_constant_raises(self):
+        # C6 multiplies twelve field values: (1e30)^12 is past the largest double
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            higher_constants_recursive(np.full(5, 1e30), 6)
+        assert all(np.isfinite(higher_constants_recursive(np.full(5, 1e20), 6)))
+
 
 class TestSnapshotAndDrift:
     def test_snapshot_assembles_all_quantities(self):
@@ -363,6 +370,17 @@ class TestSnapshotAndDrift:
         assert_continuous_at_zeros(
             lambda v: snapshot(glued_state(top, v), top, m_max=6).C, u, sites
         )
+
+    def test_an_overflowing_snapshot_names_the_largest_field(self):
+        top = build_star((1.0, 1.5, 3.0), truncation=10)
+        st = zero_state(top)
+        st.data[:] = 1e30
+        st.data[top.slices["12"].start + 3] = 2e30  # the largest |q|, sqrt(3) * 2e30
+        st.time = 1.5
+        with pytest.raises(DivergenceError, match="C_6 overflows") as exc:
+            snapshot(st, top, m_max=6)
+        assert (exc.value.bond, exc.value.site, exc.value.time) == ("12", 4, 1.5)
+        assert all(np.isfinite(snapshot(st, top, m_max=2).C))
 
     def test_snapshot_m_max_validation(self):
         top = build_chain(1.0, truncation=4)

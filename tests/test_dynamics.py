@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alnet import (
     DivergenceError,
@@ -18,10 +21,19 @@ from alnet import (
     step,
     zero_state,
 )
+from alnet import dynamics
 from alnet.dynamics import StepWorkspace
 from alnet.state import FieldState
-from alnet.topology import KIND_INTERNAL, stacked_couplings
-from conftest import ALPHA_FIG4, ReferenceShift, bits, tree_spec
+from alnet.topology import KIND_INTERNAL, kept_sites, stacked_couplings, with_truncation
+from conftest import (
+    ALPHA_FIG4,
+    PROPERTY_SETTINGS,
+    ReferenceShift,
+    bits,
+    tree_spec,
+    tree_stacks,
+    with_sum_rule,
+)
 
 
 class TestSimConfig:
@@ -370,3 +382,127 @@ class TestFusedKernel:
             b = step(b, cp, 0.01)
         assert np.array_equal(bits(a.data), bits(b.data))
 
+
+def windowed_run(start, couplings, config):
+    """``evolve``'s observed states and the site count of every state ``step`` advanced."""
+    with mock.patch.object(dynamics, "step", wraps=dynamics.step) as spy:
+        states = list(evolve(start, couplings, config))
+    return states, [call.args[0].data.shape[0] for call in spy.call_args_list]
+
+
+def assert_equals_full_loop(states, start, couplings, config):
+    """Every observed state equals a plain ``step`` loop on the full layout, bit for bit."""
+    n_steps = round(config.t_final / config.dt)
+    expected, ref = [start], start
+    for i in range(1, n_steps + 1):
+        ref = step(ref, couplings, config.dt)
+        if i % config.output_stride == 0 or i == n_steps:
+            expected.append(ref)
+    assert len(states) == len(expected)
+    for state, ref in zip(states, expected):
+        assert state.time == ref.time
+        assert state.data.shape == ref.data.shape
+        assert np.array_equal(bits(state.data), bits(ref.data))
+
+
+def near_vertex_field(topology, rng, reach, columns=None):
+    """Random field on the ``reach`` sites of each semi-infinite bond nearest its vertex.
+
+    Internal bonds are filled too; every other site is +0.  Magnitudes run
+    from order one down through the subnormals to zeros of both signs.
+    """
+    shape = (topology.n_sites,) if columns is None else (topology.n_sites, columns)
+    y = np.zeros(shape, dtype=np.complex128)
+    for s in kept_sites(topology, reach):
+        part = y[s]
+        scale = 10.0 ** rng.uniform(-330, 0, part.shape)
+        part[...] = (rng.standard_normal(part.shape) + 1j * rng.standard_normal(part.shape)) * scale
+    return y
+
+
+class TestWindow:
+    """``evolve`` steps a shorter truncation while the far tails are exact +0."""
+
+    def test_underflowed_soliton_tails(self):
+        # at beta = 1 the sech tails underflow about 745 sites from the peak
+        top = build_star((1.0, 1.5, 3.0), truncation=1500)
+        cp = coupling_coefficients(top)
+        start = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=1.0, n0=-20.0), top)
+        cfg = SimConfig(dt=0.01, t_final=1.0, output_stride=20)
+        states, sites = windowed_run(start, cp, cfg)
+        assert len(sites) == 100
+        assert max(sites[1:]) < 0.6 * top.n_sites
+        assert_equals_full_loop(states, start, cp, cfg)
+
+    def test_signed_zero_tails_window_after_the_first_step(self, rng):
+        # the -0 beyond the tails bars a window at t = 0; one full step clears them
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
+        cp = coupling_coefficients(top)
+        start = FieldState(tail_field(top, rng))
+        assert np.signbit(start.data[top.walls].real).any()
+        cfg = SimConfig(dt=0.01, t_final=0.3, output_stride=3)
+        states, sites = windowed_run(start, cp, cfg)
+        assert sites[0] == top.n_sites
+        assert max(sites[1:]) < 0.7 * top.n_sites
+        assert_equals_full_loop(states, start, cp, cfg)
+
+    def test_the_window_widens_as_the_field_creeps_to_the_walls(self, rng):
+        # each step spreads an order-one field by up to 4 sites, so every
+        # observation picks a wider window, until the full layout takes over
+        top = build_star((1.0, 1.5, 3.0), truncation=60)
+        cp = coupling_coefficients(top)
+        start = FieldState(near_vertex_field(top, rng, 10))
+        cfg = SimConfig(dt=0.01, t_final=0.2, output_stride=2)
+        states, sites = windowed_run(start, cp, cfg)
+        assert sites == sorted(sites)
+        assert sites[0] < top.n_sites == sites[-1]
+        assert len(set(sites)) >= 4
+        assert_equals_full_loop(states, start, cp, cfg)
+
+    def test_a_stack_windows_on_the_union_of_its_columns(self, rng):
+        tops = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 400) for r in (0.1, 0.5, 0.9)]
+        cp = stacked_couplings(tops)
+        data = tail_field(tops[0], rng, 3)
+        # only the middle column reaches past 100 sites from the vertex
+        far = np.ones(tops[0].n_sites, dtype=bool)
+        for s in kept_sites(tops[0], 100):
+            far[s] = False
+        data[far, 0] = data[far, 2] = 0.0
+        start = FieldState(data)
+        cfg = SimConfig(dt=0.01, t_final=0.2, output_stride=4)
+        states, sites = windowed_run(start, cp, cfg)
+        assert 3 * 250 < max(sites[1:]) < tops[0].n_sites
+        assert_equals_full_loop(states, start, cp, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_full_loops_bond_site_and_time(self):
+        top = build_star((1.0, 1.5, 3.0), truncation=100)
+        cp = coupling_coefficients(top)
+        data = np.zeros(top.n_sites, dtype=np.complex128)
+        for s in kept_sites(top, 5):
+            data[s] = 3.0
+        start = FieldState(data)
+        cfg = SimConfig(dt=0.1, t_final=100.0, output_stride=1)
+        with mock.patch.object(dynamics, "step", wraps=dynamics.step) as spy:
+            with pytest.raises(DivergenceError) as windowed:
+                list(evolve(start, cp, cfg))
+        assert max(call.args[0].data.shape[0] for call in spy.call_args_list) < top.n_sites
+        ref = start
+        with pytest.raises(DivergenceError) as full:
+            for _ in range(1000):
+                ref = step(ref, cp, cfg.dt)
+        found = [(e.bond, e.site, e.time) for e in (windowed.value, full.value)]
+        assert found[0] == found[1]
+
+
+@PROPERTY_SETTINGS
+@given(tops=tree_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_window_on_random_sum_rule_trees(tops, seed):
+    tops = [with_truncation(with_sum_rule(t), 30) for t in tops]
+    cp = coupling_coefficients(tops[0]) if len(tops) == 1 else stacked_couplings(tops)
+    columns = None if len(tops) == 1 else len(tops)
+    start = FieldState(near_vertex_field(tops[0], np.random.default_rng(seed), 3, columns))
+    cfg = SimConfig(dt=0.01, t_final=0.06, output_stride=2)
+    states, sites = windowed_run(start, cp, cfg)
+    assert sites[0] < tops[0].n_sites
+    assert_equals_full_loop(states, start, cp, cfg)

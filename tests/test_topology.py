@@ -26,6 +26,7 @@ from alnet.topology import (
     KIND_INCOMING,
     KIND_INTERNAL,
     KIND_LEAF,
+    kept_sites,
     stacked_couplings,
     with_truncation,
 )
@@ -273,6 +274,29 @@ class TestShiftOperator:
                 stacked_couplings([tops[0], other])
         with pytest.raises(InvalidParameterError):
             stacked_couplings([])
+
+
+@PROPERTY_SETTINGS
+@given(tops=tree_stacks(), data=st.data())
+def test_truncated_maps_equal_the_maps_of_the_truncated_trees(tops, data):
+    # the window that evolve steps on: a shorter truncation of the same trees
+    tops = [with_truncation(t, 8) for t in tops]
+    truncation = data.draw(st.integers(2, 8))
+    short = [with_truncation(t, truncation) for t in tops]
+    if len(tops) == 1:
+        cut, expected = coupling_coefficients(tops[0]).truncated(truncation), coupling_coefficients(short[0])
+    else:
+        cut, expected = stacked_couplings(tops).truncated(truncation), stacked_couplings(short)
+    assert cut.topology == short[0] and cut.values == expected.values
+    for name in ("site_gamma", "edge_sites", "edge_terms", "edge_zeros", "edge_weights", "edge_groups"):
+        assert np.array_equal(getattr(cut, name), getattr(expected, name)), name
+    assert cut.edge_sums == expected.edge_sums
+    kept = kept_sites(tops[0], truncation)
+    assert [s.stop - s.start for s in kept] == [b.length for b in short[0].bonds]
+    assert np.array_equal(np.concatenate([tops[0].site_gamma[s] for s in kept]), short[0].site_gamma)
+    walls = [s.start if label == "1" else s.stop - 1 for label, s in tops[0].slices.items()
+             if tops[0].bond(label).kind != KIND_INTERNAL]
+    assert tops[0].walls.tolist() == walls
 
 
 @PROPERTY_SETTINGS
