@@ -36,9 +36,10 @@ one-dimensional.
 zero.  A soliton's sech tails underflow to exact zeros a few thousand
 sites from its peak (about 7.4k at beta = 0.1), and a zero that stays
 zero needs no step.  At state 0, after step 1 and at every observation,
-``evolve`` reads how far each semi-infinite bond holds a word that is
-not bitwise +0 (its reach, counted from the vertex), and steps the next
-block on ``with_truncation(topology, W)``: W is the longest reach plus
+``evolve`` reads the reach of the field: the largest
+``topology.vertex_distance`` of a site that holds a word that is not
+bitwise +0.  It steps the next block on ``with_truncation(topology, W)``,
+whose sites are those with ``vertex_distance <= W``: W is the reach plus
 a band of ``4 * output_stride + 1`` sites, or the full truncation when
 that is no shorter.  Each observed state is written back into the full
 layout, +0 beyond the window.  The windowed run equals the full run bit
@@ -72,14 +73,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .state import FieldState, assert_finite
-from .topology import (
-    KIND_INTERNAL,
-    ROOT_LABEL,
-    CouplingCoefficients,
-    GraphTopology,
-    coupling_coefficients,
-    kept_sites,
-)
+from .topology import CouplingCoefficients, GraphTopology, coupling_coefficients
 
 
 @dataclass(frozen=True)
@@ -157,9 +151,11 @@ def step(
     A stacked state takes the ``stacked_couplings`` of its columns'
     topologies.  A non-finite result raises DivergenceError at its site
     in ``couplings.topology``'s layout.  ``workspace`` must fit the
-    state's shape; without one the step makes its own.
+    state's shape; without one the step makes its own.  A state whose
+    shape does not fit R raises InvalidParameterError.
     """
     y = state.data
+    _check_shape(y, couplings)
     ws = StepWorkspace(y.shape) if workspace is None else workspace
     k1, k23, k = ws.k1, ws.k23, ws.k
     out = np.empty_like(y)
@@ -186,59 +182,25 @@ def step(
     return new
 
 
-#: sites per block of the scan for a semi-infinite bond's reach
-_SCAN = 4096
-
-
-def _reach(words: np.ndarray) -> int:
-    """Sites from the vertex through the last that is not bitwise +0.
-
-    ``words`` holds one row of float words per site, ordered away from
-    the vertex; it is scanned in blocks from the far end.
-    """
-    stop = words.shape[0]
-    while stop > 0:
-        start = max(stop - _SCAN, 0)
-        hits = np.flatnonzero(words[start:stop].any(axis=1))
-        if hits.size:
-            return start + int(hits[-1]) + 1
-        stop = start
-    return 0
+def _check_shape(y: np.ndarray, couplings: CouplingCoefficients):
+    # site_gamma has a row per site of R's topology and, for a stack, a column per run
+    if y.shape != couplings.site_gamma.shape:
+        raise InvalidParameterError(f"state of shape {y.shape} does not fit R's {couplings.site_gamma.shape}")
 
 
 def _window(data: np.ndarray, topology: GraphTopology, band: int) -> int:
-    """The truncation to step on next: the longest reach of a semi-infinite bond plus ``band``.
+    """The truncation to step on next: the reach of the field plus ``band``.
 
-    Returns ``topology.truncation`` when that is no shorter.  The walls
-    are read first, so a field that reaches them costs one gather.
+    The reach is the largest ``vertex_distance`` of a site that holds a
+    word that is not bitwise +0.  Returns ``topology.truncation`` when
+    that is no shorter.  The walls are read first, so a field that
+    reaches them costs one gather.
     """
     if np.count_nonzero(data[topology.walls].view(np.uint64)):
         return topology.truncation
-    words = data.view(np.uint64).reshape(topology.n_sites, -1)
-    reach = max(
-        _reach(words[topology.slices[b.label]][:: -1 if b.label == ROOT_LABEL else 1])
-        for b in topology.bonds
-        if b.kind != KIND_INTERNAL
-    )
+    occupied = data.view(np.uint64).reshape(topology.n_sites, -1).any(axis=1)
+    reach = int(topology.vertex_distance[occupied].max(initial=0))
     return min(reach + band, topology.truncation)
-
-
-def _restrict(state: FieldState, topology: GraphTopology, truncation: int) -> FieldState:
-    """The sites of a ``topology`` state that ``truncation`` keeps; the state itself if all."""
-    if truncation == topology.truncation:
-        return state
-    kept = kept_sites(topology, truncation)
-    return FieldState(np.concatenate([state.data[s] for s in kept]), state.time)
-
-
-def _embed(state: FieldState, window: GraphTopology, topology: GraphTopology) -> FieldState:
-    """A ``window`` state in ``topology``'s layout, +0 where it has no site; itself if full."""
-    if window.truncation == topology.truncation:
-        return state
-    data = np.zeros((topology.n_sites,) + state.data.shape[1:], dtype=np.complex128)
-    for full, kept in zip(kept_sites(topology, window.truncation), window.slices.values()):
-        data[full] = state.data[kept]
-    return FieldState(data, state.time)
 
 
 def evolve(
@@ -254,29 +216,36 @@ def evolve(
     fresh arrays and no later step writes to them.  A stacked state is
     integrated as in ``step``, and one workspace serves every step on
     one window.  A missing ``t_final`` raises InvalidParameterError on
-    the first ``next()``.
+    the first ``next()``, and so does a state whose shape does not fit R.
     """
     if config.t_final is None:
         raise InvalidParameterError("config.t_final is required by evolve")
+    _check_shape(state.data, couplings)
     n_steps = round(config.t_final / config.dt)
     stride = config.output_stride
     band = 4 * stride + 1
     full = couplings.topology
-    layout, workspace = couplings, None
+    # kept: the window's sites in the full layout, None while it is the full layout
+    layout, kept, workspace = couplings, None, None
     current = state.copy()
     yield current
     for i in range(1, n_steps + 1):
         if i <= 2 or (i - 1) % stride == 0:  # state 0, state 1 and every observation
             truncation = _window(current.data, full, band)
             if truncation != layout.topology.truncation:
-                layout = couplings if truncation == full.truncation else couplings.truncated(truncation)
+                windowed = truncation < full.truncation
+                layout = couplings.truncated(truncation) if windowed else couplings
+                kept = np.flatnonzero(full.vertex_distance <= truncation) if windowed else None
                 workspace = None
-            y = _restrict(current, full, truncation)
+            y = current if kept is None else FieldState(current.data[kept], current.time)
             if workspace is None:
                 workspace = StepWorkspace(y.data.shape)
         y = step(y, layout, config.dt, workspace)
         observed = i % stride == 0 or i == n_steps
         if observed or i == 1:
-            current = _embed(y, layout.topology, full)
+            current = y
+            if kept is not None:  # np.zeros leaves the pages beyond the window untouched
+                current = FieldState(np.zeros(state.data.shape, dtype=np.complex128), y.time)
+                current.data[kept] = y.data
             if observed:
                 yield current

@@ -39,7 +39,6 @@ from .soliton import SolitonParams, soliton_profile
 from .state import FieldState, bond_field, partial_norms
 from .topology import (
     GraphTopology,
-    KIND_INTERNAL,
     ROOT_LABEL,
     build_star,
     coupling_coefficients,
@@ -165,17 +164,17 @@ def _measurement_time(
 
 
 def _check_boundaries(state: FieldState, topology: GraphTopology):
-    for label in topology.labels:
-        if topology.bond(label).kind == KIND_INTERNAL:
-            continue
-        a = bond_field(state, topology, label)
-        edge = a[:2] if label == ROOT_LABEL else a[-2:]
-        worst = float(np.max(edge.real**2 + edge.imag**2))
-        if worst > BOUNDARY_GUARD_TOL:
-            raise InconclusiveRunError(
-                f"field reached the truncated end of bond {label!r} "
-                f"(|psi|^2 = {worst:.3e})"
-            )
+    # the two sites at each semi-infinite bond's wall, a pair per bond in label order
+    guard = np.flatnonzero(topology.vertex_distance >= topology.truncation - 1)
+    edge = state.data[guard]
+    worst = (edge.real**2 + edge.imag**2).reshape(-1, 2).max(axis=1)
+    over = np.flatnonzero(worst > BOUNDARY_GUARD_TOL)
+    if over.size:
+        label, _ = topology.locate(int(guard[2 * over[0]]))
+        raise InconclusiveRunError(
+            f"field reached the truncated end of bond {label!r} "
+            f"(|psi|^2 = {worst[over[0]]:.3e})"
+        )
 
 
 def partial_norm_series(

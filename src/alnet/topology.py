@@ -26,9 +26,11 @@ conserved quantities, which take the topology, look R up on each call.
 ``stacked_couplings`` does the same for several topologies of one site
 layout at once, one per column of an ``(n_sites, B)`` field, so an
 ensemble of runs shares one integration.
-``CouplingCoefficients.truncated`` gives the same maps on a shorter
-truncation (the sites ``kept_sites`` names), the window that ``evolve``
-steps while the far tails are exact zeros.
+``GraphTopology.vertex_distance`` holds each semi-infinite site's distance
+from its vertex (0 on internal bonds), so ``flatnonzero(vertex_distance <= W)``
+is the layout of ``with_truncation(topology, W)``, in order; on it
+``CouplingCoefficients.truncated`` gives the same maps, the window that
+``evolve`` steps while the far tails are exact zeros.
 The conserved quantities apply R and R^T separately; the dynamics needs
 only the neighbour sum ``(R + R^T) y``, which costs one whole-array add
 plus a fix-up at the two end sites of every bond.  All three maps read one
@@ -175,14 +177,20 @@ class GraphTopology:
         return sum(b.length for b in self.bonds)
 
     @cached_property
+    def vertex_distance(self) -> np.ndarray:
+        """Per flat site, its distance from a semi-infinite bond's vertex (1 to ``truncation``), else 0."""
+        out = np.zeros(self.n_sites, dtype=np.int32)
+        for b in self.bonds:
+            if b.kind != KIND_INTERNAL:
+                d = np.arange(1, b.length + 1, dtype=np.int32)
+                out[self.slices[b.label]] = d[::-1] if b.label == ROOT_LABEL else d
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def walls(self) -> np.ndarray:
         """Flat index of every semi-infinite bond's truncated far end, its hard wall."""
-        ends = [
-            self.slices[b.label].start if b.label == ROOT_LABEL else self.slices[b.label].stop - 1
-            for b in self.bonds
-            if b.kind != KIND_INTERNAL
-        ]
-        return _frozen(ends)
+        return _frozen(np.flatnonzero(self.vertex_distance == self.truncation))
 
     @cached_property
     def site_gamma(self) -> np.ndarray:
@@ -311,12 +319,12 @@ class CouplingCoefficients:
         ``truncation`` may not exceed the topology's.  The edge-table rows
         keep their order for every semi-infinite length of at least 2, so
         ``values`` and ``edge_weights`` carry over unchanged, the site
-        tables are rebuilt for the shorter layout and ``site_gamma`` is
-        sliced to the sites it keeps (``kept_sites``).
+        tables are rebuilt for the shorter layout and ``site_gamma`` keeps
+        the sites with ``vertex_distance <= truncation``.
         """
         top = with_truncation(self.topology, truncation)
         sites, terms, zeros, _, groups, sums = _edge_tables(top, self.values)
-        gamma = np.concatenate([self.site_gamma[s] for s in kept_sites(self.topology, truncation)])
+        gamma = self.site_gamma[self.topology.vertex_distance <= truncation]
         return replace(
             self, topology=top, site_gamma=_frozen(gamma, float), edge_sites=sites,
             edge_terms=terms, edge_zeros=zeros, edge_groups=groups, edge_sums=sums,
@@ -504,25 +512,6 @@ def build_tree(spec: Mapping, truncation: int = 400) -> GraphTopology:
 
     walk(spec, ROOT_LABEL)
     return GraphTopology(tuple(bonds), truncation)
-
-
-def kept_sites(topology: GraphTopology, truncation: int) -> tuple[slice, ...]:
-    """Per bond, the sites of ``topology``'s layout that a shorter truncation keeps.
-
-    A semi-infinite bond keeps the ``truncation`` sites nearest its vertex
-    and an internal bond all of its sites, so the layout of
-    ``with_truncation(topology, truncation)`` is these slices, in bond
-    order, laid end to end.
-    """
-    out = []
-    for b in topology.bonds:
-        s = topology.slices[b.label]
-        if b.kind == KIND_INCOMING:
-            s = slice(s.stop - truncation, s.stop)
-        elif b.kind == KIND_LEAF:
-            s = slice(s.start, s.start + truncation)
-        out.append(s)
-    return tuple(out)
 
 
 def with_truncation(topology: GraphTopology, truncation: int) -> GraphTopology:

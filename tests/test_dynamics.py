@@ -24,7 +24,7 @@ from alnet import (
 from alnet import dynamics
 from alnet.dynamics import StepWorkspace
 from alnet.state import FieldState
-from alnet.topology import KIND_INTERNAL, kept_sites, stacked_couplings, with_truncation
+from alnet.topology import KIND_INTERNAL, stacked_couplings, with_truncation
 from conftest import (
     ALPHA_FIG4,
     PROPERTY_SETTINGS,
@@ -190,6 +190,21 @@ class TestStepAndEvolve:
             errs.append(np.max(np.abs(cur.data - exact.data)))
         ratio = errs[0] / errs[1]
         assert 14.0 < ratio < 18.0
+
+    @pytest.mark.parametrize(
+        "state_sites, state_columns, r_columns",
+        [(40, None, None), (20, 2, None), (20, 3, 2), (20, None, 2)],
+        ids=["long-state", "stack-on-single-r", "three-on-two-columns", "single-on-stacked-r"],
+    )
+    def test_a_state_that_does_not_fit_r_is_refused(self, state_sites, state_columns, r_columns):
+        top = build_chain(1.0, truncation=10)
+        cp = coupling_coefficients(top) if r_columns is None else stacked_couplings([top] * r_columns)
+        shape = (state_sites,) if state_columns is None else (state_sites, state_columns)
+        st = FieldState(np.full(shape, 0.1 + 0j))
+        with pytest.raises(InvalidParameterError, match="does not fit"):
+            step(st, cp, 0.01)
+        with pytest.raises(InvalidParameterError, match="does not fit"):
+            next(evolve(st, cp, SimConfig(dt=0.01, t_final=0.1, output_stride=2)))
 
     def test_global_phase_covariance(self):
         # psi -> e^{i theta} psi maps solutions to solutions
@@ -413,10 +428,10 @@ def near_vertex_field(topology, rng, reach, columns=None):
     """
     shape = (topology.n_sites,) if columns is None else (topology.n_sites, columns)
     y = np.zeros(shape, dtype=np.complex128)
-    for s in kept_sites(topology, reach):
-        part = y[s]
-        scale = 10.0 ** rng.uniform(-330, 0, part.shape)
-        part[...] = (rng.standard_normal(part.shape) + 1j * rng.standard_normal(part.shape)) * scale
+    near = topology.vertex_distance <= reach
+    part = y[near].shape
+    scale = 10.0 ** rng.uniform(-330, 0, part)
+    y[near] = (rng.standard_normal(part) + 1j * rng.standard_normal(part)) * scale
     return y
 
 
@@ -464,9 +479,7 @@ class TestWindow:
         cp = stacked_couplings(tops)
         data = tail_field(tops[0], rng, 3)
         # only the middle column reaches past 100 sites from the vertex
-        far = np.ones(tops[0].n_sites, dtype=bool)
-        for s in kept_sites(tops[0], 100):
-            far[s] = False
+        far = tops[0].vertex_distance > 100
         data[far, 0] = data[far, 2] = 0.0
         start = FieldState(data)
         cfg = SimConfig(dt=0.01, t_final=0.2, output_stride=4)
@@ -474,14 +487,24 @@ class TestWindow:
         assert 3 * 250 < max(sites[1:]) < tops[0].n_sites
         assert_equals_full_loop(states, start, cp, cfg)
 
+    def test_the_window_keeps_a_long_internal_bond_whole(self, rng):
+        # internal bonds hold vertex distance 0, so a window shorter than
+        # their 60 sites still steps all of them
+        top = with_sum_rule(build_tree(tree_spec(length=60), 200))
+        cp = coupling_coefficients(top)
+        start = FieldState(near_vertex_field(top, rng, 3))
+        cfg = SimConfig(dt=0.01, t_final=0.1, output_stride=2)
+        states, sites = windowed_run(start, cp, cfg)
+        # the first window: W = 3 + 9 = 12 on the five semi-infinite bonds
+        assert sites[0] == 2 * 60 + 5 * 12
+        assert max(sites) < top.n_sites
+        assert_equals_full_loop(states, start, cp, cfg)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_full_loops_bond_site_and_time(self):
         top = build_star((1.0, 1.5, 3.0), truncation=100)
         cp = coupling_coefficients(top)
-        data = np.zeros(top.n_sites, dtype=np.complex128)
-        for s in kept_sites(top, 5):
-            data[s] = 3.0
-        start = FieldState(data)
+        start = FieldState(np.where(top.vertex_distance <= 5, 3.0, 0.0))
         cfg = SimConfig(dt=0.1, t_final=100.0, output_stride=1)
         with mock.patch.object(dynamics, "step", wraps=dynamics.step) as spy:
             with pytest.raises(DivergenceError) as windowed:

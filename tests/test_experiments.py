@@ -143,6 +143,26 @@ class TestScattering:
         with pytest.raises(InconclusiveRunError, match="bond '12'"):
             scattering_run(top, INCIDENT, SimConfig())
 
+    def test_boundary_guard_names_the_first_bond_in_label_order(self, monkeypatch):
+        # the guard reads the two sites at every wall; of the failing bonds
+        # the first label is named, with its larger |psi|^2
+        top = build_star((1.0, 1.5, 3.0), truncation=150)
+        quiet = soliton_profile(INCIDENT, top)
+
+        def run(*sites):
+            loud = FieldState(quiet.data.copy(), 50.0)
+            loud.data[list(sites)] = 0.05
+            loud.data[sites[0]] = 0.06
+            states = [quiet, loud, FieldState(quiet.data, 99.0)]
+            monkeypatch.setattr("alnet.experiments.evolve", lambda *args: iter(states))
+            scattering_run(top, INCIDENT, SimConfig())
+
+        ends = {label: top.slices[label].stop - 1 for label in ("11", "12")}
+        with pytest.raises(InconclusiveRunError, match=r"bond '1' \(\|psi\|\^2 = 3\.600e-03\)"):
+            run(1, ends["11"], ends["12"])
+        with pytest.raises(InconclusiveRunError, match=r"bond '11' \(\|psi\|\^2 = 3\.600e-03\)"):
+            run(ends["11"] - 1, ends["11"], ends["12"])
+
     def test_overlong_run_trips_the_boundary_guard(self):
         # the peak reaches the truncated leaf ends near t = 148
         cfg = SimConfig(t_final=148.0)

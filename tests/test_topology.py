@@ -26,7 +26,6 @@ from alnet.topology import (
     KIND_INCOMING,
     KIND_INTERNAL,
     KIND_LEAF,
-    kept_sites,
     stacked_couplings,
     with_truncation,
 )
@@ -291,12 +290,22 @@ def test_truncated_maps_equal_the_maps_of_the_truncated_trees(tops, data):
     for name in ("site_gamma", "edge_sites", "edge_terms", "edge_zeros", "edge_weights", "edge_groups"):
         assert np.array_equal(getattr(cut, name), getattr(expected, name)), name
     assert cut.edge_sums == expected.edge_sums
-    kept = kept_sites(tops[0], truncation)
-    assert [s.stop - s.start for s in kept] == [b.length for b in short[0].bonds]
-    assert np.array_equal(np.concatenate([tops[0].site_gamma[s] for s in kept]), short[0].site_gamma)
+    # the sites within the shorter truncation of the vertices are its layout
+    distance = tops[0].vertex_distance
+    kept = np.flatnonzero(distance <= truncation)
+    assert kept.size == short[0].n_sites
+    assert np.array_equal(tops[0].site_gamma[kept], short[0].site_gamma)
+    for label, s in tops[0].slices.items():
+        part = kept[short[0].slices[label]]
+        assert s.start <= part.min() and part.max() < s.stop
+        coordinates = tops[0].site_coordinates(label)
+        assert np.array_equal(coordinates[part - s.start], short[0].site_coordinates(label))
+        semi_infinite = tops[0].bond(label).kind != KIND_INTERNAL
+        from_vertex = np.abs(coordinates) + (label == "1") if semi_infinite else 0 * coordinates
+        assert np.array_equal(distance[s], from_vertex), label
     walls = [s.start if label == "1" else s.stop - 1 for label, s in tops[0].slices.items()
              if tops[0].bond(label).kind != KIND_INTERNAL]
-    assert tops[0].walls.tolist() == walls
+    assert tops[0].walls.tolist() == walls == np.flatnonzero(distance == tops[0].truncation).tolist()
 
 
 @PROPERTY_SETTINGS
