@@ -7,10 +7,11 @@ the output directory.  The subcommand overrides the config's
 the corresponding config fields.  Each subcommand calls the experiment
 layer and only turns its result into ``RunOutputs``; every run launches
 its soliton through ``experiments.soliton_trajectory`` and reads the
-observed states once, as they are integrated.  A run holds only the
-states its ``experiments.SnapshotPicker`` keeps for the snapshot files,
-and ``experiments.check_snapshot_times`` refuses a snapshot time past
-the run's end before the first step.  Exit codes:
+observed states once, in ``experiments.observe``, which guards the
+truncated walls.  A run holds only the states its
+``experiments.SnapshotPicker`` keeps for the snapshot files, and
+``experiments.check_snapshot_times`` refuses a snapshot time past the
+run's end before the first step.  Exit codes:
 0 success, 1 invalid configuration, 2 numerical divergence, 3 inconclusive
 run.
 """
@@ -21,9 +22,7 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
-from .conserved import drift_audit, z_quantity
+from .conserved import drift_report, snapshot, z_quantity
 from .errors import (
     DivergenceError,
     InconclusiveRunError,
@@ -35,7 +34,7 @@ from .experiments import (
     SnapshotPicker,
     broken_rule_run,
     check_snapshot_times,
-    partial_norm_series,
+    observe,
     scattering_run,
     soliton_trajectory,
     transmission_sweep,
@@ -48,7 +47,6 @@ from .io import (
     serialize_config,
     write_outputs,
 )
-from .state import partial_norms
 from .topology import ROOT_LABEL, is_reflectionless, with_truncation
 
 EXIT_OK = 0
@@ -101,23 +99,22 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
     """evolve the configured soliton and record the field"""
     topology = config.topology
     picker = SnapshotPicker(config.snapshot_times, config.sim)
-    states = picker.watch(soliton_trajectory(topology, config.soliton, config.sim))
-    series = partial_norm_series(states, topology)
-    final = picker.last
-    norms = partial_norms(final, topology).tolist()
-    total = sum(norms)
-    z = z_quantity(final, topology)
+    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
+    [(times, series)] = observe(trajectory, [topology], picker.add)
+    final = {label: float(norms[-1]) for label, norms in series.items()}
+    total = sum(final.values())
+    z = z_quantity(picker.last, topology)
     summary = {
         "experiment": "simulate",
         "t_final": config.sim.t_final,
         "total_norm": total,
-        "final_fractions": {label: n / total for label, n in zip(topology.labels, norms)},
+        "final_fractions": {label: n / total for label, n in final.items()},
         "E": -2.0 * z.real,
         "J": 2.0 * z.imag,
     }
     return RunOutputs(
         summary=summary,
-        partial_norms=series,
+        partial_norms=(times, series),
         snapshots=picker.picks(),
         topology=topology,
     )
@@ -143,7 +140,7 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        partial_norms=(report.times, report.partial_norm_series),
+        partial_norms=report.partial_norms,
         snapshots=snapshots,
         topology=topology,
     )
@@ -181,7 +178,7 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        partial_norms=(report.times, report.partial_norm_series),
+        partial_norms=report.partial_norms,
         snapshots=snapshots,
         topology=topology,
     )
@@ -191,10 +188,14 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     """evolve and audit the conserved-quantity drifts"""
     topology = config.topology
     picker = SnapshotPicker(config.snapshot_times, config.sim)
-    states = picker.watch(soliton_trajectory(topology, config.soliton, config.sim))
-    report = drift_audit(states, topology, config.m_max)
-    # each snapshot carries the partial norms its N was summed from
-    norms = np.array([s.bond_norms for s in report.snapshots])
+    snaps = []
+
+    def audit(state):
+        snaps.append(snapshot(state, topology, config.m_max))
+
+    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
+    (norms,) = observe(trajectory, [topology], picker.add, audit)
+    report = drift_report(tuple(snaps))
     summary = {
         "experiment": "conserved-audit",
         "t_final": config.sim.t_final,
@@ -205,10 +206,7 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     }
     return RunOutputs(
         summary=summary,
-        partial_norms=(
-            np.array([s.time for s in report.snapshots]),
-            dict(zip(topology.labels, norms.T)),
-        ),
+        partial_norms=norms,
         drift=report,
         snapshots=picker.picks(),
         topology=topology,

@@ -28,7 +28,8 @@ Three layers: the norm, the pair sum Z, and one ladder for every C_m.
   the constants exist, but the flow does not conserve them.
 
 The ladder assumes the field has decayed at the truncated ends; boundary
-sites contribute O(|q_end|^2).
+sites contribute O(|q_end|^2).  ``conserved-audit`` enforces this: the
+boundary guard of ``experiments.observe`` stops a run that reaches them.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients
 DRIFT_FLOOR = 1e-12
 
 
-def _summed(bond_norms: np.ndarray) -> float:
+def _summed(norms: np.ndarray) -> float:
     """The total norm of one row of partial norms; ``norm`` and ``snapshot`` share it."""
-    return float(sum(bond_norms))
+    return float(sum(norms))
 
 
 def norm(state: FieldState, topology: GraphTopology) -> float:
@@ -192,13 +193,11 @@ def higher_constants_recursive(
 class ConservedSnapshot:
     """All audited quantities at one instant; C holds (C2, ..., C_m_max).
 
-    ``bond_norms`` holds each bond's partial norm in ``topology.labels``
-    order, and N is their sum.  ``chain_residual`` is the sibling-gluing
-    residual of ``universal_chain_field``.
+    N is the sum of the partial norms.  ``chain_residual`` is the
+    sibling-gluing residual of ``universal_chain_field``.
     """
 
     time: float
-    bond_norms: tuple[float, ...]
     N: float
     Z: complex
     E: float
@@ -227,11 +226,9 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
     except OverflowError:
         bond, site = topology.locate(int(np.argmax(np.abs(q))))
         raise DivergenceError(bond, site, state.time, f"C_{m_max} overflows at the largest |q|") from None
-    bond_norms = partial_norms(state, topology)
     return ConservedSnapshot(
         time=state.time,
-        bond_norms=tuple(bond_norms.tolist()),
-        N=_summed(bond_norms),
+        N=_summed(partial_norms(state, topology)),
         Z=z,
         E=-2.0 * z.real,
         J=2.0 * z.imag,
@@ -263,7 +260,11 @@ def drift_audit(
     ``states`` may be the iterator ``evolve`` returns.  An ``m_max`` below 1
     or no states at all raise InvalidParameterError.
     """
-    snaps = tuple(snapshot(s, topology, m_max) for s in states)
+    return drift_report(tuple(snapshot(s, topology, m_max) for s in states))
+
+
+def drift_report(snaps: tuple[ConservedSnapshot, ...]) -> DriftReport:
+    """The drifts of snapshots taken in time order; none at all raise InvalidParameterError."""
     if not snaps:
         raise InvalidParameterError("trajectory must contain at least one state")
     residual = max(s.chain_residual for s in snaps)
@@ -278,6 +279,6 @@ def drift_audit(
         "E": rel([s.E for s in snaps], base.E),
         "J": rel([s.J for s in snaps], base.J),
     }
-    for i, m in enumerate(range(2, m_max + 1)):
-        drifts[f"C{m}"] = rel([s.C[i] for s in snaps], base.C[i])
+    for i in range(len(base.C)):
+        drifts[f"C{i + 2}"] = rel([s.C[i] for s in snaps], base.C[i])
     return DriftReport(snapshots=snaps, drifts=drifts, chain_residual=residual)

@@ -23,8 +23,8 @@ A step writes its stage derivatives into a ``StepWorkspace`` (three
 complex arrays and one real one, reused by every step of an ``evolve``) and its
 stage inputs into the fresh array it returns, so a returned state never
 shares memory with the workspace.  ``evolve`` is the one way out of a
-run: it yields the observed states, and each consumer keeps what it
-needs of them.
+run: it yields the observed states, which ``experiments.observe`` reads
+once and hands to the folds that keep what they need of them.
 
 The kernel is elementwise along a second axis: a state of shape
 ``(n_sites, B)`` with the ``stacked_couplings`` of B same-layout

@@ -36,4 +36,4 @@ class DivergenceError(RuntimeError):
 
 
 class InconclusiveRunError(RuntimeError):
-    """A scattering run cannot reach its measurement configuration."""
+    """A run's field reached a truncated end, or a scattering run cannot reach its measurement."""

@@ -14,22 +14,22 @@ Each experiment has one entry point: ``scattering_run`` (bifurcation)
 and ``broken_rule_run`` take a built topology, ``transmission_sweep`` a
 ratio grid.  ``soliton_trajectory`` is the one launch path: it puts the
 soliton on the incoming bond and returns ``dynamics.evolve``'s iterator
-of observed states.  No run holds its trajectory.  Every experiment reads
-the states once, in order, and keeps only what its consumers ask for: a
-row of partial norms per observation, the tracked peaks, the boundary
-guard's verdict on every observation, and the few states a
-``SnapshotPicker`` keeps as they pass through it.  ``scattering_ensemble``
-integrates topologies of one site layout as the columns of one stacked
-state; ``transmission_sweep`` runs its whole ratio grid this way.  Single
-runs and stacks share one report path, so a column's report equals
-``scattering_run``'s on its topology bit for bit.
+of observed states.  No run holds its trajectory: ``observe``, the one
+loop over observed states for every experiment and CLI subcommand, runs
+the boundary guard and adds a row of partial norms for every run at each
+observation, then hands the state to the caller's folds (a
+``SnapshotPicker``, the peak tracks, the conserved ``snapshot``).
+``scattering_ensemble`` integrates topologies of one site layout as the
+columns of one stacked state; ``transmission_sweep`` runs its whole ratio
+grid this way.  Single runs and stacks share one report path, so a
+column's report equals ``scattering_run``'s on its topology bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,15 +61,15 @@ RADIATION_WINDOW = 25
 class TransmissionReport:
     """Norm bookkeeping of one scattering run.
 
+    ``partial_norms`` is the run's times and per-bond series from ``observe``;
     ``transmissions`` maps each leaf label to its final norm fraction;
     ``reflection`` is the incoming bond's final fraction;
     ``unitarity_residual`` is |sum of leaf fractions - 1|.
     ``radiation_fraction`` is filled by broken-rule runs only: the norm
-    fraction outside every tracked peak window.
+    fraction outside every peak window.
     """
 
-    times: np.ndarray
-    partial_norm_series: dict[str, np.ndarray]
+    partial_norms: tuple[np.ndarray, dict[str, np.ndarray]]
     transmissions: dict[str, float]
     reflection: float
     unitarity_residual: float
@@ -95,14 +95,16 @@ class PeakSeries:
 
 
 class _PeakTrack:
-    """The modulus peak of one bond, added one observation at a time."""
+    """The modulus peak of one bond, added one observation at a time after ``start``."""
 
-    def __init__(self, topology: GraphTopology, bond: str):
-        self.topology, self.bond = topology, bond
+    def __init__(self, topology: GraphTopology, bond: str, start: float = -math.inf):
+        self.topology, self.bond, self.start = topology, bond, start
         self.axis = topology.site_coordinates(bond)
         self.rows: list[tuple[float, float, float]] = []  # (time, position, height)
 
     def add(self, state: FieldState) -> None:
+        if not state.time > self.start:
+            return
         mod = np.abs(bond_field(state, self.topology, self.bond))
         j = int(np.argmax(mod))
         pos = float(self.axis[j])
@@ -177,17 +179,6 @@ def _check_boundaries(state: FieldState, topology: GraphTopology):
         )
 
 
-def partial_norm_series(
-    states: Iterable[FieldState], topology: GraphTopology
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Observation times and each bond's partial norm at every observation."""
-    times, rows = [], []
-    for state in states:
-        times.append(state.time)
-        rows.append(partial_norms(state, topology))
-    return np.array(times), dict(zip(topology.labels, np.array(rows).T))
-
-
 def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConfig) -> SimConfig:
     # every scattering run starts here, with or without a given t_final
     v = soliton.velocity
@@ -224,67 +215,47 @@ Snapshots = tuple[tuple[float, FieldState], ...]
 
 
 class SnapshotPicker:
-    """Keeps the observation nearest each requested time as the states pass.
+    """Keeps the observation nearest each requested time, a fold over one run's states.
 
     A picker serves one run of ``config`` and checks ``requested`` with
     ``check_snapshot_times`` when it is built, before anything is
-    integrated.  ``watch`` hands every state on unchanged and remembers,
-    for each requested time, the nearest state seen so far; of two
-    equally near states the earlier stays.  With no requested times the first and last observations are
-    kept.
+    integrated.  ``add`` remembers, for each requested time, the nearest
+    state seen so far; of two equally near states the earlier stays.  With
+    no requested times the run's start (t = 0) and end are requested, so
+    the first and last observations are kept.
     """
 
     def __init__(self, requested: Sequence[float], config: SimConfig):
         check_snapshot_times(requested, config)
-        self.requested = tuple(requested)
+        self.requested = tuple(requested) or (0.0, _end_time(config))
         self.nearest: list[FieldState | None] = [None] * len(self.requested)
-        self.first: FieldState | None = None
         self.last: FieldState | None = None
 
-    def watch(self, states: Iterable[FieldState]) -> Iterator[FieldState]:
-        for state in states:
-            for i, t in enumerate(self.requested):
-                kept = self.nearest[i]
-                if kept is None or abs(state.time - t) < abs(kept.time - t):
-                    self.nearest[i] = state
-            if self.first is None:
-                self.first = state
-            self.last = state
-            yield state
+    def add(self, state: FieldState) -> None:
+        for i, t in enumerate(self.requested):
+            kept = self.nearest[i]
+            if kept is None or abs(state.time - t) < abs(kept.time - t):
+                self.nearest[i] = state
+        self.last = state
 
     def picks(self) -> Snapshots:
         """The kept ``(time, state)`` pairs, one per observation, in time order."""
-        kept = self.nearest if self.requested else (self.first, self.last)
-        return tuple(sorted({state.time: state for state in kept}.items()))
+        return tuple(sorted({state.time: state for state in self.nearest}.items()))
 
 
-def _report(
-    times: np.ndarray, norms: np.ndarray, topology: GraphTopology, measurement_time: float
-) -> TransmissionReport:
-    final = dict(zip(topology.labels, norms[-1].tolist()))
-    total = sum(final.values())
-    transmissions = {leaf: final[leaf] / total for leaf in topology.leaves}
-    return TransmissionReport(
-        times=times,
-        partial_norm_series=dict(zip(topology.labels, norms.T)),
-        transmissions=transmissions,
-        reflection=final[ROOT_LABEL] / total,
-        unitarity_residual=abs(sum(transmissions.values()) - 1.0),
-        total_norm=total,
-        measurement_time=float(measurement_time),
-    )
-
-
-def _reports(
-    states: Iterable[FieldState], topologies: Sequence[GraphTopology], measurement_time: float
-) -> list[TransmissionReport]:
-    """The report of every run observed in ``states``, read one state at a time.
+def observe(
+    states: Iterable[FieldState],
+    topologies: Sequence[GraphTopology],
+    *folds: Callable[[FieldState], None],
+) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """Read a run's observed states once, in order: the one loop over ``evolve``'s states.
 
     A state is one run on ``topologies[0]`` or a stack whose column b runs
-    on ``topologies[b]``.  Each observation adds one row of partial norms
-    per run, and the boundary guard checks every observation: the first
-    observation in which a run's field reached a truncated end raises,
-    naming the first such run in order.
+    on ``topologies[b]``.  At each observation every run, in column order,
+    passes the boundary guard and adds one row of partial norms, so the
+    first observation in which a run's field reached a truncated end
+    raises InconclusiveRunError naming the first such run; then each fold
+    gets the state.  Returns each run's times and per-bond series.
     """
     times, rows = [], [[] for _ in topologies]
     for state in states:
@@ -294,11 +265,24 @@ def _reports(
             run = FieldState(column, state.time)
             _check_boundaries(run, top)
             norms.append(partial_norms(run, top))
+        for fold in folds:
+            fold(state)
     times = np.array(times)
-    return [
-        _report(times, np.array(norms), top, measurement_time)
-        for norms, top in zip(rows, topologies)
-    ]
+    return [(times, dict(zip(top.labels, np.array(r).T))) for r, top in zip(rows, topologies)]
+
+
+def _report(norms: tuple, topology: GraphTopology, measurement_time: float) -> TransmissionReport:
+    final = {label: float(series[-1]) for label, series in norms[1].items()}
+    total = sum(final.values())
+    transmissions = {leaf: final[leaf] / total for leaf in topology.leaves}
+    return TransmissionReport(
+        partial_norms=norms,
+        transmissions=transmissions,
+        reflection=final[ROOT_LABEL] / total,
+        unitarity_residual=abs(sum(transmissions.values()) - 1.0),
+        total_norm=total,
+        measurement_time=float(measurement_time),
+    )
 
 
 def soliton_trajectory(
@@ -329,8 +313,8 @@ def scattering_run(
     """
     run_cfg = _run_config(topology, soliton, config)
     picker = SnapshotPicker(snapshot_times, run_cfg)
-    states = picker.watch(soliton_trajectory(topology, soliton, run_cfg))
-    return _reports(states, [topology], run_cfg.t_final)[0], picker.picks()
+    (norms,) = observe(soliton_trajectory(topology, soliton, run_cfg), [topology], picker.add)
+    return _report(norms, topology, run_cfg.t_final), picker.picks()
 
 
 def scattering_ensemble(
@@ -354,7 +338,8 @@ def scattering_ensemble(
     initial = FieldState(
         np.stack([soliton_profile(soliton, top, 0.0).data for top in topologies], axis=1)
     )
-    return _reports(evolve(initial, couplings, run_cfg), topologies, run_cfg.t_final)
+    runs = observe(evolve(initial, couplings, run_cfg), topologies)
+    return [_report(norms, top, run_cfg.t_final) for norms, top in zip(runs, topologies)]
 
 
 @dataclass(frozen=True)
@@ -425,7 +410,7 @@ def broken_rule_run(
 
     Requires a genuinely broken rule (reflection regime); the sum rule
     holding is a precondition error, raised before any integration.  As
-    the states pass, the reflected peak is tracked on the incoming bond
+    the states pass, the reflected peak is followed on the incoming bond
     (over the observations after the incident peak has cleared the
     vertex) and the transmitted peak on every leaf.  The report carries
     the radiation estimate: the norm fraction outside every peak window at
@@ -437,25 +422,21 @@ def broken_rule_run(
             "couplings satisfy the vertex sum rule; use scattering_run "
             "(the bifurcation subcommand) instead"
         )
-    tracks = {label: _PeakTrack(topology, label) for label in (ROOT_LABEL, *topology.leaves)}
-
-    def tracked(states: Iterator[FieldState]) -> Iterator[FieldState]:
-        v = soliton.velocity
-        t_fit_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v)
-        for state in states:
-            for label, track in tracks.items():
-                if label != ROOT_LABEL or state.time > t_fit_start:
-                    track.add(state)
-            yield state
-
     run_cfg = _run_config(topology, soliton, config)
+    v = soliton.velocity
+    reflected_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v)
+    tracks = {
+        label: _PeakTrack(topology, label, reflected_start if label == ROOT_LABEL else -math.inf)
+        for label in (ROOT_LABEL, *topology.leaves)
+    }
     picker = SnapshotPicker(snapshot_times, run_cfg)
-    states = tracked(picker.watch(soliton_trajectory(topology, soliton, run_cfg)))
-    report = _reports(states, [topology], run_cfg.t_final)[0]
+    folds = (picker.add, *(track.add for track in tracks.values()))
+    (norms,) = observe(soliton_trajectory(topology, soliton, run_cfg), [topology], *folds)
+    report = _report(norms, topology, run_cfg.t_final)
     series = {label: track.series() for label, track in tracks.items()}
-    tracked_norm = 0.0
+    peak_norm = 0.0
     for label, ps in series.items():
         if ps.velocity is not None:
-            tracked_norm += _window_norm(picker.last, topology, label, float(ps.sites[-1]))
-    radiation = max(0.0, (report.total_norm - tracked_norm) / report.total_norm)
+            peak_norm += _window_norm(picker.last, topology, label, float(ps.sites[-1]))
+    radiation = max(0.0, (report.total_norm - peak_norm) / report.total_norm)
     return replace(report, radiation_fraction=radiation), series, picker.picks()

@@ -58,6 +58,10 @@ class SolitonParams:
                 raise InvalidParameterError(f"{name} must be finite")
         if self.beta <= 0:
             raise InvalidParameterError("beta must be > 0")
+        try:
+            math.cosh(self.beta)  # sinh(beta) < cosh(beta), so both are finite
+        except OverflowError:
+            raise InvalidParameterError(f"sinh and cosh of beta = {self.beta:g} overflow") from None
 
     @property
     def omega(self) -> float:

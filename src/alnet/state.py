@@ -16,6 +16,7 @@ carries the ``sqrt(gamma_parent / gamma_child)`` weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,15 +74,29 @@ def assert_finite(state: FieldState, topology: GraphTopology):
     raise DivergenceError(bond, site, state.time)
 
 
+@lru_cache(maxsize=32)
+def _length_tables(topology: GraphTopology) -> tuple[list, np.ndarray, np.ndarray]:
+    """Each length's bond count k and (k, L) sites, a slice if back to back; label order; gammas."""
+    starts = np.array([topology.slices[b.label].start for b in topology.bonds])
+    lengths = np.array([b.length for b in topology.bonds])
+    groups = [np.flatnonzero(lengths == n) for n in sorted(set(lengths.tolist()))]
+    tables = [
+        (len(t), slice(t[0, 0], t[-1, -1] + 1) if (np.diff(t.ravel()) == 1).all() else t)
+        for t in (starts[g, None] + np.arange(lengths[g[0]]) for g in groups)
+    ]
+    return tables, np.argsort(np.concatenate(groups)), topology.site_gamma[starts]
+
+
 def partial_norms(state: FieldState, topology: GraphTopology) -> np.ndarray:
     """Norm content of each bond, in ``topology.labels`` order.
 
     The density is ``ln(1 + gamma |psi|^2) / gamma``, so the total over all
     bonds is the conserved norm of the flow.  One ``log1p`` pass covers
-    every site; each bond's value is then the sum over its own slice,
-    which keeps the bits of a per-bond evaluation.
+    every site; the bonds of one length are then summed as the rows of
+    one (k, L) array, which keeps the bits of a per-bond ``np.sum``.
     """
     _check_shape(state, topology)
     a = state.data
     logs = np.log1p(topology.site_gamma * (a.real**2 + a.imag**2))
-    return np.array([np.sum(logs[topology.slices[b.label]]) / b.gamma for b in topology.bonds])
+    tables, order, gamma = _length_tables(topology)
+    return np.concatenate([logs[s].reshape(k, -1).sum(axis=1) for k, s in tables])[order] / gamma

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -393,6 +394,12 @@ class TestCli:
         assert "zero amplitude" in capsys.readouterr().err
         assert not Path(cfg["out"]).exists()
 
+    def test_a_beta_that_overflows_exits_1(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path, soliton={"alpha": ALPHA_FIG4, "beta": 800.0, "n0": -10.0})
+        assert run_cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not Path(cfg["out"]).exists()
+
     def test_broken_rule_rejects_sum_rule_couplings(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -405,13 +412,37 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_2(self, tmp_path, capsys):
+        # truncation 100 keeps the launch clear of the walls, so the step diverges first
+        path, _ = write_config(
+            tmp_path,
+            topology={"gammas": [1.0, 1.0], "truncation": 100},
+            sim={"dt": 50.0, "t_final": 500.0},
+        )
+        assert run_cli(["simulate", "--config", str(path)]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_a_launch_at_the_wall_exits_3_before_the_first_step(self, tmp_path, capsys):
+        # at truncation 20 the soliton at n0 = -10 puts |psi|^2 = 6.1e-3 on the guard sites
         path, _ = write_config(
             tmp_path,
             topology={"gammas": [1.0, 1.0], "truncation": 20},
             sim={"dt": 50.0, "t_final": 500.0},
         )
-        assert run_cli(["simulate", "--config", str(path)]) == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        with mock.patch("alnet.dynamics.step", wraps=alnet.dynamics.step) as spy:
+            assert run_cli(["simulate", "--config", str(path)]) == EXIT_INCONCLUSIVE
+        assert spy.call_count == 0
+        assert "truncated end of bond '1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "conserved-audit"])
+    def test_a_run_into_the_wall_exits_3(self, tmp_path, capsys, command):
+        # configs/chain.json at --t-final 400 reaches bond 11's wall; a shorter
+        # chain and a longer step reach it sooner
+        argv = [command, "--config", str(CONFIGS / "chain.json"), "--out", str(tmp_path / "out"),
+                "--truncation", "100", "--dt", "0.05"]
+        assert run_cli(argv) == EXIT_OK
+        assert run_cli([*argv, "--t-final", "120"]) == EXIT_INCONCLUSIVE
+        err = capsys.readouterr().err
+        assert "inconclusive run: field reached the truncated end of bond '11'" in err
 
     def test_short_leaves_exit_3(self, tmp_path, capsys):
         path, _ = write_config(

@@ -88,12 +88,13 @@ class TestScattering:
         # target sits 80 sites past the vertex; ceil((80 + 60) / v) = 99
         assert report.measurement_time == pytest.approx(99.0)
         assert late[-1].time == pytest.approx(99.0)
-        np.testing.assert_allclose(report.times, np.arange(0.0, 100.0))
+        np.testing.assert_allclose(report.partial_norms[0], np.arange(0.0, 100.0))
 
     def test_norm_series_bookkeeping(self, psg_run):
         top, report, _ = psg_run
-        assert set(report.partial_norm_series) == set(top.labels)
-        totals = sum(report.partial_norm_series.values())
+        _, series = report.partial_norms
+        assert set(series) == set(top.labels)
+        totals = sum(series.values())
         np.testing.assert_allclose(totals, totals[0], rtol=1e-6)
 
     def test_transmitted_peaks_keep_shape_and_speed(self, psg_run):

@@ -43,6 +43,12 @@ class TestKinematics:
         with pytest.raises(InvalidParameterError):
             SolitonParams(alpha=0.1, beta=beta, n0=0.0)
 
+    def test_rejects_a_width_whose_sinh_and_cosh_overflow(self):
+        # cosh overflows a double just above beta = 710.4758
+        assert math.isfinite(SolitonParams(alpha=0.1, beta=710.4758, n0=0.0).velocity)
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            SolitonParams(alpha=0.1, beta=710.476, n0=0.0)
+
     def test_params_expose_kinematics(self):
         p = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0)
         assert (p.omega, p.velocity) == derive_kinematics(ALPHA_FIG4, 0.1)

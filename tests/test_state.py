@@ -39,8 +39,9 @@ def test_bond_field_is_a_view():
 @PROPERTY_SETTINGS
 @given(tops=tree_stacks(), truncation=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
 def test_partial_norms_against_direct_sum(tops, truncation, seed):
-    # one log1p pass and per-slice sums give each bond's own sum, bit for
-    # bit; leaves long enough for numpy's blocked summation
+    # one log1p pass, then the bonds of one length summed as the rows of
+    # one table, give each bond's own np.sum bit for bit; leaves long
+    # enough for numpy's blocked summation
     top = with_truncation(tops[0], truncation)
     rng = np.random.default_rng(seed)
     n = top.n_sites
