@@ -5,9 +5,8 @@ Every subcommand reads a JSON config (--config) and writes results under
 the output directory.  The subcommand overrides the config's
 "experiment" field; --out/--dt/--t-final/--m-max/--truncation override
 the corresponding config fields.  Each subcommand calls the experiment
-layer and only turns its result into ``RunOutputs``; every run launches
-its soliton through ``experiments.soliton_trajectory`` and reads the
-observed states once, in ``experiments.observe``, which guards the
+layer and only turns its result into ``RunOutputs``; every run reads
+its observed states once, in ``experiments.observe``, which guards the
 truncated walls.  A run holds only the states its
 ``experiments.SnapshotPicker`` keeps for the snapshot files, and
 ``experiments.check_snapshot_times`` refuses a snapshot time past the

@@ -27,7 +27,7 @@ run: it yields the observed states, which ``experiments.observe`` reads
 once and hands to the folds that keep what they need of them.
 
 The kernel is elementwise along a second axis: a state of shape
-``(n_sites, B)`` with the ``stacked_couplings`` of B same-layout
+``(n_sites, B)`` with the ``coupling_coefficients`` of B same-layout
 topologies advances B independent runs in one step, and every column is
 bitwise equal to the single run on its topology.  A single run stays
 one-dimensional.
@@ -38,10 +38,11 @@ sites from its peak (about 7.4k at beta = 0.1), and a zero that stays
 zero needs no step.  At state 0, after step 1 and at every observation,
 ``evolve`` reads the reach of the field: the largest
 ``topology.vertex_distance`` of a site that holds a word that is not
-bitwise +0.  It steps the next block on ``with_truncation(topology, W)``,
-whose sites are those with ``vertex_distance <= W``: W is the reach plus
-a band of ``4 * output_stride + 1`` sites, or the full truncation when
-that is no shorter.  Each observed state is written back into the full
+bitwise +0.  It steps the next block with the R of
+``with_truncation(topology, W)`` for each of R's topologies, whose sites
+are those with ``vertex_distance <= W``: W is the reach plus a band of
+``4 * output_stride + 1`` sites, or the full truncation when that is no
+shorter.  Each observed state is written back into the full
 layout, +0 beyond the window.  The windowed run equals the full run bit
 for bit, by three facts:
 
@@ -56,11 +57,11 @@ for bit, by three facts:
 
 Only bitwise +0 counts, so a launch whose underflowed tails hold -0
 (``0 * phase``) steps its first step on the full layout, which clears
-them.  The walls are read first, and a field that reaches any of them
-(every run at the paper's sizes) costs one gather per observation.  A
-stack windows on the union of its columns.  Nothing is replayed: the
-band covers each block, and the next window is chosen from the exact
-state at its start, wider when the field has spread.
+them.  The guard sites, the two nearest each wall, are read first, and a
+field that reaches any of them (every run at the paper's sizes) costs one
+gather per observation.  A stack windows on the union of its columns.
+Nothing is replayed: the band covers each block, and the next window is
+chosen from the exact state at its start, wider when the field has spread.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .state import FieldState, assert_finite
-from .topology import CouplingCoefficients, GraphTopology, coupling_coefficients
+from .topology import CouplingCoefficients, GraphTopology, coupling_coefficients, with_truncation
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def step(
 ) -> FieldState:
     """One classical Runge-Kutta step of size ``dt``; returns a new state.
 
-    A stacked state takes the ``stacked_couplings`` of its columns'
+    A stacked state takes the ``coupling_coefficients`` of its columns'
     topologies.  A non-finite result raises DivergenceError at its site
     in ``couplings.topology``'s layout.  ``workspace`` must fit the
     state's shape; without one the step makes its own.  A state whose
@@ -193,10 +194,11 @@ def _window(data: np.ndarray, topology: GraphTopology, band: int) -> int:
 
     The reach is the largest ``vertex_distance`` of a site that holds a
     word that is not bitwise +0.  Returns ``topology.truncation`` when
-    that is no shorter.  The walls are read first, so a field that
-    reaches them costs one gather.
+    that is no shorter.  The guard sites are read first, so a field that
+    reaches them costs one gather: a word at distance ``truncation - 1``
+    already gives ``reach + band >= truncation``, since the band is >= 5.
     """
-    if np.count_nonzero(data[topology.walls].view(np.uint64)):
+    if np.count_nonzero(data[topology.guard_sites].view(np.uint64)):
         return topology.truncation
     occupied = data.view(np.uint64).reshape(topology.n_sites, -1).any(axis=1)
     reach = int(topology.vertex_distance[occupied].max(initial=0))
@@ -216,12 +218,17 @@ def evolve(
     fresh arrays and no later step writes to them.  A stacked state is
     integrated as in ``step``, and one workspace serves every step on
     one window.  A missing ``t_final`` raises InvalidParameterError on
-    the first ``next()``, and so does a state whose shape does not fit R.
+    the first ``next()``, and so do a ``t_final > 0`` that rounds to zero
+    steps of ``dt`` and a state whose shape does not fit R.
     """
     if config.t_final is None:
         raise InvalidParameterError("config.t_final is required by evolve")
     _check_shape(state.data, couplings)
     n_steps = round(config.t_final / config.dt)
+    if n_steps == 0 and config.t_final > 0:
+        raise InvalidParameterError(
+            f"t_final {config.t_final:g} is less than half a step of dt {config.dt:g}"
+        )
     stride = config.output_stride
     band = 4 * stride + 1
     full = couplings.topology
@@ -233,10 +240,11 @@ def evolve(
         if i <= 2 or (i - 1) % stride == 0:  # state 0, state 1 and every observation
             truncation = _window(current.data, full, band)
             if truncation != layout.topology.truncation:
-                windowed = truncation < full.truncation
-                layout = couplings.truncated(truncation) if windowed else couplings
-                kept = np.flatnonzero(full.vertex_distance <= truncation) if windowed else None
-                workspace = None
+                layout, kept, workspace = couplings, None, None
+                if truncation < full.truncation:
+                    cut = (with_truncation(t, truncation) for t in couplings.topologies)
+                    layout = coupling_coefficients(*cut)
+                    kept = np.flatnonzero(full.vertex_distance <= truncation)
             y = current if kept is None else FieldState(current.data[kept], current.time)
             if workspace is None:
                 workspace = StepWorkspace(y.data.shape)

@@ -12,17 +12,18 @@ end, raise InconclusiveRunError rather than report biased numbers.
 
 Each experiment has one entry point: ``scattering_run`` (bifurcation)
 and ``broken_rule_run`` take a built topology, ``transmission_sweep`` a
-ratio grid.  ``soliton_trajectory`` is the one launch path: it puts the
-soliton on the incoming bond and returns ``dynamics.evolve``'s iterator
-of observed states.  No run holds its trajectory: ``observe``, the one
-loop over observed states for every experiment and CLI subcommand, runs
-the boundary guard and adds a row of partial norms for every run at each
-observation, then hands the state to the caller's folds (a
-``SnapshotPicker``, the peak tracks, the conserved ``snapshot``).
-``scattering_ensemble`` integrates topologies of one site layout as the
-columns of one stacked state; ``transmission_sweep`` runs its whole ratio
-grid this way.  Single runs and stacks share one report path, so a
-column's report equals ``scattering_run``'s on its topology bit for bit.
+ratio grid, which ``scattering_ensemble`` runs as the columns of one
+stacked state under one ``coupling_coefficients`` R.  Every scattering
+launch refuses, before the first step, a soliton that does not move
+toward the vertex or that puts more than ``LAUNCH_OFF_BOND_TOL`` of its
+norm off bond 1, past the vertex; ``soliton_trajectory`` launches the
+plain runs of ``simulate`` and ``conserved-audit``.  No run holds its
+trajectory: ``observe``, the one loop over observed states for every
+experiment and CLI subcommand, runs the boundary guard and adds a row of
+partial norms for every run at each observation, then hands the state to
+the caller's folds (a ``SnapshotPicker``, the peak tracks, the conserved
+``snapshot``).  Single runs and stacks share one launch and one report
+path, so a column's report equals ``scattering_run``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .topology import (
     coupling_coefficients,
     is_reflectionless,
     site_offset,
-    stacked_couplings,
 )
 
 MEASUREMENT_MARGIN = 50
@@ -55,6 +55,8 @@ BOUNDARY_GUARD_TOL = 1e-4
 PEAK_MODULUS_FLOOR = 1e-6
 REFLECTED_FIT_DELAY = 25.0
 RADIATION_WINDOW = 25
+# criterion 1's tolerance on T, which a launch this far off bond 1 can move unscattered
+LAUNCH_OFF_BOND_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -166,30 +168,49 @@ def _measurement_time(
 
 
 def _check_boundaries(state: FieldState, topology: GraphTopology):
-    # the two sites at each semi-infinite bond's wall, a pair per bond in label order
-    guard = np.flatnonzero(topology.vertex_distance >= topology.truncation - 1)
-    edge = state.data[guard]
+    edge = state.data[topology.guard_sites]
     worst = (edge.real**2 + edge.imag**2).reshape(-1, 2).max(axis=1)
     over = np.flatnonzero(worst > BOUNDARY_GUARD_TOL)
     if over.size:
-        label, _ = topology.locate(int(guard[2 * over[0]]))
+        label, _ = topology.locate(int(topology.guard_sites[2 * over[0]]))
         raise InconclusiveRunError(
             f"field reached the truncated end of bond {label!r} "
             f"(|psi|^2 = {worst[over[0]]:.3e})"
         )
 
 
-def _run_config(topology: GraphTopology, soliton: SolitonParams, config: SimConfig) -> SimConfig:
-    # every scattering run starts here, with or without a given t_final
+def _launch(
+    topologies: Sequence[GraphTopology], soliton: SolitonParams, config: SimConfig
+) -> tuple[SimConfig, FieldState]:
+    """Every scattering run starts here: its config with ``t_final`` set, and its state at t = 0.
+
+    One topology is one run, several are the columns of one stack, and
+    the state has the shape of their ``coupling_coefficients``.  A soliton
+    that does not move toward the vertex, or a launch that puts more than
+    ``LAUNCH_OFF_BOND_TOL`` of its norm off bond 1 in any column, raises
+    InconclusiveRunError.
+    """
+    shape = coupling_coefficients(*topologies).site_gamma.shape
     v = soliton.velocity
     if not (v > 0):
         raise InconclusiveRunError(
             f"soliton velocity {v:g} does not carry it toward the vertex"
         )
+    columns = []
+    for top in topologies:
+        launch = soliton_profile(soliton, top, 0.0)
+        norms = partial_norms(launch, top)  # bond '1' first
+        off = float(norms[1:].sum() / norms.sum())
+        if off > LAUNCH_OFF_BOND_TOL:
+            raise InconclusiveRunError(
+                f"the launch at n0 = {soliton.n0:g} puts {off:.3e} of its norm off bond "
+                f"{ROOT_LABEL!r}, more than {LAUNCH_OFF_BOND_TOL:g}: it starts past the vertex"
+            )
+        columns.append(launch.data)
     t_final = config.t_final
     if t_final is None:
-        t_final = _measurement_time(topology, soliton, config)
-    return replace(config, t_final=t_final)
+        t_final = _measurement_time(topologies[0], soliton, config)
+    return replace(config, t_final=t_final), FieldState(np.stack(columns, axis=1).reshape(shape))
 
 
 def _end_time(config: SimConfig) -> float:
@@ -311,9 +332,10 @@ def scattering_run(
     is derived before the first step, so a snapshot time past it raises
     InvalidParameterError before anything is integrated.
     """
-    run_cfg = _run_config(topology, soliton, config)
+    run_cfg, launch = _launch([topology], soliton, config)
     picker = SnapshotPicker(snapshot_times, run_cfg)
-    (norms,) = observe(soliton_trajectory(topology, soliton, run_cfg), [topology], picker.add)
+    states = evolve(launch, coupling_coefficients(topology), run_cfg)
+    (norms,) = observe(states, [topology], picker.add)
     return _report(norms, topology, run_cfg.t_final), picker.picks()
 
 
@@ -324,8 +346,8 @@ def scattering_ensemble(
 
     The runs are the columns of one ``(n_sites, B)`` state, advanced by
     the single-run kernel, so each report equals ``scattering_run``'s on
-    its topology bit for bit.  A shared layout means a shared measurement
-    time.  Only each column's partial norms are kept, not its states.
+    its topology bit for bit; one topology is that single run.  A shared
+    layout means a shared measurement time.  Only each column's partial norms are kept, not its states.
     Failures are checked column by column in the given order: the first
     non-finite column raises DivergenceError naming its own bond and
     site, and at the first observation in which a column's field reached
@@ -333,12 +355,8 @@ def scattering_ensemble(
     """
     if not topologies:
         return []
-    couplings = stacked_couplings(topologies)
-    run_cfg = _run_config(topologies[0], soliton, config)
-    initial = FieldState(
-        np.stack([soliton_profile(soliton, top, 0.0).data for top in topologies], axis=1)
-    )
-    runs = observe(evolve(initial, couplings, run_cfg), topologies)
+    run_cfg, launch = _launch(topologies, soliton, config)
+    runs = observe(evolve(launch, coupling_coefficients(*topologies), run_cfg), topologies)
     return [_report(norms, top, run_cfg.t_final) for norms, top in zip(runs, topologies)]
 
 
@@ -422,7 +440,7 @@ def broken_rule_run(
             "couplings satisfy the vertex sum rule; use scattering_run "
             "(the bifurcation subcommand) instead"
         )
-    run_cfg = _run_config(topology, soliton, config)
+    run_cfg, launch = _launch([topology], soliton, config)
     v = soliton.velocity
     reflected_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v)
     tracks = {
@@ -431,7 +449,8 @@ def broken_rule_run(
     }
     picker = SnapshotPicker(snapshot_times, run_cfg)
     folds = (picker.add, *(track.add for track in tracks.values()))
-    (norms,) = observe(soliton_trajectory(topology, soliton, run_cfg), [topology], *folds)
+    states = evolve(launch, coupling_coefficients(topology), run_cfg)
+    (norms,) = observe(states, [topology], *folds)
     report = _report(norms, topology, run_cfg.t_final)
     series = {label: track.series() for label, track in tracks.items()}
     peak_norm = 0.0

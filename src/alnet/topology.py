@@ -21,20 +21,20 @@ and ``check_sum_rule`` reports the residual of that identity per vertex.
 dynamics need: the forward shift R along the flat layout, which at each
 vertex hands the parent's last site the children's first sites weighted
 by ``sqrt(gamma_parent / gamma_child)``, together with each site's
-``gamma`` and the topology itself.  It is cached per topology, so the
-conserved quantities, which take the topology, look R up on each call.
-``stacked_couplings`` does the same for several topologies of one site
-layout at once, one per column of an ``(n_sites, B)`` field, so an
-ensemble of runs shares one integration.
+``gamma`` and the topology itself.  It is cached per tuple of topologies,
+so the conserved quantities, which take the topology, look R up on each
+call.  Several topologies of one site layout give one R with a column
+per topology, for an ``(n_sites, B)`` field, so an ensemble of runs
+shares one integration.
 ``GraphTopology.vertex_distance`` holds each semi-infinite site's distance
 from its vertex (0 on internal bonds), so ``flatnonzero(vertex_distance <= W)``
-is the layout of ``with_truncation(topology, W)``, in order; on it
-``CouplingCoefficients.truncated`` gives the same maps, the window that
-``evolve`` steps while the far tails are exact zeros.
-The conserved quantities apply R and R^T separately; the dynamics needs
-only the neighbour sum ``(R + R^T) y``, which costs one whole-array add
-plus a fix-up at the two end sites of every bond.  All three maps read one
-set of tables: each is a whole-array shift overwritten at those end sites.
+is the layout of ``with_truncation(topology, W)``, in order; the R of
+those trees is the window that ``evolve`` steps while the far tails are
+exact zeros.
+The conserved quantities apply R; the dynamics needs only the neighbour
+sum ``(R + R^T) y``, which costs one whole-array add plus a fix-up at the
+two end sites of every bond.  Both maps read one set of tables: each is a
+whole-array shift overwritten at those end sites.
 """
 
 from __future__ import annotations
@@ -188,9 +188,9 @@ class GraphTopology:
         return out
 
     @cached_property
-    def walls(self) -> np.ndarray:
-        """Flat index of every semi-infinite bond's truncated far end, its hard wall."""
-        return _frozen(np.flatnonzero(self.vertex_distance == self.truncation))
+    def guard_sites(self) -> np.ndarray:
+        """Flat index of the two sites nearest each semi-infinite bond's wall, a pair per bond in label order."""
+        return _frozen(np.flatnonzero(self.vertex_distance >= self.truncation - 1))
 
     @cached_property
     def site_gamma(self) -> np.ndarray:
@@ -224,35 +224,36 @@ class CouplingCoefficients:
 
     Within a bond ``(R y)_n = y_{n+1}``.  The last site of a parent bond
     gets ``sum_c s_c y_{c,1}`` with ``s_c = sqrt(gamma_parent /
-    gamma_child)``, and the last site of a leaf gets 0.  ``backward``
-    applies the transpose: a child's first site gets ``s_c y_{parent,last}``
-    and the far end of the incoming bond gets 0.  ``neighbors`` applies
-    ``R + R^T`` in one pass.  The dynamics and every conserved quantity see
-    the graph only through these maps.
+    gamma_child)``, and the last site of a leaf gets 0.  ``neighbors``
+    applies ``R + R^T`` in one pass.  The dynamics and every conserved
+    quantity see the graph only through these maps.
 
-    ``values`` maps each (parent, child) pair to its weight ``s_c``, and
-    ``topology`` is the graph the maps were built from (for a stack, its
-    first column's), so a caller that holds R also holds the layout.  The
-    ``edge_*`` fields are one table set for all three maps, described in
-    ``neighbors``: away from the end sites of the bonds each map is a
-    whole-array shift, and at the end sites the tables give R's and R^T's
-    terms.  ``site_gamma`` is the nonlinearity strength of every flat site.
+    ``topologies`` are the graphs the maps were built from, one per
+    column of a stack, and ``topology`` is the first of them, so a caller
+    that holds R also holds the layout.  The ``edge_*`` fields are one
+    table set for both maps, described in ``neighbors``: away from the end
+    sites of the bonds each map is a whole-array shift, and at the end
+    sites the tables give R's and R^T's terms.  ``site_gamma`` is the
+    nonlinearity strength of every flat site.
 
-    All maps act along the first axis, so ``y`` may be one field of shape
-    ``(n_sites,)`` or a stack of shape ``(n_sites, B)``; a stack needs the
-    per-column ``edge_weights`` of shape ``(k, B)`` and ``site_gamma`` of
-    shape ``(n_sites, B)`` that ``stacked_couplings`` builds.
+    The maps act along the first axis, on a field of shape ``(n_sites,)``
+    or, for an R of B topologies, whose ``edge_weights`` and ``site_gamma``
+    gain a column axis, on a stack ``(n_sites, B)``; each column of a map
+    is, bit for bit, that column's own R applied to it.
     """
 
-    values: dict[tuple[str, str], float]
-    topology: GraphTopology = field(compare=False, repr=False)
+    topologies: tuple[GraphTopology, ...] = field(repr=False)
     site_gamma: np.ndarray = field(compare=False, repr=False)
+    edge_weights: np.ndarray = field(compare=False, repr=False)
     edge_sites: np.ndarray = field(compare=False, repr=False)
     edge_terms: np.ndarray = field(compare=False, repr=False)
     edge_zeros: np.ndarray = field(compare=False, repr=False)
-    edge_weights: np.ndarray = field(compare=False, repr=False)
     edge_groups: np.ndarray = field(compare=False, repr=False)
     edge_sums: slice = field(compare=False, repr=False)
+
+    @property
+    def topology(self) -> GraphTopology:
+        return self.topologies[0]
 
     def forward(self, y: np.ndarray) -> np.ndarray:
         """``R y``: every site takes its successor away from the root."""
@@ -260,14 +261,6 @@ class CouplingCoefficients:
         out = np.empty_like(y)
         out[:-1] = y[1:]
         out[self.edge_sites] = self._terms(y)[:e]
-        return out
-
-    def backward(self, y: np.ndarray) -> np.ndarray:
-        """``R^T y``: every site takes its predecessor toward the root."""
-        e = self.edge_sites.shape[0]
-        out = np.empty_like(y)
-        out[1:] = y[:-1]
-        out[self.edge_sites] = self._terms(y)[e:2 * e]
         return out
 
     def _terms(self, y: np.ndarray) -> np.ndarray:
@@ -281,7 +274,7 @@ class CouplingCoefficients:
         return t
 
     def neighbors(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``(R + R^T) y``, bit for bit ``forward(y) + backward(y)``.
+        """``(R + R^T) y``.
 
         Inside a bond this is ``y_{n+1} + y_{n-1}``, one whole-array add.
         The end sites of the bonds (``edge_sites``, E of them) are then
@@ -300,10 +293,10 @@ class CouplingCoefficients:
         * each parent end and one-site bond sums its children's weighted
           first sites, grouped by ``edge_groups``, into ``t[edge_sums]``.
 
-        Every operation repeats one of ``forward`` or ``backward`` on the
-        same operands in the same order, including the weight-first
-        products and the ``np.add.reduceat`` over a vertex's children, so
-        the result matches to the last bit and the sign of zero.
+        ``ahead`` is what ``forward`` writes at the end sites, with the
+        same weight-first products and the same ``np.add.reduceat`` over a
+        vertex's children, so the result is, to the last bit and the sign
+        of zero, ``R y`` plus ``R^T y`` applied as two shifts.
         """
         if out is None:
             out = np.empty_like(y)
@@ -313,31 +306,17 @@ class CouplingCoefficients:
         out[self.edge_sites] = t[:e] + t[e:2 * e]
         return out
 
-    def truncated(self, truncation: int) -> "CouplingCoefficients":
-        """These maps on ``with_truncation(topology, truncation)``, for one run or a stack.
 
-        ``truncation`` may not exceed the topology's.  The edge-table rows
-        keep their order for every semi-infinite length of at least 2, so
-        ``values`` and ``edge_weights`` carry over unchanged, the site
-        tables are rebuilt for the shorter layout and ``site_gamma`` keeps
-        the sites with ``vertex_distance <= truncation``.
-        """
-        top = with_truncation(self.topology, truncation)
-        sites, terms, zeros, _, groups, sums = _edge_tables(top, self.values)
-        gamma = self.site_gamma[self.topology.vertex_distance <= truncation]
-        return replace(
-            self, topology=top, site_gamma=_frozen(gamma, float), edge_sites=sites,
-            edge_terms=terms, edge_zeros=zeros, edge_groups=groups, edge_sums=sums,
-        )
+def coupling_coefficients(*topologies: GraphTopology) -> CouplingCoefficients:
+    """The vertex-weighted shift operator of one topology, or of several, one per column.
 
-
-def coupling_coefficients(topology: GraphTopology) -> CouplingCoefficients:
-    """The vertex-weighted shift operator of a topology, built once per topology.
-
-    The weights depend only on the nonlinearity strengths and are defined
-    whether or not the sum rule holds.
+    Built once per tuple of topologies.  Several topologies must share
+    their bond labels, lengths and kinds, so only the gammas differ; no
+    topology, or two layouts, raise InvalidParameterError.  The weights
+    depend only on the nonlinearity strengths and are defined whether or
+    not the sum rule holds.
     """
-    return _build_couplings(topology)
+    return _build_couplings(topologies)
 
 
 def _frozen(values, dtype=np.intp) -> np.ndarray:
@@ -347,19 +326,22 @@ def _frozen(values, dtype=np.intp) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _build_couplings(topology: GraphTopology) -> CouplingCoefficients:
-    values = {
-        (parent, child): math.sqrt(topology.bond(parent).gamma / topology.bond(child).gamma)
-        for parent, kids in topology.vertices.items()
-        for child in kids
-    }
-    return CouplingCoefficients(
-        values, topology, topology.site_gamma, *_edge_tables(topology, values)
-    )
+def _build_couplings(topologies: tuple[GraphTopology, ...]) -> CouplingCoefficients:
+    if not topologies:
+        raise InvalidParameterError("R needs at least one topology")
+    if len({tuple((b.label, b.length, b.kind) for b in t.bonds) for t in topologies}) > 1:
+        raise InvalidParameterError("stacked topologies must share one site layout")
+    pairs, tables = _edge_tables(topologies[0])
+    weights = [[math.sqrt(t.bond(p).gamma / t.bond(c).gamma) for t in topologies] for p, c in pairs]
+    if len(topologies) == 1:  # one run keeps 1-D maps and shares its topology's gammas
+        weights, gamma = [w for w, in weights], topologies[0].site_gamma
+    else:
+        gamma = np.stack([t.site_gamma for t in topologies], axis=1)
+    return CouplingCoefficients(topologies, _frozen(gamma, float), _frozen(weights, float), *tables)
 
 
-def _edge_tables(topology: GraphTopology, values: Mapping) -> tuple:
-    """``edge_sites`` .. ``edge_sums``, the tables of ``CouplingCoefficients``."""
+def _edge_tables(topology: GraphTopology) -> tuple[list, tuple]:
+    """Each ``edge_weights`` entry's (parent, child) pair, and ``edge_sites`` .. ``edge_sums``."""
     slices, vertices = topology.slices, topology.vertices
     # rows as (site, ahead site, behind site, bond); ahead/behind name the
     # site itself where the term is a zero or a children's sum
@@ -379,50 +361,14 @@ def _edge_tables(topology: GraphTopology, values: Mapping) -> tuple:
     summed = parent_ends + one_site
     entered = one_site + child_firsts
     e = len(rows)
-    kids = [(values[(r[3], c)], slices[c].start) for r in summed for c in vertices[r[3]]]
+    kids = [(r[3], c) for r in summed for c in vertices[r[3]]]
     edge_groups = np.cumsum([0] + [len(vertices[r[3]]) for r in summed[:-1]])
-    edge_terms = [r[1] for r in rows] + [r[2] for r in rows] + [site for _, site in kids]
-    edge_weights = [values[(r[3][:-1], r[3])] for r in entered] + [w for w, _ in kids]
+    edge_terms = [r[1] for r in rows] + [r[2] for r in rows] + [slices[c].start for _, c in kids]
+    pairs = [(r[3][:-1], r[3]) for r in entered] + kids
     edge_zeros = list(range(1, 1 + len(leaf_ends))) + [e]
     sums = slice(1 + len(leaf_ends), 1 + len(leaf_ends) + len(summed))
-    return (
-        _frozen([r[0] for r in rows]),
-        _frozen(edge_terms),
-        _frozen(edge_zeros),
-        _frozen(edge_weights, float),
-        _frozen(edge_groups),
-        sums,
-    )
-
-
-def _layout(topology: GraphTopology) -> tuple:
-    return tuple((b.label, b.length, b.kind) for b in topology.bonds)
-
-
-def stacked_couplings(topologies: Sequence[GraphTopology]) -> CouplingCoefficients:
-    """The shift operators of same-layout topologies, one per column.
-
-    Column ``b`` of an ``(n_sites, B)`` field belongs to ``topologies[b]``:
-    ``edge_weights`` and ``site_gamma`` gain a column axis, and each
-    ``values`` entry becomes the tuple of the columns' weights.  Every
-    column of ``forward``, ``backward`` and ``neighbors`` equals, bit for
-    bit, the single-topology map applied to that column.  The topologies
-    must share their bond labels, lengths and kinds, so only the gammas
-    differ; ``topology`` is the first of them.
-    """
-    if not topologies:
-        raise InvalidParameterError("stacking needs at least one topology")
-    layout = _layout(topologies[0])
-    if any(_layout(t) != layout for t in topologies[1:]):
-        raise InvalidParameterError("stacked topologies must share one site layout")
-    cols = [coupling_coefficients(t) for t in topologies]
-    first = cols[0]
-    values = {pair: tuple(c.values[pair] for c in cols) for pair in first.values}
-    edge_weights, site_gamma = (
-        _frozen(np.stack([getattr(c, name) for c in cols], axis=1), float)
-        for name in ("edge_weights", "site_gamma")
-    )
-    return replace(first, values=values, edge_weights=edge_weights, site_gamma=site_gamma)
+    tables = (_frozen([r[0] for r in rows]), _frozen(edge_terms), _frozen(edge_zeros))
+    return pairs, (*tables, _frozen(edge_groups), sums)
 
 
 def check_sum_rule(topology: GraphTopology) -> dict[str, float]:

@@ -557,6 +557,36 @@ class TestCli:
             assert "toward the vertex" in capsys.readouterr().err
             assert not (tmp_path / name).exists()
 
+    def test_a_launch_past_the_vertex_exits_3_before_integrating(self, tmp_path, capsys, monkeypatch):
+        # at n0 = +20 the soliton is already split over the leaves; fig4 would
+        # report T = 2/3, 1/3 with nothing scattered
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a launch past the vertex")
+
+        monkeypatch.setattr("alnet.experiments.evolve", no_integration)
+        for command, name in (("bifurcation", "fig4"), ("sweep", "sweep"), ("broken-rule", "broken_rule")):
+            cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+            cfg["soliton"]["n0"] = 20.0
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            argv = [command, "--config", str(path), "--out", str(tmp_path / name)]
+            assert run_cli(argv) == EXIT_INCONCLUSIVE
+            assert "of its norm off bond '1'" in capsys.readouterr().err
+            assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("simulate", "chain"), ("conserved-audit", "chain"), ("bifurcation", "fig4"),
+         ("sweep", "sweep"), ("broken-rule", "broken_rule")],
+    )
+    def test_a_t_final_of_zero_steps_exits_1(self, tmp_path, capsys, command, name):
+        # 0.05 rounds to zero steps of dt: the run would stop at t = 0 and report t_final 0.05
+        argv = [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / "out"),
+                "--dt", "1e300", "--t-final", "0.05"]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "less than half a step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_errors_raise_system_exit(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate"])

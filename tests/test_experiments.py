@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from alnet import (
     zero_state,
 )
 from alnet.experiments import scattering_ensemble
-from conftest import ALPHA_FIG4
+from conftest import ALPHA_FIG4, bits
 
 INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
 
@@ -211,6 +212,17 @@ class TestSweep:
             assert row.t2 == report.transmissions["11"]
             assert row.t3 == report.transmissions["12"]
             assert row.unitarity_residual == report.unitarity_residual
+
+    def test_one_topology_ensemble_is_the_single_run(self, psg_run):
+        # one column launches and integrates as the single run: the same report, bit for bit
+        top, single, _ = psg_run
+        (report,) = scattering_ensemble([top], INCIDENT, SimConfig())
+        (times, series), (single_times, single_series) = report.partial_norms, single.partial_norms
+        assert np.array_equal(bits(times), bits(single_times))
+        assert series.keys() == single_series.keys()
+        for label, norms in series.items():
+            assert np.array_equal(bits(norms), bits(single_series[label])), label
+        assert replace(report, partial_norms=None) == replace(single, partial_norms=None)
 
     def test_overlong_sweep_trips_the_boundary_guard(self):
         # as test_overlong_run_trips_the_boundary_guard, for every column of the stack

@@ -36,10 +36,11 @@ from conftest import ALPHA_FIG4
 # exactly halfway between two of them: the earlier one must be kept
 SIM = {"dt": 0.125, "output_stride": 4}
 SCATTERING = {
-    "soliton": {"alpha": ALPHA_FIG4, "beta": 0.1, "n0": -30.0},
+    # n0 = -40 puts at most 3.0e-4 of the launch off bond 1, inside the scattering bound
+    "soliton": {"alpha": ALPHA_FIG4, "beta": 0.1, "n0": -40.0},
     "sim": SIM,
-    # 78.3 lies within one output interval past the measured end, 78
-    "snapshot_times": [0.0, 10.25, 10.1, 40.0, 78.3],
+    # 85.3 lies within one output interval past the measured end, 85
+    "snapshot_times": [0.0, 10.25, 10.1, 40.0, 85.3],
 }
 CASES = {
     "simulate": {

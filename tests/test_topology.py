@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -26,7 +27,6 @@ from alnet.topology import (
     KIND_INCOMING,
     KIND_INTERNAL,
     KIND_LEAF,
-    stacked_couplings,
     with_truncation,
 )
 from conftest import PROPERTY_SETTINGS, ReferenceShift, bits, tree_spec, tree_stacks
@@ -135,8 +135,8 @@ class TestBuilders:
     def test_chain_is_two_equal_bonds(self):
         top = build_chain(2.0, truncation=30)
         assert top.labels == ("1", "11")
-        cp = coupling_coefficients(top)
-        assert cp.values[("1", "11")] == 1.0
+        R = dense(coupling_coefficients(top).forward, top.n_sites)
+        assert R[29, 30] == 1.0
 
     def test_tree_structure(self):
         top = build_tree(tree_spec(), truncation=100)
@@ -180,7 +180,8 @@ class TestShiftOperator:
         # toward the root: the children reach the parent only through R^T
         assert not np.any(R[:, 0])
         assert not np.any(np.tril(R))
-        np.testing.assert_array_equal(dense(cp.backward, top.n_sites), R.T)
+        # on unit vectors neighbors adds a zero to each term, so R + R^T - R is R^T exactly
+        np.testing.assert_array_equal(dense(cp.neighbors, top.n_sites) - R, R.T)
 
     def test_star_hand_values(self):
         top = build_star((1.0, 1.5, 3.0), truncation=8)
@@ -188,41 +189,31 @@ class TestShiftOperator:
         st = zero_state(top)
         for i, label in enumerate(top.labels):
             bond_field(st, top, label)[:] = (i + 1) * np.arange(1, 9)
-        s11 = cp.values[("1", "11")]
-        s12 = cp.values[("1", "12")]
+        s11, s12 = math.sqrt(1.0 / 1.5), math.sqrt(1.0 / 3.0)
         fwd = cp.forward(st.data)
-        bwd = cp.backward(st.data)
         assert fwd[7] == pytest.approx(s11 * 2.0 + s12 * 3.0, rel=1e-15)
-        assert bwd[8] == pytest.approx(s11 * 8.0, rel=1e-15)
-        assert bwd[16] == pytest.approx(s12 * 8.0, rel=1e-15)
-        # two steps across the vertex: second child sites, second-last root site
+        # two steps across the vertex: second child sites
         assert cp.forward(fwd)[7] == pytest.approx(s11 * 4.0 + s12 * 6.0, rel=1e-15)
-        assert cp.backward(bwd)[8] == pytest.approx(s11 * 7.0, rel=1e-15)
         np.testing.assert_array_equal(fwd[:7], st.data[1:8])
-        np.testing.assert_array_equal(bwd[9:16], st.data[8:15])
-        # bond ends get 0: the root's far end, the leaves' far ends
-        assert bwd[0] == 0.0 and fwd[15] == 0.0 and fwd[23] == 0.0
+        # the leaves' far ends get 0
+        assert fwd[15] == 0.0 and fwd[23] == 0.0
 
     def test_powers_reach_into_children(self, rng):
-        # R^k at a parent's last site sums its children's k-th sites;
-        # (R^T)^k at a child's first site reads the parent's k-th last site
+        # R^k at a parent's last site sums its children's k-th sites
         top = build_tree(tree_spec(), truncation=40)
         cp = coupling_coefficients(top)
         st = zero_state(top)
         st.data[:] = rng.random(top.n_sites) + 1j * rng.random(top.n_sites)
-        fwd = bwd = st.data
+        fwd = st.data
         for k in range(1, 4):
             fwd = cp.forward(fwd)
-            bwd = cp.backward(bwd)
             for parent, kids in top.vertices.items():
                 expected = sum(
-                    cp.values[(parent, c)] * bond_field(st, top, c)[k - 1] for c in kids
+                    math.sqrt(top.bond(parent).gamma / top.bond(c).gamma)
+                    * bond_field(st, top, c)[k - 1]
+                    for c in kids
                 )
                 assert fwd[top.slices[parent].stop - 1] == pytest.approx(expected, rel=1e-14)
-                for c in kids:
-                    assert bwd[top.slices[c].start] == pytest.approx(
-                        cp.values[(parent, c)] * bond_field(st, top, parent)[-k], rel=1e-14
-                    )
 
     @pytest.mark.parametrize(
         "topology",
@@ -235,12 +226,14 @@ class TestShiftOperator:
         ids=["chain", "star", "tree", "tree-length-1"],
     )
     def test_backward_is_the_adjoint(self, topology, rng):
+        # the R^T half of neighbors is the adjoint of forward
         cp = coupling_coefficients(topology)
         n = topology.n_sites
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         lhs = np.vdot(x, cp.forward(y))
-        assert abs(lhs - np.vdot(cp.backward(x), y)) <= 1e-13 * abs(lhs)
+        backward = cp.neighbors(x) - cp.forward(x)
+        assert abs(lhs - np.vdot(backward, y)) <= 1e-13 * abs(lhs)
 
     def test_built_once_per_topology(self):
         top = build_star((1.0, 1.5, 3.0), truncation=20)
@@ -255,46 +248,52 @@ class TestShiftOperator:
         # two stars of one layout: R knows which gammas it was built from
         tops = [build_star(gammas, truncation=20) for gammas in ((1.0, 1.5, 3.0), (1.0, 2.0, 2.0))]
         for top in tops:
+            assert coupling_coefficients(top).topologies == (top,)
             assert coupling_coefficients(top).topology == top
         assert coupling_coefficients(tops[1]).topology != tops[0]
-        assert stacked_couplings(tops).topology == tops[0]
-        assert stacked_couplings(tops[::-1]).topology == tops[1]
+        assert coupling_coefficients(*tops).topologies == tuple(tops)
+        assert coupling_coefficients(*tops[::-1]).topology == tops[1]
+        assert coupling_coefficients(*tops) is coupling_coefficients(*tops)
 
     def test_stack_needs_one_layout(self):
         tops = [build_star((1.0, 1.5, 3.0), truncation=20), build_star((0.5, 1.5, 3.0), truncation=20)]
-        cp = stacked_couplings(tops)
-        assert cp.edge_weights.shape[1] == 2 and cp.site_gamma.shape == (60, 2)
-        assert cp.values[("1", "12")] == (
-            coupling_coefficients(tops[0]).values[("1", "12")],
-            coupling_coefficients(tops[1]).values[("1", "12")],
-        )
+        cp = coupling_coefficients(*tops)
+        assert cp.edge_weights.shape == (4, 2) and cp.site_gamma.shape == (60, 2)
+        for b, top in enumerate(tops):
+            single = coupling_coefficients(top)
+            assert single.edge_weights.shape == (4,) and single.site_gamma.shape == (60,)
+            assert np.array_equal(cp.edge_weights[:, b], single.edge_weights)
+            assert np.array_equal(cp.site_gamma[:, b], single.site_gamma)
         for other in (build_star((1.0, 1.5, 3.0), truncation=21), build_star((1.0, 2.0, 4.0, 4.0), 20)):
             with pytest.raises(InvalidParameterError, match="layout"):
-                stacked_couplings([tops[0], other])
+                coupling_coefficients(tops[0], other)
         with pytest.raises(InvalidParameterError):
-            stacked_couplings([])
+            coupling_coefficients()
 
 
 @PROPERTY_SETTINGS
 @given(tops=tree_stacks(), data=st.data())
-def test_truncated_maps_equal_the_maps_of_the_truncated_trees(tops, data):
-    # the window that evolve steps on: a shorter truncation of the same trees
+def test_r_of_the_truncated_trees_is_the_layout_evolve_steps(tops, data):
+    # the window that evolve steps on: the R of a shorter truncation of the same trees
     tops = [with_truncation(t, 8) for t in tops]
     truncation = data.draw(st.integers(2, 8))
     short = [with_truncation(t, truncation) for t in tops]
-    if len(tops) == 1:
-        cut, expected = coupling_coefficients(tops[0]).truncated(truncation), coupling_coefficients(short[0])
-    else:
-        cut, expected = stacked_couplings(tops).truncated(truncation), stacked_couplings(short)
-    assert cut.topology == short[0] and cut.values == expected.values
-    for name in ("site_gamma", "edge_sites", "edge_terms", "edge_zeros", "edge_weights", "edge_groups"):
-        assert np.array_equal(getattr(cut, name), getattr(expected, name)), name
-    assert cut.edge_sums == expected.edge_sums
+    full, cut = coupling_coefficients(*tops), coupling_coefficients(*short)
+    assert cut.topologies == tuple(short)
     # the sites within the shorter truncation of the vertices are its layout
     distance = tops[0].vertex_distance
     kept = np.flatnonzero(distance <= truncation)
     assert kept.size == short[0].n_sites
-    assert np.array_equal(tops[0].site_gamma[kept], short[0].site_gamma)
+    assert np.array_equal(full.site_gamma[kept], cut.site_gamma)
+    assert np.array_equal(full.edge_weights, cut.edge_weights)
+    # a field at +0 beyond the window sees the window's walls as the full layout's zeros
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = full.site_gamma.shape
+    scale = 10.0 ** rng.uniform(-330, 0, shape)
+    y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    y[distance > truncation] = 0.0
+    assert np.array_equal(bits(cut.forward(y[kept])), bits(full.forward(y)[kept]))
+    assert np.array_equal(bits(cut.neighbors(y[kept])), bits(full.neighbors(y)[kept]))
     for label, s in tops[0].slices.items():
         part = kept[short[0].slices[label]]
         assert s.start <= part.min() and part.max() < s.stop
@@ -303,9 +302,10 @@ def test_truncated_maps_equal_the_maps_of_the_truncated_trees(tops, data):
         semi_infinite = tops[0].bond(label).kind != KIND_INTERNAL
         from_vertex = np.abs(coordinates) + (label == "1") if semi_infinite else 0 * coordinates
         assert np.array_equal(distance[s], from_vertex), label
-    walls = [s.start if label == "1" else s.stop - 1 for label, s in tops[0].slices.items()
-             if tops[0].bond(label).kind != KIND_INTERNAL]
-    assert tops[0].walls.tolist() == walls == np.flatnonzero(distance == tops[0].truncation).tolist()
+    guards = [[s.start, s.start + 1] if label == "1" else [s.stop - 2, s.stop - 1]
+              for label, s in tops[0].slices.items() if tops[0].bond(label).kind != KIND_INTERNAL]
+    expected = np.flatnonzero(distance >= tops[0].truncation - 1).tolist()
+    assert tops[0].guard_sites.tolist() == sum(guards, []) == expected
 
 
 @PROPERTY_SETTINGS
@@ -313,21 +313,24 @@ def test_truncated_maps_equal_the_maps_of_the_truncated_trees(tops, data):
 def test_shift_maps_match_the_reference_on_random_trees(tops, seed):
     # magnitudes from order one down through the subnormals to signed zeros
     rng = np.random.default_rng(seed)
-    shape = (tops[0].n_sites,) if len(tops) == 1 else (tops[0].n_sites, len(tops))
+    cp = coupling_coefficients(*tops)
+    shape = cp.site_gamma.shape
     scale = 10.0 ** rng.uniform(-330, 0, shape)
     y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-    cp = coupling_coefficients(tops[0]) if len(tops) == 1 else stacked_couplings(tops)
     ref = ReferenceShift(tops)
     expected = ref.forward(y)
     assert np.array_equal(bits(cp.forward(y)), bits(expected))
-    behind = ref.backward(y)
-    assert np.array_equal(bits(cp.backward(y)), bits(behind))
-    expected += behind
+    expected += ref.backward(y)
     assert np.array_equal(bits(cp.neighbors(y)), bits(expected))
     for top in tops:
         single = coupling_coefficients(top)
         n = top.n_sites
-        np.testing.assert_array_equal(dense(single.backward, n), dense(single.forward, n).T)
+        R = dense(single.forward, n)
+        np.testing.assert_array_equal(dense(single.neighbors, n) - R, R.T)
+        for parent, kids in top.vertices.items():
+            for c in kids:
+                weight = math.sqrt(top.bond(parent).gamma / top.bond(c).gamma)
+                assert R[top.slices[parent].stop - 1, top.slices[c].start] == weight
         assert topology_from_dict(asdict(top)) == top
 
 
@@ -349,13 +352,11 @@ class TestCouplings:
     def test_coupling_values(self):
         top = build_star((1.0, 1.5, 3.0), truncation=20)
         cp = coupling_coefficients(top)
-        assert cp.values[("1", "11")] == pytest.approx(np.sqrt(1.0 / 1.5))
-        assert cp.values[("1", "12")] == pytest.approx(np.sqrt(1.0 / 3.0))
         # the vertex row of R: the root's last site reads both first child sites
         R = dense(cp.forward, top.n_sites)
         np.testing.assert_array_equal(np.flatnonzero(R[19]), [20, 40])
-        assert R[19, 20] == cp.values[("1", "11")]
-        assert R[19, 40] == cp.values[("1", "12")]
+        assert R[19, 20] == math.sqrt(1.0 / 1.5)
+        assert R[19, 40] == math.sqrt(1.0 / 3.0)
 
     def test_site_offsets(self):
         top = build_tree(tree_spec(), truncation=50)
