@@ -9,8 +9,10 @@ on this checkout's ``configs/`` and seed 7 of every perfbench workload
 process with its own output directory.  Every output file is compared
 byte for byte, except ``config_echo.json``, whose ``out`` field names the
 directory and is left out of its comparison; the exit codes and the file
-lists must match too.  Prints one line per run and exits 1 on any
-difference, 0 when every byte is the same.
+lists must match too.  Four refusal cases follow, each on a config
+written next to the workload configs: both trees must exit with the
+case's code and write no file.  Prints one line per run and exits 1 on
+any difference, 0 when every byte is the same.
 """
 
 from __future__ import annotations
@@ -38,20 +40,36 @@ SAMPLE_COMMANDS = (
     "simulate --config configs/big_star.json",
 )
 WORKLOAD_SEED = 7
+# (subcommand, sample config, soliton entries changed, the exit code both trees must give)
+REFUSALS = (
+    ("broken-rule", "fig4.json", {}, 1),  # the sum rule holds
+    ("bifurcation", "fig4.json", {"alpha": 0.0}, 3),  # v = -0 does not reach the vertex
+    ("broken-rule", "broken_rule.json", {"alpha": 0.0}, 3),
+    ("bifurcation", "fig4.json", {"n0": 20.0}, 3),  # launched past the vertex
+)
 
 
-def runs(work: Path) -> dict[str, list[str]]:
-    """Each run's name and its CLI arguments; writes the workload configs under ``work``."""
+def runs(work: Path) -> dict[str, tuple[list[str], int | None]]:
+    """Each run's name, CLI arguments and required exit code (None: any, the same on both).
+
+    Writes the workload and refusal configs under ``work``.
+    """
     out = {}
     for i, command in enumerate(SAMPLE_COMMANDS):
         args = command.split()
         args[args.index("--config") + 1] = str(ROOT / args[args.index("--config") + 1])
-        out[f"readme-{i + 1}:{command}"] = args
+        out[f"readme-{i + 1}:{command}"] = args, None
     for name, workload in workloads.WORKLOADS.items():
         config, _ = workloads.generate(name, WORKLOAD_SEED)
         path = work / f"{name}.json"
         path.write_text(json.dumps(config))
-        out[f"{name}:seed {WORKLOAD_SEED}"] = [workload.command, "--config", str(path)]
+        out[f"{name}:seed {WORKLOAD_SEED}"] = [workload.command, "--config", str(path)], None
+    for i, (command, sample, soliton, code) in enumerate(REFUSALS):
+        config = json.loads((ROOT / "configs" / sample).read_text())
+        config["soliton"].update(soliton)
+        path = work / f"refusal-{i + 1}.json"
+        path.write_text(json.dumps(config))
+        out[f"refusal-{i + 1}:{command} {sample} {soliton}"] = [command, "--config", str(path)], code
     return out
 
 
@@ -98,7 +116,7 @@ def main(argv: list[str]) -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for i, (name, args) in enumerate(runs(work).items()):
+        for i, (name, (args, code)) in enumerate(runs(work).items()):
             outs = [work / f"run{i}" / side / "out" for side in ("parent", "change")]
             codes = []
             for src, out in zip(trees, outs):
@@ -108,6 +126,8 @@ def main(argv: list[str]) -> int:
             if codes[0] != codes[1]:
                 diff.insert(0, f"exit codes {codes[0]} and {codes[1]}")
             n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
+            if code is not None and (codes != [code, code] or any(out.exists() for out in outs)):
+                diff.insert(0, f"must exit {code} and write nothing: exit codes {codes}")
             print(f"{'DIFFERS' if diff else 'same'}  {name} ({n_files} files)")
             for line in diff:
                 print(f"  {line}")

@@ -5,9 +5,10 @@ Every subcommand reads a JSON config (--config) and writes results under
 the output directory.  The subcommand overrides the config's
 "experiment" field; --out/--dt/--t-final/--m-max/--truncation override
 the corresponding config fields.  Each subcommand calls the experiment
-layer and only turns its result into ``RunOutputs``; every run reads
-its observed states once, in ``experiments.observe``, which guards the
-truncated walls.  A run holds only the states its
+layer and only turns its result into ``RunOutputs``: bifurcation, sweep
+and broken-rule are all ``experiments.scattering_run``, and every run
+reads its observed states once, in ``experiments.observe``, which guards
+the truncated walls.  A run holds only the states its
 ``experiments.SnapshotPicker`` keeps for the snapshot files, and
 ``experiments.check_snapshot_times`` refuses a snapshot time past the
 run's end before the first step.  Exit codes:
@@ -122,9 +123,7 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
 def _run_bifurcation(config: RunConfig) -> RunOutputs:
     """scatter a soliton off the vertex and report transmissions"""
     topology = config.topology
-    report, snapshots = scattering_run(
-        topology, config.soliton, config.sim, config.snapshot_times
-    )
+    [report], picker = scattering_run([topology], config.soliton, config.sim, config.snapshot_times)
     gamma1 = topology.bond(ROOT_LABEL).gamma
     summary = {
         "experiment": "bifurcation",
@@ -140,7 +139,7 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
     return RunOutputs(
         summary=summary,
         partial_norms=report.partial_norms,
-        snapshots=snapshots,
+        snapshots=picker.picks(),
         topology=topology,
     )
 

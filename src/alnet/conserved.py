@@ -45,6 +45,8 @@ from .state import FieldState, _check_shape, partial_norms
 from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients
 
 DRIFT_FLOOR = 1e-12
+# the ladder's scratch is two (m_max, n) complex buffers, 1 KB a site at this bound
+M_MAX_LIMIT = 32
 
 
 def _summed(norms: np.ndarray) -> float:
@@ -116,8 +118,9 @@ def universal_chain_field(
 
 
 def _check_m_max(m_max: int) -> None:
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise InvalidParameterError("m_max must be an integer >= 1")
+    """The hierarchy depth of ``snapshot`` and of a run's config: an integer in 1 .. M_MAX_LIMIT."""
+    if not isinstance(m_max, int) or isinstance(m_max, bool) or not 1 <= m_max <= M_MAX_LIMIT:
+        raise InvalidParameterError(f"m_max must be an integer from 1 to {M_MAX_LIMIT}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -257,8 +260,8 @@ def drift_audit(
     """Audit conservation over observed states, read once and in order.
 
     Each state is reduced to its ``ConservedSnapshot`` and not kept, so
-    ``states`` may be the iterator ``evolve`` returns.  An ``m_max`` below 1
-    or no states at all raise InvalidParameterError.
+    ``states`` may be the iterator ``evolve`` returns.  An ``m_max`` outside
+    1 .. ``M_MAX_LIMIT`` or no states at all raise InvalidParameterError.
     """
     return drift_report(tuple(snapshot(s, topology, m_max) for s in states))
 

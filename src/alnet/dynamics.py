@@ -103,6 +103,19 @@ class SimConfig:
         ):
             raise InvalidParameterError("output_stride must be a positive integer")
 
+    @property
+    def n_steps(self) -> int:
+        """``round(t_final / dt)``, the one count of a run's steps; InvalidParameterError
+        without ``t_final``, or for a ``t_final > 0`` that rounds to zero steps."""
+        if self.t_final is None:
+            raise InvalidParameterError("this run requires sim.t_final")
+        n = round(self.t_final / self.dt)
+        if n == 0 and self.t_final > 0:
+            raise InvalidParameterError(
+                f"t_final {self.t_final:g} is less than half a step of dt {self.dt:g}"
+            )
+        return n
+
 
 class StepWorkspace:
     """Scratch arrays of ``step`` for states of one shape.
@@ -219,16 +232,11 @@ def evolve(
     integrated as in ``step``, and one workspace serves every step on
     one window.  A missing ``t_final`` raises InvalidParameterError on
     the first ``next()``, and so do a ``t_final > 0`` that rounds to zero
-    steps of ``dt`` and a state whose shape does not fit R.
+    steps of ``dt`` (both from ``config.n_steps``) and a state whose shape
+    does not fit R.
     """
-    if config.t_final is None:
-        raise InvalidParameterError("config.t_final is required by evolve")
+    n_steps = config.n_steps
     _check_shape(state.data, couplings)
-    n_steps = round(config.t_final / config.dt)
-    if n_steps == 0 and config.t_final > 0:
-        raise InvalidParameterError(
-            f"t_final {config.t_final:g} is less than half a step of dt {config.dt:g}"
-        )
     stride = config.output_stride
     band = 4 * stride + 1
     full = couplings.topology

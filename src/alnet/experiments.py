@@ -10,20 +10,22 @@ tails straddling the vertex are negligible) and at least
 geometry cannot satisfy this, or whose field visibly reaches a truncated
 end, raise InconclusiveRunError rather than report biased numbers.
 
-Each experiment has one entry point: ``scattering_run`` (bifurcation)
-and ``broken_rule_run`` take a built topology, ``transmission_sweep`` a
-ratio grid, which ``scattering_ensemble`` runs as the columns of one
-stacked state under one ``coupling_coefficients`` R.  Every scattering
+One experiment, read three ways: ``scattering_run`` is the only code
+that launches, evolves, observes and reports a scattering run.  It takes
+the runs' topologies, one for a single run or several of one layout for
+the columns of one stack under one ``coupling_coefficients`` R, so a
+column's report equals its single run's bit for bit.  The bifurcation
+calls it on one topology, ``transmission_sweep`` on a ratio grid's stars,
+and ``broken_rule_run`` passes its peak tracks as extra folds.  Every
 launch refuses, before the first step, a soliton that does not move
 toward the vertex or that puts more than ``LAUNCH_OFF_BOND_TOL`` of its
 norm off bond 1, past the vertex; ``soliton_trajectory`` launches the
 plain runs of ``simulate`` and ``conserved-audit``.  No run holds its
 trajectory: ``observe``, the one loop over observed states for every
-experiment and CLI subcommand, runs the boundary guard and adds a row of
-partial norms for every run at each observation, then hands the state to
+experiment and CLI subcommand, adds a row of partial norms and runs the
+boundary guard for every run at each observation, then hands the state to
 the caller's folds (a ``SnapshotPicker``, the peak tracks, the conserved
-``snapshot``).  Single runs and stacks share one launch and one report
-path, so a column's report equals ``scattering_run``'s bit for bit.
+``snapshot``).
 """
 
 from __future__ import annotations
@@ -213,19 +215,12 @@ def _launch(
     return replace(config, t_final=t_final), FieldState(np.stack(columns, axis=1).reshape(shape))
 
 
-def _end_time(config: SimConfig) -> float:
-    """The time of a run's last step; InvalidParameterError if ``t_final`` is unset."""
-    if config.t_final is None:
-        raise InvalidParameterError("this run requires sim.t_final")
-    return round(config.t_final / config.dt) * config.dt
-
-
 def check_snapshot_times(requested: Sequence[float], config: SimConfig) -> None:
     """Refuse a requested time more than one output interval past the run's end.
 
-    Raises InvalidParameterError, as ``_end_time`` does without ``t_final``.
+    Raises InvalidParameterError, as ``config.n_steps`` does without ``t_final``.
     """
-    end = _end_time(config)
+    end = config.n_steps * config.dt
     for t in requested:
         # counted in steps, since the accumulated time drifts off the dt grid
         if round((t - end) / config.dt) > config.output_stride:
@@ -248,7 +243,7 @@ class SnapshotPicker:
 
     def __init__(self, requested: Sequence[float], config: SimConfig):
         check_snapshot_times(requested, config)
-        self.requested = tuple(requested) or (0.0, _end_time(config))
+        self.requested = tuple(requested) or (0.0, config.n_steps * config.dt)
         self.nearest: list[FieldState | None] = [None] * len(self.requested)
         self.last: FieldState | None = None
 
@@ -273,21 +268,23 @@ def observe(
 
     A state is one run on ``topologies[0]`` or a stack whose column b runs
     on ``topologies[b]``.  At each observation every run, in column order,
-    passes the boundary guard and adds one row of partial norms, so the
+    adds one row of partial norms and passes the boundary guard, so the
     first observation in which a run's field reached a truncated end
     raises InconclusiveRunError naming the first such run; then each fold
-    gets the state.  Returns each run's times and per-bond series.
+    gets the state.  Returns each run's times and per-bond series.  An
+    overflow raises DivergenceError (``step``, ``partial_norms``), not a warning.
     """
     times, rows = [], [[] for _ in topologies]
-    for state in states:
-        times.append(state.time)
-        columns = state.data.reshape(state.data.shape[0], -1).T
-        for column, top, norms in zip(columns, topologies, rows):
-            run = FieldState(column, state.time)
-            _check_boundaries(run, top)
-            norms.append(partial_norms(run, top))
-        for fold in folds:
-            fold(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state in states:
+            times.append(state.time)
+            columns = state.data.reshape(state.data.shape[0], -1).T
+            for column, top, norms in zip(columns, topologies, rows):
+                run = FieldState(column, state.time)
+                norms.append(partial_norms(run, top))
+                _check_boundaries(run, top)
+            for fold in folds:
+                fold(state)
     times = np.array(times)
     return [(times, dict(zip(top.labels, np.array(r).T))) for r, top in zip(rows, topologies)]
 
@@ -314,50 +311,34 @@ def soliton_trajectory(
     ``config.t_final`` must be set; InvalidParameterError is raised
     before anything is built otherwise.
     """
-    _end_time(config)  # raises without t_final
+    config.n_steps  # raises without t_final
     initial = soliton_profile(soliton, topology, 0.0)
     return evolve(initial, coupling_coefficients(topology), config)
 
 
 def scattering_run(
-    topology: GraphTopology,
+    topologies: Sequence[GraphTopology],
     soliton: SolitonParams,
     config: SimConfig,
     snapshot_times: Sequence[float] = (),
-) -> tuple[TransmissionReport, Snapshots]:
-    """Launch, evolve, and account one scattering scenario.
+    folds: Sequence[Callable[[FieldState], None]] = (),
+) -> tuple[list[TransmissionReport], SnapshotPicker]:
+    """Launch, evolve, observe and account one scattering run, or a stack of them.
 
-    Returns the report and the states a ``SnapshotPicker`` kept for
-    ``snapshot_times``, as ``(time, state)`` pairs.  The measurement time
-    is derived before the first step, so a snapshot time past it raises
-    InvalidParameterError before anything is integrated.
+    One topology is one run; several of one site layout are the columns
+    of one ``(n_sites, B)`` state with one shared measurement time, derived
+    before the first step, so a snapshot time past it raises
+    InvalidParameterError before anything is integrated.  Each observed
+    state goes to the run's ``SnapshotPicker`` and then to ``folds``; a
+    failure names the first failing column's bond, as ``observe`` says.
+    Returns one report per topology and the picker, whose ``picks()`` are
+    the kept snapshots.
     """
-    run_cfg, launch = _launch([topology], soliton, config)
-    picker = SnapshotPicker(snapshot_times, run_cfg)
-    states = evolve(launch, coupling_coefficients(topology), run_cfg)
-    (norms,) = observe(states, [topology], picker.add)
-    return _report(norms, topology, run_cfg.t_final), picker.picks()
-
-
-def scattering_ensemble(
-    topologies: Sequence[GraphTopology], soliton: SolitonParams, config: SimConfig
-) -> list[TransmissionReport]:
-    """Scatter one soliton off several topologies of one site layout at once.
-
-    The runs are the columns of one ``(n_sites, B)`` state, advanced by
-    the single-run kernel, so each report equals ``scattering_run``'s on
-    its topology bit for bit; one topology is that single run.  A shared
-    layout means a shared measurement time.  Only each column's partial norms are kept, not its states.
-    Failures are checked column by column in the given order: the first
-    non-finite column raises DivergenceError naming its own bond and
-    site, and at the first observation in which a column's field reached
-    a truncated end, the first such column raises InconclusiveRunError.
-    """
-    if not topologies:
-        return []
     run_cfg, launch = _launch(topologies, soliton, config)
-    runs = observe(evolve(launch, coupling_coefficients(*topologies), run_cfg), topologies)
-    return [_report(norms, top, run_cfg.t_final) for norms, top in zip(runs, topologies)]
+    picker = SnapshotPicker(snapshot_times, run_cfg)
+    states = evolve(launch, coupling_coefficients(*topologies), run_cfg)
+    runs = observe(states, topologies, picker.add, *folds)
+    return [_report(norms, top, run_cfg.t_final) for norms, top in zip(runs, topologies)], picker
 
 
 @dataclass(frozen=True)
@@ -383,8 +364,7 @@ def transmission_sweep(
     Each grid point r fixes gamma = (1, 1/r, 1/(1-r)), the unique
     sum-rule family with gamma1/gamma2 = r; the predicted transmissions
     are then r and 1 - r.  The stars share one layout, so the whole grid
-    is integrated at once by ``scattering_ensemble``; rows keep grid
-    order.
+    is one stacked ``scattering_run``; rows keep grid order.
     """
     grid = [float(r) for r in ratio_grid]
     for r in grid:
@@ -393,7 +373,7 @@ def transmission_sweep(
                 f"ratio {r:g} is outside (0, 1); the third coupling would not be positive"
             )
     stars = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), truncation) for r in grid]
-    reports = scattering_ensemble(stars, soliton, config)
+    reports, _ = scattering_run(stars, soliton, config)
     return [
         SweepRow(
             ratio=r,
@@ -440,18 +420,15 @@ def broken_rule_run(
             "couplings satisfy the vertex sum rule; use scattering_run "
             "(the bifurcation subcommand) instead"
         )
-    run_cfg, launch = _launch([topology], soliton, config)
     v = soliton.velocity
-    reflected_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v)
+    # the launch refuses v <= 0 before the first observation reaches a track
+    reflected_start = (-soliton.n0 / v) + REFLECTED_FIT_DELAY / abs(v) if v > 0 else math.inf
     tracks = {
         label: _PeakTrack(topology, label, reflected_start if label == ROOT_LABEL else -math.inf)
         for label in (ROOT_LABEL, *topology.leaves)
     }
-    picker = SnapshotPicker(snapshot_times, run_cfg)
-    folds = (picker.add, *(track.add for track in tracks.values()))
-    states = evolve(launch, coupling_coefficients(topology), run_cfg)
-    (norms,) = observe(states, [topology], *folds)
-    report = _report(norms, topology, run_cfg.t_final)
+    folds = [track.add for track in tracks.values()]
+    [report], picker = scattering_run([topology], soliton, config, snapshot_times, folds)
     series = {label: track.series() for label, track in tracks.items()}
     peak_norm = 0.0
     for label, ps in series.items():

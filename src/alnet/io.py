@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .conserved import DriftReport
+from .conserved import DriftReport, _check_m_max
 from .dynamics import SimConfig
 from .errors import InvalidParameterError, TopologyError
 from .soliton import SolitonParams
@@ -45,8 +45,7 @@ class RunConfig:
             raise InvalidParameterError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
-        if isinstance(self.m_max, bool) or not isinstance(self.m_max, int) or self.m_max < 1:
-            raise InvalidParameterError("m_max must be an integer >= 1")
+        _check_m_max(self.m_max)
         if not isinstance(self.out, str):
             raise InvalidParameterError("out must be a string")
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .state import FieldState
+from .state import FieldState, partial_norms
 from .topology import GraphTopology, site_offset
 
 
@@ -86,12 +86,14 @@ def soliton_profile(params: SolitonParams, topology: GraphTopology, t: float = 0
 
     Every bond is evaluated on its unrolled chain coordinate, so on a
     sum-rule topology the result is a single coherent soliton regardless
-    of which bonds its tails currently occupy.  A profile that underflows
-    to zero at every site raises InvalidParameterError: it carries no
-    norm to report fractions of.
+    of which bonds its tails currently occupy.  A profile whose norm
+    underflows to zero raises InvalidParameterError: it carries no norm to
+    report fractions of.  So does a peak whose |psi|^2 overflows.
     """
     omega, v = derive_kinematics(params.alpha, params.beta)
     amp = math.sinh(params.beta)
+    if not math.isfinite(amp * amp / min(b.gamma for b in topology.bonds)):
+        raise InvalidParameterError(f"the peak |psi|^2 of beta = {params.beta:g} overflows")
     data = np.empty(topology.n_sites, dtype=np.complex128)
     for b in topology.bonds:
         coord = topology.site_coordinates(b.label) + site_offset(topology, b.label)
@@ -99,11 +101,13 @@ def soliton_profile(params: SolitonParams, topology: GraphTopology, t: float = 0
         envelope = (amp / math.sqrt(b.gamma)) * sech(x)
         phase = np.exp(-1j * (omega * t + params.alpha * coord + params.phi0))
         data[topology.slices[b.label]] = envelope * phase
-    if not data.any():
+    state = FieldState(data, time=float(t))
+    if not partial_norms(state, topology).any():
         raise InvalidParameterError(
-            f"the soliton centred at n0 = {params.n0:g} has zero amplitude on every site"
+            f"the soliton centred at n0 = {params.n0:g} has zero amplitude on every site: "
+            "its norm underflows to 0"
         )
-    return FieldState(data, time=float(t))
+    return state
 
 
 def analytic_norm(params: SolitonParams, gamma1: float) -> float:

@@ -87,16 +87,22 @@ def _length_tables(topology: GraphTopology) -> tuple[list, np.ndarray, np.ndarra
     return tables, np.argsort(np.concatenate(groups)), topology.site_gamma[starts]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def partial_norms(state: FieldState, topology: GraphTopology) -> np.ndarray:
     """Norm content of each bond, in ``topology.labels`` order.
 
     The density is ``ln(1 + gamma |psi|^2) / gamma``, so the total over all
     bonds is the conserved norm of the flow.  One ``log1p`` pass covers
     every site; the bonds of one length are then summed as the rows of
-    one (k, L) array, which keeps the bits of a per-bond ``np.sum``.
+    one (k, L) array, which keeps the bits of a per-bond ``np.sum``.  A
+    field whose |psi|^2 overflows has no finite norm: DivergenceError.
     """
     _check_shape(state, topology)
     a = state.data
     logs = np.log1p(topology.site_gamma * (a.real**2 + a.imag**2))
     tables, order, gamma = _length_tables(topology)
-    return np.concatenate([logs[s].reshape(k, -1).sum(axis=1) for k, s in tables])[order] / gamma
+    norms = np.concatenate([logs[s].reshape(k, -1).sum(axis=1) for k, s in tables])[order] / gamma
+    if not np.isfinite(norms).all():
+        bond, site = topology.locate(int(np.abs(a.view(np.float64)).argmax()) // 2)
+        raise DivergenceError(bond, site, state.time, "|psi|^2 overflows at the largest amplitude")
+    return norms

@@ -157,6 +157,40 @@ def with_sum_rule(topology):
     return replace(topology, bonds=bonds)
 
 
+def chain_gaps(topology, launch, config):
+    """The chain oracle of a star: per observation, how far the graph run is from the chain.
+
+    Integrates ``launch`` on ``topology`` and, as the reference, the unrolled
+    gamma = 1 chain ``build_chain(1.0, truncation)`` started from the launch's
+    ``universal_chain_field`` q.  Returns two lists with one entry per
+    observation: max|q - chain| / max|chain|, and the largest relative spread
+    of gamma_c N_c over the leaves.  Under the sum rule both vanish to rounding.
+    """
+    from alnet import (
+        FieldState,
+        build_chain,
+        coupling_coefficients,
+        evolve,
+        partial_norms,
+        universal_chain_field,
+    )
+
+    chain = build_chain(1.0, topology.truncation)
+    q0, _ = universal_chain_field(launch, topology)
+    reference = evolve(FieldState(q0), coupling_coefficients(chain), config)
+    run = evolve(launch, coupling_coefficients(topology), config)
+    leaf_gamma = np.array([topology.bond(leaf).gamma for leaf in topology.leaves])
+    leaf_rows = [topology.labels.index(leaf) for leaf in topology.leaves]
+    q_gaps, sibling_gaps = [], []
+    for state, expected in zip(run, reference):
+        assert state.time == expected.time
+        q, _ = universal_chain_field(state, topology)
+        q_gaps.append(np.abs(q - expected.data).max() / np.abs(expected.data).max())
+        scaled = leaf_gamma * partial_norms(state, topology)[leaf_rows]
+        sibling_gaps.append(np.ptp(scaled) / scaled.max())
+    return q_gaps, sibling_gaps
+
+
 def bits(a):
     """The words of a float or complex array, so that signs of zero count."""
     return np.ascontiguousarray(a).view(np.uint64)

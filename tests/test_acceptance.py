@@ -48,7 +48,7 @@ def verdict(criterion: int, ok: bool, detail: str) -> bool:
 def test_criterion_1_reflectionless_bifurcation():
     top = build_star((1.0, 1.5, 3.0), truncation=400)
     start = time.perf_counter()
-    report, _ = scattering_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
+    [report], _ = scattering_run([top], FIG4_SOLITON, SimConfig(dt=0.01))
     elapsed = time.perf_counter() - start
     err2 = abs(report.transmissions["11"] - 2.0 / 3.0)
     err3 = abs(report.transmissions["12"] - 1.0 / 3.0)
@@ -201,7 +201,7 @@ def test_criterion_7_tree_graph_generalization():
     }
     top = build_tree(spec, truncation=400)
     soliton = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-100.0)
-    report, _ = scattering_run(top, soliton, SimConfig(dt=0.01))
+    [report], _ = scattering_run([top], soliton, SimConfig(dt=0.01))
     t_err = max(
         abs(report.transmissions[leaf] - 1.0 / top.bond(leaf).gamma)
         for leaf in top.leaves

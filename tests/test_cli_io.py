@@ -36,6 +36,7 @@ from alnet.cli import (
     _DISPATCH,
     run_cli,
 )
+from alnet.conserved import M_MAX_LIMIT
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
 from conftest import ALPHA_FIG4
 
@@ -410,7 +411,6 @@ class TestCli:
         )
         assert run_cli(["broken-rule", "--config", str(path)]) == EXIT_CONFIG
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_2(self, tmp_path, capsys):
         # truncation 100 keeps the launch clear of the walls, so the step diverges first
         path, _ = write_config(
@@ -419,6 +419,19 @@ class TestCli:
             sim={"dt": 50.0, "t_final": 500.0},
         )
         assert run_cli(["simulate", "--config", str(path)]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "conserved-audit", "broken-rule", "sweep"])
+    def test_an_overflowing_step_exits_2_without_a_numpy_warning(self, tmp_path, capsys, command):
+        # |psi|^2 = sinh(300)^2 is finite at the launch, and the first step overflows;
+        # the suite turns a numpy RuntimeWarning into an error
+        path, _ = write_config(
+            tmp_path,
+            topology={"gammas": [0.5, 1.5, 3.0], "truncation": 40},
+            soliton={"alpha": ALPHA_FIG4, "beta": 300.0, "n0": -10.0},
+            sim={"dt": 0.01, "t_final": 1.0, "output_stride": 50},
+        )
+        assert run_cli([command, "--config", str(path)]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
     def test_a_launch_at_the_wall_exits_3_before_the_first_step(self, tmp_path, capsys):
@@ -615,6 +628,24 @@ class TestCli:
         assert code == EXIT_OK
         lines = (Path(cfg["out"]) / "drift.csv").read_text().splitlines()
         assert lines[0] == "time,N,ReZ,ImZ,E,J,ReC2,ImC2,ReC3,ImC3"
+
+    def test_m_max_above_its_bound_exits_1(self, tmp_path, capsys):
+        # the ladder's scratch is two (m_max, n) complex arrays; the bound itself still runs
+        path, cfg = write_config(
+            tmp_path,
+            topology={"gammas": [1.0, 1.0], "truncation": 10},
+            soliton={"alpha": ALPHA_FIG4, "beta": 2.0, "n0": -4.0},
+            sim={"dt": 0.01, "t_final": 0.1, "output_stride": 5},
+        )
+        argv = ["conserved-audit", "--config", str(path), "--m-max"]
+        assert run_cli(argv + [str(M_MAX_LIMIT + 1)]) == EXIT_CONFIG
+        assert f"m_max must be an integer from 1 to {M_MAX_LIMIT}" in capsys.readouterr().err
+        assert not Path(cfg["out"]).exists()
+        with pytest.raises(InvalidParameterError):
+            parse_config(dict(cfg, m_max=M_MAX_LIMIT + 1))
+        assert run_cli(argv + [str(M_MAX_LIMIT)]) == EXIT_OK
+        header = (Path(cfg["out"]) / "drift.csv").read_text().splitlines()[0]
+        assert header.endswith(f"ReC{M_MAX_LIMIT},ImC{M_MAX_LIMIT}")
 
     def test_truncation_flag_overrides_topology(self, tmp_path):
         path, cfg = write_config(tmp_path)

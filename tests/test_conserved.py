@@ -31,6 +31,7 @@ from alnet import (
 from conftest import (
     ALPHA_FIG4,
     PROPERTY_SETTINGS,
+    chain_gaps,
     decaying_random_field,
     glued_state,
     stencil_constants,
@@ -269,6 +270,33 @@ class TestUniversalChainField:
         bond_field(st, top, "12")[5] += 0.25 / math.sqrt(3.0)
         _, residual = universal_chain_field(st, top)
         assert residual == pytest.approx(0.25, rel=1e-12)
+
+    @staticmethod
+    def two_soliton_gaps(gammas):
+        # two solitons of different beta and speed, both through the vertex by
+        # t = 30 (1000 steps), launched as the sum of their profiles on bond 1
+        top = build_star(gammas, truncation=120)
+        slow = SolitonParams(alpha=ALPHA_FIG4, beta=0.3, n0=-30.0)
+        fast = SolitonParams(alpha=ALPHA_FIG4 + 0.3, beta=0.6, n0=-50.0, phi0=1.0)
+        launch = FieldState(soliton_profile(slow, top).data + soliton_profile(fast, top).data)
+        return chain_gaps(top, launch, SimConfig(dt=0.03, t_final=30.0, output_stride=50))
+
+    def test_a_two_soliton_field_runs_as_the_chain_under_the_sum_rule(self):
+        # finding (1) beyond one soliton: for q = sqrt(gamma) psi the vertex is
+        # a unitary splitter, so the graph's q is the unrolled chain's evolution
+        q_gaps, sibling_gaps = self.two_soliton_gaps((1.0, 1.5, 3.0))
+        assert len(q_gaps) == 21
+        assert max(q_gaps) <= 1e-12
+        assert max(sibling_gaps) <= 1e-12
+
+    def test_the_chain_oracle_fails_off_the_sum_rule(self):
+        # negative control: the (1, 1.5, 2.5) vertex reflects, and the chain gap
+        # exceeds the 1e-12 gate by more than six orders.  Each leaf's q sees
+        # the parent's q at the vertex whatever the gammas, so the leaves stay
+        # glued: sibling agreement alone does not show the sum rule
+        q_gaps, sibling_gaps = self.two_soliton_gaps((1.0, 1.5, 2.5))
+        assert max(q_gaps) > 1e-6
+        assert max(sibling_gaps) <= 1e-12
 
 
 class TestRecursion:

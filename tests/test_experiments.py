@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +18,7 @@ from alnet import (
     transmission_sweep,
     zero_state,
 )
-from alnet.experiments import scattering_ensemble
-from conftest import ALPHA_FIG4, bits
+from conftest import ALPHA_FIG4
 
 INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
 
@@ -29,8 +27,8 @@ INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
 def psg_run():
     # the run observes every 1.0 up to its measurement time, 99; keep t = 60 .. 99
     top = build_star((1.0, 1.5, 3.0), truncation=150)
-    report, snapshots = scattering_run(top, INCIDENT, SimConfig(), tuple(range(60, 100)))
-    return top, report, [state for _, state in snapshots]
+    [report], picker = scattering_run([top], INCIDENT, SimConfig(), tuple(range(60, 100)))
+    return top, report, [state for _, state in picker.picks()]
 
 
 class TestPeakTracker:
@@ -112,13 +110,13 @@ class TestScattering:
 
     def test_symmetric_star_splits_evenly(self):
         top = build_star((2.0, 4.0, 4.0), truncation=150)
-        report, _ = scattering_run(top, INCIDENT, SimConfig())
+        [report], _ = scattering_run([top], INCIDENT, SimConfig())
         assert report.transmissions["11"] == report.transmissions["12"]
         assert report.transmissions["11"] == pytest.approx(0.5, abs=1e-3)
 
     def test_four_way_star(self):
         top = build_star((1.0, 2.0, 4.0, 4.0), truncation=150)
-        report, _ = scattering_run(top, INCIDENT, SimConfig())
+        [report], _ = scattering_run([top], INCIDENT, SimConfig())
         assert report.transmissions["11"] == pytest.approx(0.5, abs=1e-3)
         assert report.transmissions["12"] == pytest.approx(0.25, abs=1e-3)
         assert report.transmissions["13"] == pytest.approx(0.25, abs=1e-3)
@@ -127,11 +125,11 @@ class TestScattering:
         away = SolitonParams(alpha=3 * math.pi / 4, beta=0.1, n0=-60.0)
         assert away.velocity < 0
         with pytest.raises(InconclusiveRunError):
-            scattering_run(build_star((1.0, 1.5, 3.0), 150), away, SimConfig())
+            scattering_run([build_star((1.0, 1.5, 3.0), 150)], away, SimConfig())
 
     def test_short_leaves_are_inconclusive(self):
         with pytest.raises(InconclusiveRunError):
-            scattering_run(build_star((1.0, 1.5, 3.0), 100), INCIDENT, SimConfig())
+            scattering_run([build_star((1.0, 1.5, 3.0), 100)], INCIDENT, SimConfig())
 
     def test_boundary_guard_checks_every_observation(self, monkeypatch):
         # a field that reaches a leaf's truncated end mid-run and comes back
@@ -143,7 +141,7 @@ class TestScattering:
         states = [quiet, loud, FieldState(quiet.data, 99.0)]
         monkeypatch.setattr("alnet.experiments.evolve", lambda *args: iter(states))
         with pytest.raises(InconclusiveRunError, match="bond '12'"):
-            scattering_run(top, INCIDENT, SimConfig())
+            scattering_run([top], INCIDENT, SimConfig())
 
     def test_boundary_guard_names_the_first_bond_in_label_order(self, monkeypatch):
         # the guard reads the two sites at every wall; of the failing bonds
@@ -157,7 +155,7 @@ class TestScattering:
             loud.data[sites[0]] = 0.06
             states = [quiet, loud, FieldState(quiet.data, 99.0)]
             monkeypatch.setattr("alnet.experiments.evolve", lambda *args: iter(states))
-            scattering_run(top, INCIDENT, SimConfig())
+            scattering_run([top], INCIDENT, SimConfig())
 
         ends = {label: top.slices[label].stop - 1 for label in ("11", "12")}
         with pytest.raises(InconclusiveRunError, match=r"bond '1' \(\|psi\|\^2 = 3\.600e-03\)"):
@@ -169,7 +167,7 @@ class TestScattering:
         # the peak reaches the truncated leaf ends near t = 148
         cfg = SimConfig(t_final=148.0)
         with pytest.raises(InconclusiveRunError):
-            scattering_run(build_star((1.0, 1.5, 3.0), 150), INCIDENT, cfg)
+            scattering_run([build_star((1.0, 1.5, 3.0), 150)], INCIDENT, cfg)
 
 
 class TestSumRuleIsSharp:
@@ -181,7 +179,7 @@ class TestSumRuleIsSharp:
         deltas = (0.0, 0.01, 0.02, 0.04)
         stars = [build_star((1.0, 1.5, 3.0 * (1.0 + d)), 300) for d in deltas]
         soliton = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-120.0)
-        reports = scattering_ensemble(stars, soliton, SimConfig(dt=0.02))
+        reports, _ = scattering_run(stars, soliton, SimConfig(dt=0.02))
         reflections = [r.reflection for r in reports]
         assert reflections[0] < 1e-6
         for smaller, larger in zip(reflections[1:], reflections[2:]):
@@ -208,21 +206,10 @@ class TestSweep:
         assert [row.ratio for row in rows] == grid
         for r, row in zip(grid, rows):
             top = build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), truncation=150)
-            report, _ = scattering_run(top, INCIDENT, SimConfig())
+            [report], _ = scattering_run([top], INCIDENT, SimConfig())
             assert row.t2 == report.transmissions["11"]
             assert row.t3 == report.transmissions["12"]
             assert row.unitarity_residual == report.unitarity_residual
-
-    def test_one_topology_ensemble_is_the_single_run(self, psg_run):
-        # one column launches and integrates as the single run: the same report, bit for bit
-        top, single, _ = psg_run
-        (report,) = scattering_ensemble([top], INCIDENT, SimConfig())
-        (times, series), (single_times, single_series) = report.partial_norms, single.partial_norms
-        assert np.array_equal(bits(times), bits(single_times))
-        assert series.keys() == single_series.keys()
-        for label, norms in series.items():
-            assert np.array_equal(bits(norms), bits(single_series[label])), label
-        assert replace(report, partial_norms=None) == replace(single, partial_norms=None)
 
     def test_overlong_sweep_trips_the_boundary_guard(self):
         # as test_overlong_run_trips_the_boundary_guard, for every column of the stack

@@ -55,6 +55,20 @@ class TestKinematics:
 
 
 class TestProfile:
+    def test_refuses_a_peak_whose_density_overflows(self):
+        # sinh(400)^2 overflows a double, though sinh and cosh do not
+        top = build_star((1.0, 1.5, 3.0), truncation=20)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            soliton_profile(SolitonParams(alpha=0.1, beta=400.0, n0=-5.0), top)
+
+    def test_refuses_a_profile_whose_norm_underflows(self):
+        # 11 sites past the last one of bond '11' the amplitudes there are about
+        # 1e-209, so every |psi|^2 is 0 and there is no norm to take fractions of
+        top = build_star((1.0, 1.5, 3.0), truncation=37)
+        p = SolitonParams(alpha=0.1, beta=48.0, n0=48.0)
+        with pytest.raises(InvalidParameterError, match="zero amplitude"):
+            soliton_profile(p, top)
+
     def test_peak_amplitude_and_decay(self):
         top = build_chain(1.0, truncation=200)
         p = SolitonParams(alpha=0.0, beta=0.1, n0=-40.0)

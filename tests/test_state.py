@@ -73,6 +73,19 @@ def test_assert_finite_reports_bond_and_site():
     assert exc.value.bond == "1"
 
 
+def test_a_density_that_overflows_has_no_finite_norm():
+    # every amplitude is finite, but |psi|^2 at site 13 is not: the run has diverged
+    top = build_star((1.0, 1.5, 3.0), truncation=10)
+    st = zero_state(top)
+    st.time = 2.5
+    st.data[13] = 1e200 - 1e160j
+    st.data[4] = 1e150
+    with pytest.raises(DivergenceError) as exc:
+        partial_norms(st, top)
+    assert (exc.value.bond, exc.value.site, exc.value.time) == ("11", 4, 2.5)
+    assert "|psi|^2 overflows" in str(exc.value)
+
+
 def test_assert_finite_reports_a_stack_column_by_column():
     top = build_star((1.0, 1.5, 3.0), truncation=10)
     st = FieldState(np.zeros((top.n_sites, 3), dtype=complex), time=1.5)
