@@ -9,7 +9,7 @@ on this checkout's ``configs/`` and seed 7 of every perfbench workload
 process with its own output directory.  Every output file is compared
 byte for byte, except ``config_echo.json``, whose ``out`` field names the
 directory and is left out of its comparison; the exit codes and the file
-lists must match too.  Four refusal cases follow, each on a config
+lists must match too.  Five refusal cases follow, each on a config
 written next to the workload configs: both trees must exit with the
 case's code and write no file.  Prints one line per run and exits 1 on
 any difference, 0 when every byte is the same.
@@ -40,12 +40,14 @@ SAMPLE_COMMANDS = (
     "simulate --config configs/big_star.json",
 )
 WORKLOAD_SEED = 7
-# (subcommand, sample config, soliton entries changed, the exit code both trees must give)
+# (subcommand, sample config, config entries changed, the exit code both trees must give);
+# a dict entry updates its section, any other value replaces the entry
 REFUSALS = (
     ("broken-rule", "fig4.json", {}, 1),  # the sum rule holds
-    ("bifurcation", "fig4.json", {"alpha": 0.0}, 3),  # v = -0 does not reach the vertex
-    ("broken-rule", "broken_rule.json", {"alpha": 0.0}, 3),
-    ("bifurcation", "fig4.json", {"n0": 20.0}, 3),  # launched past the vertex
+    ("bifurcation", "fig4.json", {"soliton": {"alpha": 0.0}}, 3),  # v = -0 misses the vertex
+    ("broken-rule", "broken_rule.json", {"soliton": {"alpha": 0.0}}, 3),
+    ("bifurcation", "fig4.json", {"soliton": {"n0": 20.0}}, 3),  # launched past the vertex
+    ("sweep", "sweep.json", {"sim": {"t_final": 50.0}, "snapshot_times": [100.0]}, 1),
 )
 
 
@@ -64,12 +66,13 @@ def runs(work: Path) -> dict[str, tuple[list[str], int | None]]:
         path = work / f"{name}.json"
         path.write_text(json.dumps(config))
         out[f"{name}:seed {WORKLOAD_SEED}"] = [workload.command, "--config", str(path)], None
-    for i, (command, sample, soliton, code) in enumerate(REFUSALS):
+    for i, (command, sample, changes, code) in enumerate(REFUSALS):
         config = json.loads((ROOT / "configs" / sample).read_text())
-        config["soliton"].update(soliton)
+        for key, value in changes.items():
+            config[key] = dict(config[key], **value) if isinstance(value, dict) else value
         path = work / f"refusal-{i + 1}.json"
         path.write_text(json.dumps(config))
-        out[f"refusal-{i + 1}:{command} {sample} {soliton}"] = [command, "--config", str(path)], code
+        out[f"refusal-{i + 1}:{command} {sample} {changes}"] = [command, "--config", str(path)], code
     return out
 
 

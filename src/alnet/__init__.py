@@ -40,7 +40,6 @@ from .experiments import (
     broken_rule_run,
     peak_tracker,
     scattering_run,
-    soliton_trajectory,
     transmission_sweep,
 )
 from .io import (

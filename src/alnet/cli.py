@@ -4,14 +4,15 @@ Subcommands: simulate | bifurcation | sweep | broken-rule | conserved-audit.
 Every subcommand reads a JSON config (--config) and writes results under
 the output directory.  The subcommand overrides the config's
 "experiment" field; --out/--dt/--t-final/--m-max/--truncation override
-the corresponding config fields.  Each subcommand calls the experiment
-layer and only turns its result into ``RunOutputs``: bifurcation, sweep
-and broken-rule are all ``experiments.scattering_run``, and every run
-reads its observed states once, in ``experiments.observe``, which guards
-the truncated walls.  A run holds only the states its
-``experiments.SnapshotPicker`` keeps for the snapshot files, and
-``experiments.check_snapshot_times`` refuses a snapshot time past the
-run's end before the first step.  Exit codes:
+the corresponding config fields.  Each subcommand makes one call to the
+experiment layer and only turns its result into ``RunOutputs``:
+``simulate`` and ``conserved-audit`` call ``experiments.observe`` on the
+configured ``soliton_profile``, bifurcation, sweep and broken-rule are
+all ``experiments.scattering_run``, which calls it on a checked launch.
+``observe`` evolves every run, guards the truncated walls at each
+observation and holds only the states its ``SnapshotPicker`` keeps for
+the snapshot files; the picker refuses a snapshot time past the run's
+end before the first step.  Exit codes:
 0 success, 1 invalid configuration, 2 numerical divergence, 3 inconclusive
 run.
 """
@@ -30,15 +31,7 @@ from .errors import (
     SiteRangeError,
     TopologyError,
 )
-from .experiments import (
-    SnapshotPicker,
-    broken_rule_run,
-    check_snapshot_times,
-    observe,
-    scattering_run,
-    soliton_trajectory,
-    transmission_sweep,
-)
+from .experiments import broken_rule_run, observe, scattering_run, transmission_sweep
 from .io import (
     DEFAULT_RATIO_GRID,
     RunConfig,
@@ -47,6 +40,7 @@ from .io import (
     serialize_config,
     write_outputs,
 )
+from .soliton import soliton_profile
 from .topology import ROOT_LABEL, is_reflectionless, with_truncation
 
 EXIT_OK = 0
@@ -98,9 +92,8 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 def _run_simulate(config: RunConfig) -> RunOutputs:
     """evolve the configured soliton and record the field"""
     topology = config.topology
-    picker = SnapshotPicker(config.snapshot_times, config.sim)
-    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
-    [(times, series)] = observe(trajectory, [topology], picker.add)
+    launch = soliton_profile(config.soliton, topology)
+    [(times, series)], picker = observe([topology], launch, config.sim, config.snapshot_times)
     final = {label: float(norms[-1]) for label, norms in series.items()}
     total = sum(final.values())
     z = z_quantity(picker.last, topology)
@@ -147,10 +140,8 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
 def _run_sweep(config: RunConfig) -> RunOutputs:
     """transmission versus coupling ratio over a grid"""
     ratios = config.ratios or DEFAULT_RATIO_GRID
-    if config.sim.t_final is not None:  # writes no snapshots, but refuses a time past its end
-        check_snapshot_times(config.snapshot_times, config.sim)
     rows = transmission_sweep(
-        ratios, config.soliton, config.sim, truncation=config.topology.truncation
+        ratios, config.soliton, config.sim, config.topology.truncation, config.snapshot_times
     )
     return RunOutputs(summary={"experiment": "sweep", "rows": [asdict(row) for row in rows]})
 
@@ -185,14 +176,13 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
 def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     """evolve and audit the conserved-quantity drifts"""
     topology = config.topology
-    picker = SnapshotPicker(config.snapshot_times, config.sim)
     snaps = []
 
     def audit(state):
         snaps.append(snapshot(state, topology, config.m_max))
 
-    trajectory = soliton_trajectory(topology, config.soliton, config.sim)
-    (norms,) = observe(trajectory, [topology], picker.add, audit)
+    launch = soliton_profile(config.soliton, topology)
+    (norms,), picker = observe([topology], launch, config.sim, config.snapshot_times, [audit])
     report = drift_report(tuple(snaps))
     summary = {
         "experiment": "conserved-audit",

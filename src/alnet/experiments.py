@@ -1,4 +1,4 @@
-"""Packaged scattering scenarios: bifurcation, sweeps, broken-rule runs.
+"""The one run behind every subcommand, and the scattering scenarios built on it.
 
 Every driver launches a soliton on the incoming bond, integrates until
 the transmitted peaks sit well past their vertices, and reports the
@@ -10,29 +10,25 @@ tails straddling the vertex are negligible) and at least
 geometry cannot satisfy this, or whose field visibly reaches a truncated
 end, raise InconclusiveRunError rather than report biased numbers.
 
-One experiment, read three ways: ``scattering_run`` is the only code
-that launches, evolves, observes and reports a scattering run.  It takes
-the runs' topologies, one for a single run or several of one layout for
-the columns of one stack under one ``coupling_coefficients`` R, so a
-column's report equals its single run's bit for bit.  The bifurcation
-calls it on one topology, ``transmission_sweep`` on a ratio grid's stars,
-and ``broken_rule_run`` passes its peak tracks as extra folds.  Every
-launch refuses, before the first step, a soliton that does not move
-toward the vertex or that puts more than ``LAUNCH_OFF_BOND_TOL`` of its
-norm off bond 1, past the vertex; ``soliton_trajectory`` launches the
-plain runs of ``simulate`` and ``conserved-audit``.  No run holds its
-trajectory: ``observe``, the one loop over observed states for every
-experiment and CLI subcommand, adds a row of partial norms and runs the
-boundary guard for every run at each observation, then hands the state to
-the caller's folds (a ``SnapshotPicker``, the peak tracks, the conserved
-``snapshot``).
+One run for every experiment and CLI subcommand: ``observe`` evolves a
+launch and reads each observed state once, for the partial norms, the
+boundary guard, the run's ``SnapshotPicker`` and the caller's folds (the
+peak tracks, the conserved ``snapshot``), so no run holds its trajectory.
+``simulate`` and ``conserved-audit`` observe a plain ``soliton_profile``.
+``scattering_run`` launches, observes and reports a scattering run, one
+topology or the columns of one stack of one layout, so a column's report
+equals its single run's bit for bit; the bifurcation, the
+``transmission_sweep`` grid and ``broken_rule_run``'s peak-track folds
+are all calls of it.  Its launch refuses, before the first step, a
+soliton that does not move toward the vertex or that puts more than
+``LAUNCH_OFF_BOND_TOL`` of its norm off bond 1, past the vertex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -215,35 +211,27 @@ def _launch(
     return replace(config, t_final=t_final), FieldState(np.stack(columns, axis=1).reshape(shape))
 
 
-def check_snapshot_times(requested: Sequence[float], config: SimConfig) -> None:
-    """Refuse a requested time more than one output interval past the run's end.
-
-    Raises InvalidParameterError, as ``config.n_steps`` does without ``t_final``.
-    """
-    end = config.n_steps * config.dt
-    for t in requested:
-        # counted in steps, since the accumulated time drifts off the dt grid
-        if round((t - end) / config.dt) > config.output_stride:
-            raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {end:g}")
-
-
 Snapshots = tuple[tuple[float, FieldState], ...]
 
 
 class SnapshotPicker:
     """Keeps the observation nearest each requested time, a fold over one run's states.
 
-    A picker serves one run of ``config`` and checks ``requested`` with
-    ``check_snapshot_times`` when it is built, before anything is
-    integrated.  ``add`` remembers, for each requested time, the nearest
-    state seen so far; of two equally near states the earlier stays.  With
-    no requested times the run's start (t = 0) and end are requested, so
-    the first and last observations are kept.
+    Built before the run, it refuses a requested time more than one output
+    interval past the end of ``config``'s run with InvalidParameterError,
+    as ``config.n_steps`` refuses a missing ``t_final``.  ``add`` remembers,
+    for each requested time, the nearest state seen so far; of two equally
+    near states the earlier stays.  With no requested times the run's
+    start (t = 0) and end are requested: the first and last observations.
     """
 
     def __init__(self, requested: Sequence[float], config: SimConfig):
-        check_snapshot_times(requested, config)
-        self.requested = tuple(requested) or (0.0, config.n_steps * config.dt)
+        end = config.n_steps * config.dt
+        for t in requested:
+            # counted in steps, since the accumulated time drifts off the dt grid
+            if round((t - end) / config.dt) > config.output_stride:
+                raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {end:g}")
+        self.requested = tuple(requested) or (0.0, end)
         self.nearest: list[FieldState | None] = [None] * len(self.requested)
         self.last: FieldState | None = None
 
@@ -260,33 +248,39 @@ class SnapshotPicker:
 
 
 def observe(
-    states: Iterable[FieldState],
     topologies: Sequence[GraphTopology],
-    *folds: Callable[[FieldState], None],
-) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
-    """Read a run's observed states once, in order: the one loop over ``evolve``'s states.
+    launch: FieldState,
+    config: SimConfig,
+    snapshot_times: Sequence[float] = (),
+    folds: Sequence[Callable[[FieldState], None]] = (),
+) -> tuple[list[tuple[np.ndarray, dict[str, np.ndarray]]], SnapshotPicker]:
+    """Evolve ``launch`` under ``config`` and read its observed states once, in order.
 
-    A state is one run on ``topologies[0]`` or a stack whose column b runs
-    on ``topologies[b]``.  At each observation every run, in column order,
-    adds one row of partial norms and passes the boundary guard, so the
-    first observation in which a run's field reached a truncated end
-    raises InconclusiveRunError naming the first such run; then each fold
-    gets the state.  Returns each run's times and per-bond series.  An
-    overflow raises DivergenceError (``step``, ``partial_norms``), not a warning.
+    ``launch`` is one run on ``topologies[0]`` or a stack whose column b
+    runs on ``topologies[b]``.  The run's ``SnapshotPicker`` is built
+    first, so its refusals come before the first step.  At each
+    observation every run, in column order, adds one row of partial norms
+    and passes the boundary guard (InconclusiveRunError names the first
+    run whose field reached a truncated end); then the picker and each
+    fold get the state.  Returns each run's times and per-bond series, and
+    the picker.  An overflow raises DivergenceError, not a warning.
     """
+    picker = SnapshotPicker(snapshot_times, config)
     times, rows = [], [[] for _ in topologies]
     with np.errstate(over="ignore", invalid="ignore"):
-        for state in states:
+        for state in evolve(launch, coupling_coefficients(*topologies), config):
             times.append(state.time)
             columns = state.data.reshape(state.data.shape[0], -1).T
             for column, top, norms in zip(columns, topologies, rows):
                 run = FieldState(column, state.time)
                 norms.append(partial_norms(run, top))
                 _check_boundaries(run, top)
+            picker.add(state)
             for fold in folds:
                 fold(state)
     times = np.array(times)
-    return [(times, dict(zip(top.labels, np.array(r).T))) for r, top in zip(rows, topologies)]
+    runs = [(times, dict(zip(top.labels, np.array(r).T))) for r, top in zip(rows, topologies)]
+    return runs, picker
 
 
 def _report(norms: tuple, topology: GraphTopology, measurement_time: float) -> TransmissionReport:
@@ -303,19 +297,6 @@ def _report(norms: tuple, topology: GraphTopology, measurement_time: float) -> T
     )
 
 
-def soliton_trajectory(
-    topology: GraphTopology, soliton: SolitonParams, config: SimConfig
-) -> Iterator[FieldState]:
-    """Launch the soliton at t = 0 and return ``evolve``'s iterator of observed states.
-
-    ``config.t_final`` must be set; InvalidParameterError is raised
-    before anything is built otherwise.
-    """
-    config.n_steps  # raises without t_final
-    initial = soliton_profile(soliton, topology, 0.0)
-    return evolve(initial, coupling_coefficients(topology), config)
-
-
 def scattering_run(
     topologies: Sequence[GraphTopology],
     soliton: SolitonParams,
@@ -328,16 +309,14 @@ def scattering_run(
     One topology is one run; several of one site layout are the columns
     of one ``(n_sites, B)`` state with one shared measurement time, derived
     before the first step, so a snapshot time past it raises
-    InvalidParameterError before anything is integrated.  Each observed
-    state goes to the run's ``SnapshotPicker`` and then to ``folds``; a
-    failure names the first failing column's bond, as ``observe`` says.
+    InvalidParameterError before anything is integrated.  ``observe``
+    runs it and hands each observed state to the run's ``SnapshotPicker``
+    and then to ``folds``; a failure names the first failing column's bond.
     Returns one report per topology and the picker, whose ``picks()`` are
     the kept snapshots.
     """
     run_cfg, launch = _launch(topologies, soliton, config)
-    picker = SnapshotPicker(snapshot_times, run_cfg)
-    states = evolve(launch, coupling_coefficients(*topologies), run_cfg)
-    runs = observe(states, topologies, picker.add, *folds)
+    runs, picker = observe(topologies, launch, run_cfg, snapshot_times, folds)
     return [_report(norms, top, run_cfg.t_final) for norms, top in zip(runs, topologies)], picker
 
 
@@ -358,13 +337,15 @@ def transmission_sweep(
     soliton: SolitonParams,
     config: SimConfig = SimConfig(),
     truncation: int = 300,
+    snapshot_times: Sequence[float] = (),
 ) -> list[SweepRow]:
     """Transmission versus coupling ratio on three-bond stars.
 
     Each grid point r fixes gamma = (1, 1/r, 1/(1-r)), the unique
     sum-rule family with gamma1/gamma2 = r; the predicted transmissions
     are then r and 1 - r.  The stars share one layout, so the whole grid
-    is one stacked ``scattering_run``; rows keep grid order.
+    is one stacked ``scattering_run``; rows keep grid order.  No snapshot
+    is kept, but ``snapshot_times`` past the run's end are refused.
     """
     grid = [float(r) for r in ratio_grid]
     for r in grid:
@@ -373,7 +354,7 @@ def transmission_sweep(
                 f"ratio {r:g} is outside (0, 1); the third coupling would not be positive"
             )
     stars = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), truncation) for r in grid]
-    reports, _ = scattering_run(stars, soliton, config)
+    reports, _ = scattering_run(stars, soliton, config, snapshot_times)
     return [
         SweepRow(
             ratio=r,

@@ -25,6 +25,8 @@ from .topology import BondSpec, GraphTopology, build_star, build_tree
 
 EXPERIMENTS = ("simulate", "bifurcation", "sweep", "broken-rule", "conserved-audit")
 DEFAULT_RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# what write_outputs may write besides summary.json, which every run writes
+OUTPUT_FILES = ("config_echo.json", "partial_norms.csv", "drift.csv", "snapshots/t_*.csv")
 
 
 @dataclass(frozen=True)
@@ -208,8 +210,23 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
     """Write every populated section; returns the manifest of files written.
 
     Manifest entries are paths relative to ``directory``, in write order.
+    Two snapshot times that share a file name raise InvalidParameterError
+    before anything is written.  After the write, every file an earlier
+    run could have left there (``OUTPUT_FILES``) that this run did not
+    write is removed, and ``snapshots/`` too if that empties it; files of
+    any other name are never touched.
     """
     root = Path(directory)
+    if outputs.snapshots and outputs.topology is None:
+        raise InvalidParameterError("snapshots need the topology for their layout")
+    snapshot_files: dict[str, float] = {}
+    for t, _ in outputs.snapshots:
+        name = f"snapshots/t_{t:.4f}.csv"
+        if name in snapshot_files:
+            raise InvalidParameterError(
+                f"snapshot times {snapshot_files[name]!r} and {float(t)!r} both write {name}"
+            )
+        snapshot_files[name] = float(t)
     try:
         root.mkdir(parents=True, exist_ok=True)
         manifest: list[str] = []
@@ -245,11 +262,15 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
                     row += [c.real, c.imag]
                 lines.append(",".join(_fmt(x) for x in row))
             emit("drift.csv", ["\n".join(lines) + "\n"])
-        if outputs.snapshots:
-            if outputs.topology is None:
-                raise InvalidParameterError("snapshots need the topology for their layout")
-            for t, state in outputs.snapshots:
-                emit(f"snapshots/t_{t:.4f}.csv", _snapshot_chunks(state, outputs.topology))
+        for name, (_, state) in zip(snapshot_files, outputs.snapshots):
+            emit(name, _snapshot_chunks(state, outputs.topology))
+        written = set(manifest)
+        for path in (p for pattern in OUTPUT_FILES for p in root.glob(pattern)):
+            if path.is_file() and path.relative_to(root).as_posix() not in written:
+                path.unlink()
+        snapshots = root / "snapshots"
+        if snapshots.is_dir() and not any(snapshots.iterdir()):
+            snapshots.rmdir()
         return manifest
     except OSError as exc:
         raise InvalidParameterError(f"cannot write outputs under {root}: {exc}") from None

@@ -30,7 +30,6 @@ from alnet import (
     norm,
     scattering_run,
     soliton_profile,
-    soliton_trajectory,
     transmission_sweep,
     z_quantity,
 )
@@ -116,7 +115,8 @@ def test_criterion_4_conservation_dichotomy():
     report, peaks, _ = broken_rule_run(top, FIG4_SOLITON, SimConfig(dt=0.01))
     # no run keeps its states: stream the same run again for the audit
     cfg = SimConfig(dt=0.01, t_final=report.measurement_time)
-    drifts = drift_audit(soliton_trajectory(top, FIG4_SOLITON, cfg), top, m_max=2).drifts
+    states = evolve(soliton_profile(FIG4_SOLITON, top), coupling_coefficients(top), cfg)
+    drifts = drift_audit(states, top, m_max=2).drifts
     reflected_speed = peaks["1"].velocity
     speed_err = abs(abs(reflected_speed) - FIG4_SOLITON.velocity) / FIG4_SOLITON.velocity
     ok = (
@@ -209,7 +209,8 @@ def test_criterion_7_tree_graph_generalization():
     sum_err = abs(sum(report.transmissions.values()) - 1.0)
     # no run keeps its states: stream the same run again for the audit
     cfg = SimConfig(dt=0.01, t_final=report.measurement_time)
-    drifts = drift_audit(soliton_trajectory(top, soliton, cfg), top, m_max=1).drifts
+    states = evolve(soliton_profile(soliton, top), coupling_coefficients(top), cfg)
+    drifts = drift_audit(states, top, m_max=1).drifts
     ok = t_err < 1e-3 and sum_err < 1e-3 and drifts["N"] < 1e-6 and drifts["E"] < 1e-6
     assert verdict(
         7,

@@ -284,6 +284,18 @@ class TestWriteOutputs:
         assert lines[4] == "11,1,3,-4"
         assert len(lines) == 7
 
+    def test_a_summary_only_run_empties_an_earlier_runs_outputs(self, tmp_path):
+        top = build_chain(2.0, truncation=3)
+        st = zero_state(top)
+        full = RunOutputs(
+            summary={}, config_echo={}, partial_norms=(np.array([0.0]), {"1": np.array([1.0])}),
+            drift=drift_audit([st], top, m_max=2), snapshots=((0.0, st),), topology=top,
+        )
+        assert len(write_outputs(full, tmp_path)) == 5
+        (tmp_path / "other.csv").write_text("")
+        assert write_outputs(RunOutputs(summary={}), tmp_path) == ["summary.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.csv", "summary.json"]
+
     def test_unwritable_directory_is_a_config_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -364,6 +376,32 @@ class TestCli:
             assert run_cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
             assert "past the run" in capsys.readouterr().err
             assert not Path(cfg["out"]).exists()
+
+    def test_snapshots_that_share_a_file_name_exit_1_before_writing(self, tmp_path, capsys):
+        # observations 1e-5 apart all print as t_0.0000: one file would overwrite the other
+        sim = {"dt": 1e-5, "t_final": 1e-4, "output_stride": 1}
+        path, cfg = write_config(tmp_path, sim=sim, snapshot_times=[1e-5, 2e-5, 7e-5])
+        assert run_cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "snapshot times 1e-05 and 2e-05 both write snapshots/t_0.0000.csv" in err
+        assert not Path(cfg["out"]).exists()
+
+    def test_a_rerun_leaves_no_output_of_an_earlier_run(self, tmp_path):
+        # the audit writes drift.csv and two snapshots that a later simulate
+        # into the same directory does not; files of other names stay
+        out = tmp_path / "out"
+        path, _ = write_config(tmp_path, snapshot_times=[0.5, 1.0])
+        assert run_cli(["conserved-audit", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert (out / "drift.csv").is_file() and (out / "snapshots" / "t_0.5000.csv").is_file()
+        (out / "notes.txt").write_text("mine")
+        (out / "snapshots" / "notes.txt").write_text("mine")
+        path, _ = write_config(tmp_path, snapshot_times=[0.0])
+        assert run_cli(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files == {
+            "summary.json", "config_echo.json", "partial_norms.csv", "snapshots/t_0.0000.csv",
+            "notes.txt", "snapshots/notes.txt",
+        }
 
     def test_every_experiment_has_a_subcommand(self):
         assert set(_DISPATCH) == set(EXPERIMENTS)
@@ -536,6 +574,27 @@ class TestCli:
         argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
         assert run_cli(argv) == EXIT_CONFIG
         assert "snapshot time 5000 lies past the run's end 100" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_snapshot_past_the_derived_end_exits_1_before_integrating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # with t_final null the sweep derives its end (142) from the launch, as
+        # bifurcation does, and checks the snapshot times after the launch
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the snapshot times")
+
+        monkeypatch.setattr("alnet.experiments.evolve", no_integration)
+        cfg = json.loads((CONFIGS / "sweep.json").read_text())
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(dict(cfg, snapshot_times=[50.0, 5000.0])))
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "snapshot time 5000 lies past the run's end 142" in capsys.readouterr().err
+        cfg["soliton"]["n0"] = 20.0  # also launched past the vertex: the launch refuses first
+        path.write_text(json.dumps(dict(cfg, snapshot_times=[5000.0])))
+        assert run_cli(argv) == EXIT_INCONCLUSIVE
+        assert "of its norm off bond '1'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_audit_refuses_recursion_orders_before_integrating(self, tmp_path, capsys, monkeypatch):

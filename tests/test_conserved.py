@@ -23,7 +23,6 @@ from alnet import (
     snapshot,
     soliton_profile,
     site_offset,
-    soliton_trajectory,
     universal_chain_field,
     z_quantity,
     zero_state,
@@ -427,7 +426,8 @@ class TestSnapshotAndDrift:
         drifts = {}
         for gammas in ((0.5, 1.5, 3.0), (1.0, 1.5, 3.0)):
             top = build_star(gammas, truncation=60)
-            report = drift_audit(soliton_trajectory(top, p, config), top, m_max=6)
+            states = evolve(soliton_profile(p, top), coupling_coefficients(top), config)
+            report = drift_audit(states, top, m_max=6)
             assert set(report.drifts) == {"N", "E", "J", *orders}
             drifts[gammas] = report.drifts
         assert min(drifts[(0.5, 1.5, 3.0)][c] for c in orders) > 1e-2
