@@ -11,8 +11,12 @@ least ``BATCH_S``) and reports the mean per call.  The ``evolve`` row
 runs the big-star launch (n = 60000, n0 = -150, ``EVOLVE_STEPS`` steps,
 output stride 100) to its end and reports microseconds per step: the
 steps run on the window of sites that are not exact zeros, so this row
-shows what ``step`` alone at 60000 sites does not.  End-to-end rows run
-each ``configs/*.json`` ``E2E_REPEATS`` times through
+shows what ``step`` alone at 60000 sites does not.  The ``stacked step``
+rows time one ``step`` of the sweep's stars, (1, 1/r, 1/(1 - r)) at
+n = 900 sites each, launched as ``configs/sweep.json`` launches them and
+stacked back to back: B = 3 runs (r = 0.1, 0.5, 0.9, the benchmark's
+grid) and B = 9 (r = 0.1 .. 0.9, the CLI's default grid).  End-to-end
+rows run each ``configs/*.json`` ``E2E_REPEATS`` times through
 ``alnet.cli.run_cli``, each in a fresh process (so the ~0.3 s import is
 included), and record its wall time and its peak resident set size, the
 process's own ``VmHWM`` (Linux).  Every row gives the median, the spread
@@ -41,7 +45,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from alnet import (  # noqa: E402
+    FieldState,
     RunOutputs,
     SimConfig,
     SolitonParams,
@@ -63,6 +70,8 @@ LAYER_REPEATS = 7  # batches per layer row
 BATCH_S = 0.1  # least seconds per batch
 E2E_REPEATS = 3  # CLI runs per config
 EVOLVE_STEPS = 400  # the big-star run: t_final 4 at dt 0.01
+STACKS = ((0.1, 0.5, 0.9), tuple(i / 10 for i in range(1, 10)))  # sweep grids of 3 and 9 stars
+SWEEP_TRUNCATION = 300  # n = 900 sites per star
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -128,7 +137,7 @@ def layer_rows(machine: str, scratch: Path) -> list[dict]:
                 row(name, samples, "us", machine, n_sites=top.n_sites, calls_per_repeat=batch)
             )
             print(f"{name:14s} n={top.n_sites:6d} {rows[-1]['median']:12.1f} us", file=sys.stderr)
-    return rows + [evolve_row(machine)]
+    return rows + [evolve_row(machine)] + stacked_step_rows(machine)
 
 
 def evolve_row(machine: str) -> dict:
@@ -143,6 +152,24 @@ def evolve_row(machine: str) -> dict:
                  calls_per_repeat=batch, steps=EVOLVE_STEPS)
     print(f"{'evolve':14s} n={top.n_sites:6d} {result['median']:12.1f} us per step", file=sys.stderr)
     return result
+
+
+def stacked_step_rows(machine: str) -> list[dict]:
+    """Microseconds per ``step`` of a stack of the sweep's stars, one row per grid."""
+    soliton = SolitonParams(alpha=5 * math.pi / 4, beta=0.1, n0=-120.0)
+    rows = []
+    for grid in STACKS:
+        stars = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), SWEEP_TRUNCATION) for r in grid]
+        state = FieldState(np.concatenate([soliton_profile(soliton, top).data for top in stars]))
+        couplings = coupling_coefficients(*stars)
+        workspace = StepWorkspace(state.data.shape)
+        samples, batch = per_call_us(lambda: step(state, couplings, SimConfig().dt, workspace))
+        n_sites = stars[0].n_sites
+        rows.append(row("stacked step", samples, "us", machine, n_sites=n_sites, runs=len(grid),
+                        calls_per_repeat=batch))
+        print(f"{'stacked step':14s} n={n_sites:6d} B={len(grid)} {rows[-1]['median']:9.1f} us",
+              file=sys.stderr)
+    return rows
 
 
 # The child reports its own high-water mark: ru_maxrss from wait4 or

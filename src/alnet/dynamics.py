@@ -26,11 +26,11 @@ shares memory with the workspace.  ``evolve`` is the one way out of a
 run: it yields the observed states, which ``experiments.observe`` reads
 once and hands to the folds that keep what they need of them.
 
-The kernel is elementwise along a second axis: a state of shape
-``(n_sites, B)`` with the ``coupling_coefficients`` of B same-layout
-topologies advances B independent runs in one step, and every column is
-bitwise equal to the single run on its topology.  A single run stays
-one-dimensional.
+The kernel sees one flat layout whether the run is single or stacked:
+B same-layout topologies of n sites each lie back to back in a state of
+B n sites, run b at ``[b n, (b + 1) n)``.  Their ``coupling_coefficients``
+are block-diagonal, so one step advances B independent runs, and every
+block is bitwise equal to the single run on its topology.
 
 ``evolve`` integrates only the window where the field is not exactly
 zero.  A soliton's sech tails underflow to exact zeros a few thousand
@@ -38,16 +38,17 @@ sites from its peak (about 7.4k at beta = 0.1), and a zero that stays
 zero needs no step.  At state 0, after step 1 and at every observation,
 ``evolve`` reads the reach of the field: the largest
 ``topology.vertex_distance`` of a site that holds a word that is not
-bitwise +0.  It steps the next block with the R of
+bitwise +0.  It steps the next stretch of steps with the R of
 ``with_truncation(topology, W)`` for each of R's topologies, whose sites
-are those with ``vertex_distance <= W``: W is the reach plus a band of
+are those with ``vertex_distance <= W``, in every run's block of the
+layout: W is the reach plus a band of
 ``4 * output_stride + 1`` sites, or the full truncation when that is no
 shorter.  Each observed state is written back into the full
 layout, +0 beyond the window.  The windowed run equals the full run bit
 for bit, by three facts:
 
 * one RK4 step spreads the support by at most 4 graph sites (one per
-  stage), so over the at most ``output_stride`` steps of a block the
+  stage), so over the at most ``output_stride`` steps of a stretch the
   window's last site, its wall, keeps zero magnitude at every stage;
 * a site at +0 whose neighbours have zero magnitude stays bitwise +0:
   its derivative is a zero and ``y + k`` with ``y = +0`` gives +0, so the
@@ -59,8 +60,8 @@ Only bitwise +0 counts, so a launch whose underflowed tails hold -0
 (``0 * phase``) steps its first step on the full layout, which clears
 them.  The guard sites, the two nearest each wall, are read first, and a
 field that reaches any of them (every run at the paper's sizes) costs one
-gather per observation.  A stack windows on the union of its columns.
-Nothing is replayed: the band covers each block, and the next window is
+gather per observation.  A stack windows on the union of its runs.
+Nothing is replayed: the band covers each stretch, and the next window is
 chosen from the exact state at its start, wider when the field has spread.
 """
 
@@ -162,7 +163,7 @@ def step(
 ) -> FieldState:
     """One classical Runge-Kutta step of size ``dt``; returns a new state.
 
-    A stacked state takes the ``coupling_coefficients`` of its columns'
+    A stacked state takes the ``coupling_coefficients`` of its runs'
     topologies.  A non-finite result raises DivergenceError at its site
     in ``couplings.topology``'s layout.  ``workspace`` must fit the
     state's shape; without one the step makes its own.  A state whose
@@ -197,7 +198,7 @@ def step(
 
 
 def _check_shape(y: np.ndarray, couplings: CouplingCoefficients):
-    # site_gamma has a row per site of R's topology and, for a stack, a column per run
+    # site_gamma has an entry per site of every run in R's layout
     if y.shape != couplings.site_gamma.shape:
         raise InvalidParameterError(f"state of shape {y.shape} does not fit R's {couplings.site_gamma.shape}")
 
@@ -210,10 +211,13 @@ def _window(data: np.ndarray, topology: GraphTopology, band: int) -> int:
     that is no shorter.  The guard sites are read first, so a field that
     reaches them costs one gather: a word at distance ``truncation - 1``
     already gives ``reach + band >= truncation``, since the band is >= 5.
+    ``data`` may hold a stack of runs on ``topology``'s layout, back to
+    back, and the reach is that of their union.
     """
-    if np.count_nonzero(data[topology.guard_sites].view(np.uint64)):
+    words = data.view(np.uint64).reshape(-1, topology.n_sites, 2)  # (run, site, re/im)
+    if np.count_nonzero(words[:, topology.guard_sites]):
         return topology.truncation
-    occupied = data.view(np.uint64).reshape(topology.n_sites, -1).any(axis=1)
+    occupied = np.bitwise_or(words[..., 0], words[..., 1]).any(axis=0)
     reach = int(topology.vertex_distance[occupied].max(initial=0))
     return min(reach + band, topology.truncation)
 
@@ -224,8 +228,8 @@ def evolve(
     """Integrate to ``config.t_final``, yielding the observed states.
 
     Yields a copy of the initial state, then the state after every
-    ``output_stride`` steps and after the final step, all in the layout
-    of ``couplings.topology``.  The steps run on the window of the module
+    ``output_stride`` steps and after the final step, all in R's full
+    layout.  The steps run on the window of the module
     docstring, re-chosen after the first step and at every observation.
     Each yielded state owns its data: ``step`` and the embedding return
     fresh arrays and no later step writes to them.  A stacked state is
@@ -252,7 +256,8 @@ def evolve(
                 if truncation < full.truncation:
                     cut = (with_truncation(t, truncation) for t in couplings.topologies)
                     layout = coupling_coefficients(*cut)
-                    kept = np.flatnonzero(full.vertex_distance <= truncation)
+                    distance = np.tile(full.vertex_distance, len(couplings.topologies))
+                    kept = np.flatnonzero(distance <= truncation)
             y = current if kept is None else FieldState(current.data[kept], current.time)
             if workspace is None:
                 workspace = StepWorkspace(y.data.shape)

@@ -7,8 +7,9 @@ soliton kinematics: the peak must be at least ``MEASUREMENT_MARGIN``
 sites beyond the deepest vertex (plus ``TAIL_EXTRA`` sites so the sech
 tails straddling the vertex are negligible) and at least
 ``MEASUREMENT_MARGIN`` sites from every truncated far end.  Runs whose
-geometry cannot satisfy this, or whose field visibly reaches a truncated
-end, raise InconclusiveRunError rather than report biased numbers.
+geometry cannot satisfy this, whose given ``t_final`` ends before it, or
+whose field visibly reaches a truncated end, raise InconclusiveRunError
+rather than report biased numbers.
 
 One run for every experiment and CLI subcommand: ``observe`` evolves a
 launch and reads each observed state once, for the partial norms, the
@@ -16,8 +17,8 @@ boundary guard, the run's ``SnapshotPicker`` and the caller's folds (the
 peak tracks, the conserved ``snapshot``), so no run holds its trajectory.
 ``simulate`` and ``conserved-audit`` observe a plain ``soliton_profile``.
 ``scattering_run`` launches, observes and reports a scattering run, one
-topology or the columns of one stack of one layout, so a column's report
-equals its single run's bit for bit; the bifurcation, the
+topology or the runs of one stack of one layout, so a stacked run's
+report equals its single run's bit for bit; the bifurcation, the
 ``transmission_sweep`` grid and ``broken_rule_run``'s peak-track folds
 are all calls of it.  Its launch refuses, before the first step, a
 soliton that does not move toward the vertex or that puts more than
@@ -182,19 +183,20 @@ def _launch(
 ) -> tuple[SimConfig, FieldState]:
     """Every scattering run starts here: its config with ``t_final`` set, and its state at t = 0.
 
-    One topology is one run, several are the columns of one stack, and
-    the state has the shape of their ``coupling_coefficients``.  A soliton
-    that does not move toward the vertex, or a launch that puts more than
-    ``LAUNCH_OFF_BOND_TOL`` of its norm off bond 1 in any column, raises
+    One topology is one run, several are the runs of one stack, whose
+    launches lie back to back in the layout of their
+    ``coupling_coefficients``.  A soliton that does not move toward the
+    vertex, a launch that puts more than ``LAUNCH_OFF_BOND_TOL`` of its
+    norm off bond 1 in any run, and a given ``t_final`` that ends the run
+    in fewer steps than its derived measurement time raise
     InconclusiveRunError.
     """
-    shape = coupling_coefficients(*topologies).site_gamma.shape
     v = soliton.velocity
     if not (v > 0):
         raise InconclusiveRunError(
             f"soliton velocity {v:g} does not carry it toward the vertex"
         )
-    columns = []
+    launches = []
     for top in topologies:
         launch = soliton_profile(soliton, top, 0.0)
         norms = partial_norms(launch, top)  # bond '1' first
@@ -204,11 +206,16 @@ def _launch(
                 f"the launch at n0 = {soliton.n0:g} puts {off:.3e} of its norm off bond "
                 f"{ROOT_LABEL!r}, more than {LAUNCH_OFF_BOND_TOL:g}: it starts past the vertex"
             )
-        columns.append(launch.data)
-    t_final = config.t_final
+        launches.append(launch.data)
+    t_final, derived = config.t_final, _measurement_time(topologies[0], soliton, config)
     if t_final is None:
-        t_final = _measurement_time(topologies[0], soliton, config)
-    return replace(config, t_final=t_final), FieldState(np.stack(columns, axis=1).reshape(shape))
+        t_final = derived
+    elif round(t_final / config.dt) < round(derived / config.dt):  # counted in steps, as the run is
+        raise InconclusiveRunError(
+            f"t_final {t_final:g} ends the run before its measurement time {derived:g}, when the "
+            f"transmitted peaks sit {MEASUREMENT_MARGIN + TAIL_EXTRA} sites past the deepest vertex"
+        )
+    return replace(config, t_final=t_final), FieldState(np.concatenate(launches))
 
 
 Snapshots = tuple[tuple[float, FieldState], ...]
@@ -256,10 +263,10 @@ def observe(
 ) -> tuple[list[tuple[np.ndarray, dict[str, np.ndarray]]], SnapshotPicker]:
     """Evolve ``launch`` under ``config`` and read its observed states once, in order.
 
-    ``launch`` is one run on ``topologies[0]`` or a stack whose column b
-    runs on ``topologies[b]``.  The run's ``SnapshotPicker`` is built
-    first, so its refusals come before the first step.  At each
-    observation every run, in column order, adds one row of partial norms
+    ``launch`` is one run on ``topologies[0]`` or a stack of runs back to
+    back, run b on ``topologies[b]``.  The run's ``SnapshotPicker`` is
+    built first, so its refusals come before the first step.  At each
+    observation every run, in stack order, adds one row of partial norms
     and passes the boundary guard (InconclusiveRunError names the first
     run whose field reached a truncated end); then the picker and each
     fold get the state.  Returns each run's times and per-bond series, and
@@ -270,9 +277,8 @@ def observe(
     with np.errstate(over="ignore", invalid="ignore"):
         for state in evolve(launch, coupling_coefficients(*topologies), config):
             times.append(state.time)
-            columns = state.data.reshape(state.data.shape[0], -1).T
-            for column, top, norms in zip(columns, topologies, rows):
-                run = FieldState(column, state.time)
+            for data, top, norms in zip(state.data.reshape(len(topologies), -1), topologies, rows):
+                run = FieldState(data, state.time)
                 norms.append(partial_norms(run, top))
                 _check_boundaries(run, top)
             picker.add(state)
@@ -306,12 +312,12 @@ def scattering_run(
 ) -> tuple[list[TransmissionReport], SnapshotPicker]:
     """Launch, evolve, observe and account one scattering run, or a stack of them.
 
-    One topology is one run; several of one site layout are the columns
-    of one ``(n_sites, B)`` state with one shared measurement time, derived
+    One topology is one run; several of one site layout are the runs of
+    one stacked state, back to back, with one shared measurement time, derived
     before the first step, so a snapshot time past it raises
     InvalidParameterError before anything is integrated.  ``observe``
     runs it and hands each observed state to the run's ``SnapshotPicker``
-    and then to ``folds``; a failure names the first failing column's bond.
+    and then to ``folds``; a failure names the first failing run's bond.
     Returns one report per topology and the picker, whose ``picks()`` are
     the kept snapshots.
     """

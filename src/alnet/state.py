@@ -4,9 +4,9 @@ A :class:`FieldState` stores one complex amplitude per lattice site in a
 single flat array whose layout is dictated by the topology (see
 ``GraphTopology.slices``).  States are cheap value objects: clone with
 :meth:`FieldState.copy`, and treat the data of shared states as read-only.
-An ensemble of runs on topologies of one layout is a state of shape
-``(n_sites, B)``, one run per column; the per-run readers here
-(``bond_field``, ``partial_norms``) take one column at a time.
+An ensemble of B runs on topologies of one n-site layout is one flat
+state of B n sites, run b at ``[b n, (b + 1) n)``; the per-run readers
+here (``bond_field``, ``partial_norms``) take one run's slice at a time.
 
 A state knows nothing of the vertices: what lies across a vertex is read
 through the topology's shift operator (``coupling_coefficients``), which
@@ -28,8 +28,8 @@ from .topology import GraphTopology
 class FieldState:
     """Flat complex field over all sites of a topology, plus a time stamp.
 
-    ``data`` has shape ``(n_sites,)``, or ``(n_sites, B)`` for a stack of
-    B runs that share one site layout.
+    ``data`` is one-dimensional: ``n_sites`` entries, or B n for a
+    stack of B runs that share one n-site layout.
     """
 
     data: np.ndarray
@@ -37,8 +37,8 @@ class FieldState:
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if self.data.ndim not in (1, 2):
-            raise InvalidParameterError("state data must be a (sites,) or (sites, runs) array")
+        if self.data.ndim != 1:
+            raise InvalidParameterError("state data must be a one-dimensional array of sites")
 
     def copy(self) -> "FieldState":
         return FieldState(self.data.copy(), self.time)
@@ -64,12 +64,12 @@ def _check_shape(state: FieldState, topology: GraphTopology):
 def assert_finite(state: FieldState, topology: GraphTopology):
     """Raise :class:`DivergenceError` at the first non-finite amplitude.
 
-    A stack is searched column by column, so the error names the first
-    failing run's bond and site in ``topology``'s layout.
+    In a stack the first failing index i lies in run ``i // n``, and the
+    error names that run's bond and site in ``topology``'s layout.
     """
     if np.isfinite(state.data.view(np.float64)).all():
         return
-    first = int(np.flatnonzero(~np.isfinite(state.data.T))[0])
+    first = int(np.flatnonzero(~np.isfinite(state.data))[0])
     bond, site = topology.locate(first % topology.n_sites)
     raise DivergenceError(bond, site, state.time)
 

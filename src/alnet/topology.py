@@ -23,9 +23,9 @@ vertex hands the parent's last site the children's first sites weighted
 by ``sqrt(gamma_parent / gamma_child)``, together with each site's
 ``gamma`` and the topology itself.  It is cached per tuple of topologies,
 so the conserved quantities, which take the topology, look R up on each
-call.  Several topologies of one site layout give one R with a column
-per topology, for an ``(n_sites, B)`` field, so an ensemble of runs
-shares one integration.
+call.  Several topologies of one site layout give one block-diagonal R
+over their runs laid back to back, run b at sites ``[b n, (b + 1) n)``,
+so an ensemble of runs shares one integration.
 ``GraphTopology.vertex_distance`` holds each semi-infinite site's distance
 from its vertex (0 on internal bonds), so ``flatnonzero(vertex_distance <= W)``
 is the layout of ``with_truncation(topology, W)``, in order; the R of
@@ -39,6 +39,7 @@ whole-array shift overwritten at those end sites.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -194,11 +195,8 @@ class GraphTopology:
 
     @cached_property
     def site_gamma(self) -> np.ndarray:
-        out = np.empty(self.n_sites)
-        for b in self.bonds:
-            out[self.slices[b.label]] = b.gamma
-        out.setflags(write=False)
-        return out
+        """Per flat site, its bond's gamma: the array that this topology's R holds."""
+        return coupling_coefficients(self).site_gamma
 
     def site_coordinates(self, label: str) -> np.ndarray:
         """Site indices of a bond in the scattering convention."""
@@ -229,17 +227,18 @@ class CouplingCoefficients:
     quantity see the graph only through these maps.
 
     ``topologies`` are the graphs the maps were built from, one per
-    column of a stack, and ``topology`` is the first of them, so a caller
+    run of a stack, and ``topology`` is the first of them, so a caller
     that holds R also holds the layout.  The ``edge_*`` fields are one
     table set for both maps, described in ``neighbors``: away from the end
     sites of the bonds each map is a whole-array shift, and at the end
     sites the tables give R's and R^T's terms.  ``site_gamma`` is the
     nonlinearity strength of every flat site.
 
-    The maps act along the first axis, on a field of shape ``(n_sites,)``
-    or, for an R of B topologies, whose ``edge_weights`` and ``site_gamma``
-    gain a column axis, on a stack ``(n_sites, B)``; each column of a map
-    is, bit for bit, that column's own R applied to it.
+    The maps act on a flat field.  An R of B topologies of one n-site
+    layout is block-diagonal: run b holds sites ``[b n, (b + 1) n)``, its
+    tables are the single run's offset by ``b n``, and ``site_gamma`` and
+    ``edge_weights`` are the runs' own, concatenated.  Each block of a map
+    is, bit for bit, that run's own R applied to its block.
     """
 
     topologies: tuple[GraphTopology, ...] = field(repr=False)
@@ -283,7 +282,8 @@ class CouplingCoefficients:
         toward it.  One gather of ``edge_terms`` fills a short array ``t``
         with ``ahead`` (E rows), ``behind`` (E rows) and the children's
         first sites.  The rows run root far end, leaf ends, parent ends,
-        one-site bonds, child first sites, so that:
+        one-site bonds, child first sites, each category over every run of
+        a stack in turn, so that:
 
         * ``t[edge_zeros] = 0`` gives the root's far end no predecessor
           and a leaf's end no successor;
@@ -308,7 +308,7 @@ class CouplingCoefficients:
 
 
 def coupling_coefficients(*topologies: GraphTopology) -> CouplingCoefficients:
-    """The vertex-weighted shift operator of one topology, or of several, one per column.
+    """The vertex-weighted shift operator of one topology, or block-diagonal over several.
 
     Built once per tuple of topologies.  Several topologies must share
     their bond labels, lengths and kinds, so only the gammas differ; no
@@ -331,44 +331,38 @@ def _build_couplings(topologies: tuple[GraphTopology, ...]) -> CouplingCoefficie
         raise InvalidParameterError("R needs at least one topology")
     if len({tuple((b.label, b.length, b.kind) for b in t.bonds) for t in topologies}) > 1:
         raise InvalidParameterError("stacked topologies must share one site layout")
-    pairs, tables = _edge_tables(topologies[0])
-    weights = [[math.sqrt(t.bond(p).gamma / t.bond(c).gamma) for t in topologies] for p, c in pairs]
-    if len(topologies) == 1:  # one run keeps 1-D maps and shares its topology's gammas
-        weights, gamma = [w for w, in weights], topologies[0].site_gamma
-    else:
-        gamma = np.stack([t.site_gamma for t in topologies], axis=1)
-    return CouplingCoefficients(topologies, _frozen(gamma, float), _frozen(weights, float), *tables)
-
-
-def _edge_tables(topology: GraphTopology) -> tuple[list, tuple]:
-    """Each ``edge_weights`` entry's (parent, child) pair, and ``edge_sites`` .. ``edge_sums``."""
-    slices, vertices = topology.slices, topology.vertices
-    # rows as (site, ahead site, behind site, bond); ahead/behind name the
-    # site itself where the term is a zero or a children's sum
+    top, n = topologies[0], topologies[0].n_sites
+    slices, vertices = top.slices, top.vertices
+    # rows as (site, ahead site, behind site, run, bond); ahead/behind name
+    # the site itself where the term is a zero or a children's sum.  Run k
+    # holds sites [k n, (k + 1) n), and each category lists its rows run by run
     far_end, leaf_ends, parent_ends, one_site, child_firsts = [], [], [], [], []
-    for b in topology.bonds:
-        first, last = slices[b.label].start, slices[b.label].stop - 1
-        entry = slices[b.label[:-1]].stop - 1 if b.label != ROOT_LABEL else first
+    for k, b in itertools.product(range(len(topologies)), top.bonds):
+        first, last = slices[b.label].start + k * n, slices[b.label].stop - 1 + k * n
+        entry = slices[b.label[:-1]].stop - 1 + k * n if b.label != ROOT_LABEL else first
         if first == last:
-            one_site.append((first, first, entry, b.label))
+            one_site.append((first, first, entry, k, b.label))
             continue
         if b.label == ROOT_LABEL:
-            far_end.append((first, first + 1, first, b.label))
+            far_end.append((first, first + 1, first, k, b.label))
         else:
-            child_firsts.append((first, first + 1, entry, b.label))
-        (parent_ends if b.label in vertices else leaf_ends).append((last, last, last - 1, b.label))
+            child_firsts.append((first, first + 1, entry, k, b.label))
+        (parent_ends if b.label in vertices else leaf_ends).append((last, last, last - 1, k, b.label))
     rows = far_end + leaf_ends + parent_ends + one_site + child_firsts
     summed = parent_ends + one_site
-    entered = one_site + child_firsts
-    e = len(rows)
-    kids = [(r[3], c) for r in summed for c in vertices[r[3]]]
-    edge_groups = np.cumsum([0] + [len(vertices[r[3]]) for r in summed[:-1]])
-    edge_terms = [r[1] for r in rows] + [r[2] for r in rows] + [slices[c].start for _, c in kids]
-    pairs = [(r[3][:-1], r[3]) for r in entered] + kids
-    edge_zeros = list(range(1, 1 + len(leaf_ends))) + [e]
-    sums = slice(1 + len(leaf_ends), 1 + len(leaf_ends) + len(summed))
-    tables = (_frozen([r[0] for r in rows]), _frozen(edge_terms), _frozen(edge_zeros))
-    return pairs, (*tables, _frozen(edge_groups), sums)
+    e, ends = len(rows), len(far_end) + len(leaf_ends)
+    kids = [(k, c) for *_, k, p in summed for c in vertices[p]]
+    edge_groups = np.cumsum([0] + [len(vertices[r[4]]) for r in summed[:-1]])
+    edge_terms = [r[1] for r in rows] + [r[2] for r in rows] + [slices[c].start + k * n for k, c in kids]
+    gammas = [{b.label: b.gamma for b in t.bonds} for t in topologies]
+    weighted = [r[3:] for r in one_site + child_firsts] + kids
+    weights = [math.sqrt(gammas[k][c[:-1]] / gammas[k][c]) for k, c in weighted]
+    edge_zeros = list(range(len(far_end), ends)) + list(range(e, e + len(far_end)))
+    lengths = [b.length for b in top.bonds] * len(topologies)
+    gamma = np.repeat([g for run in gammas for g in run.values()], lengths)
+    tables = (_frozen([r[0] for r in rows]), _frozen(edge_terms), _frozen(edge_zeros), _frozen(edge_groups))
+    sums = slice(ends, ends + len(summed))
+    return CouplingCoefficients(topologies, _frozen(gamma, float), _frozen(weights, float), *tables, sums)
 
 
 def check_sum_rule(topology: GraphTopology) -> dict[str, float]:

@@ -64,35 +64,35 @@ class ReferenceShift:
 
     An independent reference for ``CouplingCoefficients``: index arrays
     built straight from ``vertices`` and ``slices``, and weights
-    ``sqrt(gamma_parent / gamma_child)`` computed from the bonds, one
-    column per topology of a stack.  Each map is a whole-array shift;
-    ``forward`` then zeroes every bond's last site and writes each parent's
-    last site as the ``np.add.reduceat`` of its children's weight-first
-    products, and ``backward`` zeroes the root's far end and writes each
-    child's first site.
+    ``sqrt(gamma_parent / gamma_child)`` computed from the bonds.  A stack
+    of B topologies of n sites is block-diagonal: run b holds sites
+    ``[b n, (b + 1) n)`` and its own weights and gammas.  Each map is a
+    whole-array shift; ``forward`` then zeroes every bond's last site and
+    writes each parent's last site as the ``np.add.reduceat`` of its
+    children's weight-first products, and ``backward`` zeroes each run's
+    first site, the root's far end, and writes each child's first site.
     """
 
     def __init__(self, topologies):
-        top = topologies[0]
-        stacked = len(topologies) > 1
+        top, n = topologies[0], topologies[0].n_sites
         parent_ends, groups, child_starts, child_parents, weights = [], [], [], [], []
-        for parent, kids in top.vertices.items():
-            p_last = top.slices[parent].stop - 1
-            parent_ends.append(p_last)
-            groups.append(len(child_starts))
-            for child in kids:
-                child_starts.append(top.slices[child].start)
-                child_parents.append(p_last)
-                w = [math.sqrt(t.bond(parent).gamma / t.bond(child).gamma) for t in topologies]
-                weights.append(w if stacked else w[0])
-        self.bond_ends = np.array([s.stop - 1 for s in top.slices.values()])
+        for b, t in enumerate(topologies):
+            for parent, kids in top.vertices.items():
+                p_last = b * n + top.slices[parent].stop - 1
+                parent_ends.append(p_last)
+                groups.append(len(child_starts))
+                for child in kids:
+                    child_starts.append(b * n + top.slices[child].start)
+                    child_parents.append(p_last)
+                    weights.append(math.sqrt(t.bond(parent).gamma / t.bond(child).gamma))
+        self.run_starts = n * np.arange(len(topologies))
+        self.bond_ends = np.array([b + s.stop - 1 for b in self.run_starts for s in top.slices.values()])
         self.parent_ends = np.array(parent_ends)
         self.groups = np.array(groups)
         self.child_starts = np.array(child_starts)
         self.child_parents = np.array(child_parents)
         self.weights = np.array(weights)
-        gammas = [t.site_gamma for t in topologies]
-        self.site_gamma = np.stack(gammas, axis=1) if stacked else gammas[0]
+        self.site_gamma = np.concatenate([np.full(b.length, b.gamma) for t in topologies for b in t.bonds])
 
     def forward(self, y):
         out = np.empty_like(y)
@@ -104,7 +104,7 @@ class ReferenceShift:
     def backward(self, y):
         out = np.empty_like(y)
         out[1:] = y[:-1]
-        out[0] = 0.0
+        out[self.run_starts] = 0.0
         out[self.child_starts] = self.weights * y[self.child_parents]
         return out
 

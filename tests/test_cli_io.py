@@ -462,10 +462,11 @@ class TestCli:
     @pytest.mark.parametrize("command", ["simulate", "conserved-audit", "broken-rule", "sweep"])
     def test_an_overflowing_step_exits_2_without_a_numpy_warning(self, tmp_path, capsys, command):
         # |psi|^2 = sinh(300)^2 is finite at the launch, and the first step overflows;
-        # the suite turns a numpy RuntimeWarning into an error
+        # the suite turns a numpy RuntimeWarning into an error.  The leaves are
+        # long enough for a scattering run to measure its peaks.
         path, _ = write_config(
             tmp_path,
-            topology={"gammas": [0.5, 1.5, 3.0], "truncation": 40},
+            topology={"gammas": [0.5, 1.5, 3.0], "truncation": 130},
             soliton={"alpha": ALPHA_FIG4, "beta": 300.0, "n0": -10.0},
             sim={"dt": 0.01, "t_final": 1.0, "output_stride": 50},
         )
@@ -562,18 +563,19 @@ class TestCli:
     def test_sweep_snapshot_past_a_given_end_exits_1_before_integrating(
         self, tmp_path, capsys, monkeypatch
     ):
-        # a sweep writes no snapshots, but a given t_final still bounds them
+        # a sweep writes no snapshots, but a given t_final still bounds them;
+        # it is past the derived measurement time, 142, which a run must reach
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated before checking the snapshot times")
 
         monkeypatch.setattr("alnet.experiments.evolve", no_integration)
         cfg = json.loads((CONFIGS / "sweep.json").read_text())
-        sim = dict(cfg["sim"], t_final=100.0)
+        sim = dict(cfg["sim"], t_final=150.0)
         path = tmp_path / "late.json"
         path.write_text(json.dumps(dict(cfg, sim=sim, snapshot_times=[50.0, 5000.0])))
         argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
         assert run_cli(argv) == EXIT_CONFIG
-        assert "snapshot time 5000 lies past the run's end 100" in capsys.readouterr().err
+        assert "snapshot time 5000 lies past the run's end 150" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_snapshot_past_the_derived_end_exits_1_before_integrating(
@@ -611,8 +613,8 @@ class TestCli:
     def test_scattering_without_an_approach_exits_3_before_integrating(
         self, tmp_path, capsys, monkeypatch, alpha
     ):
-        # a given t_final skips the derived measurement time, but not the
-        # check that the soliton moves toward the vertex
+        # a given t_final is checked against the derived measurement time,
+        # which needs a soliton that moves toward the vertex
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated a soliton that never reaches the vertex")
 
@@ -628,6 +630,26 @@ class TestCli:
             assert run_cli(argv) == EXIT_INCONCLUSIVE
             assert "toward the vertex" in capsys.readouterr().err
             assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize(
+        "command, name, extra",
+        [("bifurcation", "tree_audit", []), ("sweep", "tree_audit", []),
+         ("broken-rule", "broken_rule", ["--t-final", "40"])],
+        ids=["bifurcation", "sweep", "broken-rule"],
+    )
+    def test_a_t_final_short_of_the_measurement_exits_3_before_the_first_step(
+        self, tmp_path, capsys, command, name, extra
+    ):
+        # tree_audit.json's t_final 30 ends the run with the soliton still on
+        # bond 1, as --t-final 40 does on broken_rule.json; each reported its
+        # reflection as if scattered (0.973 and 0.99999999) and exited 0
+        argv = [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / "out"),
+                *extra]
+        with mock.patch("alnet.dynamics.step", wraps=alnet.dynamics.step) as spy:
+            assert run_cli(argv) == EXIT_INCONCLUSIVE
+        assert spy.call_count == 0
+        assert "ends the run before its measurement time" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_a_launch_past_the_vertex_exits_3_before_integrating(self, tmp_path, capsys, monkeypatch):
         # at n0 = +20 the soliton is already split over the leaves; fig4 would

@@ -200,15 +200,15 @@ class TestStepAndEvolve:
         assert 14.0 < ratio < 18.0
 
     @pytest.mark.parametrize(
-        "state_sites, state_columns, r_columns",
-        [(40, None, None), (20, 2, None), (20, 3, 2), (20, None, 2)],
+        "state_sites, r_runs",
+        [(30, 1), (40, 1), (60, 2), (20, 2)],
+        # a stack's runs lie back to back, so "columns" are runs of 20 sites here
         ids=["long-state", "stack-on-single-r", "three-on-two-columns", "single-on-stacked-r"],
     )
-    def test_a_state_that_does_not_fit_r_is_refused(self, state_sites, state_columns, r_columns):
+    def test_a_state_that_does_not_fit_r_is_refused(self, state_sites, r_runs):
         top = build_chain(1.0, truncation=10)
-        cp = coupling_coefficients(*[top] * (r_columns or 1))
-        shape = (state_sites,) if state_columns is None else (state_sites, state_columns)
-        st = FieldState(np.full(shape, 0.1 + 0j))
+        cp = coupling_coefficients(*[top] * r_runs)
+        st = FieldState(np.full(state_sites, 0.1 + 0j))
         with pytest.raises(InvalidParameterError, match="does not fit"):
             step(st, cp, 0.01)
         with pytest.raises(InvalidParameterError, match="does not fit"):
@@ -238,26 +238,27 @@ class TestStackedStep:
         ids=["stars", "four-way-stars", "trees"],
     )
     def test_columns_equal_single_runs(self, tops, rng):
-        n = tops[0].n_sites
-        start = 0.3 * (rng.standard_normal((n, len(tops))) + 1j * rng.standard_normal((n, len(tops))))
+        # run b of the stack holds sites [b n, (b + 1) n)
+        n, size = tops[0].n_sites, tops[0].n_sites * len(tops)
+        start = 0.3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
         stack = FieldState(start)
-        singles = [FieldState(start[:, b]) for b in range(len(tops))]
+        singles = [FieldState(start[b * n:(b + 1) * n]) for b in range(len(tops))]
         cp = coupling_coefficients(*tops)
         for _ in range(40):
             stack = step(stack, cp, 0.01)
             singles = [step(s, coupling_coefficients(t), 0.01) for s, t in zip(singles, tops)]
-        assert stack.data.shape == (n, len(tops))
+        assert stack.data.shape == (size,)
         for b, single in enumerate(singles):
-            assert np.array_equal(stack.data[:, b], single.data)
+            assert np.array_equal(bits(stack.data[b * n:(b + 1) * n]), bits(single.data))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_in_one_column_names_its_site(self):
         tops = [build_star((1.0, 1.5, 3.0), truncation=10), build_star((1.0, 2.0, 2.0), truncation=10)]
-        st = FieldState(np.full((30, 2), 0.1 + 0j))
-        st.data[25, 1] = np.nan
+        st = FieldState(np.full(60, 0.1 + 0j))
+        st.data[30 + 25] = np.nan  # site 25 of run 1
         with pytest.raises(DivergenceError) as exc:
             step(st, coupling_coefficients(*tops), 0.01)
-        # the four stages spread the NaN four sites each way, to flat site 21
+        # the four stages spread the NaN four sites each way, to run 1's flat site 21
         assert (exc.value.bond, exc.value.site) == ("12", 2)
 
 
@@ -293,16 +294,16 @@ def reference_step(state, ref, dt):
     return FieldState(y + np.multiply(k1 + 2.0 * k2 + k4, dt / 6.0), state.time + dt)
 
 
-def tail_field(topology, rng, columns=None):
+def tail_field(topology, rng, runs=1):
     """Random field whose semi-infinite bonds fade through subnormal numbers.
 
     Like a soliton's tail far from its peak, each such bond holds order-one
     amplitudes within 20 sites of its vertex, then amplitudes that fall
     from 1e-300 through the subnormal range into zeros of both signs.
     There a kernel that rounds differently or flips the sign of a zero
-    shows up.
+    shows up.  ``runs`` such fields lie back to back, as in a stack.
     """
-    shape = (topology.n_sites,) if columns is None else (topology.n_sites, columns)
+    shape = (runs, topology.n_sites)
     y = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     for b in topology.bonds:
         if b.kind == KIND_INTERNAL:
@@ -310,9 +311,8 @@ def tail_field(topology, rng, columns=None):
         depth = np.arange(b.length, dtype=float)
         if b.label == "1":
             depth = depth[::-1]
-        scale = np.where(depth < 20, 1.0, 10.0 ** (-300 - 0.1 * (depth - 20)))
-        y[topology.slices[b.label]] *= scale.reshape((-1,) + (1,) * (len(shape) - 1))
-    return y
+        y[:, topology.slices[b.label]] *= np.where(depth < 20, 1.0, 10.0 ** (-300 - 0.1 * (depth - 20)))
+    return y.ravel()
 
 
 REFERENCE_CASES = {
@@ -338,7 +338,7 @@ REFERENCE_CASES = {
 def reference_case(tops, rng):
     """Couplings and a tail field for one topology, or for a stack of several."""
     cp = coupling_coefficients(*tops)
-    return cp, tail_field(tops[0], rng, *cp.site_gamma.shape[1:])
+    return cp, tail_field(tops[0], rng, len(tops))
 
 
 class TestFusedKernel:
@@ -425,19 +425,19 @@ def assert_equals_full_loop(states, start, couplings, config):
         assert np.array_equal(bits(state.data), bits(ref.data))
 
 
-def near_vertex_field(topology, rng, reach, columns=None):
+def near_vertex_field(topology, rng, reach, runs=1):
     """Random field on the ``reach`` sites of each semi-infinite bond nearest its vertex.
 
     Internal bonds are filled too; every other site is +0.  Magnitudes run
     from order one down through the subnormals to zeros of both signs.
+    ``runs`` such fields lie back to back, as in a stack.
     """
-    shape = (topology.n_sites,) if columns is None else (topology.n_sites, columns)
-    y = np.zeros(shape, dtype=np.complex128)
+    y = np.zeros((runs, topology.n_sites), dtype=np.complex128)
     near = topology.vertex_distance <= reach
-    part = y[near].shape
+    part = y[:, near].shape
     scale = 10.0 ** rng.uniform(-330, 0, part)
-    y[near] = (rng.standard_normal(part) + 1j * rng.standard_normal(part)) * scale
-    return y
+    y[:, near] = (rng.standard_normal(part) + 1j * rng.standard_normal(part)) * scale
+    return y.ravel()
 
 
 class TestWindow:
@@ -483,13 +483,14 @@ class TestWindow:
         tops = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 400) for r in (0.1, 0.5, 0.9)]
         cp = coupling_coefficients(*tops)
         data = tail_field(tops[0], rng, 3)
-        # only the middle column reaches past 100 sites from the vertex
-        far = tops[0].vertex_distance > 100
-        data[far, 0] = data[far, 2] = 0.0
+        # only the middle run reaches past 100 sites from the vertex
+        runs, far = data.reshape(3, -1), tops[0].vertex_distance > 100
+        runs[0, far] = runs[2, far] = 0.0
         start = FieldState(data)
         cfg = SimConfig(dt=0.01, t_final=0.2, output_stride=4)
         states, sites = windowed_run(start, cp, cfg)
-        assert 3 * 250 < max(sites[1:]) < tops[0].n_sites
+        # each of the three runs steps the same window of more than 3 * 250 sites
+        assert 3 * (3 * 250) < max(sites[1:]) < 3 * tops[0].n_sites
         assert_equals_full_loop(states, start, cp, cfg)
 
     def test_the_window_keeps_a_long_internal_bond_whole(self, rng):
@@ -528,9 +529,8 @@ class TestWindow:
 def test_window_on_random_sum_rule_trees(tops, seed):
     tops = [with_truncation(with_sum_rule(t), 30) for t in tops]
     cp = coupling_coefficients(*tops)
-    columns = None if len(tops) == 1 else len(tops)
-    start = FieldState(near_vertex_field(tops[0], np.random.default_rng(seed), 3, columns))
+    start = FieldState(near_vertex_field(tops[0], np.random.default_rng(seed), 3, len(tops)))
     cfg = SimConfig(dt=0.01, t_final=0.06, output_stride=2)
     states, sites = windowed_run(start, cp, cfg)
-    assert sites[0] < tops[0].n_sites
+    assert sites[0] < len(tops) * tops[0].n_sites
     assert_equals_full_loop(states, start, cp, cfg)

@@ -18,6 +18,7 @@ from alnet import (
     transmission_sweep,
     zero_state,
 )
+from alnet.experiments import _launch
 from conftest import ALPHA_FIG4
 
 INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
@@ -131,6 +132,14 @@ class TestScattering:
         with pytest.raises(InconclusiveRunError):
             scattering_run([build_star((1.0, 1.5, 3.0), 100)], INCIDENT, SimConfig())
 
+    def test_a_given_t_final_must_reach_the_measurement_time(self):
+        # the derived measurement time of this run is 99; one step short of it is refused
+        top = build_star((1.0, 1.5, 3.0), truncation=150)
+        cfg, _ = _launch([top], INCIDENT, SimConfig(t_final=99.0))
+        assert cfg.t_final == 99.0 and _launch([top], INCIDENT, SimConfig())[0] == cfg
+        with pytest.raises(InconclusiveRunError, match="before its measurement time 99"):
+            _launch([top], INCIDENT, SimConfig(t_final=98.99))
+
     def test_boundary_guard_checks_every_observation(self, monkeypatch):
         # a field that reaches a leaf's truncated end mid-run and comes back
         # inside must not pass: only the middle observation fails the guard
@@ -201,7 +210,7 @@ class TestSweep:
         "grid", [[0.4], [0.2, 0.35, 0.6, 0.8]], ids=["1-point", "4-point"]
     )
     def test_rows_equal_separate_runs(self, grid):
-        # the grid is integrated as one stack; each column must be the single run exactly
+        # the grid is integrated as one stack; each run of it must be the single run exactly
         rows = transmission_sweep(grid, INCIDENT, SimConfig(), truncation=150)
         assert [row.ratio for row in rows] == grid
         for r, row in zip(grid, rows):
@@ -212,7 +221,7 @@ class TestSweep:
             assert row.unitarity_residual == report.unitarity_residual
 
     def test_overlong_sweep_trips_the_boundary_guard(self):
-        # as test_overlong_run_trips_the_boundary_guard, for every column of the stack
+        # as test_overlong_run_trips_the_boundary_guard, for every run of the stack
         cfg = SimConfig(t_final=148.0)
         with pytest.raises(InconclusiveRunError):
             transmission_sweep([0.3, 0.6], INCIDENT, cfg, truncation=150)
@@ -226,17 +235,17 @@ class TestSweep:
             transmission_sweep([0.5, 0.1], INCIDENT, cfg, truncation=150)
 
     def test_boundary_guard_raises_at_the_first_failing_observation(self, monkeypatch):
-        # column 1 fails on bond '11' at t = 50 and column 0 on bond '12' at
+        # run 1 fails on bond '11' at t = 50 and run 0 on bond '12' at
         # t = 60: the earlier observation decides.  Within one observation
-        # the first failing column decides, whatever its bond's place.
+        # the first failing run decides, whatever its bond's place.
         stars = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 150) for r in (0.3, 0.6)]
-        quiet = np.stack([soliton_profile(INCIDENT, top).data for top in stars], axis=1)
+        quiet = np.concatenate([soliton_profile(INCIDENT, top).data for top in stars])
         end = {label: stars[0].slices[label].stop - 1 for label in ("11", "12")}
 
         def observed(*loud):
             data = quiet.copy()
-            for column, label in loud:
-                data[end[label], column] = 0.05
+            for run, label in loud:
+                data[run * stars[0].n_sites + end[label]] = 0.05
             return data
 
         def run(*middle):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from alnet import (
     DivergenceError,
     FieldState,
+    InvalidParameterError,
     assert_finite,
     bond_field,
     build_star,
@@ -23,6 +24,12 @@ def test_zero_state_shape_and_dtype():
     assert st.data.dtype == np.complex128
     assert st.time == 0.0
     assert not np.any(st.data)
+
+
+def test_state_data_is_one_dimensional():
+    # a stack of runs is one flat layout, never a (sites, runs) array
+    with pytest.raises(InvalidParameterError, match="one-dimensional"):
+        FieldState(np.zeros((30, 2), dtype=complex))
 
 
 def test_bond_field_is_a_view():
@@ -87,16 +94,17 @@ def test_a_density_that_overflows_has_no_finite_norm():
 
 
 def test_assert_finite_reports_a_stack_column_by_column():
+    # a stack of three runs lies back to back, run b at [30 b, 30 (b + 1))
     top = build_star((1.0, 1.5, 3.0), truncation=10)
-    st = FieldState(np.zeros((top.n_sites, 3), dtype=complex), time=1.5)
+    st = FieldState(np.zeros(3 * top.n_sites, dtype=complex), time=1.5)
     assert_finite(st, top)
-    st.data[13, 1] = np.nan
+    st.data[30 + 13] = np.nan
     with pytest.raises(DivergenceError) as exc:
         assert_finite(st, top)
-    # the site's own bond and coordinate, not the stacked array's flat index 40
+    # the site's own bond and coordinate, not the stacked array's flat index 43
     assert (exc.value.bond, exc.value.site, exc.value.time) == ("11", 4, 1.5)
-    # an earlier column wins over an earlier site
-    st.data[25, 0] = np.inf
+    # an earlier run wins over an earlier site
+    st.data[25] = np.inf
     with pytest.raises(DivergenceError) as exc:
         assert_finite(st, top)
     assert (exc.value.bond, exc.value.site) == ("12", 6)

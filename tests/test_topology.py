@@ -258,17 +258,69 @@ class TestShiftOperator:
     def test_stack_needs_one_layout(self):
         tops = [build_star((1.0, 1.5, 3.0), truncation=20), build_star((0.5, 1.5, 3.0), truncation=20)]
         cp = coupling_coefficients(*tops)
-        assert cp.edge_weights.shape == (4, 2) and cp.site_gamma.shape == (60, 2)
-        for b, top in enumerate(tops):
-            single = coupling_coefficients(top)
+        assert cp.edge_weights.shape == (8,) and cp.site_gamma.shape == (120,)
+        singles = [coupling_coefficients(top) for top in tops]
+        for b, single in enumerate(singles):
             assert single.edge_weights.shape == (4,) and single.site_gamma.shape == (60,)
-            assert np.array_equal(cp.edge_weights[:, b], single.edge_weights)
-            assert np.array_equal(cp.site_gamma[:, b], single.site_gamma)
+            assert np.array_equal(cp.site_gamma[60 * b:60 * (b + 1)], single.site_gamma)
+        # the child first sites' weights, then the children summed at the vertex, each run by run
+        weights = [s.edge_weights[:2] for s in singles] + [s.edge_weights[2:] for s in singles]
+        assert np.array_equal(cp.edge_weights, np.concatenate(weights))
         for other in (build_star((1.0, 1.5, 3.0), truncation=21), build_star((1.0, 2.0, 4.0, 4.0), 20)):
             with pytest.raises(InvalidParameterError, match="layout"):
                 coupling_coefficients(tops[0], other)
         with pytest.raises(InvalidParameterError):
             coupling_coefficients()
+
+    def test_one_run_keeps_the_single_run_tables(self):
+        # sites: bond 1 at 0-3, bond 11 at 4-7, bond 12 at 8-11; rows: far end,
+        # leaf ends, parent end, child first sites
+        top = build_star((1.0, 1.5, 3.0), truncation=4)
+        cp = coupling_coefficients(top)
+        s11, s12 = math.sqrt(1.0 / 1.5), math.sqrt(1.0 / 3.0)
+        assert cp.edge_sites.tolist() == [0, 7, 11, 3, 4, 8]
+        assert cp.edge_terms.tolist() == [1, 7, 11, 3, 5, 9] + [0, 6, 10, 2, 3, 3] + [4, 8]
+        assert cp.edge_zeros.tolist() == [1, 2, 6]
+        assert cp.edge_groups.tolist() == [0]
+        assert cp.edge_sums == slice(3, 4)
+        assert cp.edge_weights.tolist() == [s11, s12, s11, s12]
+        assert cp.site_gamma.tolist() == [1.0] * 4 + [1.5] * 4 + [3.0] * 4
+        assert cp.site_gamma is top.site_gamma
+        for table in (cp.site_gamma, cp.edge_weights, cp.edge_sites, cp.edge_terms, cp.edge_zeros):
+            assert table.ndim == 1 and not table.flags.writeable
+        # two runs: each category's rows run by run, the second run's sites offset by 12
+        two = coupling_coefficients(top, build_star((1.0, 2.0, 2.0), truncation=4))
+        assert two.edge_sites.tolist() == [0, 12, 7, 11, 19, 23, 3, 15, 4, 8, 16, 20]
+        assert two.edge_terms.tolist() == (
+            [1, 13, 7, 11, 19, 23, 3, 15, 5, 9, 17, 21]
+            + [0, 12, 6, 10, 18, 22, 2, 14, 3, 3, 15, 15]
+            + [4, 8, 16, 20]
+        )
+        assert two.edge_zeros.tolist() == [2, 3, 4, 5, 12, 13]
+        assert two.edge_groups.tolist() == [0, 2]
+        assert two.edge_sums == slice(6, 8)
+        half = math.sqrt(0.5)
+        assert two.edge_weights.tolist() == [s11, s12, half, half, s11, s12, half, half]
+        assert two.site_gamma.tolist() == cp.site_gamma.tolist() + [1.0] * 4 + [2.0] * 8
+
+
+@PROPERTY_SETTINGS
+@given(tops=tree_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_each_block_of_a_stack_is_its_single_run(tops, seed):
+    # block b of the stacked maps is tops[b]'s own R on that block, bit for bit
+    rng = np.random.default_rng(seed)
+    cp, n = coupling_coefficients(*tops), tops[0].n_sites
+    size = len(tops) * n
+    assert cp.site_gamma.shape == (size,)
+    # magnitudes from order one down through the subnormals to signed zeros
+    scale = 10.0 ** rng.uniform(-330, 0, size)
+    y = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+    forward, neighbors = cp.forward(y), cp.neighbors(y)
+    for b, top in enumerate(tops):
+        single, block = coupling_coefficients(top), slice(b * n, (b + 1) * n)
+        assert np.array_equal(bits(forward[block]), bits(single.forward(y[block])))
+        assert np.array_equal(bits(neighbors[block]), bits(single.neighbors(y[block])))
+        assert np.array_equal(cp.site_gamma[block], single.site_gamma)
 
 
 @PROPERTY_SETTINGS
@@ -280,20 +332,24 @@ def test_r_of_the_truncated_trees_is_the_layout_evolve_steps(tops, data):
     short = [with_truncation(t, truncation) for t in tops]
     full, cut = coupling_coefficients(*tops), coupling_coefficients(*short)
     assert cut.topologies == tuple(short)
-    # the sites within the shorter truncation of the vertices are its layout
+    # the sites within the shorter truncation of the vertices are its layout,
+    # in every run's block of a stack
     distance = tops[0].vertex_distance
     kept = np.flatnonzero(distance <= truncation)
     assert kept.size == short[0].n_sites
-    assert np.array_equal(full.site_gamma[kept], cut.site_gamma)
+    stacked = np.tile(distance, len(tops))
+    window = np.flatnonzero(stacked <= truncation)
+    assert window.size == cut.site_gamma.size == len(tops) * kept.size
+    assert np.array_equal(full.site_gamma[window], cut.site_gamma)
     assert np.array_equal(full.edge_weights, cut.edge_weights)
     # a field at +0 beyond the window sees the window's walls as the full layout's zeros
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shape = full.site_gamma.shape
     scale = 10.0 ** rng.uniform(-330, 0, shape)
     y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-    y[distance > truncation] = 0.0
-    assert np.array_equal(bits(cut.forward(y[kept])), bits(full.forward(y)[kept]))
-    assert np.array_equal(bits(cut.neighbors(y[kept])), bits(full.neighbors(y)[kept]))
+    y[stacked > truncation] = 0.0
+    assert np.array_equal(bits(cut.forward(y[window])), bits(full.forward(y)[window]))
+    assert np.array_equal(bits(cut.neighbors(y[window])), bits(full.neighbors(y)[window]))
     for label, s in tops[0].slices.items():
         part = kept[short[0].slices[label]]
         assert s.start <= part.min() and part.max() < s.stop
