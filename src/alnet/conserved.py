@@ -27,6 +27,10 @@ Three layers: the norm, the pair sum Z, and one ladder for every C_m.
   gives the chain values of ``universal_chain_field``'s q; off the rule
   the constants exist, but the flow does not conserve them.
 
+Every table read here is a cached property of the topology, built on its
+first use: R (``couplings``), ``sqrt_gamma``, and the ``vertex_tables``
+that pair the sites across each vertex.
+
 The ladder assumes the field has decayed at the truncated ends; boundary
 sites contribute O(|q_end|^2).  ``conserved-audit`` enforces this: the
 boundary guard of ``experiments.observe`` stops a run that reaches them.
@@ -35,14 +39,13 @@ boundary guard of ``experiments.observe`` stops a run that reaches them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
 from .state import FieldState, _check_shape, partial_norms
-from .topology import GraphTopology, ROOT_LABEL, coupling_coefficients
+from .topology import GraphTopology, ROOT_LABEL
 
 DRIFT_FLOOR = 1e-12
 # the ladder's scratch is two (m_max, n) complex buffers, 1 KB a site at this bound
@@ -62,40 +65,7 @@ def norm(state: FieldState, topology: GraphTopology) -> float:
 def z_quantity(state: FieldState, topology: GraphTopology) -> complex:
     """Complex conserved pair sum: E = -2 Re Z, J = 2 Im Z."""
     _check_shape(state, topology)
-    return complex(np.vdot(state.data, coupling_coefficients(topology).forward(state.data)))
-
-
-@dataclass(frozen=True)
-class _GraphTables:
-    """What ``snapshot`` and ``universal_chain_field`` read, built once per topology.
-
-    ``entries`` pairs each child's first site that does not follow its parent
-    in the layout (row 0) with the parent's last site (row 1).  ``siblings``
-    pairs each later child's sites with the first child's over their common
-    length.
-    """
-
-    sqrt_gamma: np.ndarray
-    weight: np.ndarray
-    entries: np.ndarray
-    siblings: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def _graph_tables(topology: GraphTopology) -> _GraphTables:
-    slices, vertices = topology.slices, topology.vertices
-    entries, siblings = [], []
-    for parent, (first, *others) in vertices.items():
-        for child in others:
-            entries.append((slices[child].start, slices[parent].stop - 1))
-            k = min(topology.bond(first).length, topology.bond(child).length)
-            siblings += [(slices[child].start + i, slices[first].start + i) for i in range(k)]
-    return _GraphTables(
-        np.sqrt(topology.site_gamma),
-        topology.bond(ROOT_LABEL).gamma / topology.site_gamma,
-        np.array(entries, dtype=np.intp).reshape(-1, 2).T,
-        np.array(siblings, dtype=np.intp).reshape(-1, 2).T,
-    )
+    return complex(np.vdot(state.data, topology.couplings.forward(state.data)))
 
 
 def universal_chain_field(
@@ -110,10 +80,10 @@ def universal_chain_field(
     profile under the coupling sum rule.
     """
     _check_shape(state, topology)
-    t = _graph_tables(topology)
+    sqrt_gamma, (_, siblings) = topology.sqrt_gamma, topology.vertex_tables
     stop = topology.slices[topology.leaves[0]].stop  # the chain is the layout up to its first leaf
-    q = t.sqrt_gamma[:stop] * state.data[:stop]
-    later, first = t.sqrt_gamma[t.siblings] * state.data[t.siblings]
+    q = sqrt_gamma[:stop] * state.data[:stop]
+    later, first = sqrt_gamma[siblings] * state.data[siblings]
     return q, float(np.abs(later - first).max(initial=0.0))
 
 
@@ -219,13 +189,13 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
     overflows raises DivergenceError at the site of the largest |q|.
     """
     _, residual = universal_chain_field(state, topology)  # checks the shape
-    t = _graph_tables(topology)
-    psi = state.data
-    r_psi = coupling_coefficients(topology).forward(psi)
+    psi, sqrt_gamma = state.data, topology.sqrt_gamma
+    r_psi = topology.couplings.forward(psi)
     z = complex(np.vdot(psi, r_psi))
-    q = t.sqrt_gamma * psi
+    q = sqrt_gamma * psi
+    weight = topology.bond(ROOT_LABEL).gamma / topology.site_gamma
     try:
-        cs = _ladder(q, np.conj(t.sqrt_gamma * r_psi), m_max, t.entries, t.weight)
+        cs = _ladder(q, np.conj(sqrt_gamma * r_psi), m_max, topology.vertex_tables[0], weight)
     except OverflowError:
         bond, site = topology.locate(int(np.argmax(np.abs(q))))
         raise DivergenceError(bond, site, state.time, f"C_{m_max} overflows at the largest |q|") from None

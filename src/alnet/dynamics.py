@@ -152,7 +152,7 @@ def rhs(state: FieldState, topology: GraphTopology) -> np.ndarray:
     y = state.data
     if y.shape != (topology.n_sites,):
         raise InvalidParameterError("state does not match the topology layout")
-    return _derivative(y, coupling_coefficients(topology), np.empty_like(y), np.empty(y.shape))
+    return _derivative(y, topology.couplings, np.empty_like(y), np.empty(y.shape))
 
 
 def step(

@@ -3,13 +3,16 @@
 Every driver launches a soliton on the incoming bond, integrates until
 the transmitted peaks sit well past their vertices, and reports the
 per-bond norm fractions.  The measurement time is derived from the
-soliton kinematics: the peak must be at least ``MEASUREMENT_MARGIN``
-sites beyond the deepest vertex (plus ``TAIL_EXTRA`` sites so the sech
-tails straddling the vertex are negligible) and at least
-``MEASUREMENT_MARGIN`` sites from every truncated far end.  Runs whose
-geometry cannot satisfy this, whose given ``t_final`` ends before it, or
-whose field visibly reaches a truncated end, raise InconclusiveRunError
-rather than report biased numbers.
+soliton kinematics: the peak must be at least a margin of sites beyond
+the deepest vertex (plus ``TAIL_EXTRA`` sites so the sech tails
+straddling the vertex are negligible) and at least the margin from every
+truncated far end.  The margin is ``MEASUREMENT_MARGIN``, or more for a
+wide soliton: the peak must leave no more than ``TAIL_FRACTION`` of its
+norm behind it.  Runs whose geometry cannot satisfy this, whose given
+``t_final`` ends before it, or whose field reaches a truncated end (more
+than ``BOUNDARY_GUARD_TOL`` of the run's norm in a guard site's
+``|psi|^2``), raise InconclusiveRunError rather than report biased
+numbers.
 
 One run for every experiment and CLI subcommand: ``observe`` evolves a
 launch and reads each observed state once, for the partial norms, the
@@ -48,9 +51,11 @@ from .topology import (
 
 MEASUREMENT_MARGIN = 50
 TAIL_EXTRA = 30
-# above the sech tail the margin geometry permits (~1e-5 for beta = 0.1 at
-# 50 sites), below any misplaced soliton (|psi|^2 ~ sinh^2 beta >= 1e-2)
-BOUNDARY_GUARD_TOL = 1e-4
+# a sech^2 peak leaves about e^(-2 beta x) of its norm more than x sites behind it
+TAIL_FRACTION = 1e-6
+# a guard site's |psi|^2 over the run's norm: above the sech tail the margin
+# geometry permits (~1e-5 at the margin), below any misplaced soliton (~beta / 2)
+BOUNDARY_GUARD_TOL = 5e-4
 PEAK_MODULUS_FLOOR = 1e-6
 REFLECTED_FIT_DELAY = 25.0
 RADIATION_WINDOW = 25
@@ -146,30 +151,38 @@ def peak_tracker(
     return track.series()
 
 
+def _margin(soliton: SolitonParams) -> int:
+    """Sites from the measured peak to every far end; ``TAIL_EXTRA`` more past the deepest vertex.
+
+    ``MEASUREMENT_MARGIN`` for every beta >= 0.087; a wider soliton needs
+    ``ln(1 / TAIL_FRACTION) / (2 beta)`` sites past the vertex.
+    """
+    tail = math.ceil(math.log(1.0 / TAIL_FRACTION) / (2.0 * soliton.beta))
+    return max(MEASUREMENT_MARGIN, tail - TAIL_EXTRA)
+
+
 def _measurement_time(
     topology: GraphTopology, soliton: SolitonParams, config: SimConfig
 ) -> float:
-    target = (
-        max(site_offset(topology, leaf) for leaf in topology.leaves)
-        + MEASUREMENT_MARGIN
-        + TAIL_EXTRA
-    )
+    margin = _margin(soliton)
+    target = max(site_offset(topology, leaf) for leaf in topology.leaves) + margin + TAIL_EXTRA
     for leaf in topology.leaves:
-        room = topology.bond(leaf).length - MEASUREMENT_MARGIN
+        room = topology.bond(leaf).length - margin
         if target - site_offset(topology, leaf) > room:
             raise InconclusiveRunError(
                 f"leaf {leaf!r} is too short to hold the peak "
-                f"{MEASUREMENT_MARGIN} sites from its far end"
+                f"{margin} sites from its far end"
             )
     interval = config.dt * config.output_stride
     raw = (target - soliton.n0) / soliton.velocity
     return math.ceil(raw / interval - 1e-9) * interval
 
 
-def _check_boundaries(state: FieldState, topology: GraphTopology):
+def _check_boundaries(state: FieldState, topology: GraphTopology, norm: float):
+    """InconclusiveRunError when a guard site's ``|psi|^2`` exceeds ``BOUNDARY_GUARD_TOL * norm``."""
     edge = state.data[topology.guard_sites]
     worst = (edge.real**2 + edge.imag**2).reshape(-1, 2).max(axis=1)
-    over = np.flatnonzero(worst > BOUNDARY_GUARD_TOL)
+    over = np.flatnonzero(worst > BOUNDARY_GUARD_TOL * norm)
     if over.size:
         label, _ = topology.locate(int(topology.guard_sites[2 * over[0]]))
         raise InconclusiveRunError(
@@ -213,7 +226,7 @@ def _launch(
     elif round(t_final / config.dt) < round(derived / config.dt):  # counted in steps, as the run is
         raise InconclusiveRunError(
             f"t_final {t_final:g} ends the run before its measurement time {derived:g}, when the "
-            f"transmitted peaks sit {MEASUREMENT_MARGIN + TAIL_EXTRA} sites past the deepest vertex"
+            f"transmitted peaks sit {_margin(soliton) + TAIL_EXTRA} sites past the deepest vertex"
         )
     return replace(config, t_final=t_final), FieldState(np.concatenate(launches))
 
@@ -280,7 +293,7 @@ def observe(
             for data, top, norms in zip(state.data.reshape(len(topologies), -1), topologies, rows):
                 run = FieldState(data, state.time)
                 norms.append(partial_norms(run, top))
-                _check_boundaries(run, top)
+                _check_boundaries(run, top, norms[-1].sum())
             picker.add(state)
             for fold in folds:
                 fold(state)

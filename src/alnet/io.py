@@ -4,12 +4,15 @@ All floating-point values in CSV files are printed with 17 significant
 digits and JSON uses Python's shortest-round-trip repr, so every output
 parses back to the exact binary value.  File names and row order are
 fully deterministic: identical configs produce bitwise-identical files.
+Each file is written whole or not at all: it goes to a hidden ``.part``
+sibling first and is renamed over its name only once complete.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -211,7 +214,9 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
 
     Manifest entries are paths relative to ``directory``, in write order.
     Two snapshot times that share a file name raise InvalidParameterError
-    before anything is written.  After the write, every file an earlier
+    before anything is written.  A write that fails leaves each file
+    name holding either nothing, an earlier run's file or the new file
+    whole, never part of one.  After the write, every file an earlier
     run could have left there (``OUTPUT_FILES``) that this run did not
     write is removed, and ``snapshots/`` too if that empties it; files of
     any other name are never touched.
@@ -234,8 +239,13 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
         def emit(name: str, chunks: Iterable[str]):
             target = root / name
             target.parent.mkdir(parents=True, exist_ok=True)
-            with open(target, "w") as fh:
-                fh.writelines(chunks)
+            part = target.with_name(f".{target.name}.part")
+            try:
+                with open(part, "w") as fh:
+                    fh.writelines(chunks)
+                os.replace(part, target)
+            finally:
+                part.unlink(missing_ok=True)
             manifest.append(name)
 
         emit("summary.json", [_json_text(outputs.summary)])

@@ -10,13 +10,14 @@ here (``bond_field``, ``partial_norms``) take one run's slice at a time.
 
 A state knows nothing of the vertices: what lies across a vertex is read
 through the topology's shift operator (``coupling_coefficients``), which
-carries the ``sqrt(gamma_parent / gamma_child)`` weights.
+carries the ``sqrt(gamma_parent / gamma_child)`` weights.  The tables a
+reader needs live on the topology, built once per instance: ``partial_norms``
+reads ``site_gamma`` and the equal-length bond groups ``length_groups``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,19 +75,6 @@ def assert_finite(state: FieldState, topology: GraphTopology):
     raise DivergenceError(bond, site, state.time)
 
 
-@lru_cache(maxsize=32)
-def _length_tables(topology: GraphTopology) -> tuple[list, np.ndarray, np.ndarray]:
-    """Each length's bond count k and (k, L) sites, a slice if back to back; label order; gammas."""
-    starts = np.array([topology.slices[b.label].start for b in topology.bonds])
-    lengths = np.array([b.length for b in topology.bonds])
-    groups = [np.flatnonzero(lengths == n) for n in sorted(set(lengths.tolist()))]
-    tables = [
-        (len(t), slice(t[0, 0], t[-1, -1] + 1) if (np.diff(t.ravel()) == 1).all() else t)
-        for t in (starts[g, None] + np.arange(lengths[g[0]]) for g in groups)
-    ]
-    return tables, np.argsort(np.concatenate(groups)), topology.site_gamma[starts]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def partial_norms(state: FieldState, topology: GraphTopology) -> np.ndarray:
     """Norm content of each bond, in ``topology.labels`` order.
@@ -100,7 +88,7 @@ def partial_norms(state: FieldState, topology: GraphTopology) -> np.ndarray:
     _check_shape(state, topology)
     a = state.data
     logs = np.log1p(topology.site_gamma * (a.real**2 + a.imag**2))
-    tables, order, gamma = _length_tables(topology)
+    tables, order, gamma = topology.length_groups
     norms = np.concatenate([logs[s].reshape(k, -1).sum(axis=1) for k, s in tables])[order] / gamma
     if not np.isfinite(norms).all():
         bond, site = topology.locate(int(np.abs(a.view(np.float64)).argmax()) // 2)

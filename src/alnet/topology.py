@@ -21,11 +21,17 @@ and ``check_sum_rule`` reports the residual of that identity per vertex.
 dynamics need: the forward shift R along the flat layout, which at each
 vertex hands the parent's last site the children's first sites weighted
 by ``sqrt(gamma_parent / gamma_child)``, together with each site's
-``gamma`` and the topology itself.  It is cached per tuple of topologies,
-so the conserved quantities, which take the topology, look R up on each
-call.  Several topologies of one site layout give one block-diagonal R
-over their runs laid back to back, run b at sites ``[b n, (b + 1) n)``,
-so an ensemble of runs shares one integration.
+``gamma`` and the topology itself.  It builds R anew on every call; its
+callers build one per run or per window.  Several topologies of one site
+layout give one block-diagonal R over their runs laid back to back, run
+b at sites ``[b n, (b + 1) n)``, so an ensemble of runs shares one
+integration.
+
+Every table derived from one topology is a cached property of the
+``GraphTopology`` instance, built on first use and freed with it: the
+layout, ``site_gamma``, the single-run R (``couplings``), which the
+conserved quantities apply on every call, the bond groups that
+``state.partial_norms`` sums and the ladder tables of ``conserved``.
 ``GraphTopology.vertex_distance`` holds each semi-infinite site's distance
 from its vertex (0 on internal bonds), so ``flatnonzero(vertex_distance <= W)``
 is the layout of ``with_truncation(topology, W)``, in order; the R of
@@ -42,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -126,14 +132,6 @@ class GraphTopology:
                     f"semi-infinite bond {b.label!r} must store truncation={n} sites"
                 )
 
-    # frozen, so the hash over every BondSpec is computed once
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.bonds, self.truncation))
-
     # -- lookups ---------------------------------------------------------
 
     @cached_property
@@ -196,7 +194,46 @@ class GraphTopology:
     @cached_property
     def site_gamma(self) -> np.ndarray:
         """Per flat site, its bond's gamma: the array that this topology's R holds."""
-        return coupling_coefficients(self).site_gamma
+        return _frozen(np.repeat([b.gamma for b in self.bonds], [b.length for b in self.bonds]), float)
+
+    @cached_property
+    def sqrt_gamma(self) -> np.ndarray:
+        """Per flat site, ``sqrt(gamma)``: the chain field is ``q = sqrt_gamma psi``."""
+        return _frozen(np.sqrt(self.site_gamma), float)
+
+    @cached_property
+    def couplings(self) -> CouplingCoefficients:
+        """This topology's R, ``coupling_coefficients(self)``, built on first use."""
+        return coupling_coefficients(self)
+
+    @cached_property
+    def length_groups(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """Each length's bond count k and (k, L) sites, a slice if back to back; label order; gammas."""
+        starts = np.array([self.slices[b.label].start for b in self.bonds])
+        lengths = np.array([b.length for b in self.bonds])
+        groups = [np.flatnonzero(lengths == n) for n in sorted(set(lengths.tolist()))]
+        tables = [
+            (len(t), slice(t[0, 0], t[-1, -1] + 1) if (np.diff(t.ravel()) == 1).all() else t)
+            for t in (starts[g, None] + np.arange(lengths[g[0]]) for g in groups)
+        ]
+        return tables, np.argsort(np.concatenate(groups)), self.site_gamma[starts]
+
+    @cached_property
+    def vertex_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sites paired across the vertices, as (2, k) index arrays: ``(entries, siblings)``.
+
+        ``entries`` pairs each child's first site that does not follow its
+        parent in the layout (row 0) with the parent's last site (row 1).
+        ``siblings`` pairs each later child's sites with the first child's
+        over their common length.
+        """
+        slices, entries, siblings = self.slices, [], []
+        for parent, (first, *others) in self.vertices.items():
+            for child in others:
+                entries.append((slices[child].start, slices[parent].stop - 1))
+                k = min(self.bond(first).length, self.bond(child).length)
+                siblings += [(slices[child].start + i, slices[first].start + i) for i in range(k)]
+        return tuple(_frozen(np.reshape(pairs, (-1, 2)).T) for pairs in (entries, siblings))
 
     def site_coordinates(self, label: str) -> np.ndarray:
         """Site indices of a bond in the scattering convention."""
@@ -310,23 +347,13 @@ class CouplingCoefficients:
 def coupling_coefficients(*topologies: GraphTopology) -> CouplingCoefficients:
     """The vertex-weighted shift operator of one topology, or block-diagonal over several.
 
-    Built once per tuple of topologies.  Several topologies must share
-    their bond labels, lengths and kinds, so only the gammas differ; no
-    topology, or two layouts, raise InvalidParameterError.  The weights
-    depend only on the nonlinearity strengths and are defined whether or
-    not the sum rule holds.
+    Built anew on every call; ``GraphTopology.couplings`` keeps one
+    topology's.  Several topologies must share their bond labels, lengths
+    and kinds, so only the gammas differ; no topology, or two layouts,
+    raise InvalidParameterError.  The weights depend only on the
+    nonlinearity strengths and are defined whether or not the sum rule
+    holds.
     """
-    return _build_couplings(topologies)
-
-
-def _frozen(values, dtype=np.intp) -> np.ndarray:
-    a = np.asarray(values, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=32)
-def _build_couplings(topologies: tuple[GraphTopology, ...]) -> CouplingCoefficients:
     if not topologies:
         raise InvalidParameterError("R needs at least one topology")
     if len({tuple((b.label, b.length, b.kind) for b in t.bonds) for t in topologies}) > 1:
@@ -358,11 +385,18 @@ def _build_couplings(topologies: tuple[GraphTopology, ...]) -> CouplingCoefficie
     weighted = [r[3:] for r in one_site + child_firsts] + kids
     weights = [math.sqrt(gammas[k][c[:-1]] / gammas[k][c]) for k, c in weighted]
     edge_zeros = list(range(len(far_end), ends)) + list(range(e, e + len(far_end)))
-    lengths = [b.length for b in top.bonds] * len(topologies)
-    gamma = np.repeat([g for run in gammas for g in run.values()], lengths)
+    gamma = top.site_gamma  # a single run's R holds its topology's array
+    if len(topologies) > 1:
+        gamma = _frozen(np.concatenate([t.site_gamma for t in topologies]), float)
     tables = (_frozen([r[0] for r in rows]), _frozen(edge_terms), _frozen(edge_zeros), _frozen(edge_groups))
     sums = slice(ends, ends + len(summed))
-    return CouplingCoefficients(topologies, _frozen(gamma, float), _frozen(weights, float), *tables, sums)
+    return CouplingCoefficients(topologies, gamma, _frozen(weights, float), *tables, sums)
+
+
+def _frozen(values, dtype=np.intp) -> np.ndarray:
+    a = np.asarray(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 def check_sum_rule(topology: GraphTopology) -> dict[str, float]:

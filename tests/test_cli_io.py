@@ -296,6 +296,28 @@ class TestWriteOutputs:
         assert write_outputs(RunOutputs(summary={}), tmp_path) == ["summary.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["other.csv", "summary.json"]
 
+    def test_a_write_that_fails_partway_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # the second run's snapshot fails after its header: the earlier run's
+        # file keeps every byte, and no partial file is left under any name
+        top = build_chain(2.0, truncation=3)
+        st = zero_state(top)
+        st.data[:] = [1 + 2j, 0, 0, 3 - 4j, 0, 0]
+        outputs = RunOutputs(summary={}, snapshots=((0.0, st), (1.0, st)), topology=top)
+        write_outputs(outputs, tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        def failing(state, topology):
+            yield "bond,site,re,im\n"
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("alnet.io._snapshot_chunks", failing)
+        with pytest.raises(InvalidParameterError, match="No space left"):
+            write_outputs(outputs, tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        with pytest.raises(InvalidParameterError):
+            write_outputs(outputs, tmp_path / "fresh")
+        assert [p.name for p in (tmp_path / "fresh").rglob("*") if p.is_file()] == ["summary.json"]
+
     def test_unwritable_directory_is_a_config_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -495,6 +517,19 @@ class TestCli:
         assert run_cli([*argv, "--t-final", "120"]) == EXIT_INCONCLUSIVE
         err = capsys.readouterr().err
         assert "inconclusive run: field reached the truncated end of bond '11'" in err
+
+    def test_a_wide_launch_at_the_wall_exits_3(self, tmp_path, capsys):
+        # configs/chain.json at beta = 0.004: the guard sites hold |psi|^2 = 1.2e-5,
+        # 75% of the peak density and far above the run's norm times the tolerance
+        config = json.loads((CONFIGS / "chain.json").read_text())
+        config["soliton"]["beta"] = 0.004
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(config))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--t-final", "400"]
+        with mock.patch("alnet.dynamics.step", wraps=alnet.dynamics.step) as spy:
+            assert run_cli(argv) == EXIT_INCONCLUSIVE
+        assert spy.call_count == 0
+        assert "truncated end of bond '1' (|psi|^2 = 1.197e-05)" in capsys.readouterr().err
 
     def test_short_leaves_exit_3(self, tmp_path, capsys):
         path, _ = write_config(

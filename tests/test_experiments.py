@@ -18,7 +18,7 @@ from alnet import (
     transmission_sweep,
     zero_state,
 )
-from alnet.experiments import _launch
+from alnet.experiments import MEASUREMENT_MARGIN, _launch, _margin
 from conftest import ALPHA_FIG4
 
 INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
@@ -131,6 +131,23 @@ class TestScattering:
     def test_short_leaves_are_inconclusive(self):
         with pytest.raises(InconclusiveRunError):
             scattering_run([build_star((1.0, 1.5, 3.0), 100)], INCIDENT, SimConfig())
+
+    def test_a_wide_soliton_is_measured_past_its_tail(self):
+        # a peak 80 sites past the vertex leaves (1 - tanh(80 beta)) / 2 of the norm
+        # behind it: 7.5e-3 at beta = 0.03, and T_11 would miss 2/3 by 5e-3.  The
+        # margin grows to ln(1e6) / (2 beta) = 231 sites, and criterion 1 holds
+        wide = SolitonParams(alpha=ALPHA_FIG4, beta=0.03, n0=-150.0)
+        [report], _ = scattering_run([build_star((1.0, 1.5, 3.0), 450)], wide, SimConfig(dt=0.02))
+        assert report.transmissions["11"] == pytest.approx(2.0 / 3.0, abs=1e-3)
+        assert report.transmissions["12"] == pytest.approx(1.0 / 3.0, abs=1e-3)
+        assert report.reflection < 1e-5 and report.measurement_time == 270.0
+        # leaves that cannot hold the peak the wider margin from their walls refuse the run
+        with pytest.raises(InconclusiveRunError, match="201 sites from its far end"):
+            scattering_run([build_star((1.0, 1.5, 3.0), 400)], wide, SimConfig(dt=0.02))
+
+    def test_the_margin_is_fixed_down_to_beta_0_087(self):
+        margins = [_margin(SolitonParams(ALPHA_FIG4, beta, -60.0)) for beta in (0.086, 0.087, 0.1, 3.0)]
+        assert margins[0] > MEASUREMENT_MARGIN and margins[1:] == [MEASUREMENT_MARGIN] * 3
 
     def test_a_given_t_final_must_reach_the_measurement_time(self):
         # the derived measurement time of this run is 99; one step short of it is refused
