@@ -3,9 +3,10 @@
     PYTHONPATH=src python bench/run_bench.py --out bench/BENCH_<n>.json
 
 Layer rows time one call of ``step``, ``snapshot`` (m_max 6),
-``partial_norms``, ``peak_tracker`` (one state, one leaf) and
-``write_outputs`` (one snapshot file) on a soliton state of the
-(1, 1.5, 3) star at n = 600, 1200, 6000 and 60000 sites.  Each of
+``partial_norms``, ``peak_tracker`` (one ``_PeakTrack`` fold on one leaf:
+one ``add`` and one ``series``) and ``write_outputs`` (one snapshot file)
+on a soliton state of the (1, 1.5, 3) star at n = 600, 1200, 6000 and
+60000 sites.  Each of
 ``LAYER_REPEATS`` repeats times a batch of calls long enough to read (at
 least ``BATCH_S``) and reports the mean per call.  The ``evolve`` row
 runs the big-star launch (n = 60000, n0 = -150, ``EVOLVE_STEPS`` steps,
@@ -56,13 +57,13 @@ from alnet import (  # noqa: E402
     coupling_coefficients,
     evolve,
     partial_norms,
-    peak_tracker,
     snapshot,
     soliton_profile,
     step,
     write_outputs,
 )
 from alnet.dynamics import StepWorkspace  # noqa: E402
+from alnet.experiments import _PeakTrack  # noqa: E402
 
 TRUNCATIONS = (200, 400, 2000, 20000)  # n = 3 * truncation sites
 GAMMAS = (1.0, 1.5, 3.0)
@@ -115,6 +116,13 @@ def per_call_us(call) -> tuple[list[float], int]:
     return samples, calls
 
 
+def peak_track(state, top, bond: str):
+    """One ``_PeakTrack`` on ``bond`` that adds one state and returns its series."""
+    track = _PeakTrack(top, bond)
+    track.add(state)
+    return track.series()
+
+
 def layer_rows(machine: str, scratch: Path) -> list[dict]:
     rows = []
     for truncation in TRUNCATIONS:
@@ -128,7 +136,7 @@ def layer_rows(machine: str, scratch: Path) -> list[dict]:
             "step": lambda: step(state, couplings, SimConfig().dt, workspace),
             "snapshot": lambda: snapshot(state, top, m_max=6),
             "partial_norms": lambda: partial_norms(state, top),
-            "peak_tracker": lambda: peak_tracker((state,), top, "11"),
+            "peak_tracker": lambda: peak_track(state, top, "11"),
             "write_outputs": lambda: write_outputs(outputs, scratch / "layer"),
         }
         for name, call in calls.items():

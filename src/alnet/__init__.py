@@ -13,8 +13,6 @@ from .conserved import (
     ConservedSnapshot,
     DriftReport,
     drift_audit,
-    higher_constants_recursive,
-    norm,
     snapshot,
     universal_chain_field,
     z_quantity,
@@ -22,7 +20,6 @@ from .conserved import (
 from .dynamics import (
     SimConfig,
     evolve,
-    rhs,
     step,
 )
 from .errors import (
@@ -38,7 +35,6 @@ from .experiments import (
     SweepRow,
     TransmissionReport,
     broken_rule_run,
-    peak_tracker,
     scattering_run,
     transmission_sweep,
 )
@@ -55,8 +51,6 @@ from .io import (
 )
 from .soliton import (
     SolitonParams,
-    analytic_norm,
-    analytic_Z,
     derive_kinematics,
     sech,
     soliton_profile,
@@ -66,7 +60,6 @@ from .state import (
     assert_finite,
     bond_field,
     partial_norms,
-    zero_state,
 )
 from .topology import (
     BondSpec,

@@ -23,7 +23,7 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 
-from .conserved import drift_report, snapshot, z_quantity
+from .conserved import drift_audit, snapshot, z_quantity
 from .errors import (
     DivergenceError,
     InconclusiveRunError,
@@ -139,9 +139,16 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
 
 def _run_sweep(config: RunConfig) -> RunOutputs:
     """transmission versus coupling ratio over a grid"""
+    topology = config.topology
+    if len(topology.bonds) != 3 or len(topology.leaves) != 2:
+        raise InvalidParameterError(
+            "sweep builds its own three-bond stars from 'ratios' and takes only the topology's truncation: "
+            f"give it an incoming bond with two leaves, not {len(topology.bonds)} bonds and "
+            f"{len(topology.leaves)} leaves"
+        )
     ratios = config.ratios or DEFAULT_RATIO_GRID
     rows = transmission_sweep(
-        ratios, config.soliton, config.sim, config.topology.truncation, config.snapshot_times
+        ratios, config.soliton, config.sim, topology.truncation, config.snapshot_times
     )
     return RunOutputs(summary={"experiment": "sweep", "rows": [asdict(row) for row in rows]})
 
@@ -183,7 +190,7 @@ def _run_conserved_audit(config: RunConfig) -> RunOutputs:
 
     launch = soliton_profile(config.soliton, topology)
     (norms,), picker = observe([topology], launch, config.sim, config.snapshot_times, [audit])
-    report = drift_report(tuple(snaps))
+    report = drift_audit(snaps)
     summary = {
         "experiment": "conserved-audit",
         "t_final": config.sim.t_final,

@@ -2,7 +2,8 @@
 
 Three layers: the norm, the pair sum Z, and one ladder for every C_m.
 
-* ``norm``: N = sum over bonds of (1/gamma) sum_n ln(1 + gamma |psi_n|^2).
+* N = sum over bonds of (1/gamma) sum_n ln(1 + gamma |psi_n|^2), the sum
+  of ``state.partial_norms``.
 * ``z_quantity``: the complex pair sum Z = sum_n psi*_n (R psi)_n, where R
   is the topology's vertex-weighted forward shift, so the vertex cross
   terms enter with their sqrt(gamma_parent/gamma_child) weights.  Its real
@@ -21,11 +22,14 @@ Three layers: the norm, the pair sum Z, and one ladder for every C_m.
   is continuous in the field, exact zeros included.  ``snapshot`` runs
   the ladder on the graph itself: q = sqrt(gamma) psi on the flat layout,
   p(n) the site toward the root (a child's first site reads its parent's
-  last), a = conj(sqrt(gamma) R psi) and w = gamma_1 / gamma.
-  ``higher_constants_recursive`` runs it on one chain field, the graph of
-  one bond (a_n = q*_{n+1}, w = 1).  Under the sum rule a glued state
-  gives the chain values of ``universal_chain_field``'s q; off the rule
-  the constants exist, but the flow does not conserve them.
+  last), a = conj(sqrt(gamma) R psi) and w = gamma_1 / gamma.  On one
+  plain chain field, the graph of one bond, a_n = q*_{n+1} and w = 1.
+  Under the sum rule a glued state gives those chain values of
+  ``universal_chain_field``'s q; off the rule the constants exist, but the
+  flow does not conserve them.
+
+``drift_audit`` folds the snapshots of one run, in time order, into the
+maximum relative drift of each quantity.
 
 Every table read here is a cached property of the topology, built on its
 first use: R (``couplings``), ``sqrt_gamma``, and the ``vertex_tables``
@@ -39,7 +43,7 @@ boundary guard of ``experiments.observe`` stops a run that reaches them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,16 +54,6 @@ from .topology import GraphTopology, ROOT_LABEL
 DRIFT_FLOOR = 1e-12
 # the ladder's scratch is two (m_max, n) complex buffers, 1 KB a site at this bound
 M_MAX_LIMIT = 32
-
-
-def _summed(norms: np.ndarray) -> float:
-    """The total norm of one row of partial norms; ``norm`` and ``snapshot`` share it."""
-    return float(sum(norms))
-
-
-def norm(state: FieldState, topology: GraphTopology) -> float:
-    """Total conserved norm: the sum of the per-bond partial norms."""
-    return _summed(partial_norms(state, topology))
 
 
 def z_quantity(state: FieldState, topology: GraphTopology) -> complex:
@@ -95,22 +89,18 @@ def _check_m_max(m_max: int) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _ladder(
-    q: np.ndarray,
-    ahead: np.ndarray,
-    m_max: int,
-    entries: np.ndarray = np.zeros((2, 0), dtype=np.intp),
-    weight: np.ndarray | None = None,
+    q: np.ndarray, ahead: np.ndarray, m_max: int, entries: np.ndarray, weight: np.ndarray
 ) -> list[complex]:
     """C_1 .. C_m_max of the ladder on ``q`` (see the module docstring).
 
     The site before n is n - 1, except at site 0, which has none, and at
     each site of ``entries[0]``, which reads the matching ``entries[1]``.
-    ``ahead`` is a_n and ``weight`` is w_n (1 when None).  The scratch is
-    two (m_max, n) buffers: ``h`` holds h^(m) and then g^(m); ``back``
-    holds h^(m) at the site before and then m f^(m), the form of the
-    series logarithm that needs no factor j / m.  C_m multiplies 2m field
-    values, so a large finite field can overflow it: that raises
-    OverflowError, and numpy's warnings are silenced.
+    ``ahead`` is a_n and ``weight`` is w_n.  The scratch is two (m_max, n)
+    buffers: ``h`` holds h^(m) and then g^(m); ``back`` holds h^(m) at the
+    site before and then m f^(m), the form of the series logarithm that
+    needs no factor j / m.  C_m multiplies 2m field values, so a large
+    finite field can overflow it: that raises OverflowError, and numpy's
+    warnings are silenced.
     """
     _check_m_max(m_max)
     h = np.empty((m_max, q.shape[0]), dtype=np.complex128)
@@ -133,33 +123,11 @@ def _ladder(
         mf = np.multiply(h[m - 1], m, out=back[m - 1])
         for j in range(1, m):
             mf -= np.multiply(back[j - 1], h[m - j - 1], out=term)
-    if weight is not None:
-        back *= weight
+    back *= weight
     sums = back.sum(axis=1)
     if not np.isfinite(sums).all():
         raise OverflowError("a conserved constant C_m overflows")
     return [complex(c) / m for m, c in enumerate(sums, start=1)]
-
-
-def higher_constants_recursive(
-    chain_field: Sequence[complex] | np.ndarray, m_max: int
-) -> list[complex]:
-    """C_1 .. C_m_max of a plain chain field: the ladder on the graph of one bond.
-
-    The field must be effectively zero at both ends of the array.  Exact
-    zeros get the limit of nearby nonzero fields, and a field of fewer
-    than two sites has all constants zero.  A field so large that a
-    constant overflows raises InvalidParameterError.
-    """
-    q = np.ascontiguousarray(chain_field, dtype=np.complex128)
-    if q.ndim != 1:
-        raise InvalidParameterError("chain_field must be one-dimensional")
-    ahead = np.zeros_like(q)
-    ahead[:-1] = np.conj(q[1:])
-    try:
-        return _ladder(q, ahead, m_max)
-    except OverflowError:
-        raise InvalidParameterError(f"chain field too large: C_1 .. C_{m_max} overflow") from None
 
 
 @dataclass(frozen=True)
@@ -201,7 +169,7 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
         raise DivergenceError(bond, site, state.time, f"C_{m_max} overflows at the largest |q|") from None
     return ConservedSnapshot(
         time=state.time,
-        N=_summed(partial_norms(state, topology)),
+        N=float(sum(partial_norms(state, topology))),
         Z=z,
         E=-2.0 * z.real,
         J=2.0 * z.imag,
@@ -224,22 +192,11 @@ class DriftReport:
     chain_residual: float
 
 
-def drift_audit(
-    states: Iterable[FieldState], topology: GraphTopology, m_max: int = 4
-) -> DriftReport:
-    """Audit conservation over observed states, read once and in order.
-
-    Each state is reduced to its ``ConservedSnapshot`` and not kept, so
-    ``states`` may be the iterator ``evolve`` returns.  An ``m_max`` outside
-    1 .. ``M_MAX_LIMIT`` or no states at all raise InvalidParameterError.
-    """
-    return drift_report(tuple(snapshot(s, topology, m_max) for s in states))
-
-
-def drift_report(snaps: tuple[ConservedSnapshot, ...]) -> DriftReport:
-    """The drifts of snapshots taken in time order; none at all raise InvalidParameterError."""
+def drift_audit(snapshots: Iterable[ConservedSnapshot]) -> DriftReport:
+    """The drifts of one run's snapshots, taken in time order; none at all raise InvalidParameterError."""
+    snaps = tuple(snapshots)
     if not snaps:
-        raise InvalidParameterError("trajectory must contain at least one state")
+        raise InvalidParameterError("drift_audit needs at least one snapshot")
     residual = max(s.chain_residual for s in snaps)
     base = snaps[0]
 

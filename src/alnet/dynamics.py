@@ -15,10 +15,12 @@ amplitude (hard wall), so runs must end before significant field reaches
 them.
 
 Integration uses the classical fixed-step fourth-order Runge-Kutta
-scheme.  ``step`` and ``evolve`` take R alone, and every accepted step
-is checked for non-finite amplitudes in the layout of R's ``topology``;
-a window keeps every bond's site coordinates, so a DivergenceError
-names the same bond, site and time as on the full layout.
+scheme.  The right-hand side is the private ``_derivative``, evaluated
+only inside ``step``: ``step`` and ``evolve`` are the way in, and both
+take R alone.  Every accepted step is checked for non-finite amplitudes
+in the layout of R's ``topology``; a window keeps every bond's site
+coordinates, so a DivergenceError names the same bond, site and time as
+on the full layout.
 A step writes its stage derivatives into a ``StepWorkspace`` (three
 complex arrays and one real one, reused by every step of an ``evolve``) and its
 stage inputs into the fresh array it returns, so a returned state never
@@ -84,7 +86,9 @@ class SimConfig:
 
     ``output_stride`` counts steps between observed states.  ``t_final``
     may be left as None when a driver (for example the scattering
-    experiments) derives the run length itself.
+    experiments) derives the run length itself.  A given ``t_final``
+    must lie on the ``dt`` grid: ``t_final / dt`` within 1e-9 max(1, n) of
+    its nearest integer n, and n > 0 unless ``t_final`` is 0.
     """
 
     dt: float = 0.01
@@ -99,6 +103,12 @@ class SimConfig:
             object.__setattr__(self, "t_final", float(self.t_final))
             if not (math.isfinite(self.t_final) and self.t_final >= 0):
                 raise InvalidParameterError("t_final must be finite and >= 0")
+            steps = self.t_final / self.dt
+            n = round(steps) if math.isfinite(steps) else 0  # an overflowing count is off any grid
+            if abs(steps - n) > 1e-9 * max(1, n) or n == 0 < self.t_final:
+                raise InvalidParameterError(
+                    f"t_final {self.t_final:g} is off the grid of dt {self.dt:g}: {steps:.9g} steps"
+                )
         if isinstance(self.output_stride, bool) or not (
             isinstance(self.output_stride, int) and self.output_stride >= 1
         ):
@@ -106,16 +116,10 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        """``round(t_final / dt)``, the one count of a run's steps; InvalidParameterError
-        without ``t_final``, or for a ``t_final > 0`` that rounds to zero steps."""
+        """``round(t_final / dt)``, the one count of a run's steps; InvalidParameterError without ``t_final``."""
         if self.t_final is None:
             raise InvalidParameterError("this run requires sim.t_final")
-        n = round(self.t_final / self.dt)
-        if n == 0 and self.t_final > 0:
-            raise InvalidParameterError(
-                f"t_final {self.t_final:g} is less than half a step of dt {self.dt:g}"
-            )
-        return n
+        return round(self.t_final / self.dt)
 
 
 class StepWorkspace:
@@ -145,14 +149,6 @@ def _derivative(
     out *= density
     out *= 1j
     return out
-
-
-def rhs(state: FieldState, topology: GraphTopology) -> np.ndarray:
-    """Time derivative of the field, as a flat complex array."""
-    y = state.data
-    if y.shape != (topology.n_sites,):
-        raise InvalidParameterError("state does not match the topology layout")
-    return _derivative(y, topology.couplings, np.empty_like(y), np.empty(y.shape))
 
 
 def step(
@@ -235,9 +231,8 @@ def evolve(
     fresh arrays and no later step writes to them.  A stacked state is
     integrated as in ``step``, and one workspace serves every step on
     one window.  A missing ``t_final`` raises InvalidParameterError on
-    the first ``next()``, and so do a ``t_final > 0`` that rounds to zero
-    steps of ``dt`` (both from ``config.n_steps``) and a state whose shape
-    does not fit R.
+    the first ``next()`` (from ``config.n_steps``), and so does a state
+    whose shape does not fit R.
     """
     n_steps = config.n_steps
     _check_shape(state.data, couplings)

@@ -16,8 +16,10 @@ numbers.
 
 One run for every experiment and CLI subcommand: ``observe`` evolves a
 launch and reads each observed state once, for the partial norms, the
-boundary guard, the run's ``SnapshotPicker`` and the caller's folds (the
-peak tracks, the conserved ``snapshot``), so no run holds its trajectory.
+boundary guard, the run's ``SnapshotPicker`` and the caller's folds
+(``broken_rule_run``'s ``_PeakTrack``s, ``conserved-audit``'s
+``snapshot``), so no run holds its trajectory.  A peak track is only such
+a fold: one ``add`` per observation and one ``series`` at the end.
 ``simulate`` and ``conserved-audit`` observe a plain ``soliton_profile``.
 ``scattering_run`` launches, observes and reports a scattering run, one
 topology or the runs of one stack of one layout, so a stacked run's
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,7 +103,10 @@ class PeakSeries:
 
 
 class _PeakTrack:
-    """The modulus peak of one bond, added one observation at a time after ``start``."""
+    """The modulus peak of one bond, added one observation at a time after ``start``.
+
+    A three-point parabolic fit refines the argmax, so positions are real-valued site coordinates.
+    """
 
     def __init__(self, topology: GraphTopology, bond: str, start: float = -math.inf):
         self.topology, self.bond, self.start = topology, bond, start
@@ -135,20 +140,6 @@ class _PeakTrack:
         return PeakSeries(
             bond=self.bond, times=times, sites=sites, moduli=moduli, velocity=velocity
         )
-
-
-def peak_tracker(
-    states: Iterable[FieldState], topology: GraphTopology, bond: str
-) -> PeakSeries:
-    """Track the modulus peak of one bond across observed states, read once in order.
-
-    The discrete argmax is refined by a three-point parabolic fit, so
-    positions are real-valued site coordinates.
-    """
-    track = _PeakTrack(topology, bond)
-    for state in states:
-        track.add(state)
-    return track.series()
 
 
 def _margin(soliton: SolitonParams) -> int:

@@ -10,6 +10,7 @@ sibling first and is renamed over its name only once complete.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -219,7 +220,8 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
     whole, never part of one.  After the write, every file an earlier
     run could have left there (``OUTPUT_FILES``) that this run did not
     write is removed, and ``snapshots/`` too if that empties it; files of
-    any other name are never touched.
+    any other name are never touched.  After a failed write, a
+    ``snapshots/`` that this call made and left empty is removed.
     """
     root = Path(directory)
     if outputs.snapshots and outputs.topology is None:
@@ -232,6 +234,8 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
                 f"snapshot times {snapshot_files[name]!r} and {float(t)!r} both write {name}"
             )
         snapshot_files[name] = float(t)
+    snapshots = root / "snapshots"
+    earlier = snapshots.exists()
     try:
         root.mkdir(parents=True, exist_ok=True)
         manifest: list[str] = []
@@ -278,9 +282,15 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
         for path in (p for pattern in OUTPUT_FILES for p in root.glob(pattern)):
             if path.is_file() and path.relative_to(root).as_posix() not in written:
                 path.unlink()
-        snapshots = root / "snapshots"
-        if snapshots.is_dir() and not any(snapshots.iterdir()):
-            snapshots.rmdir()
+        _remove_if_empty(snapshots)
         return manifest
     except OSError as exc:
+        if not earlier:
+            with contextlib.suppress(OSError):  # the failed write is the error to report
+                _remove_if_empty(snapshots)
         raise InvalidParameterError(f"cannot write outputs under {root}: {exc}") from None
+
+
+def _remove_if_empty(directory: Path) -> None:
+    if directory.is_dir() and not any(directory.iterdir()):
+        directory.rmdir()

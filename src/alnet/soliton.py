@@ -1,4 +1,4 @@
-"""Analytic one-soliton profiles and their closed-form invariants.
+"""Analytic one-soliton profiles and their kinematics.
 
 On a uniform chain with nonlinearity gamma the integrable lattice
 equation admits the exact traveling soliton
@@ -109,23 +109,3 @@ def soliton_profile(params: SolitonParams, topology: GraphTopology, t: float = 0
         )
     return state
 
-
-def analytic_norm(params: SolitonParams, gamma1: float) -> float:
-    """Closed-form conserved norm ``2 beta / gamma1`` of the soliton."""
-    if gamma1 <= 0:
-        raise InvalidParameterError("gamma1 must be > 0")
-    return 2.0 * params.beta / gamma1
-
-
-def analytic_Z(params: SolitonParams, gamma1: float) -> tuple[complex, float, float]:
-    """Closed-form (Z, E, J) of the soliton under the coupling sum rule.
-
-    ``Z = (2 / gamma1) e^{-i alpha} sinh(beta)``, with ``E = -2 Re Z`` and
-    ``J = 2 Im Z``.  The sign convention matches
-    :func:`alnet.conserved.z_quantity`: J is positive for motion toward and
-    past the vertex.
-    """
-    if gamma1 <= 0:
-        raise InvalidParameterError("gamma1 must be > 0")
-    z = complex((2.0 / gamma1) * math.sinh(params.beta) * np.exp(-1j * params.alpha))
-    return z, -2.0 * z.real, 2.0 * z.imag

@@ -45,10 +45,6 @@ class FieldState:
         return FieldState(self.data.copy(), self.time)
 
 
-def zero_state(topology: GraphTopology, time: float = 0.0) -> FieldState:
-    return FieldState(np.zeros(topology.n_sites, dtype=np.complex128), time)
-
-
 def bond_field(state: FieldState, topology: GraphTopology, label: str) -> np.ndarray:
     """View of one bond's amplitudes, ordered away from the root."""
     _check_shape(state, topology)

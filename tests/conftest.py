@@ -27,6 +27,76 @@ def decaying_random_field(rng, n=64, decay=0.9):
     return amp * phase
 
 
+def zero_state(topology, time=0.0):
+    """The all-zero field on ``topology`` at ``time``."""
+    from alnet import FieldState
+
+    return FieldState(np.zeros(topology.n_sites, dtype=np.complex128), time)
+
+
+def norm(state, topology):
+    """Total conserved norm N, the sum of the per-bond partial norms as ``snapshot`` takes it."""
+    from alnet import partial_norms
+
+    return float(sum(partial_norms(state, topology)))
+
+
+def rhs(state, topology):
+    """``i (R + R^T) psi (1 + gamma |psi|^2)``, the time derivative of one state, from the step's kernel."""
+    from alnet.dynamics import _derivative
+
+    y = state.data
+    return _derivative(y, topology.couplings, np.empty_like(y), np.empty(y.shape))
+
+
+def analytic_norm(params, gamma1):
+    """Closed-form conserved norm ``2 beta / gamma1`` of the soliton."""
+    return 2.0 * params.beta / gamma1
+
+
+def analytic_Z(params, gamma1):
+    """Closed-form (Z, E, J) of the soliton under the coupling sum rule.
+
+    ``Z = (2 / gamma1) e^{-i alpha} sinh(beta)``, with ``E = -2 Re Z`` and
+    ``J = 2 Im Z``; J is positive for motion toward and past the vertex,
+    as in ``z_quantity``.
+    """
+    z = complex((2.0 / gamma1) * math.sinh(params.beta) * np.exp(-1j * params.alpha))
+    return z, -2.0 * z.real, 2.0 * z.imag
+
+
+def higher_constants_recursive(chain_field, m_max):
+    """C_1 .. C_m_max of a plain chain field: the ladder on the graph of one bond.
+
+    The term ahead is ``a_n = q*_{n+1}`` (0 past the last site), no site
+    reads across a vertex and every weight is 1.  A constant that
+    overflows raises OverflowError.
+    """
+    from alnet.conserved import _ladder
+
+    q = np.ascontiguousarray(chain_field, dtype=np.complex128)
+    ahead = np.zeros_like(q)
+    ahead[:-1] = np.conj(q[1:])
+    return _ladder(q, ahead, m_max, np.zeros((2, 0), dtype=np.intp), np.ones(q.shape))
+
+
+def peak_tracker(states, topology, bond):
+    """The modulus peak of one bond over ``states``, read once in order: one ``_PeakTrack`` fold."""
+    from alnet.experiments import _PeakTrack
+
+    track = _PeakTrack(topology, bond)
+    for state in states:
+        track.add(state)
+    return track.series()
+
+
+def audit(states, topology, m_max):
+    """``drift_audit`` of the ``snapshot`` of each state, taken in order."""
+    from alnet import drift_audit, snapshot
+
+    return drift_audit(snapshot(s, topology, m_max) for s in states)
+
+
 def glued_state(topology, chain_values):
     """Distribute a chain field over a graph so every vertex is glued.
 
@@ -35,7 +105,7 @@ def glued_state(topology, chain_values):
     sibling bonds therefore agree after rescaling, which is the regime
     where the chain reduction is exact.
     """
-    from alnet import bond_field, site_offset, zero_state
+    from alnet import bond_field, site_offset
 
     u = np.asarray(chain_values, dtype=np.complex128)
     root_len = topology.bond("1").length

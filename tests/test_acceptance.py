@@ -18,23 +18,28 @@ import pytest
 from alnet import (
     SimConfig,
     SolitonParams,
-    analytic_Z,
     broken_rule_run,
     build_chain,
     build_star,
     build_tree,
     coupling_coefficients,
-    drift_audit,
     evolve,
-    higher_constants_recursive,
-    norm,
     scattering_run,
     soliton_profile,
     transmission_sweep,
     z_quantity,
 )
 from alnet.cli import EXIT_OK, run_cli
-from conftest import ALPHA_FIG4, decaying_random_field, glued_state, stencil_constants
+from conftest import (
+    ALPHA_FIG4,
+    analytic_Z,
+    audit,
+    decaying_random_field,
+    glued_state,
+    higher_constants_recursive,
+    norm,
+    stencil_constants,
+)
 
 FIG4_SOLITON = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0, phi0=0.0)
 
@@ -79,7 +84,7 @@ def test_criterion_3_conservation_and_convergence_rate():
     for dt in (0.01, 0.005):
         cfg = SimConfig(dt=dt, t_final=200.0, output_stride=round(1.0 / dt))
         traj = list(evolve(soliton_profile(FIG4_SOLITON, top), cp, cfg))
-        drift_sets[dt] = drift_audit(traj, top, m_max=3).drifts
+        drift_sets[dt] = audit(traj, top, m_max=3).drifts
     coarse = drift_sets[0.01]
     ratios = {k: coarse[k] / drift_sets[0.005][k] for k in coarse}
     max_drift = max(coarse.values())
@@ -116,7 +121,7 @@ def test_criterion_4_conservation_dichotomy():
     # no run keeps its states: stream the same run again for the audit
     cfg = SimConfig(dt=0.01, t_final=report.measurement_time)
     states = evolve(soliton_profile(FIG4_SOLITON, top), coupling_coefficients(top), cfg)
-    drifts = drift_audit(states, top, m_max=2).drifts
+    drifts = audit(states, top, m_max=2).drifts
     reflected_speed = peaks["1"].velocity
     speed_err = abs(abs(reflected_speed) - FIG4_SOLITON.velocity) / FIG4_SOLITON.velocity
     ok = (
@@ -210,7 +215,7 @@ def test_criterion_7_tree_graph_generalization():
     # no run keeps its states: stream the same run again for the audit
     cfg = SimConfig(dt=0.01, t_final=report.measurement_time)
     states = evolve(soliton_profile(soliton, top), coupling_coefficients(top), cfg)
-    drifts = drift_audit(states, top, m_max=1).drifts
+    drifts = audit(states, top, m_max=1).drifts
     ok = t_err < 1e-3 and sum_err < 1e-3 and drifts["N"] < 1e-6 and drifts["E"] < 1e-6
     assert verdict(
         7,

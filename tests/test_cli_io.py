@@ -21,12 +21,10 @@ from alnet import (
     SimConfig,
     SolitonParams,
     build_chain,
-    drift_audit,
     load_config,
     parse_config,
     serialize_config,
     write_outputs,
-    zero_state,
 )
 from alnet.cli import (
     EXIT_CONFIG,
@@ -38,7 +36,7 @@ from alnet.cli import (
 )
 from alnet.conserved import M_MAX_LIMIT
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
-from conftest import ALPHA_FIG4
+from conftest import ALPHA_FIG4, audit, zero_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -254,7 +252,7 @@ class TestWriteOutputs:
 
     def test_drift_csv_layout(self, tmp_path):
         top = build_chain(1.0, truncation=4)
-        report = drift_audit([zero_state(top)], top, m_max=3)
+        report = audit([zero_state(top)], top, m_max=3)
         write_outputs(RunOutputs(summary={}, drift=report), tmp_path)
         lines = (tmp_path / "drift.csv").read_text().splitlines()
         assert lines[0] == "time,N,ReZ,ImZ,E,J,ReC2,ImC2,ReC3,ImC3"
@@ -289,7 +287,7 @@ class TestWriteOutputs:
         st = zero_state(top)
         full = RunOutputs(
             summary={}, config_echo={}, partial_norms=(np.array([0.0]), {"1": np.array([1.0])}),
-            drift=drift_audit([st], top, m_max=2), snapshots=((0.0, st),), topology=top,
+            drift=audit([st], top, m_max=2), snapshots=((0.0, st),), topology=top,
         )
         assert len(write_outputs(full, tmp_path)) == 5
         (tmp_path / "other.csv").write_text("")
@@ -317,6 +315,24 @@ class TestWriteOutputs:
         with pytest.raises(InvalidParameterError):
             write_outputs(outputs, tmp_path / "fresh")
         assert [p.name for p in (tmp_path / "fresh").rglob("*") if p.is_file()] == ["summary.json"]
+
+    def test_a_failed_write_removes_the_empty_snapshots_directory_it_made(self, tmp_path, monkeypatch):
+        top = build_chain(2.0, truncation=3)
+        outputs = RunOutputs(summary={}, snapshots=((0.0, zero_state(top)),), topology=top)
+
+        def failing(state, topology):
+            yield "bond,site,re,im\n"
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("alnet.io._snapshot_chunks", failing)
+        with pytest.raises(InvalidParameterError, match="No space left"):
+            write_outputs(outputs, tmp_path / "fresh")
+        assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == ["summary.json"]
+        # a snapshots/ that was there before the call is not this call's to remove
+        (tmp_path / "kept" / "snapshots").mkdir(parents=True)
+        with pytest.raises(InvalidParameterError, match="No space left"):
+            write_outputs(outputs, tmp_path / "kept")
+        assert (tmp_path / "kept" / "snapshots").is_dir()
 
     def test_unwritable_directory_is_a_config_error(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -668,7 +684,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, name, extra",
-        [("bifurcation", "tree_audit", []), ("sweep", "tree_audit", []),
+        [("bifurcation", "tree_audit", []), ("sweep", "sweep", ["--t-final", "30"]),
          ("broken-rule", "broken_rule", ["--t-final", "40"])],
         ids=["bifurcation", "sweep", "broken-rule"],
     )
@@ -677,7 +693,8 @@ class TestCli:
     ):
         # tree_audit.json's t_final 30 ends the run with the soliton still on
         # bond 1, as --t-final 40 does on broken_rule.json; each reported its
-        # reflection as if scattered (0.973 and 0.99999999) and exited 0
+        # reflection as if scattered (0.973 and 0.99999999) and exited 0.  The
+        # sweep's derived end is 142, so 30 is short of it too
         argv = [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / "out"),
                 *extra]
         with mock.patch("alnet.dynamics.step", wraps=alnet.dynamics.step) as spy:
@@ -713,7 +730,33 @@ class TestCli:
         argv = [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / "out"),
                 "--dt", "1e300", "--t-final", "0.05"]
         assert run_cli(argv) == EXIT_CONFIG
-        assert "less than half a step" in capsys.readouterr().err
+        assert "off the grid of dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["tree_audit", "chain"])
+    def test_a_sweep_refuses_a_topology_other_than_a_two_leaf_star_before_the_first_step(
+        self, tmp_path, capsys, name
+    ):
+        # the sweep builds its own stars from the ratios: on the tree it wrote
+        # the rows of three-bond stars and echoed the seven-bond tree, exit 0
+        argv = ["sweep", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / "out"),
+                "--t-final", "150"]
+        with mock.patch("alnet.dynamics.step", wraps=alnet.dynamics.step) as spy:
+            assert run_cli(argv) == EXIT_CONFIG
+        assert spy.call_count == 0
+        assert "takes only the topology's truncation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dt, t_final", [("0.03", "0.05"), ("0.01", "50.005"), ("1e-320", "1")])
+    def test_a_t_final_off_the_dt_grid_exits_1(self, tmp_path, capsys, dt, t_final):
+        # 0.05 at dt 0.03 ran two steps to t = 0.06 and reported t_final 0.05
+        cfg = json.loads((CONFIGS / "chain.json").read_text())
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(dict(cfg, snapshot_times=[])))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                "--dt", dt, "--t-final", t_final]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "off the grid of dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_usage_errors_raise_system_exit(self):

@@ -16,10 +16,8 @@ from alnet import (
     build_tree,
     coupling_coefficients,
     evolve,
-    rhs,
     soliton_profile,
     step,
-    zero_state,
 )
 from alnet import dynamics
 from alnet.dynamics import StepWorkspace
@@ -30,9 +28,11 @@ from conftest import (
     PROPERTY_SETTINGS,
     ReferenceShift,
     bits,
+    rhs,
     tree_spec,
     tree_stacks,
     with_sum_rule,
+    zero_state,
 )
 
 
@@ -50,6 +50,11 @@ class TestSimConfig:
     def test_rejects_bad_t_final(self, t_final):
         with pytest.raises(InvalidParameterError):
             SimConfig(t_final=t_final)
+
+    @pytest.mark.parametrize("dt, t_final", [(0.01, 200.0), (0.03, 0.06), (0.1, 0.3), (0.01, 0.0)])
+    def test_accepts_a_t_final_on_the_dt_grid_to_rounding(self, dt, t_final):
+        # 0.3 / 0.1 is 2.9999999999999996
+        assert SimConfig(dt=dt, t_final=t_final).n_steps == round(t_final / dt)
 
     @pytest.mark.parametrize("stride", [0, -2, 1.5, True])
     def test_rejects_bad_stride(self, stride):
@@ -118,12 +123,6 @@ class TestRhs:
         fd = (soliton_profile(p, top, t=eps).data - soliton_profile(p, top, t=-eps).data) / (2 * eps)
         assert np.max(np.abs(d - fd)) < 1e-8
 
-    def test_shape_mismatch_rejected(self):
-        top = build_chain(1.0, truncation=10)
-        other = build_chain(1.0, truncation=11)
-        with pytest.raises(InvalidParameterError):
-            rhs(zero_state(other), top)
-
 
 class TestStepAndEvolve:
     def test_step_advances_time_and_returns_new_state(self):
@@ -156,11 +155,10 @@ class TestStepAndEvolve:
 
     @pytest.mark.parametrize("dt", [1e300, 0.11])
     def test_evolve_refuses_a_t_final_of_zero_steps(self, dt):
-        # 0.05 is less than half a step: the run would end at t = 0 and report t_final 0.05
-        top = build_chain(1.0, truncation=20)
-        states = evolve(zero_state(top), coupling_coefficients(top), SimConfig(dt=dt, t_final=0.05))
-        with pytest.raises(InvalidParameterError, match="less than half a step"):
-            next(states)
+        # 0.05 is less than half a step: the run would end at t = 0 and report
+        # t_final 0.05, so its config cannot be built
+        with pytest.raises(InvalidParameterError, match="off the grid of dt"):
+            SimConfig(dt=dt, t_final=0.05)
 
     def test_evolve_to_time_zero_yields_a_copy_of_the_initial_state(self):
         top = build_chain(1.0, truncation=20)

@@ -12,14 +12,12 @@ from alnet import (
     broken_rule_run,
     build_chain,
     build_star,
-    peak_tracker,
     scattering_run,
     soliton_profile,
     transmission_sweep,
-    zero_state,
 )
 from alnet.experiments import MEASUREMENT_MARGIN, _launch, _margin
-from conftest import ALPHA_FIG4
+from conftest import ALPHA_FIG4, peak_tracker, zero_state
 
 INCIDENT = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-60.0)
 

@@ -11,10 +11,9 @@ from alnet import (
     bond_field,
     build_star,
     partial_norms,
-    zero_state,
 )
 from alnet.topology import with_truncation
-from conftest import PROPERTY_SETTINGS, bits, tree_stacks
+from conftest import PROPERTY_SETTINGS, bits, tree_stacks, zero_state
 
 
 def test_zero_state_shape_and_dtype():

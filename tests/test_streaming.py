@@ -18,11 +18,9 @@ import pytest
 from alnet import (
     RunOutputs,
     coupling_coefficients,
-    drift_audit,
     evolve,
     load_config,
     partial_norms,
-    peak_tracker,
     serialize_config,
     soliton_profile,
     write_outputs,
@@ -30,7 +28,7 @@ from alnet import (
 )
 from alnet.cli import EXIT_OK, run_cli
 from alnet.experiments import REFLECTED_FIT_DELAY, _window_norm
-from conftest import ALPHA_FIG4
+from conftest import ALPHA_FIG4, audit, peak_tracker
 
 # observations every 0.5 on an exact binary grid, so 1.25 and 10.25 lie
 # exactly halfway between two of them: the earlier one must be kept
@@ -109,7 +107,7 @@ def listed_outputs(command, config, summary):
             J=2.0 * z.imag,
         )
     elif command == "conserved-audit":
-        outputs.drift = drift_audit(trajectory, top, config.m_max)
+        outputs.drift = audit(trajectory, top, config.m_max)
         outputs.summary.update(
             t_final=sim.t_final,
             m_max=config.m_max,

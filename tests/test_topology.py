@@ -21,7 +21,6 @@ from alnet import (
     is_reflectionless,
     site_offset,
     topology_from_dict,
-    zero_state,
 )
 from alnet.topology import (
     KIND_INCOMING,
@@ -29,7 +28,7 @@ from alnet.topology import (
     KIND_LEAF,
     with_truncation,
 )
-from conftest import PROPERTY_SETTINGS, ReferenceShift, bits, tree_spec, tree_stacks
+from conftest import PROPERTY_SETTINGS, ReferenceShift, bits, tree_spec, tree_stacks, zero_state
 
 
 class TestBondSpec:
