@@ -9,6 +9,10 @@ experiment layer and only turns its result into ``RunOutputs``:
 ``simulate`` and ``conserved-audit`` call ``experiments.observe`` on the
 configured ``soliton_profile``, bifurcation, sweep and broken-rule are
 all ``experiments.scattering_run``, which calls it on a checked launch.
+``conserved-audit`` folds the observed states into a
+``conserved.SnapshotFold``, which computes the snapshots in a forked
+worker on a machine with two usable CPUs; its exit codes and messages
+are those of the serial audit.
 ``observe`` evolves every run, guards the truncated walls at each
 observation and holds only the states its ``SnapshotPicker`` keeps for
 the snapshot files; the picker refuses a snapshot time past the run's
@@ -23,7 +27,7 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 
-from .conserved import drift_audit, snapshot, z_quantity
+from .conserved import SnapshotFold, drift_audit, z_quantity
 from .errors import (
     DivergenceError,
     InconclusiveRunError,
@@ -183,14 +187,10 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
 def _run_conserved_audit(config: RunConfig) -> RunOutputs:
     """evolve and audit the conserved-quantity drifts"""
     topology = config.topology
-    snaps = []
-
-    def audit(state):
-        snaps.append(snapshot(state, topology, config.m_max))
-
     launch = soliton_profile(config.soliton, topology)
-    (norms,), picker = observe([topology], launch, config.sim, config.snapshot_times, [audit])
-    report = drift_audit(snaps)
+    with SnapshotFold(topology, config.m_max) as audit:
+        (norms,), picker = observe([topology], launch, config.sim, config.snapshot_times, [audit.add])
+        report = drift_audit(audit.snapshots())
     summary = {
         "experiment": "conserved-audit",
         "t_final": config.sim.t_final,

@@ -31,6 +31,15 @@ Three layers: the norm, the pair sum Z, and one ladder for every C_m.
 ``drift_audit`` folds the snapshots of one run, in time order, into the
 maximum relative drift of each quantity.
 
+``SnapshotFold`` is ``conserved-audit``'s fold: one ``add`` per observed
+state, and the run's snapshots at the end.  Where the machine has
+``os.fork`` and two usable CPUs, its first ``add`` forks a worker process
+that computes every snapshot beside the integration, one in flight at a
+time, and raises each error in the serial run's order; elsewhere it
+calls ``snapshot`` in-process.  Either way one ``SnapshotWorkspace``, the
+ladder's scratch, serves the whole run, and the snapshots are the same
+bits.
+
 Every table read here is a cached property of the topology, built on its
 first use: R (``couplings``), ``sqrt_gamma``, and the ``vertex_tables``
 that pair the sites across each vertex.
@@ -42,6 +51,10 @@ boundary guard of ``experiments.observe`` stops a run that reaches them.
 
 from __future__ import annotations
 
+import os
+import pickle
+import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -87,25 +100,47 @@ def _check_m_max(m_max: int) -> None:
         raise InvalidParameterError(f"m_max must be an integer from 1 to {M_MAX_LIMIT}")
 
 
+class SnapshotWorkspace:
+    """Scratch of the ladder for one m_max on n sites, reused by every ``snapshot`` of a run.
+
+    ``h`` and ``back`` are the two (m_max, n) complex buffers of ``_ladder``;
+    ``carried`` and ``term`` hold one row each.
+    """
+
+    def __init__(self, m_max: int, n_sites: int):
+        _check_m_max(m_max)
+        self.h, self.back = (np.empty((m_max, n_sites), dtype=np.complex128) for _ in range(2))
+        self.carried, self.term = (np.empty(n_sites, dtype=np.complex128) for _ in range(2))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _ladder(
-    q: np.ndarray, ahead: np.ndarray, m_max: int, entries: np.ndarray, weight: np.ndarray
+    q: np.ndarray,
+    ahead: np.ndarray,
+    m_max: int,
+    entries: np.ndarray,
+    weight: np.ndarray,
+    workspace: SnapshotWorkspace | None = None,
 ) -> list[complex]:
     """C_1 .. C_m_max of the ladder on ``q`` (see the module docstring).
 
     The site before n is n - 1, except at site 0, which has none, and at
     each site of ``entries[0]``, which reads the matching ``entries[1]``.
-    ``ahead`` is a_n and ``weight`` is w_n.  The scratch is two (m_max, n)
-    buffers: ``h`` holds h^(m) and then g^(m); ``back`` holds h^(m) at the
-    site before and then m f^(m), the form of the series logarithm that
-    needs no factor j / m.  C_m multiplies 2m field values, so a large
-    finite field can overflow it: that raises OverflowError, and numpy's
-    warnings are silenced.
+    ``ahead`` is a_n and ``weight`` is w_n.  The scratch is ``workspace``,
+    or a new one: ``h`` holds h^(m) and then g^(m); ``back`` holds h^(m)
+    at the site before and then m f^(m), the form of the series logarithm
+    that needs no factor j / m.  Every entry is written before it is read,
+    so a reused workspace gives the same bits.  C_m multiplies 2m field
+    values, so a large finite field can overflow it: that raises
+    OverflowError, and numpy's warnings are silenced.
     """
     _check_m_max(m_max)
-    h = np.empty((m_max, q.shape[0]), dtype=np.complex128)
-    back = np.empty_like(h)
-    carried, term = np.empty_like(q), np.empty_like(q)
+    ws = SnapshotWorkspace(m_max, q.shape[0]) if workspace is None else workspace
+    if ws.h.shape != (m_max, q.shape[0]):
+        raise InvalidParameterError(
+            f"a ladder workspace of shape {ws.h.shape} does not fit m_max {m_max} on {q.shape[0]} sites"
+        )
+    h, back, carried, term = ws.h, ws.back, ws.carried, ws.term
     np.negative(q, out=h[0])
     qc = np.conj(q)
     for m in range(2, m_max + 1):
@@ -147,14 +182,21 @@ class ConservedSnapshot:
     chain_residual: float
 
 
-def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> ConservedSnapshot:
+def snapshot(
+    state: FieldState,
+    topology: GraphTopology,
+    m_max: int = 3,
+    workspace: SnapshotWorkspace | None = None,
+) -> ConservedSnapshot:
     """Evaluate the hierarchy up to C_m_max on one state, on any topology.
 
     R is applied once: Z is ``z_quantity``'s pair sum and the ladder's term
     ahead is read from the same R psi.  Every C_m comes from the graph
-    ladder; ``chain_residual`` is ``universal_chain_field``'s gluing
-    residual, a diagnostic only.  A field so large that a constant
-    overflows raises DivergenceError at the site of the largest |q|.
+    ladder, whose scratch is ``workspace`` (a ``SnapshotWorkspace`` of
+    ``m_max`` on the topology's sites) or a new one; ``chain_residual`` is
+    ``universal_chain_field``'s gluing residual, a diagnostic only.  A
+    field so large that a constant overflows raises DivergenceError at the
+    site of the largest |q|.
     """
     _, residual = universal_chain_field(state, topology)  # checks the shape
     psi, sqrt_gamma = state.data, topology.sqrt_gamma
@@ -163,7 +205,7 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
     q = sqrt_gamma * psi
     weight = topology.bond(ROOT_LABEL).gamma / topology.site_gamma
     try:
-        cs = _ladder(q, np.conj(sqrt_gamma * r_psi), m_max, topology.vertex_tables[0], weight)
+        cs = _ladder(q, np.conj(sqrt_gamma * r_psi), m_max, topology.vertex_tables[0], weight, workspace)
     except OverflowError:
         bond, site = topology.locate(int(np.argmax(np.abs(q))))
         raise DivergenceError(bond, site, state.time, f"C_{m_max} overflows at the largest |q|") from None
@@ -176,6 +218,177 @@ def snapshot(state: FieldState, topology: GraphTopology, m_max: int = 3) -> Cons
         C=tuple(cs[1:]),
         chain_residual=residual,
     )
+
+
+def _worker_fits() -> bool:
+    """Whether a forked worker can run beside the integration: ``os.fork`` and two usable CPUs."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus > 1
+
+
+def _write(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_into(fd: int, buffer) -> bool:
+    """Fill ``buffer`` from ``fd``; False at the end of the file, EOFError partway through."""
+    view = memoryview(buffer).cast("B")
+    filled = 0
+    while filled < len(view):
+        got = os.readv(fd, [view[filled:]])
+        if not got:
+            if filled:
+                raise EOFError(f"the pipe ended {len(view) - filled} bytes short of a message")
+            return False
+        filled += got
+    return True
+
+
+def _serve(topology: GraphTopology, m_max: int, states: int, replies: int) -> None:
+    """The worker's loop: one snapshot per state read from ``states``, its outcome written to ``replies``."""
+    workspace = SnapshotWorkspace(m_max, topology.n_sites)
+    time, data = bytearray(8), np.empty(topology.n_sites, dtype=np.complex128)
+    while _read_into(states, time) and _read_into(states, data):
+        state = FieldState(data, struct.unpack("<d", time)[0])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcome = snapshot(state, topology, m_max, workspace)
+        except Exception as exc:
+            outcome = exc
+        try:
+            payload = pickle.dumps(outcome)
+        except Exception:
+            payload = pickle.dumps(RuntimeError(f"snapshot raised {outcome!r}"))
+        _write(replies, len(payload).to_bytes(8, "little") + payload)
+
+
+class _SnapshotWorker:
+    """A forked process that computes the snapshots of one run, one state at a time.
+
+    The parent writes each state's time and raw amplitudes to one pipe;
+    the worker answers on another with the pickled snapshot, or with the
+    exception ``snapshot`` raised.  The worker holds one workspace, runs
+    under the errstate ``experiments.observe`` holds around its folds,
+    and leaves through ``os._exit`` at the end of its pipe, so it flushes
+    no copied stdio buffer and runs none of the parent's exit handlers.
+    """
+
+    def __init__(self, topology: GraphTopology, m_max: int):
+        states_r, states_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (states_r, states_w, replies_r, replies_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(states_w)
+                os.close(replies_r)
+                _serve(topology, m_max, states_r, replies_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(states_r)
+        os.close(replies_w)
+        self.pid, self.states, self.replies = pid, states_w, replies_r
+
+    def send(self, state: FieldState) -> None:
+        _write(self.states, struct.pack("<d", state.time))
+        _write(self.states, state.data)
+
+    def receive(self) -> ConservedSnapshot | Exception:
+        size = bytearray(8)
+        if not _read_into(self.replies, size):
+            raise RuntimeError(f"the snapshot worker (pid {self.pid}) ended before its answer")
+        payload = bytearray(int.from_bytes(size, "little"))
+        _read_into(self.replies, payload)
+        return pickle.loads(payload)
+
+    def join(self) -> None:
+        """End the worker at the end of its pipe and reap it."""
+        os.close(self.states)
+        os.close(self.replies)
+        os.waitpid(self.pid, 0)
+
+
+class SnapshotFold:
+    """The snapshots of one run, a fold over its observed states: one ``add`` per observation.
+
+    Where the machine has ``os.fork`` and more than one usable CPU, the
+    first ``add`` forks a worker that computes each ``snapshot`` while the
+    caller steps on; elsewhere, or when the fork fails, ``add`` calls
+    ``snapshot`` in-process.  Either way one workspace serves the run, and
+    ``snapshots()`` returns the same snapshots, in observation order.
+    At most one snapshot is in flight: ``add`` reads the outcome of the
+    previous observation before it sends the next, and raises its error.
+    Use the fold as a context manager.  Leaving it reads the outcome in
+    flight, whose error replaces an error the caller raised after sending
+    it (a later step's DivergenceError, the boundary guard's
+    InconclusiveRunError), so errors surface in the serial run's order;
+    then the worker is joined, also on KeyboardInterrupt.
+    """
+
+    def __init__(self, topology: GraphTopology, m_max: int):
+        _check_m_max(m_max)
+        self.topology, self.m_max = topology, m_max
+        self.snaps: list[ConservedSnapshot] = []
+        self.started, self.pending = False, False
+        self.worker: _SnapshotWorker | None = None
+        self.workspace: SnapshotWorkspace | None = None
+
+    def add(self, state: FieldState) -> None:
+        _check_shape(state, self.topology)
+        if not self.started:
+            self.started = True
+            if _worker_fits():
+                try:
+                    self.worker = _SnapshotWorker(self.topology, self.m_max)
+                except OSError:
+                    pass
+            if self.worker is None:
+                self.workspace = SnapshotWorkspace(self.m_max, self.topology.n_sites)
+        if self.worker is None:
+            self.snaps.append(snapshot(state, self.topology, self.m_max, self.workspace))
+            return
+        self._collect()
+        self.worker.send(state)
+        self.pending = True
+
+    def _collect(self) -> None:
+        if self.pending:
+            self.pending = False
+            outcome = self.worker.receive()
+            if isinstance(outcome, Exception):
+                raise outcome
+            self.snaps.append(outcome)
+
+    def snapshots(self) -> list[ConservedSnapshot]:
+        """Every observation's snapshot so far, after the one in flight."""
+        self._collect()
+        return self.snaps
+
+    def __enter__(self) -> "SnapshotFold":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None or issubclass(exc_type, Exception):
+                self._collect()
+        finally:
+            if self.worker is not None:
+                self.worker, worker = None, self.worker
+                self.pending = False
+                worker.join()
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,19 @@ class DivergenceError(RuntimeError):
 
     Carries the bond label, the signed site coordinate, and the time at
     which the first non-finite amplitude appeared; ``what`` names the
-    failure in the message.
+    failure in the message.  It pickles, so it can cross a process
+    boundary with every field intact.
     """
 
     def __init__(self, bond: str, site: int, time: float, what: str = "non-finite amplitude"):
         self.bond = bond
         self.site = site
         self.time = time
+        self.what = what
         super().__init__(f"{what} on bond {bond!r} at site {site} (t={time:g})")
+
+    def __reduce__(self):
+        return type(self), (self.bond, self.site, self.time, self.what)
 
 
 class InconclusiveRunError(RuntimeError):

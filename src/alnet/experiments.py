@@ -18,7 +18,7 @@ One run for every experiment and CLI subcommand: ``observe`` evolves a
 launch and reads each observed state once, for the partial norms, the
 boundary guard, the run's ``SnapshotPicker`` and the caller's folds
 (``broken_rule_run``'s ``_PeakTrack``s, ``conserved-audit``'s
-``snapshot``), so no run holds its trajectory.  A peak track is only such
+``SnapshotFold``), so no run holds its trajectory.  A peak track is only such
 a fold: one ``add`` per observation and one ``series`` at the end.
 ``simulate`` and ``conserved-audit`` observe a plain ``soliton_profile``.
 ``scattering_run`` launches, observes and reports a scattering run, one

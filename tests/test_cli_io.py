@@ -2,6 +2,7 @@ import filecmp
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import alnet
 from alnet import (
     DEFAULT_RATIO_GRID,
     EXPERIMENTS,
+    DivergenceError,
     InvalidParameterError,
     RunConfig,
     RunOutputs,
@@ -834,3 +836,114 @@ class TestCli:
                 assert_identical(sub)
 
         assert_identical(comparison)
+
+
+class TestAuditWorker:
+    """``conserved-audit`` computes its snapshots in a forked worker; the in-process path is the reference.
+
+    ``worker_forks`` gives every run two usable CPUs and counts the forks;
+    deleting ``os.fork`` forces the in-process path.
+    """
+
+    # configs/chain.json on a short chain with a long step: its field reaches
+    # bond 11's wall at t = 120
+    WALL = ["--config", str(CONFIGS / "chain.json"), "--truncation", "100", "--dt", "0.05",
+            "--t-final", "120"]
+
+    @staticmethod
+    def assert_no_child_is_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_divergence_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(DivergenceError("11", 5, 1.0, "C_6 overflows")))
+        assert isinstance(error, DivergenceError)
+        assert str(error) == "C_6 overflows on bond '11' at site 5 (t=1)"
+        assert (error.bond, error.site, error.time) == ("11", 5, 1.0)
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [("tree_audit", []), ("broken_rule", ["--t-final", "163", "--m-max", "6"])],
+        ids=["tree-audit", "broken-rule"],
+    )
+    def test_the_worker_writes_the_in_process_bytes(self, tmp_path, monkeypatch, worker_forks, name, extra):
+        argv = ["conserved-audit", "--config", str(CONFIGS / f"{name}.json"), *extra]
+        assert run_cli([*argv, "--out", str(tmp_path / "worker")]) == EXIT_OK
+        assert len(worker_forks) == 1
+        monkeypatch.delattr(os, "fork")
+        assert run_cli([*argv, "--out", str(tmp_path / "in-process")]) == EXIT_OK
+        for file in ("drift.csv", "summary.json"):
+            assert (tmp_path / "worker" / file).read_bytes() == (tmp_path / "in-process" / file).read_bytes()
+        self.assert_no_child_is_left()
+
+    def test_every_exit_leaves_no_child(self, tmp_path, capsys, monkeypatch, worker_forks):
+        ok, _ = write_config(tmp_path, m_max=6)
+        assert run_cli(["conserved-audit", "--config", str(ok)]) == EXIT_OK
+        self.assert_no_child_is_left()
+        # a soliton's C_m is -(2/m) sinh(m beta) e^(i m alpha): at beta 30 the
+        # launch's |psi|^2 is finite and C_32 is not, and the steps overflow too
+        path, _ = write_config(
+            tmp_path, m_max=M_MAX_LIMIT, soliton={"alpha": ALPHA_FIG4, "beta": 30.0, "n0": -10.0}
+        )
+        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == f"alnet: numerical failure: C_{M_MAX_LIMIT} overflows at the largest |q| on bond '1' at site -10 (t=0)\n"
+        self.assert_no_child_is_left()
+        assert run_cli(["conserved-audit", *self.WALL, "--out", str(tmp_path / "wall")]) == EXIT_INCONCLUSIVE
+        assert "truncated end of bond '11'" in capsys.readouterr().err
+        self.assert_no_child_is_left()
+
+        guard, calls = alnet.experiments._check_boundaries, []
+
+        def interrupted_guard(*args):
+            calls.append(args)
+            if len(calls) == 2:  # at the second observation, after the fork
+                raise KeyboardInterrupt
+            guard(*args)
+
+        monkeypatch.setattr("alnet.experiments._check_boundaries", interrupted_guard)
+        ok, _ = write_config(tmp_path, m_max=6)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["conserved-audit", "--config", str(ok)])
+        self.assert_no_child_is_left()
+        assert len(worker_forks) == 4
+
+    def test_a_snapshot_error_comes_before_a_later_guard(self, tmp_path, capsys, monkeypatch, worker_forks):
+        argv = ["conserved-audit", *self.WALL, "--out", str(tmp_path / "out")]
+        real = alnet.conserved.snapshot
+        seen = []
+
+        def recording(state, topology, m_max, workspace=None):
+            seen.append(state.time)
+            return real(state, topology, m_max, workspace)
+
+        def failing(state, topology, m_max, workspace=None):
+            if state.time == seen[-1]:  # the guard trips at the next observation
+                raise DivergenceError("11", 7, state.time, "planted")
+            return real(state, topology, m_max, workspace)
+
+        with monkeypatch.context() as in_process:
+            in_process.delattr(os, "fork")
+            in_process.setattr("alnet.conserved.snapshot", recording)
+            assert run_cli(argv) == EXIT_INCONCLUSIVE
+            capsys.readouterr()
+            in_process.setattr("alnet.conserved.snapshot", failing)
+            assert run_cli(argv) == EXIT_NUMERICAL
+        serial = capsys.readouterr().err
+        assert serial == f"alnet: numerical failure: planted on bond '11' at site 7 (t={seen[-1]:g})\n"
+        monkeypatch.setattr("alnet.conserved.snapshot", failing)
+        assert run_cli(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == serial
+        assert len(worker_forks) == 1
+        self.assert_no_child_is_left()
+
+    def test_a_refusal_before_the_first_step_forks_nothing(self, tmp_path, capsys, worker_forks):
+        path, _ = write_config(tmp_path, snapshot_times=[5.0])
+        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_CONFIG
+        assert "past the run" in capsys.readouterr().err
+        path, _ = write_config(tmp_path, topology={"gammas": [1.0, 1.0], "truncation": 20},
+                               sim={"dt": 0.01, "t_final": 1.0})
+        assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_INCONCLUSIVE
+        assert "truncated end of bond '1'" in capsys.readouterr().err
+        assert worker_forks == []
+        self.assert_no_child_is_left()

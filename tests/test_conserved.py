@@ -1,4 +1,6 @@
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from alnet import (
     DivergenceError,
     FieldState,
+    InconclusiveRunError,
     InvalidParameterError,
     SimConfig,
     SolitonParams,
@@ -24,15 +27,18 @@ from alnet import (
     universal_chain_field,
     z_quantity,
 )
+from alnet.conserved import SnapshotFold, SnapshotWorkspace
 from conftest import (
     ALPHA_FIG4,
     PROPERTY_SETTINGS,
+    assert_matches_the_lax_tower,
     audit,
     chain_gaps,
     decaying_random_field,
     glued_state,
     higher_constants_recursive,
     norm,
+    soliton_chain,
     stencil_constants,
     tree_spec,
     tree_stacks,
@@ -71,13 +77,14 @@ def random_field(rng, n, scale=0.4):
 
 
 @st.composite
-def glued_trees(draw):
+def glued_trees(draw, soliton=False):
     """A random sum-rule tree and a random chain field to glue onto it.
 
     The field vanishes past the end of the shortest leaf in unrolled
     coordinates, so every sibling subtree sees all of it, as on a tree
-    whose leaves reach far past the field.  Also returns 1-3 of its
-    nonzero sites, leaving at least two.
+    whose leaves reach far past the field.  With ``soliton`` the field is
+    a perturbed soliton of width 0.2 to 0.5 (``soliton_chain``).  Also
+    returns 1-3 of its nonzero sites, leaving at least two.
     """
     (top,) = draw(tree_stacks(max_columns=1))
     top = with_sum_rule(top)
@@ -86,7 +93,11 @@ def glued_trees(draw):
     span = root + max(site_offset(top, b.label) + b.length for b in top.bonds[1:])
     u = np.zeros(span, dtype=np.complex128)
     support = root + min(ends)
-    u[:support] = random_field(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), support)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if soliton:
+        u[:support] = soliton_chain(rng, support, draw(st.floats(0.2, 0.5)))
+    else:
+        u[:support] = random_field(rng, support)
     sites = draw(st.sets(st.integers(0, support - 1), min_size=1, max_size=min(3, support - 2)))
     return top, u, sorted(sites)
 
@@ -246,6 +257,130 @@ class TestGraphLadder:
         o2, o3 = stencil_constants(st, top)
         assert c2 == pytest.approx(o2, rel=1e-12)
         assert abs(c3 - o3) > 1e-4 * abs(o3)
+
+
+class TestLaxOracle:
+    """The ladder against the tower of the Lax spectrum, code that shares nothing with it.
+
+    |z| = 1.6 lies well outside the zero of every soliton drawn here
+    (|z| = e^(beta / 2) <= 1.29) and of its 0.05 perturbation.
+    """
+
+    def test_a_perturbed_soliton_chain(self):
+        # beta 0.4 plus a 0.05 perturbation on 300 sites, to m = 12
+        q = soliton_chain(np.random.default_rng(41), 300, 0.4)
+        assert_matches_the_lax_tower(higher_constants_recursive(q, 12), q, 1.6)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 300), st.floats(0.2, 0.5))
+    def test_random_chain_fields(self, seed, n, beta):
+        q = soliton_chain(np.random.default_rng(seed), n, beta)
+        assert_matches_the_lax_tower(higher_constants_recursive(q, 12), q, 1.6)
+
+    @PROPERTY_SETTINGS
+    @given(glued_trees(soliton=True))
+    def test_glued_fields_on_sum_rule_trees(self, case):
+        # the graph ladder of snapshot against the tower of the chain it glues
+        top, u, _ = case
+        st = glued_state(top, u)
+        q, residual = universal_chain_field(st, top)
+        assert residual < 1e-15
+        assert_matches_the_lax_tower(snapshot(st, top, m_max=12).C, q, 1.6, first=2)
+
+    def test_a_wrong_ladder_misses_the_tower(self):
+        # the negative control: C_m of the field's complex conjugate (the
+        # mirror-image flow) is another tower
+        q = soliton_chain(np.random.default_rng(41), 300, 0.4)
+        with pytest.raises(AssertionError):
+            assert_matches_the_lax_tower(higher_constants_recursive(np.conj(q), 12), q, 1.6)
+
+
+class TestSnapshotFold:
+    """``SnapshotFold`` in a forked worker and in-process, against ``snapshot``."""
+
+    @staticmethod
+    def states():
+        top = build_tree(tree_spec(), truncation=60)
+        u = soliton_chain(np.random.default_rng(5), 150, 0.4)
+        return top, [FieldState(glued_state(top, u * np.exp(0.3j * k)).data, 0.5 * k) for k in range(4)]
+
+    def test_the_worker_gives_the_in_process_snapshots(self, worker_forks):
+        top, states = self.states()
+        with SnapshotFold(top, 8) as fold:
+            for state in states:
+                fold.add(state)
+            snaps = fold.snapshots()
+        assert len(worker_forks) == 1
+        assert snaps == [snapshot(state, top, 8) for state in states]
+        q, _ = universal_chain_field(states[-1], top)
+        assert_matches_the_lax_tower(snaps[-1].C, q, 1.6, first=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("machine", ["one CPU", "no fork"])
+    def test_a_machine_without_a_second_cpu_or_fork_runs_in_process(self, monkeypatch, machine):
+        top, states = self.states()
+        if machine == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "fork")
+        with SnapshotFold(top, 8) as fold:
+            for state in states:
+                fold.add(state)
+            assert fold.worker is None
+            assert fold.snapshots() == [snapshot(state, top, 8) for state in states]
+
+    def test_the_error_in_flight_comes_first(self, worker_forks, monkeypatch):
+        # the serial run fails at observation 1; a worker learns it only after
+        # the caller has raised at observation 2
+        top, states = self.states()
+        real = snapshot
+
+        def failing(state, topology, m_max, workspace=None):
+            if state.time == states[1].time:
+                raise DivergenceError("11", 3, state.time, "planted")
+            return real(state, topology, m_max, workspace)
+
+        monkeypatch.setattr("alnet.conserved.snapshot", failing)
+        with pytest.raises(DivergenceError, match="planted") as exc:
+            with SnapshotFold(top, 4) as fold:
+                fold.add(states[0])
+                fold.add(states[1])
+                raise InconclusiveRunError("the guard trips at observation 2")
+        assert (exc.value.bond, exc.value.site, exc.value.time) == ("11", 3, states[1].time)
+        assert len(worker_forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_joins_the_worker(self, worker_forks):
+        top, states = self.states()
+        with pytest.raises(KeyboardInterrupt):
+            with SnapshotFold(top, 4) as fold:
+                fold.add(states[0])
+                raise KeyboardInterrupt
+        assert len(worker_forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_that_dies_is_an_error_and_is_reaped(self, worker_forks):
+        top, states = self.states()
+        with pytest.raises((RuntimeError, BrokenPipeError)):
+            with SnapshotFold(top, 4) as fold:
+                fold.add(states[0])
+                os.kill(worker_forks[0], signal.SIGKILL)
+                for state in states[1:]:
+                    fold.add(state)
+                fold.snapshots()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_reused_workspace_gives_the_same_bits(self):
+        top, states = self.states()
+        workspace = SnapshotWorkspace(6, top.n_sites)
+        for state in states:
+            assert snapshot(state, top, 6, workspace) == snapshot(state, top, 6)
+        with pytest.raises(InvalidParameterError, match="workspace"):
+            snapshot(states[0], top, 5, workspace)
 
 
 class TestUniversalChainField:

@@ -79,6 +79,21 @@ def test_assert_finite_reports_bond_and_site():
     assert exc.value.bond == "1"
 
 
+def test_assert_finite_passes_a_finite_field_whose_sum_of_squares_overflows():
+    # the screening sum overflows to inf, and the exact search finds every amplitude finite;
+    # the sum's overflow warning follows the caller's errstate, as in a run
+    top = build_star((1.0, 1.5, 3.0), truncation=10)
+    st = zero_state(top)
+    st.time = 2.5
+    st.data[:] = 1e200 - 1e200j
+    with np.errstate(over="ignore"):
+        assert_finite(st, top)
+        st.data[17] = complex(1e200, -np.inf)
+        with pytest.raises(DivergenceError) as exc:
+            assert_finite(st, top)
+    assert (exc.value.bond, exc.value.site, exc.value.time) == ("11", 8, 2.5)
+
+
 def test_a_density_that_overflows_has_no_finite_norm():
     # every amplitude is finite, but |psi|^2 at site 13 is not: the run has diverged
     top = build_star((1.0, 1.5, 3.0), truncation=10)
