@@ -11,8 +11,8 @@ configured ``soliton_profile``, bifurcation, sweep and broken-rule are
 all ``experiments.scattering_run``, which calls it on a checked launch.
 ``conserved-audit`` folds the observed states into a
 ``conserved.SnapshotFold``, which computes the snapshots in a forked
-worker on a machine with two usable CPUs; its exit codes and messages
-are those of the serial audit.
+``multiprocessing`` worker on a machine with two usable CPUs; its exit
+codes, messages and output are those of the serial audit.
 ``observe`` evolves every run, guards the truncated walls at each
 observation and holds only the states its ``SnapshotPicker`` keeps for
 the snapshot files; the picker refuses a snapshot time past the run's

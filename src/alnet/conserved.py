@@ -33,16 +33,16 @@ maximum relative drift of each quantity.
 
 ``SnapshotFold`` is ``conserved-audit``'s fold: one ``add`` per observed
 state, and the run's snapshots at the end.  Where the machine has
-``os.fork`` and two usable CPUs, its first ``add`` forks a worker process
-that computes every snapshot beside the integration, one in flight at a
-time, and raises each error in the serial run's order; elsewhere it
-calls ``snapshot`` in-process.  Either way one ``SnapshotWorkspace``, the
-ladder's scratch, serves the whole run, and the snapshots are the same
-bits.
+``os.fork`` and two usable CPUs, its first ``add`` forks a worker, a
+``multiprocessing.Process`` on a ``Pipe``, that computes every snapshot
+beside the integration, one in flight at a time, and raises each error
+in the serial run's order; elsewhere it calls ``snapshot`` in-process.
+Either way one ``SnapshotWorkspace``, the ladder's scratch, serves the
+whole run, and the snapshots are the same bits.
 
 Every table read here is a cached property of the topology, built on its
-first use: R (``couplings``), ``sqrt_gamma``, and the ``vertex_tables``
-that pair the sites across each vertex.
+first use: R's tables (``couplings`` wraps them), ``sqrt_gamma``, and the
+``vertex_tables`` that pair the sites across each vertex.
 
 The ladder assumes the field has decayed at the truncated ends; boundary
 sites contribute O(|q_end|^2).  ``conserved-audit`` enforces this: the
@@ -51,10 +51,9 @@ boundary guard of ``experiments.observe`` stops a run that reaches them.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import pickle
-import struct
-import sys
+import signal
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -221,104 +220,62 @@ def snapshot(
 
 
 def _worker_fits() -> bool:
-    """Whether a forked worker can run beside the integration: ``os.fork`` and two usable CPUs."""
+    """Whether a forked worker can run beside the integration: ``os.fork``, two usable CPUs, and
+    a process that may have children, which a daemonic ``multiprocessing`` process may not."""
     if not hasattr(os, "fork"):
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus > 1
+    if cpus < 2:
+        return False
+    import multiprocessing  # here, so that ``import alnet`` does not load it
+
+    return not multiprocessing.current_process().daemon
 
 
-def _write(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
+def _serve(topology: GraphTopology, m_max: int, parent_end, pipe) -> None:
+    """The worker's loop: one snapshot per state received on ``pipe``, its outcome sent back on it.
 
-
-def _read_into(fd: int, buffer) -> bool:
-    """Fill ``buffer`` from ``fd``; False at the end of the file, EOFError partway through."""
-    view = memoryview(buffer).cast("B")
-    filled = 0
-    while filled < len(view):
-        got = os.readv(fd, [view[filled:]])
-        if not got:
-            if filled:
-                raise EOFError(f"the pipe ended {len(view) - filled} bytes short of a message")
-            return False
-        filled += got
-    return True
-
-
-def _serve(topology: GraphTopology, m_max: int, states: int, replies: int) -> None:
-    """The worker's loop: one snapshot per state read from ``states``, its outcome written to ``replies``."""
-    workspace = SnapshotWorkspace(m_max, topology.n_sites)
-    time, data = bytearray(8), np.empty(topology.n_sites, dtype=np.complex128)
-    while _read_into(states, time) and _read_into(states, data):
-        state = FieldState(data, struct.unpack("<d", time)[0])
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                outcome = snapshot(state, topology, m_max, workspace)
-        except Exception as exc:
-            outcome = exc
-        try:
-            payload = pickle.dumps(outcome)
-        except Exception:
-            payload = pickle.dumps(RuntimeError(f"snapshot raised {outcome!r}"))
-        _write(replies, len(payload).to_bytes(8, "little") + payload)
-
-
-class _SnapshotWorker:
-    """A forked process that computes the snapshots of one run, one state at a time.
-
-    The parent writes each state's time and raw amplitudes to one pipe;
-    the worker answers on another with the pickled snapshot, or with the
-    exception ``snapshot`` raised.  The worker holds one workspace, runs
-    under the errstate ``experiments.observe`` holds around its folds,
-    and leaves through ``os._exit`` at the end of its pipe, so it flushes
-    no copied stdio buffer and runs none of the parent's exit handlers.
+    It ends at the end of the pipe, or when the parent closed it before
+    the answer; it ignores Ctrl-C, which ends the parent and so the pipe.
     """
-
-    def __init__(self, topology: GraphTopology, m_max: int):
-        states_r, states_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (states_r, states_w, replies_r, replies_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            code = 1
+    parent_end.close()  # else the worker holds its own pipe open and never reads its end
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    workspace = SnapshotWorkspace(m_max, topology.n_sites)
+    data = np.empty(topology.n_sites, dtype=np.complex128)
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
+            time = pipe.recv()
+            pipe.recv_bytes_into(data)
             try:
-                os.close(states_w)
-                os.close(replies_r)
-                _serve(topology, m_max, states_r, replies_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(states_r)
-        os.close(replies_w)
-        self.pid, self.states, self.replies = pid, states_w, replies_r
+                with np.errstate(over="ignore", invalid="ignore"):
+                    outcome = snapshot(FieldState(data, time), topology, m_max, workspace)
+            except Exception as exc:
+                outcome = exc
+            pipe.send(outcome)
 
-    def send(self, state: FieldState) -> None:
-        _write(self.states, struct.pack("<d", state.time))
-        _write(self.states, state.data)
 
-    def receive(self) -> ConservedSnapshot | Exception:
-        size = bytearray(8)
-        if not _read_into(self.replies, size):
-            raise RuntimeError(f"the snapshot worker (pid {self.pid}) ended before its answer")
-        payload = bytearray(int.from_bytes(size, "little"))
-        _read_into(self.replies, payload)
-        return pickle.loads(payload)
+def _start_worker(topology: GraphTopology, m_max: int):
+    """Start ``_serve`` in a fork-context ``multiprocessing.Process``: the process and its duplex ``Pipe``.
 
-    def join(self) -> None:
-        """End the worker at the end of its pipe and reap it."""
-        os.close(self.states)
-        os.close(self.replies)
-        os.waitpid(self.pid, 0)
+    The worker's arguments pass through the fork, not through pickle, and
+    it runs under the errstate ``experiments.observe`` holds around its
+    folds.  ``multiprocessing`` flushes stdio before the fork and ends the
+    child through ``os._exit``, so the worker prints none of the parent's
+    output and runs none of its exit handlers.  A failed start closes both
+    ends of the pipe.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    pipe, child_end = context.Pipe()
+    worker = context.Process(target=_serve, args=(topology, m_max, pipe, child_end), daemon=True)
+    with child_end:
+        try:
+            worker.start()
+        except BaseException:
+            pipe.close()
+            raise
+    return worker, pipe
 
 
 class SnapshotFold:
@@ -343,7 +300,7 @@ class SnapshotFold:
         self.topology, self.m_max = topology, m_max
         self.snaps: list[ConservedSnapshot] = []
         self.started, self.pending = False, False
-        self.worker: _SnapshotWorker | None = None
+        self.worker = self.pipe = None  # the worker's process and the parent's end of its pipe
         self.workspace: SnapshotWorkspace | None = None
 
     def add(self, state: FieldState) -> None:
@@ -351,23 +308,25 @@ class SnapshotFold:
         if not self.started:
             self.started = True
             if _worker_fits():
-                try:
-                    self.worker = _SnapshotWorker(self.topology, self.m_max)
-                except OSError:
-                    pass
+                with contextlib.suppress(OSError):
+                    self.worker, self.pipe = _start_worker(self.topology, self.m_max)
             if self.worker is None:
                 self.workspace = SnapshotWorkspace(self.m_max, self.topology.n_sites)
         if self.worker is None:
             self.snaps.append(snapshot(state, self.topology, self.m_max, self.workspace))
             return
         self._collect()
-        self.worker.send(state)
+        self.pipe.send(state.time)
+        self.pipe.send_bytes(state.data)
         self.pending = True
 
     def _collect(self) -> None:
         if self.pending:
             self.pending = False
-            outcome = self.worker.receive()
+            try:
+                outcome = self.pipe.recv()
+            except (EOFError, ConnectionResetError):  # a killed worker: the latter if it left data unread
+                raise RuntimeError(f"the snapshot worker (pid {self.worker.pid}) ended before its answer") from None
             if isinstance(outcome, Exception):
                 raise outcome
             self.snaps.append(outcome)
@@ -388,6 +347,7 @@ class SnapshotFold:
             if self.worker is not None:
                 self.worker, worker = None, self.worker
                 self.pending = False
+                self.pipe.close()  # the end of its pipe ends the worker
                 worker.join()
 
 

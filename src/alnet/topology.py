@@ -29,8 +29,8 @@ integration.
 
 Every table derived from one topology is a cached property of the
 ``GraphTopology`` instance, built on first use and freed with it: the
-layout, ``site_gamma``, the single-run R (``couplings``), which the
-conserved quantities apply on every call, the bond groups that
+layout, ``site_gamma``, the tables of the single-run R, which
+``couplings`` wraps in a fresh R on every read, the bond groups that
 ``state.partial_norms`` sums and the ladder tables of ``conserved``.
 ``GraphTopology.vertex_distance`` holds each semi-infinite site's distance
 from its vertex (0 on internal bonds), so ``flatnonzero(vertex_distance <= W)``
@@ -202,9 +202,13 @@ class GraphTopology:
         return _frozen(np.sqrt(self.site_gamma), float)
 
     @cached_property
+    def _coupling_tables(self) -> tuple:
+        return _edge_tables((self,))
+
+    @property
     def couplings(self) -> CouplingCoefficients:
-        """This topology's R, ``coupling_coefficients(self)``, built on first use."""
-        return coupling_coefficients(self)
+        """This topology's R: its cached tables in a fresh R, so the topology holds no R that holds it."""
+        return CouplingCoefficients((self,), *self._coupling_tables)
 
     @cached_property
     def length_groups(self) -> tuple[list, np.ndarray, np.ndarray]:
@@ -354,6 +358,11 @@ def coupling_coefficients(*topologies: GraphTopology) -> CouplingCoefficients:
     nonlinearity strengths and are defined whether or not the sum rule
     holds.
     """
+    return CouplingCoefficients(topologies, *_edge_tables(topologies))
+
+
+def _edge_tables(topologies: tuple[GraphTopology, ...]) -> tuple:
+    """Every field of ``coupling_coefficients(*topologies)`` after ``topologies``."""
     if not topologies:
         raise InvalidParameterError("R needs at least one topology")
     if len({tuple((b.label, b.length, b.kind) for b in t.bonds) for t in topologies}) > 1:
@@ -390,7 +399,7 @@ def coupling_coefficients(*topologies: GraphTopology) -> CouplingCoefficients:
         gamma = _frozen(np.concatenate([t.site_gamma for t in topologies]), float)
     tables = (_frozen([r[0] for r in rows]), _frozen(edge_terms), _frozen(edge_zeros), _frozen(edge_groups))
     sums = slice(ends, ends + len(summed))
-    return CouplingCoefficients(topologies, gamma, _frozen(weights, float), *tables, sums)
+    return (gamma, _frozen(weights, float), *tables, sums)
 
 
 def _frozen(values, dtype=np.intp) -> np.ndarray:

@@ -81,19 +81,14 @@ def higher_constants_recursive(chain_field, m_max):
     return _ladder(q, ahead, m_max, np.zeros((2, 0), dtype=np.intp), np.ones(q.shape))
 
 
-def lax_tower(q, m_max, radius, points=128):
-    """C_1 .. C_m_max of a chain field from its Lax spectrum, in code that shares nothing with the ladder.
+def lax_log_a(q, radius, points=128):
+    """log a(z) of a chain field at ``points`` points z = radius e^(2 pi i k / points), k = 0, 1, ...
 
     The lattice's Lax matrix is L_n(z) = [[z, q_n], [-conj(q_n), 1/z]].
     The normalised Jost solution steps as a Riccati ratio w, 0 before the
     first site: a_n = 1 + q_n w / z, then w <- (-conj(q_n) / z + w / z^2) / a_n,
-    and log a(z) = sum_n log a_n.  Sampled at ``points`` points on |z| =
-    ``radius`` and inverted by ``np.fft.ifft``, the k-th entry times
-    radius^k is the z^(-k) coefficient of log a; the ladder's C_m (weight 1,
-    ahead conj(q_{n+1})) is the conjugate of the z^(-2m) one.  ``radius``
-    must lie well outside every zero of a(z) (a soliton of width beta sits
-    at |z| = e^(beta / 2)).  Also returns, per m, radius^(2m) max |log a|:
-    the scaling amplifies the rounding of log a by that much.
+    and log a(z) = sum_n log a_n.  Under the flow of the chain, log a is
+    one constant of motion for every z outside the zeros of a(z).
     """
     z = radius * np.exp(2j * np.pi * np.arange(points) / points)
     w = np.zeros(points, dtype=np.complex128)
@@ -102,6 +97,21 @@ def lax_tower(q, m_max, radius, points=128):
         a = 1.0 + qn * w / z
         log_a += np.log(a)
         w = (-np.conj(qn) / z + w / z**2) / a
+    return log_a
+
+
+def lax_tower(q, m_max, radius, points=128):
+    """C_1 .. C_m_max of a chain field from its Lax spectrum, in code that shares nothing with the ladder.
+
+    ``lax_log_a`` samples log a(z) at ``points`` points on |z| = ``radius``;
+    inverted by ``np.fft.ifft``, the k-th entry times radius^k is the
+    z^(-k) coefficient of log a; the ladder's C_m (weight 1, ahead
+    conj(q_{n+1})) is the conjugate of the z^(-2m) one.  ``radius``
+    must lie well outside every zero of a(z) (a soliton of width beta sits
+    at |z| = e^(beta / 2)).  Also returns, per m, radius^(2m) max |log a|:
+    the scaling amplifies the rounding of log a by that much.
+    """
+    log_a = lax_log_a(q, radius, points)
     coefficients = np.fft.ifft(log_a) * radius ** np.arange(points)
     orders = range(1, m_max + 1)
     scale = float(np.abs(log_a).max())

@@ -866,15 +866,22 @@ class TestAuditWorker:
         [("tree_audit", []), ("broken_rule", ["--t-final", "163", "--m-max", "6"])],
         ids=["tree-audit", "broken-rule"],
     )
-    def test_the_worker_writes_the_in_process_bytes(self, tmp_path, monkeypatch, worker_forks, name, extra):
+    def test_the_worker_writes_the_in_process_bytes(self, tmp_path, capfd, monkeypatch, worker_forks, name, extra):
+        # capfd reads file descriptors 1 and 2, which the worker shares
         argv = ["conserved-audit", "--config", str(CONFIGS / f"{name}.json"), *extra]
         assert run_cli([*argv, "--out", str(tmp_path / "worker")]) == EXIT_OK
         assert len(worker_forks) == 1
+        worker_out, worker_err = capfd.readouterr()
         monkeypatch.delattr(os, "fork")
         assert run_cli([*argv, "--out", str(tmp_path / "in-process")]) == EXIT_OK
         for file in ("drift.csv", "summary.json"):
             assert (tmp_path / "worker" / file).read_bytes() == (tmp_path / "in-process" / file).read_bytes()
         self.assert_no_child_is_left()
+        # nothing on stderr, and each wrote line once: the in-process run's stdout
+        assert worker_err == ""
+        wrote = [line for line in worker_out.splitlines() if line.startswith("wrote ")]
+        assert wrote and len(set(wrote)) == len(wrote)
+        assert worker_out.replace(str(tmp_path / "worker"), str(tmp_path / "in-process")) == capfd.readouterr().out
 
     def test_every_exit_leaves_no_child(self, tmp_path, capsys, monkeypatch, worker_forks):
         ok, _ = write_config(tmp_path, m_max=6)

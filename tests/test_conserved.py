@@ -1,4 +1,6 @@
+import errno
 import math
+import multiprocessing
 import os
 import signal
 
@@ -37,6 +39,7 @@ from conftest import (
     decaying_random_field,
     glued_state,
     higher_constants_recursive,
+    lax_log_a,
     norm,
     soliton_chain,
     stencil_constants,
@@ -287,6 +290,33 @@ class TestLaxOracle:
         assert residual < 1e-15
         assert_matches_the_lax_tower(snapshot(st, top, m_max=12).C, q, 1.6, first=2)
 
+    @staticmethod
+    def generating_function_gap(gammas):
+        """max over the run and |z| = 1.6 of |log a(z, t) - log a(z, 0)| on the unrolled q.
+
+        A beta 0.4 soliton (zero at |z| = 1.22) crosses the vertex of a
+        truncation-80 star by t = 40 (2000 steps at dt 0.02, an observation
+        every 100).
+        """
+        top = build_star(gammas, truncation=80)
+        launch = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.4, n0=-25.0), top)
+        config = SimConfig(dt=0.02, t_final=40.0, output_stride=100)
+        states = evolve(launch, coupling_coefficients(top), config)
+        logs = [lax_log_a(universal_chain_field(state, top)[0], 1.6) for state in states]
+        assert len(logs) == 21
+        return max(float(np.abs(log_a - logs[0]).max()) for log_a in logs)
+
+    def test_the_generating_function_is_one_constant(self):
+        # every C_m at once: on the (1, 1.5, 3) star the gap was 2.9e-8
+        # against |log a| of 0.57, RK4's error (it scales as dt^5: 9.1e-10
+        # at dt 0.01, 9.3e-7 at dt 0.04)
+        assert self.generating_function_gap((1.0, 1.5, 3.0)) <= 1e-7
+
+    def test_the_generating_function_drifts_off_the_sum_rule(self):
+        # the negative control: the (0.5, 1.5, 3) vertex reflects, and the
+        # unrolled q's log a moved by 0.498
+        assert self.generating_function_gap((0.5, 1.5, 3.0)) > 0.1
+
     def test_a_wrong_ladder_misses_the_tower(self):
         # the negative control: C_m of the field's complex conjugate (the
         # mirror-image flow) is another tower
@@ -329,6 +359,56 @@ class TestSnapshotFold:
                 fold.add(state)
             assert fold.worker is None
             assert fold.snapshots() == [snapshot(state, top, 8) for state in states]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds through /proc")
+    def test_a_failed_fork_runs_in_process_and_leaks_no_pipe_end(self, worker_forks, monkeypatch):
+        top, states = self.states()
+
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, "fork: no process slot")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        before = set(os.listdir("/proc/self/fd"))
+        with SnapshotFold(top, 8) as fold:
+            for state in states:
+                fold.add(state)
+            assert fold.worker is None and fold.pipe is None
+            snaps = fold.snapshots()
+        assert snaps == [snapshot(state, top, 8) for state in states]
+        # CPython's fork Popen opens two sentinel pipes before os.fork and
+        # closes neither when it raises; the fold's Pipe is a socket pair,
+        # and both of its ends must be closed
+        left = {fd: os.readlink(f"/proc/self/fd/{fd}") for fd in set(os.listdir("/proc/self/fd")) - before}
+        for fd in left:
+            os.close(int(fd))
+        assert all(target.startswith("pipe:") for target in left.values()), left
+
+    def test_a_daemonic_process_runs_in_process(self, worker_forks, monkeypatch):
+        # a daemonic multiprocessing process, a Pool's worker say, may not start children
+        top, states = self.states()
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        with SnapshotFold(top, 8) as fold:
+            for state in states:
+                fold.add(state)
+            assert fold.worker is None
+            assert fold.snapshots() == [snapshot(state, top, 8) for state in states]
+        assert worker_forks == []
+
+    def test_a_ctrl_c_at_the_worker_leaves_it_to_its_pipe(self, worker_forks, capfd):
+        # the terminal sends SIGINT to the whole process group; the parent's
+        # KeyboardInterrupt closes the pipe, so the worker ignores its own
+        top, states = self.states()
+        with SnapshotFold(top, 8) as fold:
+            fold.add(states[0])
+            fold.add(states[1])  # the worker has answered once, so it is in its loop
+            os.kill(worker_forks[0], signal.SIGINT)
+            for state in states[2:]:
+                fold.add(state)
+            snaps = fold.snapshots()
+        assert snaps == [snapshot(state, top, 8) for state in states]
+        assert capfd.readouterr() == ("", "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_the_error_in_flight_comes_first(self, worker_forks, monkeypatch):
         # the serial run fails at observation 1; a worker learns it only after

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from alnet import (
     BondSpec,
+    FieldState,
     GraphTopology,
     InvalidParameterError,
     SiteRangeError,
@@ -20,6 +23,7 @@ from alnet import (
     coupling_coefficients,
     is_reflectionless,
     site_offset,
+    snapshot,
     topology_from_dict,
 )
 from alnet.topology import (
@@ -235,15 +239,30 @@ class TestShiftOperator:
         assert abs(lhs - np.vdot(backward, y)) <= 1e-13 * abs(lhs)
 
     def test_built_once_per_topology(self):
-        # each instance keeps its own tables; an equal twin builds equal ones of its own
+        # each instance keeps its own tables, and each read of its R wraps
+        # them anew; an equal twin builds equal ones of its own
         top = build_star((1.0, 1.5, 3.0), truncation=20)
-        assert top.couplings is top.couplings and top.couplings.topology is top
+        assert top.couplings == top.couplings and top.couplings.topology is top
+        assert top.couplings.edge_terms is top.couplings.edge_terms
         assert top.length_groups is top.length_groups and top.vertex_tables is top.vertex_tables
         twin = build_star((1.0, 1.5, 3.0), truncation=20)
         assert twin is not top and twin == top and hash(twin) == hash(top)
-        assert twin.couplings is not top.couplings and twin.couplings == top.couplings
+        assert twin.couplings.edge_terms is not top.couplings.edge_terms and twin.couplings == top.couplings
         assert np.array_equal(twin.couplings.edge_terms, top.couplings.edge_terms)
         assert with_truncation(top, 21) != top
+
+    def test_a_topology_is_freed_without_the_cycle_collector(self):
+        # the topology caches R's tables, not R, which holds the topology
+        top = build_star((1.0, 1.5, 3.0), truncation=50)
+        state = FieldState(np.full(top.n_sites, 0.1 + 0j))
+        gc.disable()
+        try:
+            snapshot(state, top)
+            ref = weakref.ref(top)
+            del top
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_couplings_carry_their_topology(self):
         # two stars of one layout: R knows which gammas it was built from
