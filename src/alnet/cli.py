@@ -16,7 +16,12 @@ codes, messages and output are those of the serial audit.
 ``observe`` evolves every run, guards the truncated walls at each
 observation and holds only the states its ``SnapshotPicker`` keeps for
 the snapshot files; the picker refuses a snapshot time past the run's
-end before the first step.  Exit codes:
+end before the first step.  Each subcommand but ``sweep`` hands every
+final pick to the run's ``io.SnapshotFiles``, which on a big state
+formats its file in a forked child while the run steps on; ``run_cli``
+holds it around the run and the write, so that every exit, Ctrl-C
+included, ends its children and closes their files, and a failed run
+writes no output.  Exit codes:
 0 success, 1 invalid configuration, 2 numerical divergence, 3 inconclusive
 run.
 """
@@ -35,11 +40,12 @@ from .errors import (
     SiteRangeError,
     TopologyError,
 )
-from .experiments import broken_rule_run, observe, scattering_run, transmission_sweep
+from .experiments import HandOff, broken_rule_run, observe, scattering_run, transmission_sweep
 from .io import (
     DEFAULT_RATIO_GRID,
     RunConfig,
     RunOutputs,
+    SnapshotFiles,
     load_config,
     serialize_config,
     write_outputs,
@@ -93,11 +99,13 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _run_simulate(config: RunConfig) -> RunOutputs:
+def _run_simulate(config: RunConfig, hand_off: HandOff) -> RunOutputs:
     """evolve the configured soliton and record the field"""
     topology = config.topology
     launch = soliton_profile(config.soliton, topology)
-    [(times, series)], picker = observe([topology], launch, config.sim, config.snapshot_times)
+    [(times, series)], picker = observe(
+        [topology], launch, config.sim, config.snapshot_times, (), hand_off
+    )
     final = {label: float(norms[-1]) for label, norms in series.items()}
     total = sum(final.values())
     z = z_quantity(picker.last, topology)
@@ -117,10 +125,12 @@ def _run_simulate(config: RunConfig) -> RunOutputs:
     )
 
 
-def _run_bifurcation(config: RunConfig) -> RunOutputs:
+def _run_bifurcation(config: RunConfig, hand_off: HandOff) -> RunOutputs:
     """scatter a soliton off the vertex and report transmissions"""
     topology = config.topology
-    [report], picker = scattering_run([topology], config.soliton, config.sim, config.snapshot_times)
+    [report], picker = scattering_run(
+        [topology], config.soliton, config.sim, config.snapshot_times, (), hand_off
+    )
     gamma1 = topology.bond(ROOT_LABEL).gamma
     summary = {
         "experiment": "bifurcation",
@@ -141,7 +151,7 @@ def _run_bifurcation(config: RunConfig) -> RunOutputs:
     )
 
 
-def _run_sweep(config: RunConfig) -> RunOutputs:
+def _run_sweep(config: RunConfig, hand_off: HandOff) -> RunOutputs:
     """transmission versus coupling ratio over a grid"""
     topology = config.topology
     if len(topology.bonds) != 3 or len(topology.leaves) != 2:
@@ -157,11 +167,11 @@ def _run_sweep(config: RunConfig) -> RunOutputs:
     return RunOutputs(summary={"experiment": "sweep", "rows": [asdict(row) for row in rows]})
 
 
-def _run_broken_rule(config: RunConfig) -> RunOutputs:
+def _run_broken_rule(config: RunConfig, hand_off: HandOff) -> RunOutputs:
     """scattering with a violated sum rule; track reflection"""
     topology = config.topology
     report, peaks, snapshots = broken_rule_run(
-        topology, config.soliton, config.sim, config.snapshot_times
+        topology, config.soliton, config.sim, config.snapshot_times, hand_off
     )
     summary = {
         "experiment": "broken-rule",
@@ -184,12 +194,14 @@ def _run_broken_rule(config: RunConfig) -> RunOutputs:
     )
 
 
-def _run_conserved_audit(config: RunConfig) -> RunOutputs:
+def _run_conserved_audit(config: RunConfig, hand_off: HandOff) -> RunOutputs:
     """evolve and audit the conserved-quantity drifts"""
     topology = config.topology
     launch = soliton_profile(config.soliton, topology)
     with SnapshotFold(topology, config.m_max) as audit:
-        (norms,), picker = observe([topology], launch, config.sim, config.snapshot_times, [audit.add])
+        (norms,), picker = observe(
+            [topology], launch, config.sim, config.snapshot_times, [audit.add], hand_off
+        )
         report = drift_audit(audit.snapshots())
     summary = {
         "experiment": "conserved-audit",
@@ -225,9 +237,10 @@ def run_cli(argv=None) -> int:
         print(f"alnet: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        outputs = _DISPATCH[config.experiment](config)
-        outputs.config_echo = serialize_config(config)
-        manifest = write_outputs(outputs, config.out)
+        with SnapshotFiles(config.topology) as files:
+            outputs = _DISPATCH[config.experiment](config, files.add)
+            outputs.config_echo = serialize_config(config)
+            manifest = write_outputs(outputs, config.out)
     except (InvalidParameterError, TopologyError, SiteRangeError) as exc:
         print(f"alnet: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,11 +38,13 @@ state, and the run's snapshots at the end.  Where the machine has
 beside the integration, one in flight at a time, and raises each error
 in the serial run's order; elsewhere it calls ``snapshot`` in-process.
 Either way one ``SnapshotWorkspace``, the ladder's scratch, serves the
-whole run, and the snapshots are the same bits.
+whole run, and the snapshots are the same bits.  ``_fork`` starts the
+worker, and ``io``'s snapshot formatters too.
 
 Every table read here is a cached property of the topology, built on its
-first use: R's tables (``couplings`` wraps them), ``sqrt_gamma``, and the
-``vertex_tables`` that pair the sites across each vertex.
+first use: R's tables (``couplings`` wraps them), ``sqrt_gamma``, the
+ladder's weights ``ladder_weight`` and the ``vertex_tables`` that pair the
+sites across each vertex.
 
 The ladder assumes the field has decayed at the truncated ends; boundary
 sites contribute O(|q_end|^2).  ``conserved-audit`` enforces this: the
@@ -61,7 +63,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
 from .state import FieldState, _check_shape, partial_norms
-from .topology import GraphTopology, ROOT_LABEL
+from .topology import GraphTopology
 
 DRIFT_FLOOR = 1e-12
 # the ladder's scratch is two (m_max, n) complex buffers, 1 KB a site at this bound
@@ -202,9 +204,9 @@ def snapshot(
     r_psi = topology.couplings.forward(psi)
     z = complex(np.vdot(psi, r_psi))
     q = sqrt_gamma * psi
-    weight = topology.bond(ROOT_LABEL).gamma / topology.site_gamma
     try:
-        cs = _ladder(q, np.conj(sqrt_gamma * r_psi), m_max, topology.vertex_tables[0], weight, workspace)
+        ahead, entries = np.conj(sqrt_gamma * r_psi), topology.vertex_tables[0]
+        cs = _ladder(q, ahead, m_max, entries, topology.ladder_weight, workspace)
     except OverflowError:
         bond, site = topology.locate(int(np.argmax(np.abs(q))))
         raise DivergenceError(bond, site, state.time, f"C_{m_max} overflows at the largest |q|") from None
@@ -232,14 +234,43 @@ def _worker_fits() -> bool:
     return not multiprocessing.current_process().daemon
 
 
+def _ignoring_ctrl_c(target, *args) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    target(*args)
+
+
+def _fork(target, *args):
+    """``target(*args)`` in a started, daemonic fork-context ``multiprocessing.Process`` that ignores Ctrl-C.
+
+    The arguments pass through the fork, not through pickle.  Ctrl-C is
+    blocked in the parent across the fork and unblocked in the child once
+    it ignores it, so a Ctrl-C sent to the process group meanwhile reaches
+    the parent alone.  ``multiprocessing`` flushes stdio before the fork
+    and ends the child through ``os._exit``, so the child prints none of
+    the parent's output and runs none of its exit handlers.  A failed fork
+    raises OSError.
+    """
+    import multiprocessing
+
+    process = multiprocessing.get_context("fork").Process(
+        target=_ignoring_ctrl_c, args=(target, *args), daemon=True
+    )
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        process.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+    return process
+
+
 def _serve(topology: GraphTopology, m_max: int, parent_end, pipe) -> None:
     """The worker's loop: one snapshot per state received on ``pipe``, its outcome sent back on it.
 
     It ends at the end of the pipe, or when the parent closed it before
-    the answer; it ignores Ctrl-C, which ends the parent and so the pipe.
+    the answer; Ctrl-C ends the parent and so the pipe.
     """
     parent_end.close()  # else the worker holds its own pipe open and never reads its end
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     workspace = SnapshotWorkspace(m_max, topology.n_sites)
     data = np.empty(topology.n_sites, dtype=np.complex128)
     with contextlib.suppress(EOFError, ConnectionError):
@@ -255,23 +286,17 @@ def _serve(topology: GraphTopology, m_max: int, parent_end, pipe) -> None:
 
 
 def _start_worker(topology: GraphTopology, m_max: int):
-    """Start ``_serve`` in a fork-context ``multiprocessing.Process``: the process and its duplex ``Pipe``.
+    """Fork ``_serve``: the worker's process and the parent's end of its duplex ``Pipe``.
 
-    The worker's arguments pass through the fork, not through pickle, and
-    it runs under the errstate ``experiments.observe`` holds around its
-    folds.  ``multiprocessing`` flushes stdio before the fork and ends the
-    child through ``os._exit``, so the worker prints none of the parent's
-    output and runs none of its exit handlers.  A failed start closes both
-    ends of the pipe.
+    The worker runs under the errstate ``experiments.observe`` holds
+    around its folds.  A failed start closes both ends of the pipe.
     """
     import multiprocessing
 
-    context = multiprocessing.get_context("fork")
-    pipe, child_end = context.Pipe()
-    worker = context.Process(target=_serve, args=(topology, m_max, pipe, child_end), daemon=True)
+    pipe, child_end = multiprocessing.get_context("fork").Pipe()
     with child_end:
         try:
-            worker.start()
+            worker = _fork(_serve, topology, m_max, pipe, child_end)
         except BaseException:
             pipe.close()
             raise

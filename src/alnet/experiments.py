@@ -19,7 +19,13 @@ launch and reads each observed state once, for the partial norms, the
 boundary guard, the run's ``SnapshotPicker`` and the caller's folds
 (``broken_rule_run``'s ``_PeakTrack``s, ``conserved-audit``'s
 ``SnapshotFold``), so no run holds its trajectory.  A peak track is only such
-a fold: one ``add`` per observation and one ``series`` at the end.
+a fold: one ``add`` per observation and one ``series`` at the end.  The
+picker is a fold with a finality rule: as observation times only grow,
+the pick for a requested time is final at the first observation at or
+past it, or at the run's end, and each final pick goes once to the
+caller's ``hand_off`` (the CLI's ``io.SnapshotFiles``, which starts
+formatting its file), so the snapshot files need not wait for the run.
+The sweep discards its picks and passes no ``hand_off``.
 ``simulate`` and ``conserved-audit`` observe a plain ``soliton_profile``.
 ``scattering_run`` launches, observes and reports a scattering run, one
 topology or the runs of one stack of one layout, so a stacked run's
@@ -222,7 +228,10 @@ def _launch(
     return replace(config, t_final=t_final), FieldState(np.concatenate(launches))
 
 
-Snapshots = tuple[tuple[float, FieldState], ...]
+# (time, state) pairs, or (time, what the picker's hand_off returned for the state)
+Snapshots = tuple[tuple[float, object], ...]
+# takes a final pick, and whether only the run's last observation or its end made it final
+HandOff = Callable[[FieldState, bool], object]
 
 
 class SnapshotPicker:
@@ -234,28 +243,63 @@ class SnapshotPicker:
     for each requested time, the nearest state seen so far; of two equally
     near states the earlier stays.  With no requested times the run's
     start (t = 0) and end are requested: the first and last observations.
+
+    Observation times only grow, so the pick for a requested time t is
+    final at the first observation at or past t, or at the run's end,
+    which ``finish`` marks.  Each final pick goes once to ``hand_off``
+    with ``at_end`` False at the next observation, or at ``finish`` with
+    ``at_end`` True, the picks that only the last observation or the end
+    made final.  What ``hand_off`` returns is kept in place of the state;
+    without it the state is kept.
     """
 
-    def __init__(self, requested: Sequence[float], config: SimConfig):
+    def __init__(
+        self,
+        requested: Sequence[float],
+        config: SimConfig,
+        hand_off: HandOff | None = None,
+    ):
         end = config.n_steps * config.dt
         for t in requested:
             # counted in steps, since the accumulated time drifts off the dt grid
             if round((t - end) / config.dt) > config.output_stride:
                 raise InvalidParameterError(f"snapshot time {t:g} lies past the run's end {end:g}")
-        self.requested = tuple(requested) or (0.0, end)
-        self.nearest: list[FieldState | None] = [None] * len(self.requested)
+        self.hand_off = hand_off
+        # each requested time that a later observation may still decide, with its nearest state so far
+        self.open: list[tuple[float, FieldState | None]] = [(t, None) for t in requested or (0.0, end)]
+        self.final: dict[float, FieldState] = {}  # by time: final picks not yet handed off
+        self.kept: dict[float, object] = {}  # by time: what ``picks`` returns
         self.last: FieldState | None = None
 
     def add(self, state: FieldState) -> None:
-        for i, t in enumerate(self.requested):
-            kept = self.nearest[i]
+        self._pass_on(at_end=False)
+        still_open = []
+        for t, kept in self.open:
             if kept is None or abs(state.time - t) < abs(kept.time - t):
-                self.nearest[i] = state
+                kept = state
+            if state.time >= t:
+                self.final[kept.time] = kept
+            else:
+                still_open.append((t, kept))
+        self.open = still_open
         self.last = state
 
+    def finish(self) -> None:
+        """Mark the run's end: every pick is final, and the ones not yet handed off go now."""
+        for _, kept in self.open:
+            self.final[kept.time] = kept
+        self.open = []
+        self._pass_on(at_end=True)
+
+    def _pass_on(self, at_end: bool) -> None:
+        for time, state in self.final.items():
+            if time not in self.kept:
+                self.kept[time] = state if self.hand_off is None else self.hand_off(state, at_end)
+        self.final = {}
+
     def picks(self) -> Snapshots:
-        """The kept ``(time, state)`` pairs, one per observation, in time order."""
-        return tuple(sorted({state.time: state for state in self.nearest}.items()))
+        """The kept ``(time, state)`` pairs of a finished run, one per observation, in time order."""
+        return tuple(sorted(self.kept.items()))
 
 
 def observe(
@@ -264,19 +308,21 @@ def observe(
     config: SimConfig,
     snapshot_times: Sequence[float] = (),
     folds: Sequence[Callable[[FieldState], None]] = (),
+    hand_off: HandOff | None = None,
 ) -> tuple[list[tuple[np.ndarray, dict[str, np.ndarray]]], SnapshotPicker]:
     """Evolve ``launch`` under ``config`` and read its observed states once, in order.
 
     ``launch`` is one run on ``topologies[0]`` or a stack of runs back to
-    back, run b on ``topologies[b]``.  The run's ``SnapshotPicker`` is
-    built first, so its refusals come before the first step.  At each
+    back, run b on ``topologies[b]``.  The run's ``SnapshotPicker``, which
+    passes each final pick to ``hand_off``, is built first, so its
+    refusals come before the first step.  At each
     observation every run, in stack order, adds one row of partial norms
     and passes the boundary guard (InconclusiveRunError names the first
     run whose field reached a truncated end); then the picker and each
     fold get the state.  Returns each run's times and per-bond series, and
-    the picker.  An overflow raises DivergenceError, not a warning.
+    the finished picker.  An overflow raises DivergenceError, not a warning.
     """
-    picker = SnapshotPicker(snapshot_times, config)
+    picker = SnapshotPicker(snapshot_times, config, hand_off)
     times, rows = [], [[] for _ in topologies]
     with np.errstate(over="ignore", invalid="ignore"):
         for state in evolve(launch, coupling_coefficients(*topologies), config):
@@ -288,6 +334,7 @@ def observe(
             picker.add(state)
             for fold in folds:
                 fold(state)
+    picker.finish()
     times = np.array(times)
     runs = [(times, dict(zip(top.labels, np.array(r).T))) for r, top in zip(rows, topologies)]
     return runs, picker
@@ -313,6 +360,7 @@ def scattering_run(
     config: SimConfig,
     snapshot_times: Sequence[float] = (),
     folds: Sequence[Callable[[FieldState], None]] = (),
+    hand_off: HandOff | None = None,
 ) -> tuple[list[TransmissionReport], SnapshotPicker]:
     """Launch, evolve, observe and account one scattering run, or a stack of them.
 
@@ -320,13 +368,13 @@ def scattering_run(
     one stacked state, back to back, with one shared measurement time, derived
     before the first step, so a snapshot time past it raises
     InvalidParameterError before anything is integrated.  ``observe``
-    runs it and hands each observed state to the run's ``SnapshotPicker``
-    and then to ``folds``; a failure names the first failing run's bond.
-    Returns one report per topology and the picker, whose ``picks()`` are
-    the kept snapshots.
+    runs it and hands each observed state to the run's ``SnapshotPicker``,
+    which passes its final picks to ``hand_off``, and then to ``folds``; a
+    failure names the first failing run's bond.  Returns one report per
+    topology and the picker, whose ``picks()`` are the kept snapshots.
     """
     run_cfg, launch = _launch(topologies, soliton, config)
-    runs, picker = observe(topologies, launch, run_cfg, snapshot_times, folds)
+    runs, picker = observe(topologies, launch, run_cfg, snapshot_times, folds, hand_off)
     return [_report(norms, top, run_cfg.t_final) for norms, top in zip(runs, topologies)], picker
 
 
@@ -394,6 +442,7 @@ def broken_rule_run(
     soliton: SolitonParams,
     config: SimConfig,
     snapshot_times: Sequence[float] = (),
+    hand_off: HandOff | None = None,
 ) -> tuple[TransmissionReport, dict[str, PeakSeries], Snapshots]:
     """Scatter off couplings that violate the sum rule and track the peaks.
 
@@ -404,7 +453,8 @@ def broken_rule_run(
     vertex) and the transmitted peak on every leaf.  The report carries
     the radiation estimate: the norm fraction outside every peak window at
     the last observation.  Returns the report, the peak series keyed by
-    bond label, and the snapshots as ``scattering_run`` does.
+    bond label, and the snapshots as ``scattering_run`` does, each final
+    pick passed to ``hand_off`` as it comes.
     """
     if is_reflectionless(topology):
         raise InvalidParameterError(
@@ -419,7 +469,7 @@ def broken_rule_run(
         for label in (ROOT_LABEL, *topology.leaves)
     }
     folds = [track.add for track in tracks.values()]
-    [report], picker = scattering_run([topology], soliton, config, snapshot_times, folds)
+    [report], picker = scattering_run([topology], soliton, config, snapshot_times, folds, hand_off)
     series = {label: track.series() for label, track in tracks.items()}
     peak_norm = 0.0
     for label, ps in series.items():

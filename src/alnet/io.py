@@ -6,6 +6,16 @@ parses back to the exact binary value.  File names and row order are
 fully deterministic: identical configs produce bitwise-identical files.
 Each file is written whole or not at all: it goes to a hidden ``.part``
 sibling first and is renamed over its name only once complete.
+
+A snapshot file holds one row per lattice site, and on a big state most
+of its time is the float format of those rows.  ``SnapshotFiles`` takes
+each of a run's picks as soon as no later observation can replace it and,
+on a state of at least ``FORK_SITES`` sites, has a forked child format
+its rows into an unlinked temporary file while the run steps on; a pick
+final only at the run's end is split, half to a child and half formatted
+here.  ``write_outputs`` copies each child's file into the ``.part``
+file after the rows it formats itself, so the bytes are those of the
+in-process format.
 """
 
 from __future__ import annotations
@@ -14,23 +24,29 @@ import contextlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .conserved import DriftReport, _check_m_max
+from .conserved import DriftReport, _check_m_max, _fork, _worker_fits
 from .dynamics import SimConfig
 from .errors import InvalidParameterError, TopologyError
 from .soliton import SolitonParams
-from .state import FieldState, bond_field
+from .state import FieldState
 from .topology import BondSpec, GraphTopology, build_star, build_tree
 
 EXPERIMENTS = ("simulate", "bifurcation", "sweep", "broken-rule", "conserved-audit")
 DEFAULT_RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # what write_outputs may write besides summary.json, which every run writes
 OUTPUT_FILES = ("config_echo.json", "partial_norms.csv", "drift.csv", "snapshots/t_*.csv")
+# the fewest sites of a state whose snapshot rows a forked child formats.  On 2 vCPUs a
+# fork costs the run about 7 ms, its start and the copy-on-write faults after it; on
+# runs as long as fig4's (16k steps) forking lost at 1200 sites and broke even from
+# 6000 to 12000, and on big-star's 400-step runs it won from 1200 sites up
+FORK_SITES = 20000
 
 
 @dataclass(frozen=True)
@@ -177,15 +193,16 @@ class RunOutputs:
     """Everything one experiment wants on disk.
 
     ``partial_norms`` is (times, {bond label: series}); ``snapshots`` is a
-    sequence of (time, state) pairs and needs ``topology`` for the flat
-    layout.  Only ``summary`` is mandatory.
+    sequence of (time, rows) pairs, each rows a state or the
+    ``SnapshotRows`` that ``SnapshotFiles.add`` returned for it, and needs
+    ``topology`` for the flat layout.  Only ``summary`` is mandatory.
     """
 
     summary: dict
     config_echo: dict | None = None
     partial_norms: tuple[np.ndarray, dict[str, np.ndarray]] | None = None
     drift: DriftReport | None = None
-    snapshots: tuple[tuple[float, FieldState], ...] = ()
+    snapshots: tuple[tuple[float, FieldState | SnapshotRows], ...] = ()
     topology: GraphTopology | None = None
 
 
@@ -193,21 +210,134 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_text(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _snapshot_chunks(state: FieldState, topology: GraphTopology) -> Iterator[str]:
-    """A snapshot CSV's header, then one chunk of rows per bond."""
-    yield "bond,site,re,im\n"
+def _snapshot_rows(state: FieldState, topology: GraphTopology, start: int, stop: int) -> str:
+    """Rows ``[start, stop)`` of a snapshot CSV, one ``bond,site,re,im`` row per flat site.
+
+    A row whose two words are both +0 is ``bond,site,0,0``, the text that
+    ``.17g`` gives them, written without a float format.
+    """
+    chunks = []
     for label in topology.labels:
-        a = bond_field(state, topology, label)
-        yield "".join(
-            f"{label},{site},{re:.17g},{im:.17g}\n"
-            for site, re, im in zip(
-                topology.site_coordinates(label).tolist(), a.real.tolist(), a.imag.tolist()
-            )
-        )
+        bond = topology.slices[label]
+        lo, hi = max(bond.start, start), min(bond.stop, stop)
+        if lo >= hi:
+            continue
+        a = state.data[lo:hi]
+        zero = ~a.view(np.uint64).reshape(-1, 2).any(axis=1)
+        sites = topology.site_coordinates(label)[lo - bond.start : hi - bond.start]
+        chunks.append("".join(
+            f"{label},{site},0,0\n" if z else f"{label},{site},{re:.17g},{im:.17g}\n"
+            for site, re, im, z in zip(sites.tolist(), a.real.tolist(), a.imag.tolist(), zero.tolist())
+        ))
+    return "".join(chunks)
+
+
+def _format_into(file, state: FieldState, topology: GraphTopology, start: int, stop: int) -> None:
+    """A formatter child's work: rows ``[start, stop)`` of ``state`` into ``file``."""
+    file.write(_snapshot_rows(state, topology, start, stop).encode())
+    file.flush()
+
+
+class SnapshotRows:
+    """The rows of one snapshot file: a range that a forked child formats, the rest formatted here.
+
+    ``fork`` hands rows ``[start, n)`` to a child that writes them into an
+    unlinked temporary file; ``chunks`` formats rows ``[0, start)`` itself,
+    then waits for the child and copies its file.  A failed fork, or a
+    child that exits nonzero, leaves every row to be formatted here, so the
+    bytes are the same either way.  Once a child has written every row,
+    the state is dropped.  ``close`` ends a child still running and closes
+    its file.
+    """
+
+    def __init__(self, state: FieldState, topology: GraphTopology):
+        self.state, self.topology = state, topology
+        self.start = topology.n_sites  # the child's first row
+        self.child = self.file = None
+
+    def fork(self, start: int) -> None:
+        with contextlib.suppress(OSError):
+            file = tempfile.TemporaryFile()
+            try:
+                self.child = _fork(_format_into, file, self.state, self.topology, start, self.topology.n_sites)
+            except BaseException:
+                file.close()
+                raise
+            self.file, self.start = file, start
+
+    def settle(self, wait: bool) -> None:
+        """Reap a child that has ended, after waiting for it if ``wait``: keep its file, or fall back."""
+        if self.child is None or not wait and self.child.exitcode is None:
+            return
+        self.child.join()
+        if self.child.exitcode != 0:
+            self.file.close()
+            self.file, self.start = None, self.topology.n_sites
+        elif self.start == 0:
+            self.state = None
+        self.child.close()
+        self.child = None
+
+    def chunks(self) -> Iterator[bytes]:
+        start, n = self.start, self.topology.n_sites
+        yield b"bond,site,re,im\n"
+        if start:
+            yield _snapshot_rows(self.state, self.topology, 0, start).encode()
+        self.settle(wait=True)
+        if self.file is not None:
+            self.file.seek(0)
+            yield from iter(lambda: self.file.read(1 << 20), b"")
+        elif start < n:  # the child failed: its rows too
+            yield _snapshot_rows(self.state, self.topology, start, n).encode()
+
+    def close(self) -> None:
+        if self.child is not None:
+            self.child.terminate()
+            self.settle(wait=True)
+        if self.file is not None:
+            self.file.close()
+            self.file = None
+
+
+class SnapshotFiles:
+    """The snapshot files of one run: ``add`` takes each pick once it is final, and starts its formatting.
+
+    On a state of at least ``FORK_SITES`` sites, where
+    ``conserved._worker_fits`` allows a child beside the run, a pick made
+    final before the run's last observation goes whole to a forked
+    formatter; one final only at the run's end is split, its second half
+    to a child and its first half formatted in ``write_outputs``.  A
+    smaller state is formatted whole in ``write_outputs``.  ``add`` returns
+    the file's ``SnapshotRows``, what ``write_outputs`` takes in place of
+    the state, and first reaps the children that have ended.  Use it as
+    a context manager: leaving it ends every child and closes its file,
+    on every exit.
+    """
+
+    def __init__(self, topology: GraphTopology):
+        self.topology = topology
+        self.files: list[SnapshotRows] = []
+
+    def add(self, state: FieldState, at_end: bool) -> SnapshotRows:
+        for rows in self.files:
+            rows.settle(wait=False)
+        rows = SnapshotRows(state, self.topology)
+        n = self.topology.n_sites
+        if n >= FORK_SITES and _worker_fits():
+            rows.fork(n // 2 if at_end else 0)
+        self.files.append(rows)
+        return rows
+
+    def __enter__(self) -> "SnapshotFiles":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for rows in self.files:
+            rows.close()
 
 
 def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
@@ -240,12 +370,12 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
         root.mkdir(parents=True, exist_ok=True)
         manifest: list[str] = []
 
-        def emit(name: str, chunks: Iterable[str]):
+        def emit(name: str, chunks: Iterable[bytes]):
             target = root / name
             target.parent.mkdir(parents=True, exist_ok=True)
             part = target.with_name(f".{target.name}.part")
             try:
-                with open(part, "w") as fh:
+                with open(part, "wb") as fh:
                     fh.writelines(chunks)
                 os.replace(part, target)
             finally:
@@ -262,7 +392,7 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
             for i, t in enumerate(times):
                 row = [series[l][i] for l in labels]
                 lines.append(",".join(_fmt(x) for x in [t, *row, sum(row)]))
-            emit("partial_norms.csv", ["\n".join(lines) + "\n"])
+            emit("partial_norms.csv", [("\n".join(lines) + "\n").encode()])
         if outputs.drift is not None:
             snaps = outputs.drift.snapshots
             n_c = len(snaps[0].C) if snaps else 0
@@ -275,9 +405,11 @@ def write_outputs(outputs: RunOutputs, directory: str | Path) -> list[str]:
                 for c in s.C:
                     row += [c.real, c.imag]
                 lines.append(",".join(_fmt(x) for x in row))
-            emit("drift.csv", ["\n".join(lines) + "\n"])
-        for name, (_, state) in zip(snapshot_files, outputs.snapshots):
-            emit(name, _snapshot_chunks(state, outputs.topology))
+            emit("drift.csv", [("\n".join(lines) + "\n").encode()])
+        for name, (_, rows) in zip(snapshot_files, outputs.snapshots):
+            if isinstance(rows, FieldState):
+                rows = SnapshotRows(rows, outputs.topology)
+            emit(name, rows.chunks())
         written = set(manifest)
         for path in (p for pattern in OUTPUT_FILES for p in root.glob(pattern)):
             if path.is_file() and path.relative_to(root).as_posix() not in written:

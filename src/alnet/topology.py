@@ -202,6 +202,11 @@ class GraphTopology:
         return _frozen(np.sqrt(self.site_gamma), float)
 
     @cached_property
+    def ladder_weight(self) -> np.ndarray:
+        """Per flat site, ``gamma_1 / gamma``: the weight w of ``conserved``'s ladder."""
+        return _frozen(self.bond(ROOT_LABEL).gamma / self.site_gamma, float)
+
+    @cached_property
     def _coupling_tables(self) -> tuple:
         return _edge_tables((self,))
 

@@ -1,16 +1,22 @@
+import contextlib
 import filecmp
 import json
 import math
 import os
 import pickle
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import alnet
 from alnet import (
@@ -22,7 +28,9 @@ from alnet import (
     RunOutputs,
     SimConfig,
     SolitonParams,
+    bond_field,
     build_chain,
+    build_star,
     load_config,
     parse_config,
     serialize_config,
@@ -38,7 +46,7 @@ from alnet.cli import (
 )
 from alnet.conserved import M_MAX_LIMIT
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
-from conftest import ALPHA_FIG4, audit, zero_state
+from conftest import ALPHA_FIG4, PROPERTY_SETTINGS, audit, zero_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -306,11 +314,10 @@ class TestWriteOutputs:
         write_outputs(outputs, tmp_path)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
-        def failing(state, topology):
-            yield "bond,site,re,im\n"
-            raise OSError("No space left on device")
+        def failing(state, topology, start, stop):
+            raise OSError("No space left on device")  # after the header
 
-        monkeypatch.setattr("alnet.io._snapshot_chunks", failing)
+        monkeypatch.setattr("alnet.io._snapshot_rows", failing)
         with pytest.raises(InvalidParameterError, match="No space left"):
             write_outputs(outputs, tmp_path)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
@@ -322,11 +329,10 @@ class TestWriteOutputs:
         top = build_chain(2.0, truncation=3)
         outputs = RunOutputs(summary={}, snapshots=((0.0, zero_state(top)),), topology=top)
 
-        def failing(state, topology):
-            yield "bond,site,re,im\n"
-            raise OSError("No space left on device")
+        def failing(state, topology, start, stop):
+            raise OSError("No space left on device")  # after the header
 
-        monkeypatch.setattr("alnet.io._snapshot_chunks", failing)
+        monkeypatch.setattr("alnet.io._snapshot_rows", failing)
         with pytest.raises(InvalidParameterError, match="No space left"):
             write_outputs(outputs, tmp_path / "fresh")
         assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == ["summary.json"]
@@ -335,6 +341,30 @@ class TestWriteOutputs:
         with pytest.raises(InvalidParameterError, match="No space left"):
             write_outputs(outputs, tmp_path / "kept")
         assert (tmp_path / "kept" / "snapshots").is_dir()
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_row_ranges_join_to_the_plain_rows(self, data):
+        top = build_star((1.0, 1.5, 3.0), truncation=3)
+        word = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        words = st.lists(word, min_size=top.n_sites, max_size=top.n_sites)
+        state = zero_state(top)
+        state.data.real, state.data.imag = data.draw(words), data.draw(words)
+        split = data.draw(st.integers(0, top.n_sites))
+        plain = "".join(
+            f"{label},{site},{re:.17g},{im:.17g}\n"
+            for label in top.labels
+            for site, re, im in zip(
+                top.site_coordinates(label).tolist(),
+                bond_field(state, top, label).real.tolist(),
+                bond_field(state, top, label).imag.tolist(),
+            )
+        )
+        rows = alnet.io._snapshot_rows
+        assert rows(state, top, 0, split) + rows(state, top, split, top.n_sites) == plain
 
     def test_unwritable_directory_is_a_config_error(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -954,3 +984,116 @@ class TestAuditWorker:
         assert "truncated end of bond '1'" in capsys.readouterr().err
         assert worker_forks == []
         self.assert_no_child_is_left()
+
+
+def temp_fds() -> list[str]:
+    """What this process's open descriptors name under the temporary directory."""
+    fds = Path("/proc/self/fd")
+    names = []
+    for fd in fds.iterdir():
+        with contextlib.suppress(OSError):
+            names.append(os.readlink(fd))
+    return sorted(name for name in names if name.startswith(tempfile.gettempdir()))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="reads the open descriptors in /proc")
+class TestFormatterChildren:
+    """Snapshot files formatted by forked children: ``FORK_SITES`` at 0 forks one for every file."""
+
+    CHAIN = ["--config", str(CONFIGS / "chain.json")]  # snapshots at 0, 25 and 50 of 50
+
+    @pytest.fixture
+    def formatter_forks(self, monkeypatch, worker_forks):
+        monkeypatch.setattr("alnet.io.FORK_SITES", 0)
+        return worker_forks
+
+    @pytest.mark.parametrize("failure", ["guard", "divergence"])
+    def test_a_run_that_fails_after_a_handoff_writes_nothing(self, tmp_path, capsys, monkeypatch, formatter_forks, failure):
+        # the picks at 0, 25 and 50 go to children at the observations 5, 30 and 55
+        out = tmp_path / "out"
+        before = temp_fds()
+        if failure == "guard":
+            expected, forks = EXIT_INCONCLUSIVE, 3  # the field reaches the wall at t = 120
+        else:
+            guard, calls = alnet.experiments._check_boundaries, []
+
+            def diverging(*args):
+                calls.append(args)
+                if len(calls) == 8:  # t = 35
+                    raise DivergenceError("11", 3, 35.0, "planted")
+                guard(*args)
+
+            monkeypatch.setattr("alnet.experiments._check_boundaries", diverging)
+            expected, forks = EXIT_NUMERICAL, 2
+        assert run_cli(["simulate", *TestAuditWorker.WALL, "--out", str(out)]) == expected
+        capsys.readouterr()
+        assert len(formatter_forks) == forks
+        assert not out.exists()
+        TestAuditWorker.assert_no_child_is_left()
+        assert temp_fds() == before
+
+    def test_a_failed_fork_or_child_falls_back_to_in_process(self, tmp_path, capfd, monkeypatch, formatter_forks):
+        out = tmp_path / "out"
+        argv = ["simulate", *self.CHAIN, "--out", str(out)]
+        with monkeypatch.context() as in_process:
+            in_process.setattr("alnet.io.FORK_SITES", 10**12)
+            assert run_cli(argv) == EXIT_OK
+        reference = {p: p.read_bytes() for p in out.rglob("*.csv")}
+        stdout = capfd.readouterr().out
+        before = temp_fds()
+
+        def no_fork():
+            raise OSError("Resource temporarily unavailable")
+
+        with monkeypatch.context() as failing:
+            failing.setattr(os, "fork", no_fork)
+            assert run_cli(argv) == EXIT_OK
+        assert formatter_forks == []
+        monkeypatch.setattr("alnet.io._format_into", lambda *args: sys.exit(3))
+        assert run_cli(argv) == EXIT_OK
+        assert len(formatter_forks) == 3
+        assert {p: p.read_bytes() for p in out.rglob("*.csv")} == reference
+        assert capfd.readouterr() == (stdout * 2, "")
+        TestAuditWorker.assert_no_child_is_left()
+        assert temp_fds() == before
+
+    def test_ctrl_c_to_the_group_prints_nothing_from_a_formatter(self, tmp_path):
+        # a formatter that survives a Ctrl-C of its own, then lives until it
+        # is ended: the run waits for it in the write
+        marker = tmp_path / "formatter.pid"
+        code = "\n".join([
+            "import os, signal, time",
+            "import alnet.io",
+            "from alnet.cli import main",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "alnet.io.FORK_SITES = 0",
+            "def sleeping(*args):",
+            "    os.kill(os.getpid(), signal.SIGINT)",
+            f"    with open({str(marker)!r}, 'a') as fh:",
+            "        fh.write(f'{os.getpid()}\\n')",
+            "    time.sleep(60)",
+            "alnet.io._format_into = sleeping",
+            "main()",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(alnet.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "simulate", *self.CHAIN, "--out", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+        )
+        try:
+            for _ in range(200):
+                if marker.exists():
+                    break
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode != 0 and stdout == ""
+        # the parent's own KeyboardInterrupt, and no line from a child
+        assert stderr.count("Traceback") == 1 and stderr.rstrip().endswith("KeyboardInterrupt")
+        assert "Process" not in stderr
+        for pid in map(int, marker.read_text().split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert not (tmp_path / "out").exists()

@@ -8,6 +8,7 @@ from alnet import (
     InconclusiveRunError,
     InvalidParameterError,
     SimConfig,
+    SnapshotPicker,
     SolitonParams,
     broken_rule_run,
     build_chain,
@@ -305,3 +306,27 @@ class TestBrokenRule:
             assert peaks[leaf].velocity == pytest.approx(
                 INCIDENT.velocity, rel=0.05
             )
+
+
+class TestSnapshotPicker:
+    def test_each_pick_goes_once_as_soon_as_no_later_observation_can_replace_it(self):
+        # observations at 0, 0.5, .., 2; 0.75 ties 0.5 and 1.0, and the earlier stays
+        config = SimConfig(dt=0.5, t_final=2.0, output_stride=1)
+        handed, events = [], []
+
+        def hand_off(state, at_end):
+            handed.append((state.time, at_end))
+            return f"rows of {state.time}"
+
+        picker = SnapshotPicker((0.0, 0.6, 0.75, 2.0, 2.3), config, hand_off)
+        for i in range(5):
+            picker.add(FieldState(np.zeros(2, dtype=np.complex128), 0.5 * i))
+            events.append(list(handed))
+        picker.finish()
+        # 0 is final at its own observation and goes at the next; 0.6 and 0.75
+        # share 0.5, final at 1.0; 2.0 and 2.3 share the last observation,
+        # which the end hands off
+        assert events == [[], [(0.0, False)], [(0.0, False)], [(0.0, False), (0.5, False)],
+                          [(0.0, False), (0.5, False)]]
+        assert handed == [(0.0, False), (0.5, False), (2.0, True)]
+        assert picker.picks() == ((0.0, "rows of 0.0"), (0.5, "rows of 0.5"), (2.0, "rows of 2.0"))

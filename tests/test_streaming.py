@@ -3,11 +3,13 @@
 Each single-run subcommand reads ``evolve``'s states once and keeps only
 what its outputs need.  These tests rebuild every output file from
 ``list(evolve(...))`` with the nearest-observation rule applied to the
-whole list, and require the CLI's files to match byte for byte.  A
-tracemalloc check pins that a run holds no trajectory.
+whole list, and require the CLI's files to match byte for byte, also
+with every snapshot file formatted by a forked child.  A tracemalloc
+check pins that a run holds no trajectory.
 """
 
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -188,3 +190,26 @@ def test_audit_holds_no_trajectory(tmp_path):
     # about 24 states' worth: the step workspace, the hierarchy's temporaries,
     # the two kept snapshots and ~1 kB of drift and norm rows per observation
     assert peak < 48 * state_bytes, f"peak {peak / state_bytes:.1f} states"
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_forked_formatters_write_the_list_paths_bytes(tmp_path, capfd, monkeypatch, worker_forks, command):
+    # every snapshot file formatted in a forked child, whatever the state's size
+    monkeypatch.setattr("alnet.io.FORK_SITES", 0)
+    path = tmp_path / "config.json"
+    out = tmp_path / "streamed"
+    path.write_text(json.dumps(dict(CASES[command], experiment=command, out=str(out))))
+    assert run_cli([command, "--config", str(path)]) == EXIT_OK
+    stdout, stderr = capfd.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    listed = tmp_path / "listed"
+    write_outputs(listed_outputs(command, load_config(path), summary), listed)
+    streamed_files = files_of(out)
+    assert streamed_files == files_of(listed)
+    snapshots = [name for name in streamed_files if name.startswith("snapshots/")]
+    assert len(worker_forks) == len(snapshots) + (command == "conserved-audit")
+    assert stderr == ""
+    wrote = [line for line in stdout.splitlines() if line.startswith("wrote ")]
+    assert len(set(wrote)) == len(wrote) == len(streamed_files)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
