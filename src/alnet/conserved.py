@@ -39,7 +39,9 @@ beside the integration, one in flight at a time, and raises each error
 in the serial run's order; elsewhere it calls ``snapshot`` in-process.
 Either way one ``SnapshotWorkspace``, the ladder's scratch, serves the
 whole run, and the snapshots are the same bits.  ``_fork`` starts the
-worker, and ``io``'s snapshot formatters too.
+worker, and ``io``'s snapshot formatters and ``dynamics``' far-tail
+stepper too; ``FORK_SITES`` is the state size from which the latter two
+fork.
 
 Every table read here is a cached property of the topology, built on its
 first use: R's tables (``couplings`` wraps them), ``sqrt_gamma``, the
@@ -221,6 +223,14 @@ def snapshot(
     )
 
 
+# the fewest sites of a state whose snapshot rows ``io`` hands to a forked formatter, and
+# of a window whose far tails ``dynamics.evolve`` hands to a forked stepper.  On 2 vCPUs a
+# fork costs the run about 7 ms, its start and the copy-on-write faults after it; on
+# runs as long as fig4's (16k steps) forking a formatter lost at 1200 sites and broke
+# even from 6000 to 12000, and on big-star's 400-step runs it won from 1200 sites up
+FORK_SITES = 20000
+
+
 def _worker_fits() -> bool:
     """Whether a forked worker can run beside the integration: ``os.fork``, two usable CPUs, and
     a process that may have children, which a daemonic ``multiprocessing`` process may not."""
@@ -285,22 +295,23 @@ def _serve(topology: GraphTopology, m_max: int, parent_end, pipe) -> None:
             pipe.send(outcome)
 
 
-def _start_worker(topology: GraphTopology, m_max: int):
-    """Fork ``_serve``: the worker's process and the parent's end of its duplex ``Pipe``.
+def _fork_piped(target, *args, duplex: bool = True):
+    """Fork ``target(*args, parent_end, child_end)`` on a new ``Pipe``: the child's process and ``parent_end``.
 
-    The worker runs under the errstate ``experiments.observe`` holds
-    around its folds.  A failed start closes both ends of the pipe.
+    Without ``duplex``, ``parent_end`` reads what ``child_end`` writes.
+    The child closes its copy of ``parent_end``, so that the parent's
+    close ends the pipe.  A failed start closes both ends.
     """
     import multiprocessing
 
-    pipe, child_end = multiprocessing.get_context("fork").Pipe()
+    parent_end, child_end = multiprocessing.get_context("fork").Pipe(duplex)
     with child_end:
         try:
-            worker = _fork(_serve, topology, m_max, pipe, child_end)
+            process = _fork(target, *args, parent_end, child_end)
         except BaseException:
-            pipe.close()
+            parent_end.close()
             raise
-    return worker, pipe
+    return process, parent_end
 
 
 class SnapshotFold:
@@ -334,7 +345,7 @@ class SnapshotFold:
             self.started = True
             if _worker_fits():
                 with contextlib.suppress(OSError):
-                    self.worker, self.pipe = _start_worker(self.topology, self.m_max)
+                    self.worker, self.pipe = _fork_piped(_serve, self.topology, self.m_max)
             if self.worker is None:
                 self.workspace = SnapshotWorkspace(self.m_max, self.topology.n_sites)
         if self.worker is None:

@@ -47,7 +47,7 @@ layout: W is the reach plus a band of
 ``4 * output_stride + 1`` sites, or the full truncation when that is no
 shorter.  Each observed state is written back into the full
 layout, +0 beyond the window.  The windowed run equals the full run bit
-for bit, by three facts:
+for bit, by three facts, and a fourth makes a split of it exact:
 
 * one RK4 step spreads the support by at most 4 graph sites (one per
   stage), so over the at most ``output_stride`` steps of a stretch the
@@ -65,19 +65,56 @@ field that reaches any of them (every run at the paper's sizes) costs one
 gather per observation.  A stack windows on the union of its runs.
 Nothing is replayed: the band covers each stretch, and the next window is
 chosen from the exact state at its start, wider when the field has spread.
+
+A window of at least ``conserved.FORK_SITES`` sites, where
+``conserved._worker_fits`` allows a child, steps on both CPUs.  Each
+stretch of more than one step is cut at the vertex distance
+D = 0.7 W, with a halo of H = 4 sites per step of the stretch on each side
+of the cut.  The parent steps the near domain, the R of
+``with_truncation(t, D + H)``.  A child forked through ``conserved._fork``
+steps the far domain: the semi-infinite bonds' sites with
+D - H < ``vertex_distance`` <= W, laid out as the ``build_star`` of their
+gammas at truncation W - D + H, whose junction lies inside the halo.  The
+child sends back its sites beyond D on a ``Pipe``, and the parent writes
+both sides into the full layout.  The fourth fact:
+
+* a cut's influence, like the support, moves at most 4 sites a step, so
+  over the stretch neither the near domain's wall nor the far star's
+  junction reaches a site on the owning side of D, and the sites each
+  side owns equal the serial window's bit for bit.
+
+D moves work, not bits: the far tails hold subnormals and cost about
+twice as much a site, and at 0.7 W both sides finish about together.  A
+DivergenceError on either side (a halo may go non-finite where the serial
+run does not), or a child that ends without its sites, re-runs the stretch
+serially from its start state, so every error names the serial run's
+bond, site and time.  A failed fork steps the rest of the run serially.
+These step serially: a graph of more than nine leaves, which one far star
+cannot hold; a window too short for D - H >= 1 and D + H < W; and a
+stretch of one step, whose fork costs more than it saves.  A stack
+splits, with one far star per run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .conserved import FORK_SITES, _fork_piped, _worker_fits
+from .errors import DivergenceError, InvalidParameterError
 from .state import FieldState, assert_finite
-from .topology import CouplingCoefficients, GraphTopology, coupling_coefficients, with_truncation
+from .topology import (
+    KIND_INTERNAL,
+    CouplingCoefficients,
+    GraphTopology,
+    build_star,
+    coupling_coefficients,
+    with_truncation,
+)
 
 
 @dataclass(frozen=True)
@@ -218,6 +255,97 @@ def _window(data: np.ndarray, topology: GraphTopology, band: int) -> int:
     return min(reach + band, topology.truncation)
 
 
+def _embed(y: FieldState, sites: np.ndarray, shape: tuple[int]) -> FieldState:
+    """``y`` written at ``sites`` of a full layout of ``shape``, +0 elsewhere.
+
+    ``np.zeros`` leaves the pages beyond the window untouched.
+    """
+    out = FieldState(np.zeros(shape, dtype=np.complex128), y.time)
+    out.data[sites] = y.data
+    return out
+
+
+def _serial_window(couplings: CouplingCoefficients, distance: np.ndarray, truncation: int) -> tuple:
+    """The window's truncation, R, sites of the full layout (None: all of them) and workspace."""
+    if truncation == couplings.topology.truncation:
+        return truncation, couplings, None, StepWorkspace(distance.shape)
+    kept = np.flatnonzero(distance <= truncation)
+    layout = coupling_coefficients(*(with_truncation(t, truncation) for t in couplings.topologies))
+    return truncation, layout, kept, StepWorkspace(kept.shape)
+
+
+def _serial_stretch(current: FieldState, window: tuple, steps: int, dt: float) -> FieldState:
+    """``steps`` steps of ``current`` on a ``_serial_window``, written back into the full layout."""
+    _, layout, kept, workspace = window
+    if kept is None:
+        return _run(current, layout, steps, dt, workspace)
+    y = _run(FieldState(current.data[kept], current.time), layout, steps, dt, workspace)
+    return _embed(y, kept, current.data.shape)
+
+
+def _run(y: FieldState, couplings: CouplingCoefficients, steps: int, dt: float, workspace=None) -> FieldState:
+    """``steps`` steps of ``y`` on one workspace, ``workspace`` or a new one."""
+    workspace = StepWorkspace(y.data.shape) if workspace is None else workspace
+    for _ in range(steps):
+        y = step(y, couplings, dt, workspace)
+    return y
+
+
+def _step_far(couplings, start: FieldState, steps: int, dt: float, owned: np.ndarray, reader, writer) -> None:
+    """A stepping child's work: ``steps`` steps of ``start``, then its ``owned`` sites on ``writer``.
+
+    Its halo may overflow where the serial run does not, so it warns of
+    nothing, and a DivergenceError sends nothing: the parent reads the end
+    of the pipe and steps the stretch serially.
+    """
+    reader.close()  # else a parent that died leaves this child blocked in its write
+    with np.errstate(all="ignore"), contextlib.suppress(DivergenceError, BrokenPipeError):
+        writer.send_bytes(_run(start, couplings, steps, dt).data[owned])
+
+
+def _split_stretch(
+    current: FieldState, couplings: CouplingCoefficients, distance: np.ndarray, truncation: int, steps: int, dt: float
+) -> FieldState | None:
+    """One stretch on the window of ``truncation``, its far tails stepped by a forked child.
+
+    Returns the stretch's last state in the full layout.  Returns None,
+    for the caller to step the stretch serially, on a window too short for
+    a cut with a halo on each side, or when either side raised
+    DivergenceError or the child ended without its sites.  A failed fork
+    raises OSError.  The child is ended and joined on every exit.
+    """
+    cut = 7 * truncation // 10  # the far tails cost about twice as much a site
+    halo = 4 * steps
+    if cut - halo < 1 or cut + halo >= truncation:
+        return None
+    near_sites = np.flatnonzero(distance <= cut + halo)
+    far_sites = np.flatnonzero((distance > cut - halo) & (distance <= truncation))
+    far_owned = distance[far_sites] > cut
+    far = coupling_coefficients(*(
+        build_star([b.gamma for b in t.bonds if b.kind != KIND_INTERNAL], truncation - cut + halo)
+        for t in couplings.topologies
+    ))
+    start = FieldState(current.data[far_sites], current.time)
+    child, reader = _fork_piped(_step_far, far, start, steps, dt, far_owned, duplex=False)
+    try:
+        near = coupling_coefficients(*(with_truncation(t, cut + halo) for t in couplings.topologies))
+        y = _run(FieldState(current.data[near_sites], current.time), near, steps, dt)
+        tail = reader.recv_bytes()
+        child.join()
+        if child.exitcode != 0:
+            return None
+    except (DivergenceError, EOFError, ConnectionResetError):  # the latter two: a child that ended early
+        return None
+    finally:
+        reader.close()
+        child.terminate()  # a no-op once it has been joined
+        child.join()
+        child.close()
+    out = _embed(y, near_sites, current.data.shape)  # its halo, then the child's sites over it
+    out.data[far_sites[far_owned]] = np.frombuffer(tail, dtype=np.complex128)
+    return out
+
+
 def evolve(
     state: FieldState, couplings: CouplingCoefficients, config: SimConfig
 ) -> Iterator[FieldState]:
@@ -225,43 +353,46 @@ def evolve(
 
     Yields a copy of the initial state, then the state after every
     ``output_stride`` steps and after the final step, all in R's full
-    layout.  The steps run on the window of the module
-    docstring, re-chosen after the first step and at every observation.
+    layout.  The steps run on the window of the module docstring,
+    re-chosen after the first step and at every observation, and a big
+    window's far tails step in a forked child.
     Each yielded state owns its data: ``step`` and the embedding return
     fresh arrays and no later step writes to them.  A stacked state is
-    integrated as in ``step``, and one workspace serves every step on
-    one window.  A missing ``t_final`` raises InvalidParameterError on
+    integrated as in ``step``, and one workspace serves every serial step
+    on one window.  A missing ``t_final`` raises InvalidParameterError on
     the first ``next()`` (from ``config.n_steps``), and so does a state
     whose shape does not fit R.
     """
     n_steps = config.n_steps
     _check_shape(state.data, couplings)
-    stride = config.output_stride
+    stride, dt = config.output_stride, config.dt
     band = 4 * stride + 1
     full = couplings.topology
-    # kept: the window's sites in the full layout, None while it is the full layout
-    layout, kept, workspace = couplings, None, None
+    distance = np.tile(full.vertex_distance, len(couplings.topologies))
+    window = None  # the last serial stretch's, from _serial_window
+    split = len(full.leaves) <= 9  # one far star holds at most nine leaves
     current = state.copy()
     yield current
-    for i in range(1, n_steps + 1):
-        if i <= 2 or (i - 1) % stride == 0:  # state 0, state 1 and every observation
-            truncation = _window(current.data, full, band)
-            if truncation != layout.topology.truncation:
-                layout, kept, workspace = couplings, None, None
-                if truncation < full.truncation:
-                    cut = (with_truncation(t, truncation) for t in couplings.topologies)
-                    layout = coupling_coefficients(*cut)
-                    distance = np.tile(full.vertex_distance, len(couplings.topologies))
-                    kept = np.flatnonzero(distance <= truncation)
-            y = current if kept is None else FieldState(current.data[kept], current.time)
-            if workspace is None:
-                workspace = StepWorkspace(y.data.shape)
-        y = step(y, layout, config.dt, workspace)
-        observed = i % stride == 0 or i == n_steps
-        if observed or i == 1:
-            current = y
-            if kept is not None:  # np.zeros leaves the pages beyond the window untouched
-                current = FieldState(np.zeros(state.data.shape, dtype=np.complex128), y.time)
-                current.data[kept] = y.data
-            if observed:
-                yield current
+    done = 0
+    while done < n_steps:  # a stretch: step 1 alone, then the steps up to each observation
+        steps = 1 if done == 0 else min(stride - done % stride, n_steps - done)
+        truncation = _window(current.data, full, band)
+        if window is not None and window[0] != truncation:
+            window = None  # free its workspace before the next one's
+        after = None
+        # a fork costs more than the half step that it saves on a stretch of one step
+        if split and steps > 1 and np.count_nonzero(distance <= truncation) >= FORK_SITES and _worker_fits():
+            try:
+                after = _split_stretch(current, couplings, distance, truncation, steps, dt)
+            except OSError:  # a failed fork: the rest of the run steps serially
+                split = False
+        if after is not None:
+            window = None
+        else:
+            if window is None:
+                window = _serial_window(couplings, distance, truncation)
+            after = _serial_stretch(current, window, steps, dt)
+        current = after
+        done += steps
+        if done % stride == 0 or done == n_steps:
+            yield current

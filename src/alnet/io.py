@@ -9,13 +9,13 @@ sibling first and is renamed over its name only once complete.
 
 A snapshot file holds one row per lattice site, and on a big state most
 of its time is the float format of those rows.  ``SnapshotFiles`` takes
-each of a run's picks as soon as no later observation can replace it and,
-on a state of at least ``FORK_SITES`` sites, has a forked child format
-its rows into an unlinked temporary file while the run steps on; a pick
-final only at the run's end is split, half to a child and half formatted
-here.  ``write_outputs`` copies each child's file into the ``.part``
-file after the rows it formats itself, so the bytes are those of the
-in-process format.
+each of a run's picks as soon as no later observation can replace it
+and, on a state of at least ``conserved.FORK_SITES`` sites, has a forked
+child format its rows into an unlinked temporary file while the run steps
+on; a pick final only at the run's end is split, half to a child and half
+formatted here.  ``write_outputs`` copies each child's file into the
+``.part`` file after the rows it formats itself, so the bytes are those of
+the in-process format.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .conserved import DriftReport, _check_m_max, _fork, _worker_fits
+from .conserved import FORK_SITES, DriftReport, _check_m_max, _fork, _worker_fits
 from .dynamics import SimConfig
 from .errors import InvalidParameterError, TopologyError
 from .soliton import SolitonParams
@@ -42,11 +42,6 @@ EXPERIMENTS = ("simulate", "bifurcation", "sweep", "broken-rule", "conserved-aud
 DEFAULT_RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # what write_outputs may write besides summary.json, which every run writes
 OUTPUT_FILES = ("config_echo.json", "partial_norms.csv", "drift.csv", "snapshots/t_*.csv")
-# the fewest sites of a state whose snapshot rows a forked child formats.  On 2 vCPUs a
-# fork costs the run about 7 ms, its start and the copy-on-write faults after it; on
-# runs as long as fig4's (16k steps) forking lost at 1200 sites and broke even from
-# 6000 to 12000, and on big-star's 400-step runs it won from 1200 sites up
-FORK_SITES = 20000
 
 
 @dataclass(frozen=True)

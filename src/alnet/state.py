@@ -62,16 +62,18 @@ def _check_shape(state: FieldState, topology: GraphTopology):
 def assert_finite(state: FieldState, topology: GraphTopology):
     """Raise :class:`DivergenceError` at the first non-finite amplitude.
 
-    One reduction screens the state: a finite sum of squares of the real
-    and imaginary parts means every amplitude is finite.  Only a sum that
-    is not runs the exact search, so a finite field whose sum of squares
-    overflows (an amplitude above about 1e154) still passes; that
-    overflow warns as the caller's errstate says, like the step's own
-    |psi|^2.  In a stack the first failing index i lies in run ``i // n``,
-    and the error names that run's bond and site in ``topology``'s layout.
+    One ``np.add.reduce`` over the real and imaginary parts screens the
+    state: a sum is finite only when every part is.  Only a sum that is
+    not runs the exact search, so a finite field whose sum overflows
+    (parts near 1e308) still passes.  That overflow, like a sum of
+    infinities of both signs, warns as the caller's errstate says, as the
+    step's own |psi|^2 does.  The screen is not ``np.dot``, whose BLAS
+    threads would spin on the CPU that a forked worker needs.  In a stack
+    the first failing index i lies in run ``i // n``, and the error names
+    that run's bond and site in ``topology``'s layout.
     """
     parts = state.data.view(np.float64)
-    if math.isfinite(np.dot(parts, parts)) or np.isfinite(parts).all():
+    if math.isfinite(np.add.reduce(parts)) or np.isfinite(parts).all():
         return
     first = int(np.flatnonzero(~np.isfinite(state.data))[0])
     bond, site = topology.locate(first % topology.n_sites)

@@ -158,6 +158,12 @@ def worker_forks(monkeypatch):
     return forks
 
 
+def assert_no_child_is_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def peak_tracker(states, topology, bond):
     """The modulus peak of one bond over ``states``, read once in order: one ``_PeakTrack`` fold."""
     from alnet.experiments import _PeakTrack

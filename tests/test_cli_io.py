@@ -46,7 +46,7 @@ from alnet.cli import (
 )
 from alnet.conserved import M_MAX_LIMIT
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
-from conftest import ALPHA_FIG4, PROPERTY_SETTINGS, audit, zero_state
+from conftest import ALPHA_FIG4, PROPERTY_SETTINGS, assert_no_child_is_left, audit, zero_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -880,11 +880,6 @@ class TestAuditWorker:
     WALL = ["--config", str(CONFIGS / "chain.json"), "--truncation", "100", "--dt", "0.05",
             "--t-final", "120"]
 
-    @staticmethod
-    def assert_no_child_is_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_a_divergence_error_survives_pickling(self):
         error = pickle.loads(pickle.dumps(DivergenceError("11", 5, 1.0, "C_6 overflows")))
         assert isinstance(error, DivergenceError)
@@ -906,7 +901,7 @@ class TestAuditWorker:
         assert run_cli([*argv, "--out", str(tmp_path / "in-process")]) == EXIT_OK
         for file in ("drift.csv", "summary.json"):
             assert (tmp_path / "worker" / file).read_bytes() == (tmp_path / "in-process" / file).read_bytes()
-        self.assert_no_child_is_left()
+        assert_no_child_is_left()
         # nothing on stderr, and each wrote line once: the in-process run's stdout
         assert worker_err == ""
         wrote = [line for line in worker_out.splitlines() if line.startswith("wrote ")]
@@ -916,7 +911,7 @@ class TestAuditWorker:
     def test_every_exit_leaves_no_child(self, tmp_path, capsys, monkeypatch, worker_forks):
         ok, _ = write_config(tmp_path, m_max=6)
         assert run_cli(["conserved-audit", "--config", str(ok)]) == EXIT_OK
-        self.assert_no_child_is_left()
+        assert_no_child_is_left()
         # a soliton's C_m is -(2/m) sinh(m beta) e^(i m alpha): at beta 30 the
         # launch's |psi|^2 is finite and C_32 is not, and the steps overflow too
         path, _ = write_config(
@@ -925,10 +920,10 @@ class TestAuditWorker:
         assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err == f"alnet: numerical failure: C_{M_MAX_LIMIT} overflows at the largest |q| on bond '1' at site -10 (t=0)\n"
-        self.assert_no_child_is_left()
+        assert_no_child_is_left()
         assert run_cli(["conserved-audit", *self.WALL, "--out", str(tmp_path / "wall")]) == EXIT_INCONCLUSIVE
         assert "truncated end of bond '11'" in capsys.readouterr().err
-        self.assert_no_child_is_left()
+        assert_no_child_is_left()
 
         guard, calls = alnet.experiments._check_boundaries, []
 
@@ -942,7 +937,7 @@ class TestAuditWorker:
         ok, _ = write_config(tmp_path, m_max=6)
         with pytest.raises(KeyboardInterrupt):
             run_cli(["conserved-audit", "--config", str(ok)])
-        self.assert_no_child_is_left()
+        assert_no_child_is_left()
         assert len(worker_forks) == 4
 
     def test_a_snapshot_error_comes_before_a_later_guard(self, tmp_path, capsys, monkeypatch, worker_forks):
@@ -972,7 +967,7 @@ class TestAuditWorker:
         assert run_cli(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == serial
         assert len(worker_forks) == 1
-        self.assert_no_child_is_left()
+        assert_no_child_is_left()
 
     def test_a_refusal_before_the_first_step_forks_nothing(self, tmp_path, capsys, worker_forks):
         path, _ = write_config(tmp_path, snapshot_times=[5.0])
@@ -983,7 +978,7 @@ class TestAuditWorker:
         assert run_cli(["conserved-audit", "--config", str(path)]) == EXIT_INCONCLUSIVE
         assert "truncated end of bond '1'" in capsys.readouterr().err
         assert worker_forks == []
-        self.assert_no_child_is_left()
+        assert_no_child_is_left()
 
 
 def temp_fds() -> list[str]:
@@ -1029,7 +1024,7 @@ class TestFormatterChildren:
         capsys.readouterr()
         assert len(formatter_forks) == forks
         assert not out.exists()
-        TestAuditWorker.assert_no_child_is_left()
+        assert_no_child_is_left()
         assert temp_fds() == before
 
     def test_a_failed_fork_or_child_falls_back_to_in_process(self, tmp_path, capfd, monkeypatch, formatter_forks):
@@ -1054,7 +1049,7 @@ class TestFormatterChildren:
         assert len(formatter_forks) == 3
         assert {p: p.read_bytes() for p in out.rglob("*.csv")} == reference
         assert capfd.readouterr() == (stdout * 2, "")
-        TestAuditWorker.assert_no_child_is_left()
+        assert_no_child_is_left()
         assert temp_fds() == before
 
     def test_ctrl_c_to_the_group_prints_nothing_from_a_formatter(self, tmp_path):

@@ -1,9 +1,12 @@
+import dataclasses
+import errno
 import math
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alnet import (
@@ -27,6 +30,7 @@ from conftest import (
     ALPHA_FIG4,
     PROPERTY_SETTINGS,
     ReferenceShift,
+    assert_no_child_is_left,
     bits,
     rhs,
     tree_spec,
@@ -532,3 +536,178 @@ def test_window_on_random_sum_rule_trees(tops, seed):
     states, sites = windowed_run(start, cp, cfg)
     assert sites[0] < len(tops) * tops[0].n_sites
     assert_equals_full_loop(states, start, cp, cfg)
+
+
+def split_and_serial(start, couplings, config, **patches):
+    """``evolve``'s states with every big-enough stretch split, its serial states, and the forks it made.
+
+    ``FORK_SITES`` is 0 and ``_worker_fits`` True for the split run, so it
+    splits whatever the machine; ``patches`` set more attributes of
+    ``dynamics`` for it.  The serial run has no second CPU.
+    """
+    with mock.patch.object(dynamics, "_worker_fits", lambda: False):
+        serial = list(evolve(start, couplings, config))
+    patches = {"FORK_SITES": 0, "_worker_fits": lambda: True, **patches}
+    with mock.patch.multiple(dynamics, **patches), \
+            mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+        split = list(evolve(start, couplings, config))
+    assert_no_child_is_left()
+    return split, serial, forks.call_count
+
+
+def assert_same_states(states, expected):
+    assert len(states) == len(expected)
+    for state, ref in zip(states, expected):
+        assert state.time == ref.time
+        assert np.array_equal(bits(state.data), bits(ref.data))
+
+
+@st.composite
+def split_cases(draw):
+    """A star of one to nine leaves, one run or a stack of up to three, with a field and a config.
+
+    Each run's star keeps the sum rule or breaks it.  The field fills the
+    ``reach`` sites nearest the vertex, from order one down through the
+    subnormals; the rest is +0, or -0 for a launch whose tails bar the
+    first window.  The run holds at least one stretch of ``output_stride``
+    steps, and its last stretch may be shorter.
+    """
+    leaves, runs = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    truncation = draw(st.integers(80, 140))
+    tops = []
+    for _ in range(runs):
+        gammas = draw(st.lists(st.floats(0.5, 5.0), min_size=leaves + 1, max_size=leaves + 1))
+        if draw(st.booleans()):
+            gammas[0] = 1.0 / sum(1.0 / g for g in gammas[1:])
+        tops.append(build_star(gammas, truncation))
+    reach = draw(st.integers(50, truncation))
+    data = near_vertex_field(tops[0], np.random.default_rng(draw(st.integers(0, 2**32 - 1))), reach, runs)
+    if draw(st.booleans()):
+        data.reshape(runs, -1)[:, tops[0].vertex_distance > reach] = -0.0
+    stride = draw(st.integers(2, 4))
+    n_steps = draw(st.integers(2 * stride + 1, 4 * stride))
+    return tops, FieldState(data), SimConfig(dt=0.01, t_final=n_steps * 0.01, output_stride=stride)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(case=split_cases())
+def test_a_split_run_equals_the_serial_run_bit_for_bit(case):
+    tops, start, cfg = case
+    split, serial, forks = split_and_serial(start, coupling_coefficients(*tops), cfg)
+    assert forks >= 1
+    assert_same_states(split, serial)
+
+
+class TestSplit:
+    """A big window's far tails step in a forked child; the serial run is the reference."""
+
+    @staticmethod
+    def case(truncation=120):
+        # a stride of 4 and 13 steps: stretches of 1, 3, 4, 4 and 1 steps
+        top = build_star((1.0, 1.5, 3.0), truncation)
+        start = FieldState(near_vertex_field(top, np.random.default_rng(7), 60))
+        return start, coupling_coefficients(top), SimConfig(dt=0.01, t_final=0.13, output_stride=4)
+
+    def test_the_big_star_geometry(self):
+        # configs/big_star.json at truncation 8000: a window of about 23k
+        # sites, above the real threshold, splits each stretch after the first
+        top = build_star((1.0, 1.5, 3.0), truncation=8000)
+        start = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0), top)
+        cfg = SimConfig(dt=0.01, t_final=2.0, output_stride=100)
+        split, serial, forks = split_and_serial(start, coupling_coefficients(top), cfg, FORK_SITES=dynamics.FORK_SITES)
+        assert forks == 2
+        assert_same_states(split, serial)
+
+    @pytest.mark.parametrize("shape", ["ten-leaves", "short-window", "one-step-stretches"])
+    def test_what_steps_serially(self, shape):
+        start, cp, cfg = self.case()
+        if shape == "ten-leaves":  # one far star holds at most nine
+            leaf = {"gamma": 2.0}
+            top = build_tree({"gamma": 1.0, "children": [
+                {"gamma": 2.0, "length": 5, "children": [leaf] * 5} for _ in range(2)]}, 120)
+            cp, start = coupling_coefficients(top), FieldState(near_vertex_field(top, np.random.default_rng(7), 60))
+        elif shape == "short-window":  # the cut less the halo of 16 sites is below 1
+            start, cp, _ = self.case(truncation=20)
+        else:
+            cfg = SimConfig(dt=0.01, t_final=0.13, output_stride=1)
+        split, serial, forks = split_and_serial(start, cp, cfg)
+        assert forks == 0
+        assert_same_states(split, serial)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds through /proc")
+    def test_a_failed_fork_steps_the_rest_of_the_run_serially(self):
+        start, cp, cfg = self.case()
+        attempts = []
+
+        def failing_fork():
+            attempts.append(1)
+            raise BlockingIOError(errno.EAGAIN, "fork: no process slot")
+
+        before = set(os.listdir("/proc/self/fd"))
+        with mock.patch.object(os, "fork", failing_fork):
+            split, serial, forks = split_and_serial(start, cp, cfg)
+        assert forks == len(attempts) == 1
+        assert_same_states(split, serial)
+        # the four sentinel pipe ends that CPython's fork Popen leaks on a
+        # failed fork, once a run; the stretch's own Pipe is closed
+        left = {fd: os.readlink(f"/proc/self/fd/{fd}") for fd in set(os.listdir("/proc/self/fd")) - before}
+        for fd in left:
+            os.close(int(fd))
+        assert len(left) == 4 and all(target.startswith("pipe:") for target in left.values()), left
+
+    def test_a_child_that_exits_nonzero_leaves_its_stretch_to_the_parent(self):
+        start, cp, cfg = self.case()
+        split, serial, forks = split_and_serial(start, cp, cfg, _step_far=lambda *args: os._exit(1))
+        assert forks == 3
+        assert_same_states(split, serial)
+
+    def test_a_non_finite_value_in_a_halo_alone_raises_nothing(self):
+        # infinite vertex weights make the far star's junction, inside the
+        # halo, non-finite at its first stage
+        start, cp, cfg = self.case()
+        real = dynamics._step_far
+
+        def inf_junction(couplings, *args):
+            real(dataclasses.replace(couplings, edge_weights=np.full_like(couplings.edge_weights, np.inf)), *args)
+
+        split, serial, forks = split_and_serial(start, cp, cfg, _step_far=inf_junction)
+        assert forks == 3
+        assert_same_states(split, serial)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_owned_site_raises_the_serial_runs_error(self):
+        # a bump at 90 < d <= 96 blows up at t = 0.2, in stretch 2 (steps 2
+        # to 5); its window of 121 sites cuts at 84, so the child owns it
+        top = build_star((1.0, 1.5, 3.0), truncation=200)
+        cp = coupling_coefficients(top)
+        start = FieldState(np.where((top.vertex_distance > 90) & (top.vertex_distance <= 96), 3.0, 0.0))
+        cfg = SimConfig(dt=0.1, t_final=100.0, output_stride=5)
+        errors = []
+        for serially in (True, False):
+            patches = {"_worker_fits": lambda: False} if serially else \
+                {"FORK_SITES": 0, "_worker_fits": lambda: True}
+            with mock.patch.multiple(dynamics, **patches), \
+                    mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+                with pytest.raises(DivergenceError) as error:
+                    list(evolve(start, cp, cfg))
+            errors.append((error.value.bond, error.value.site, error.value.time, forks.call_count))
+        assert errors == [("11", 90, 0.2, 0), ("11", 90, 0.2, 1)]
+        assert_no_child_is_left()
+
+    def test_ctrl_c_leaves_no_child(self):
+        start, cp, cfg = self.case()
+        parent, real, calls = os.getpid(), dynamics.step, []
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                calls.append(args)
+                if len(calls) == 5:  # in stretch 3, with its child stepping
+                    raise KeyboardInterrupt
+            return real(*args)
+
+        with mock.patch.multiple(dynamics, FORK_SITES=0, _worker_fits=lambda: True, step=interrupted), \
+                mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+            with pytest.raises(KeyboardInterrupt):
+                list(evolve(start, cp, cfg))
+        assert forks.call_count == 2
+        assert_no_child_is_left()

@@ -80,8 +80,8 @@ def test_assert_finite_reports_bond_and_site():
 
 
 def test_assert_finite_passes_a_finite_field_whose_sum_of_squares_overflows():
-    # the screening sum overflows to inf, and the exact search finds every amplitude finite;
-    # the sum's overflow warning follows the caller's errstate, as in a run
+    # the screen sums the parts, not their squares, so amplitudes whose
+    # squares overflow pass it; an inf among them fails it
     top = build_star((1.0, 1.5, 3.0), truncation=10)
     st = zero_state(top)
     st.time = 2.5
@@ -92,6 +92,28 @@ def test_assert_finite_passes_a_finite_field_whose_sum_of_squares_overflows():
         with pytest.raises(DivergenceError) as exc:
             assert_finite(st, top)
     assert (exc.value.bond, exc.value.site, exc.value.time) == ("11", 8, 2.5)
+
+
+def test_assert_finite_passes_a_finite_field_whose_sum_overflows():
+    # the screening sum overflows to inf, and the exact search finds every part finite;
+    # the sum's overflow warning follows the caller's errstate, as in a run
+    top = build_star((1.0, 1.5, 3.0), truncation=10)
+    st = FieldState(np.full(top.n_sites, 1e308 + 1e308j), time=2.5)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(st.data.view(np.float64)))
+        assert_finite(st, top)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+                                 complex(0.0, -np.inf), complex(np.inf, -np.inf)])
+def test_assert_finite_raises_on_a_nan_or_an_inf_part(bad):
+    top = build_star((1.0, 1.5, 3.0), truncation=10)
+    st = FieldState(np.full(top.n_sites, 0.5 - 0.25j), time=2.5)
+    st.data[22] = bad
+    # inf - inf in the screening sum warns as the caller's errstate says
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        assert_finite(st, top)
+    assert (exc.value.bond, exc.value.site, exc.value.time) == ("12", 3, 2.5)
 
 
 def test_a_density_that_overflows_has_no_finite_norm():
