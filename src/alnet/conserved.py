@@ -39,9 +39,9 @@ beside the integration, one in flight at a time, and raises each error
 in the serial run's order; elsewhere it calls ``snapshot`` in-process.
 Either way one ``SnapshotWorkspace``, the ladder's scratch, serves the
 whole run, and the snapshots are the same bits.  ``_fork`` starts the
-worker, and ``io``'s snapshot formatters and ``dynamics``' far-tail
-stepper too; ``FORK_SITES`` is the state size from which the latter two
-fork.
+worker, and ``io``'s snapshot formatters and ``dynamics``' far-tail and
+stack steppers too; ``FORK_SITES`` is the state size from which the
+formatters and the far-tail stepper fork, and below which a stack splits.
 
 Every table read here is a cached property of the topology, built on its
 first use: R's tables (``couplings`` wraps them), ``sqrt_gamma``, the

@@ -93,6 +93,22 @@ These step serially: a graph of more than nine leaves, which one far star
 cannot hold; a window too short for D - H >= 1 and D + H < W; and a
 stretch of one step, whose fork costs more than it saves.  A stack
 splits, with one far star per run.
+
+A stack of B >= 2 runs also steps on both CPUs, split by runs.  A child
+forked through ``conserved._fork_piped`` steps the last floor(B/2) runs as
+their own stack and sends each observed state's bytes on a ``Pipe``; the
+parent steps the first ceil(B/2) runs and yields each observation as its
+block followed by the child's.  Every run's block is that run's
+single-run bits in whatever stack it lies, so the yielded states are the
+serial run's.  The split applies to a stack of fewer than
+``conserved.FORK_SITES`` sites, whose windows never reach the far-tail
+split, where ``_worker_fits`` allows, and when the child's runs hold at
+least ``STACK_SITE_STEPS`` site steps, where its work repays the fork.
+Each half steps serially: a third process on two CPUs made the sweep
+slower than one.  A failed fork, a DivergenceError on either side (the
+child's names a site of its own layout) or a child that ends without its
+state steps the whole stack serially from the last observed state for the
+rest of the run, so every error is the serial run's, in stack order.
 """
 
 from __future__ import annotations
@@ -115,6 +131,12 @@ from .topology import (
     coupling_coefficients,
     with_truncation,
 )
+
+# the fewest site steps of the runs that a stack's child would step, from which ``evolve``
+# forks it: on 2 vCPUs a fork plus join costs the run about 2.4 ms, and each run of 900
+# sites adds about 20 us to a stack's step (59, 80 and 100 us for 1, 2 and 3 runs), so a
+# child with one such run breaks even near 120 steps
+STACK_SITE_STEPS = 120 * 900
 
 
 @dataclass(frozen=True)
@@ -346,34 +368,21 @@ def _split_stretch(
     return out
 
 
-def evolve(
-    state: FieldState, couplings: CouplingCoefficients, config: SimConfig
+def _observations(
+    current: FieldState, couplings: CouplingCoefficients, config: SimConfig, done: int = 0
 ) -> Iterator[FieldState]:
-    """Integrate to ``config.t_final``, yielding the observed states.
+    """The observed states after the run's first ``done`` steps, from ``current``, the state after them.
 
-    Yields a copy of the initial state, then the state after every
-    ``output_stride`` steps and after the final step, all in R's full
-    layout.  The steps run on the window of the module docstring,
-    re-chosen after the first step and at every observation, and a big
-    window's far tails step in a forked child.
-    Each yielded state owns its data: ``step`` and the embedding return
-    fresh arrays and no later step writes to them.  A stacked state is
-    integrated as in ``step``, and one workspace serves every serial step
-    on one window.  A missing ``t_final`` raises InvalidParameterError on
-    the first ``next()`` (from ``config.n_steps``), and so does a state
-    whose shape does not fit R.
+    ``done`` is 0 or the step of an observation.  The stretches, the window
+    and the far-tail split of the module docstring; this process steps every
+    run of the stack.
     """
-    n_steps = config.n_steps
-    _check_shape(state.data, couplings)
-    stride, dt = config.output_stride, config.dt
+    n_steps, stride, dt = config.n_steps, config.output_stride, config.dt
     band = 4 * stride + 1
     full = couplings.topology
     distance = np.tile(full.vertex_distance, len(couplings.topologies))
     window = None  # the last serial stretch's, from _serial_window
     split = len(full.leaves) <= 9  # one far star holds at most nine leaves
-    current = state.copy()
-    yield current
-    done = 0
     while done < n_steps:  # a stretch: step 1 alone, then the steps up to each observation
         steps = 1 if done == 0 else min(stride - done % stride, n_steps - done)
         truncation = _window(current.data, full, band)
@@ -396,3 +405,84 @@ def evolve(
         done += steps
         if done % stride == 0 or done == n_steps:
             yield current
+
+
+def _step_runs(couplings: CouplingCoefficients, start: FieldState, config: SimConfig, reader, writer) -> None:
+    """A stack child's work: the run of ``start``, each observed state's bytes on ``writer``.
+
+    It warns of nothing, and a DivergenceError ends it: the parent reads
+    the end of the pipe and steps the rest of the run serially.
+    """
+    reader.close()  # else a parent that died leaves this child blocked in its write
+    with np.errstate(all="ignore"), contextlib.suppress(DivergenceError, BrokenPipeError):
+        for state in _observations(start, couplings, config):
+            writer.send_bytes(state.data)
+
+
+def _split_stack(start: FieldState, couplings: CouplingCoefficients, config: SimConfig) -> Iterator[FieldState]:
+    """The observed states after ``start``, the last half of the stack's runs stepped by a forked child.
+
+    The parent steps the first ceil(B/2) runs and the child the rest, each
+    half serially, and each yielded state is the parent's block followed by
+    the child's.  Ends early, for the caller to step the rest of the run
+    serially from the last state yielded, when the fork fails, when either
+    half raises DivergenceError or when the child ends without its state.
+    The child is ended and joined on every exit.
+    """
+    runs = couplings.topologies
+    first = (len(runs) + 1) // 2
+    cut = first * couplings.topology.n_sites
+    tail = FieldState(start.data[cut:], start.time)
+    try:
+        child, reader = _fork_piped(_step_runs, coupling_coefficients(*runs[first:]), tail, config, duplex=False)
+    except OSError:
+        return
+    try:
+        head = FieldState(start.data[:cut], start.time)
+        for y in _observations(head, coupling_coefficients(*runs[:first]), config):
+            out = FieldState(np.empty_like(start.data), y.time)
+            out.data[:cut] = y.data
+            reader.recv_bytes_into(out.data[cut:])
+            yield out
+    except (DivergenceError, EOFError, ConnectionResetError):  # the latter two: a child that ended early
+        return
+    finally:
+        reader.close()
+        child.terminate()  # a no-op once it has ended
+        child.join()
+        child.close()
+
+
+def evolve(
+    state: FieldState, couplings: CouplingCoefficients, config: SimConfig
+) -> Iterator[FieldState]:
+    """Integrate to ``config.t_final``, yielding the observed states.
+
+    Yields a copy of the initial state, then the state after every
+    ``output_stride`` steps and after the final step, all in R's full
+    layout.  The steps run on the window of the module docstring,
+    re-chosen after the first step and at every observation; a big
+    window's far tails, or the last half of a long run's stack, step in a
+    forked child.
+    Each yielded state owns its data: ``step`` and the embedding return
+    fresh arrays and no later step writes to them.  A stacked state is
+    integrated as in ``step``, and one workspace serves every serial step
+    on one window.  A missing ``t_final`` raises InvalidParameterError on
+    the first ``next()`` (from ``config.n_steps``), and so does a state
+    whose shape does not fit R.
+    """
+    n_steps = config.n_steps
+    _check_shape(state.data, couplings)
+    current = state.copy()
+    yield current
+    done = 0
+    child_runs = len(couplings.topologies) // 2
+    if child_runs and current.data.size < FORK_SITES \
+            and child_runs * couplings.topology.n_sites * n_steps >= STACK_SITE_STEPS and _worker_fits():
+        with contextlib.closing(_split_stack(current, couplings, config)) as halves:
+            for current in halves:
+                done = min(done + config.output_stride, n_steps)
+                yield current
+    rest = _observations(current, couplings, config, done)
+    del current  # else this frame would keep the state the rest starts from for the whole run
+    yield from rest

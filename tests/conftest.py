@@ -130,6 +130,30 @@ def assert_matches_the_lax_tower(constants, q, radius, first=1):
         assert abs(c - want) <= 1e-12 * abs(want) + 1e-14 * r
 
 
+def closed_form_constant(m, alpha, beta):
+    """C_m of a soliton on a sum-rule graph, -(2/m) sinh(m beta) e^(i m alpha).
+
+    Given sequences of ``alpha`` and ``beta``, the trace formula: the sum
+    of that value over solitons far enough apart that their tails do not
+    overlap.
+    """
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    return complex(np.sum(-(2.0 / m) * np.sinh(m * beta) * np.exp(1j * m * alpha)))
+
+
+def soliton_pair(topology, first, second):
+    """The sum of two solitons' profiles at t = 0, and the overlap of their tails.
+
+    The overlap is sum_n |q1_n| |q2_n| of the two fields q = sqrt(gamma) psi.
+    """
+    from alnet import soliton_profile
+
+    one, two = soliton_profile(first, topology), soliton_profile(second, topology)
+    q1, q2 = (topology.sqrt_gamma * s.data for s in (one, two))
+    one.data[:] += two.data
+    return one, float(np.sum(np.abs(q1) * np.abs(q2)))
+
+
 def soliton_chain(rng, n, beta, noise=0.05):
     """A soliton of width ``beta`` on ``n`` chain sites, plus ``noise`` of uniform perturbation.
 
@@ -351,8 +375,8 @@ def bits(a):
 
 
 @st.composite
-def tree_stacks(draw, max_columns=3):
-    """1 to ``max_columns`` trees of one random shape, each with its own random gammas.
+def tree_stacks(draw, max_columns=3, min_columns=1):
+    """``min_columns`` to ``max_columns`` trees of one random shape, each with its own random gammas.
 
     Depth at most 3 below the incoming bond, at most 4 children per
     vertex, internal bonds of 1-4 sites.  The gammas ignore the sum rule,
@@ -360,7 +384,7 @@ def tree_stacks(draw, max_columns=3):
     """
     from alnet import build_tree
 
-    columns = draw(st.integers(1, max_columns))
+    columns = draw(st.integers(min_columns, max_columns))
 
     def node(depth):
         kids = draw(st.integers(1 if depth == 0 else 0, 4 if depth < 3 else 0))

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import math
 import multiprocessing
@@ -36,23 +37,20 @@ from conftest import (
     assert_matches_the_lax_tower,
     audit,
     chain_gaps,
+    closed_form_constant,
     decaying_random_field,
     glued_state,
     higher_constants_recursive,
     lax_log_a,
     norm,
     soliton_chain,
+    soliton_pair,
     stencil_constants,
     tree_spec,
     tree_stacks,
     with_sum_rule,
     zero_state,
 )
-
-
-def closed_form_constant(m, alpha, beta):
-    # soliton value of the m-th constant on a sum-rule graph
-    return -(2.0 / m) * math.sinh(m * beta) * np.exp(1j * m * alpha)
 
 
 def with_sites(field, sites, value):
@@ -323,6 +321,43 @@ class TestLaxOracle:
         q = soliton_chain(np.random.default_rng(41), 300, 0.4)
         with pytest.raises(AssertionError):
             assert_matches_the_lax_tower(higher_constants_recursive(np.conj(q), 12), q, 1.6)
+
+
+class TestTraceFormula:
+    """Each C_m of two solitons is the sum of their closed forms, to within the overlap of their tails."""
+
+    FIRST = SolitonParams(alpha=ALPHA_FIG4, beta=0.4, n0=0.0)
+    SECOND = SolitonParams(alpha=0.9, beta=0.6, n0=0.0)
+
+    def constants(self, graph, separation):
+        """C_2 .. C_10 of the pair ``separation`` sites apart on bond 1, the overlap, and each C_m's scale.
+
+        The scale is sum_k (2/m) sinh(m beta_k), the largest |C_m| the pair can have.
+        """
+        top = build_chain(1.0, truncation=400) if graph == "chain" else build_tree(tree_spec(), truncation=400)
+        first = dataclasses.replace(self.FIRST, n0=-100.0 - separation / 2)
+        second = dataclasses.replace(self.SECOND, n0=-100.0 + separation / 2)
+        state, overlap = soliton_pair(top, first, second)
+        scales = [sum(2.0 / m * math.sinh(m * p.beta) for p in (first, second)) for m in range(2, 11)]
+        return snapshot(state, top, m_max=10).C, overlap, scales
+
+    @pytest.mark.parametrize("separation", [40, 100, 200])
+    @pytest.mark.parametrize("graph", ["chain", "sum-rule-tree"])
+    def test_each_constant_is_the_sum_over_the_solitons(self, graph, separation):
+        # at 40 sites the overlap is 6.2e-7 and the largest gap 1.3e-9 of the
+        # scale, at m = 10; from 100 sites on the gap is rounding, 4e-15
+        constants, overlap, scales = self.constants(graph, separation)
+        betas, alphas = (0.4, 0.6), (self.FIRST.alpha, self.SECOND.alpha)
+        for m, (c, scale) in enumerate(zip(constants, scales, strict=True), start=2):
+            assert abs(c - closed_form_constant(m, alphas, betas)) <= (1e-12 + overlap) * scale
+
+    def test_a_wrong_pairing_misses_the_sum(self):
+        # the negative control: each soliton's width with the other's phase
+        constants, overlap, scales = self.constants("chain", 200)
+        swapped = (self.SECOND.alpha, self.FIRST.alpha)
+        gaps = [abs(c - closed_form_constant(m, swapped, (0.4, 0.6))) / s
+                for m, (c, s) in enumerate(zip(constants, scales), start=2)]
+        assert max(gaps) > 0.1
 
 
 class TestSnapshotFold:

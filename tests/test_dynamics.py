@@ -1,7 +1,13 @@
 import dataclasses
 import errno
+import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +17,7 @@ from hypothesis import strategies as st
 
 from alnet import (
     DivergenceError,
+    InconclusiveRunError,
     InvalidParameterError,
     SimConfig,
     SolitonParams,
@@ -19,11 +26,13 @@ from alnet import (
     build_tree,
     coupling_coefficients,
     evolve,
+    scattering_run,
     soliton_profile,
     step,
 )
 from alnet import dynamics
 from alnet.dynamics import StepWorkspace
+from alnet.experiments import observe
 from alnet.state import FieldState
 from alnet.topology import KIND_INTERNAL, with_truncation
 from conftest import (
@@ -406,8 +415,12 @@ class TestFusedKernel:
 
 
 def windowed_run(start, couplings, config):
-    """``evolve``'s observed states and the site count of every state ``step`` advanced."""
-    with mock.patch.object(dynamics, "step", wraps=dynamics.step) as spy:
+    """``evolve``'s observed states and the site count of every state ``step`` advanced.
+
+    The run has no second CPU, so that this process steps every run of a stack.
+    """
+    with mock.patch.object(dynamics, "step", wraps=dynamics.step) as spy, \
+            mock.patch.object(dynamics, "_worker_fits", lambda: False):
         states = list(evolve(start, couplings, config))
     return states, [call.args[0].data.shape[0] for call in spy.call_args_list]
 
@@ -545,12 +558,17 @@ def split_and_serial(start, couplings, config, **patches):
     splits whatever the machine; ``patches`` set more attributes of
     ``dynamics`` for it.  The serial run has no second CPU.
     """
+    return run_split_and_serial(lambda: list(evolve(start, couplings, config)), **patches)
+
+
+def run_split_and_serial(run, **patches):
+    """``run()`` with the patches of ``split_and_serial``, ``run()`` without a second CPU, and the forks."""
     with mock.patch.object(dynamics, "_worker_fits", lambda: False):
-        serial = list(evolve(start, couplings, config))
+        serial = run()
     patches = {"FORK_SITES": 0, "_worker_fits": lambda: True, **patches}
     with mock.patch.multiple(dynamics, **patches), \
             mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
-        split = list(evolve(start, couplings, config))
+        split = run()
     assert_no_child_is_left()
     return split, serial, forks.call_count
 
@@ -711,3 +729,221 @@ class TestSplit:
                 list(evolve(start, cp, cfg))
         assert forks.call_count == 2
         assert_no_child_is_left()
+
+
+# ``split_and_serial``'s patches for the stack split: ``FORK_SITES`` at its value, since no
+# stack lies below 0 sites, and a stack of any run length splits
+STACK_SPLIT = {"FORK_SITES": dynamics.FORK_SITES, "STACK_SITE_STEPS": 0}
+# beta 0.5 crosses a vertex about 70 time units after a launch at n0 = -20
+FAST = SolitonParams(alpha=ALPHA_FIG4, beta=0.5, n0=-20.0)
+
+
+def assert_same_reports(reports, expected):
+    assert len(reports) == len(expected)
+    for report, ref in zip(reports, expected):
+        (times, series), (ref_times, ref_series) = report.partial_norms, ref.partial_norms
+        assert np.array_equal(bits(times), bits(ref_times))
+        assert series.keys() == ref_series.keys()
+        for label in series:
+            assert np.array_equal(bits(series[label]), bits(ref_series[label]))
+        assert dataclasses.replace(report, partial_norms=None) == dataclasses.replace(ref, partial_norms=None)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(tops=tree_stacks(max_columns=5, min_columns=2), seed=st.integers(0, 2**32 - 1), stride=st.integers(2, 4))
+def test_a_split_stack_equals_the_serial_stack_bit_for_bit(tops, seed, stride):
+    # a random field near the vertices at truncation 30, then a scattering
+    # run at 145, whose leaves hold the transmitted peaks
+    short = [with_truncation(with_sum_rule(t), 30) for t in tops]
+    start = FieldState(near_vertex_field(short[0], np.random.default_rng(seed), 20, len(short)))
+    cfg = SimConfig(dt=0.01, t_final=(4 * stride + 1) * 0.01, output_stride=stride)
+    split, serial, forks = split_and_serial(start, coupling_coefficients(*short), cfg, **STACK_SPLIT)
+    assert forks == 1
+    assert_same_states(split, serial)
+    long = [with_truncation(with_sum_rule(t), 145) for t in tops]
+    split, serial, forks = run_split_and_serial(
+        lambda: scattering_run(long, FAST, SimConfig(dt=0.1, output_stride=10))[0], **STACK_SPLIT)
+    assert forks == 1
+    assert_same_reports(split, serial)
+
+
+class TestStackSplit:
+    """A child steps the last half of a stack's runs; the serial run is the reference."""
+
+    @staticmethod
+    def case(truncation=40):
+        # three stars of one layout, 13 steps in stretches of 1, 3, 4, 4 and 1
+        tops = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), truncation) for r in (0.1, 0.5, 0.9)]
+        start = FieldState(near_vertex_field(tops[0], np.random.default_rng(11), 30, 3))
+        return start, coupling_coefficients(*tops), SimConfig(dt=0.01, t_final=0.13, output_stride=4)
+
+    def test_fig4s_single_run_forks_nothing(self):
+        # 200 steps on fig4's 1200-site star: as the second run of a stack,
+        # the same run repays the fork
+        top = build_star((1.0, 1.5, 3.0), truncation=400)
+        start = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0), top)
+        cfg = SimConfig(dt=0.01, t_final=2.0, output_stride=100)
+        assert 1200 * 200 >= dynamics.STACK_SITE_STEPS
+        real = {"FORK_SITES": dynamics.FORK_SITES}
+        single, serial, forks = split_and_serial(start, coupling_coefficients(top), cfg, **real)
+        assert forks == 0
+        assert_same_states(single, serial)
+        pair = FieldState(np.concatenate([start.data, start.data]))
+        _, _, forks = split_and_serial(pair, coupling_coefficients(top, top), cfg, **real)
+        assert forks == 1
+
+    @pytest.mark.parametrize("shape", ["short-run", "one-cpu", "stack-of-fork-sites"])
+    def test_what_steps_serially(self, shape):
+        start, cp, cfg = self.case(truncation=120)
+        patches = dict(STACK_SPLIT)
+        if shape == "short-run":  # 13 steps of one 360-site run: far below the threshold
+            patches = {"FORK_SITES": dynamics.FORK_SITES}
+        elif shape == "one-cpu":
+            patches["_worker_fits"] = lambda: False
+        else:  # the far-tail split's size; the window stays below it
+            patches["FORK_SITES"] = start.data.size
+        split, serial, forks = split_and_serial(start, cp, cfg, **patches)
+        assert forks == 0
+        assert_same_states(split, serial)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds through /proc")
+    def test_a_failed_fork_steps_the_whole_run_serially(self):
+        attempts = []
+
+        def failing_fork():
+            attempts.append(1)
+            raise BlockingIOError(errno.EAGAIN, "fork: no process slot")
+
+        before = set(os.listdir("/proc/self/fd"))
+        with mock.patch.object(os, "fork", failing_fork):
+            split, serial, forks = split_and_serial(*self.case(), **STACK_SPLIT)
+        assert forks == len(attempts) == 1
+        assert_same_states(split, serial)
+        # the four sentinel pipe ends that CPython's fork Popen leaks on a failed fork
+        left = {fd: os.readlink(f"/proc/self/fd/{fd}") for fd in set(os.listdir("/proc/self/fd")) - before}
+        for fd in left:
+            os.close(int(fd))
+        assert len(left) == 4 and all(target.startswith("pipe:") for target in left.values()), left
+
+    def test_a_child_that_exits_nonzero_leaves_its_runs_to_the_parent(self):
+        patches = {**STACK_SPLIT, "_step_runs": lambda *args: os._exit(1)}
+        split, serial, forks = split_and_serial(*self.case(), **patches)
+        assert forks == 1
+        assert_same_states(split, serial)
+
+    def test_a_child_killed_mid_run_leaves_the_rest_to_the_parent(self):
+        parent, real, calls = os.getpid(), dynamics.step, []
+
+        def killed(*args):
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == 6:  # in stretch 3, after it sent the first observation
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        split, serial, forks = split_and_serial(*self.case(), **STACK_SPLIT, step=killed)
+        assert forks == 1
+        assert_same_states(split, serial)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bumps", [{2: 1.5}, {0: 1.5}, {0: 1.3, 2: 1.5}, {0: 1.5, 2: 1.1}],
+        ids=["child-owned", "parent-owned", "child-owned-first", "parent-owned-first"],
+    )
+    def test_a_divergence_raises_the_serial_runs_error(self, bumps):
+        # run 2 belongs to the child, runs 0 and 1 to the parent.  Alone, a
+        # bump of 1.5 blows up at t = 0.5, one of 1.3 at 0.6 and one of 1.1
+        # at 0.7; the observations come every 0.2.  With bumps of 1.3 and
+        # 1.5 the parent's half raises at 0.6, in the stretch where the
+        # child's run blew up first
+        tops = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 100) for r in (0.4, 0.5, 0.6)]
+        data = np.zeros((3, tops[0].n_sites), dtype=np.complex128)
+        for run, height in bumps.items():
+            data[run, tops[0].vertex_distance <= 5] = height
+        cp, cfg = coupling_coefficients(*tops), SimConfig(dt=0.1, t_final=100.0, output_stride=2)
+        errors = []
+        for patches in ({"_worker_fits": lambda: False}, {**STACK_SPLIT, "_worker_fits": lambda: True}):
+            with mock.patch.multiple(dynamics, **patches), \
+                    mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+                with pytest.raises(DivergenceError) as error:
+                    list(evolve(FieldState(data.ravel()), cp, cfg))
+            errors.append((error.value.bond, error.value.site, error.value.time, forks.call_count))
+        assert errors[0][2] == pytest.approx(0.5)
+        assert errors[0][:3] == errors[1][:3] and errors[0][3] == 0 and errors[1][3] == 1
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("walls", [(2,), (1, 2)], ids=["child-owned", "parent-owned-first"])
+    def test_a_wall_names_the_first_failing_run_in_stack_order(self, walls):
+        # run 2's soliton runs out along the leaves and run 1's back along
+        # bond 1; each alone reaches its wall at the observation t = 25
+        top = build_star((1.0, 1.5, 3.0), 100)
+        launches = {1: SolitonParams(alpha=math.pi / 4, beta=0.5, n0=-60.0), 2: dataclasses.replace(FAST, n0=60.0)}
+        launch = FieldState(np.concatenate([
+            soliton_profile(launches[b] if b in walls else FAST, top).data for b in range(3)]))
+        cfg = SimConfig(dt=0.05, t_final=40.0, output_stride=100)
+        split, serial, forks = run_split_and_serial(
+            lambda: pytest.raises(InconclusiveRunError, observe, [top] * 3, launch, cfg), **STACK_SPLIT)
+        assert forks == 1
+        assert str(split.value) == str(serial.value)
+        assert f"bond '{'1' if walls[0] == 1 else '11'}' " in str(serial.value)
+
+    def test_an_observer_that_raises_leaves_no_child(self):
+        seen = []
+
+        def failing(state):
+            seen.append(state.time)
+            if len(seen) == 3:
+                raise RuntimeError("the observer failed")
+
+        tops = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 145) for r in (0.3, 0.6)]
+        with mock.patch.multiple(dynamics, **STACK_SPLIT, _worker_fits=lambda: True), \
+                mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+            with pytest.raises(RuntimeError, match="observer failed"):
+                scattering_run(tops, FAST, SimConfig(dt=0.1, output_stride=10), folds=[failing])
+        assert forks.call_count == 1
+        assert_no_child_is_left()
+
+    def test_ctrl_c_to_the_group_leaves_no_child(self, tmp_path):
+        # the stepping child marks its start and then steps on; Ctrl-C
+        # reaches the whole group, and only the parent may act on it
+        marker = tmp_path / "child.pid"
+        code = "\n".join([
+            "import os",
+            "import alnet.dynamics",
+            "from alnet.cli import main",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "real = alnet.dynamics._step_runs",
+            "def marked(*args):",
+            f"    with open({str(marker)!r}, 'a') as fh:",
+            "        fh.write(f'{os.getpid()}\\n')",
+            "    real(*args)",
+            "alnet.dynamics._step_runs = marked",
+            "main()",
+        ])
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "experiment": "sweep", "ratios": [0.3, 0.6], "topology": {"gammas": [1.0, 1.5, 3.0], "truncation": 300},
+            "soliton": {"alpha": ALPHA_FIG4, "beta": 0.1, "n0": -120.0}, "sim": {"dt": 0.01, "output_stride": 100},
+        }))
+        env = dict(os.environ, PYTHONPATH=str(Path(dynamics.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "sweep", "--config", str(config), "--out", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+        )
+        try:
+            for _ in range(200):
+                if marker.exists():
+                    break
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode != 0 and stdout == ""
+        # the parent's own KeyboardInterrupt, and no line from the child
+        assert stderr.count("Traceback") == 1 and stderr.rstrip().endswith("KeyboardInterrupt")
+        assert "Process" not in stderr
+        for pid in map(int, marker.read_text().split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert not (tmp_path / "out").exists()
