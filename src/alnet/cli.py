@@ -11,7 +11,7 @@ configured ``soliton_profile``, bifurcation, sweep and broken-rule are
 all ``experiments.scattering_run``, which calls it on a checked launch.
 ``conserved-audit`` folds the observed states into a
 ``conserved.SnapshotFold``, which computes the snapshots in a forked
-``multiprocessing`` worker on a machine with two usable CPUs; its exit
+worker on a machine with two usable CPUs; its exit
 codes, messages and output are those of the serial audit.
 ``observe`` evolves every run, guards the truncated walls at each
 observation and holds only the states its ``SnapshotPicker`` keeps for

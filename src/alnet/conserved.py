@@ -31,17 +31,8 @@ Three layers: the norm, the pair sum Z, and one ladder for every C_m.
 ``drift_audit`` folds the snapshots of one run, in time order, into the
 maximum relative drift of each quantity.
 
-``SnapshotFold`` is ``conserved-audit``'s fold: one ``add`` per observed
-state, and the run's snapshots at the end.  Where the machine has
-``os.fork`` and two usable CPUs, its first ``add`` forks a worker, a
-``multiprocessing.Process`` on a ``Pipe``, that computes every snapshot
-beside the integration, one in flight at a time, and raises each error
-in the serial run's order; elsewhere it calls ``snapshot`` in-process.
-Either way one ``SnapshotWorkspace``, the ladder's scratch, serves the
-whole run, and the snapshots are the same bits.  ``_fork`` starts the
-worker, and ``io``'s snapshot formatters and ``dynamics``' far-tail and
-stack steppers too; ``FORK_SITES`` is the state size from which the
-formatters and the far-tail stepper fork, and below which a stack splits.
+``SnapshotFold`` is ``conserved-audit``'s fold, its snapshots computed in
+a forked worker where ``forked.fits`` allows and the same bits either way.
 
 Every table read here is a cached property of the topology, built on its
 first use: R's tables (``couplings`` wraps them), ``sqrt_gamma``, the
@@ -56,14 +47,13 @@ boundary guard of ``experiments.observe`` stops a run that reaches them.
 from __future__ import annotations
 
 import contextlib
-import os
-import signal
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
+from .forked import Child, NoAnswer, fits
 from .state import FieldState, _check_shape, partial_norms
 from .topology import GraphTopology
 
@@ -223,146 +213,67 @@ def snapshot(
     )
 
 
-# the fewest sites of a state whose snapshot rows ``io`` hands to a forked formatter, and
-# of a window whose far tails ``dynamics.evolve`` hands to a forked stepper.  On 2 vCPUs a
-# fork costs the run about 7 ms, its start and the copy-on-write faults after it; on
-# runs as long as fig4's (16k steps) forking a formatter lost at 1200 sites and broke
-# even from 6000 to 12000, and on big-star's 400-step runs it won from 1200 sites up
-FORK_SITES = 20000
-
-
-def _worker_fits() -> bool:
-    """Whether a forked worker can run beside the integration: ``os.fork``, two usable CPUs, and
-    a process that may have children, which a daemonic ``multiprocessing`` process may not."""
-    if not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus < 2:
-        return False
-    import multiprocessing  # here, so that ``import alnet`` does not load it
-
-    return not multiprocessing.current_process().daemon
-
-
-def _ignoring_ctrl_c(target, *args) -> None:
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    target(*args)
-
-
-def _fork(target, *args):
-    """``target(*args)`` in a started, daemonic fork-context ``multiprocessing.Process`` that ignores Ctrl-C.
-
-    The arguments pass through the fork, not through pickle.  Ctrl-C is
-    blocked in the parent across the fork and unblocked in the child once
-    it ignores it, so a Ctrl-C sent to the process group meanwhile reaches
-    the parent alone.  ``multiprocessing`` flushes stdio before the fork
-    and ends the child through ``os._exit``, so the child prints none of
-    the parent's output and runs none of its exit handlers.  A failed fork
-    raises OSError.
-    """
-    import multiprocessing
-
-    process = multiprocessing.get_context("fork").Process(
-        target=_ignoring_ctrl_c, args=(target, *args), daemon=True
-    )
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        process.start()
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-    return process
-
-
-def _serve(topology: GraphTopology, m_max: int, parent_end, pipe) -> None:
+def _serve(topology: GraphTopology, m_max: int, pipe) -> None:
     """The worker's loop: one snapshot per state received on ``pipe``, its outcome sent back on it.
 
-    It ends at the end of the pipe, or when the parent closed it before
-    the answer; Ctrl-C ends the parent and so the pipe.
-    """
-    parent_end.close()  # else the worker holds its own pipe open and never reads its end
+    It ends with the pipe, which the parent closes, also on Ctrl-C."""
     workspace = SnapshotWorkspace(m_max, topology.n_sites)
     data = np.empty(topology.n_sites, dtype=np.complex128)
-    with contextlib.suppress(EOFError, ConnectionError):
-        while True:
-            time = pipe.recv()
-            pipe.recv_bytes_into(data)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    outcome = snapshot(FieldState(data, time), topology, m_max, workspace)
-            except Exception as exc:
-                outcome = exc
-            pipe.send(outcome)
-
-
-def _fork_piped(target, *args, duplex: bool = True):
-    """Fork ``target(*args, parent_end, child_end)`` on a new ``Pipe``: the child's process and ``parent_end``.
-
-    Without ``duplex``, ``parent_end`` reads what ``child_end`` writes.
-    The child closes its copy of ``parent_end``, so that the parent's
-    close ends the pipe.  A failed start closes both ends.
-    """
-    import multiprocessing
-
-    parent_end, child_end = multiprocessing.get_context("fork").Pipe(duplex)
-    with child_end:
+    while True:
+        time = pipe.recv()
+        pipe.recv_bytes_into(data)
         try:
-            process = _fork(target, *args, parent_end, child_end)
-        except BaseException:
-            parent_end.close()
-            raise
-    return process, parent_end
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcome = snapshot(FieldState(data, time), topology, m_max, workspace)
+        except Exception as exc:
+            outcome = exc
+        pipe.send(outcome)
 
 
-class SnapshotFold:
+class SnapshotFold(contextlib.AbstractContextManager):
     """The snapshots of one run, a fold over its observed states: one ``add`` per observation.
 
-    Where the machine has ``os.fork`` and more than one usable CPU, the
-    first ``add`` forks a worker that computes each ``snapshot`` while the
-    caller steps on; elsewhere, or when the fork fails, ``add`` calls
-    ``snapshot`` in-process.  Either way one workspace serves the run, and
-    ``snapshots()`` returns the same snapshots, in observation order.
+    Where ``forked.fits`` allows, the first ``add`` forks a worker that
+    computes each ``snapshot`` while the caller steps on; elsewhere, or
+    when the fork fails, ``add`` calls ``snapshot`` in-process.  Either way
+    one ``SnapshotWorkspace``, the ladder's scratch, serves the run, and
+    ``snapshots()`` returns the same bits, in observation order.
     At most one snapshot is in flight: ``add`` reads the outcome of the
     previous observation before it sends the next, and raises its error.
     Use the fold as a context manager.  Leaving it reads the outcome in
     flight, whose error replaces an error the caller raised after sending
     it (a later step's DivergenceError, the boundary guard's
     InconclusiveRunError), so errors surface in the serial run's order;
-    then the worker is joined, also on KeyboardInterrupt.
+    then the worker is closed, also on KeyboardInterrupt.
     """
 
     def __init__(self, topology: GraphTopology, m_max: int):
         _check_m_max(m_max)
         self.topology, self.m_max = topology, m_max
         self.snaps: list[ConservedSnapshot] = []
-        self.started, self.pending = False, False
-        self.worker = self.pipe = None  # the worker's process and the parent's end of its pipe
+        self.pending = False
+        self.worker: Child | None = None
         self.workspace: SnapshotWorkspace | None = None
 
     def add(self, state: FieldState) -> None:
         _check_shape(state, self.topology)
-        if not self.started:
-            self.started = True
-            if _worker_fits():
-                with contextlib.suppress(OSError):
-                    self.worker, self.pipe = _fork_piped(_serve, self.topology, self.m_max)
+        if self.worker is None and self.workspace is None:  # the first add
+            with contextlib.suppress(NoAnswer):
+                self.worker = Child(_serve, self.topology, self.m_max, duplex=True) if fits() else None
             if self.worker is None:
                 self.workspace = SnapshotWorkspace(self.m_max, self.topology.n_sites)
         if self.worker is None:
             self.snaps.append(snapshot(state, self.topology, self.m_max, self.workspace))
             return
         self._collect()
-        self.pipe.send(state.time)
-        self.pipe.send_bytes(state.data)
+        self.worker.pipe.send(state.time)
+        self.worker.pipe.send_bytes(state.data)
         self.pending = True
 
     def _collect(self) -> None:
         if self.pending:
             self.pending = False
-            try:
-                outcome = self.pipe.recv()
-            except (EOFError, ConnectionResetError):  # a killed worker: the latter if it left data unread
-                raise RuntimeError(f"the snapshot worker (pid {self.worker.pid}) ended before its answer") from None
+            outcome = self.worker.recv()
             if isinstance(outcome, Exception):
                 raise outcome
             self.snaps.append(outcome)
@@ -372,19 +283,14 @@ class SnapshotFold:
         self._collect()
         return self.snaps
 
-    def __enter__(self) -> "SnapshotFold":
-        return self
-
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None or issubclass(exc_type, Exception):
                 self._collect()
         finally:
             if self.worker is not None:
-                self.worker, worker = None, self.worker
                 self.pending = False
-                self.pipe.close()  # the end of its pipe ends the worker
-                worker.join()
+                self.worker.close()
 
 
 @dataclass(frozen=True)

@@ -66,17 +66,16 @@ gather per observation.  A stack windows on the union of its runs.
 Nothing is replayed: the band covers each stretch, and the next window is
 chosen from the exact state at its start, wider when the field has spread.
 
-A window of at least ``conserved.FORK_SITES`` sites, where
-``conserved._worker_fits`` allows a child, steps on both CPUs.  Each
-stretch of more than one step is cut at the vertex distance
-D = 0.7 W, with a halo of H = 4 sites per step of the stretch on each side
-of the cut.  The parent steps the near domain, the R of
-``with_truncation(t, D + H)``.  A child forked through ``conserved._fork``
-steps the far domain: the semi-infinite bonds' sites with
+A window of at least ``FORK_SITES`` sites, where ``fits`` allows a child
+(both from ``forked``), steps on both CPUs.  Each stretch of more than one
+step is cut at the vertex distance D = 0.7 W, with a halo of H = 4 sites
+per step of the stretch on each side of the cut.  The parent steps the
+near domain, the R of ``with_truncation(t, D + H)``.  A forked child steps
+the far domain: the semi-infinite bonds' sites with
 D - H < ``vertex_distance`` <= W, laid out as the ``build_star`` of their
 gammas at truncation W - D + H, whose junction lies inside the halo.  The
-child sends back its sites beyond D on a ``Pipe``, and the parent writes
-both sides into the full layout.  The fourth fact:
+child sends back its sites beyond D, and the parent writes both sides
+into the full layout.  The fourth fact:
 
 * a cut's influence, like the support, moves at most 4 sites a step, so
   over the stretch neither the near domain's wall nor the far star's
@@ -86,29 +85,26 @@ both sides into the full layout.  The fourth fact:
 D moves work, not bits: the far tails hold subnormals and cost about
 twice as much a site, and at 0.7 W both sides finish about together.  A
 DivergenceError on either side (a halo may go non-finite where the serial
-run does not), or a child that ends without its sites, re-runs the stretch
+run does not), or a child that gives no answer, re-runs the stretch
 serially from its start state, so every error names the serial run's
-bond, site and time.  A failed fork steps the rest of the run serially.
-These step serially: a graph of more than nine leaves, which one far star
-cannot hold; a window too short for D - H >= 1 and D + H < W; and a
-stretch of one step, whose fork costs more than it saves.  A stack
-splits, with one far star per run.
+bond, site and time; after a failed fork the rest of the run steps
+serially.  These step serially: a graph of more than nine leaves, which
+one far star cannot hold; a window too short for D - H >= 1 and
+D + H < W; and a stretch of one step, whose fork costs more than it
+saves.  A stack splits, with one far star per run.
 
-A stack of B >= 2 runs also steps on both CPUs, split by runs.  A child
-forked through ``conserved._fork_piped`` steps the last floor(B/2) runs as
-their own stack and sends each observed state's bytes on a ``Pipe``; the
-parent steps the first ceil(B/2) runs and yields each observation as its
-block followed by the child's.  Every run's block is that run's
-single-run bits in whatever stack it lies, so the yielded states are the
-serial run's.  The split applies to a stack of fewer than
-``conserved.FORK_SITES`` sites, whose windows never reach the far-tail
-split, where ``_worker_fits`` allows, and when the child's runs hold at
-least ``STACK_SITE_STEPS`` site steps, where its work repays the fork.
-Each half steps serially: a third process on two CPUs made the sweep
-slower than one.  A failed fork, a DivergenceError on either side (the
-child's names a site of its own layout) or a child that ends without its
-state steps the whole stack serially from the last observed state for the
-rest of the run, so every error is the serial run's, in stack order.
+A stack of B >= 2 runs of fewer than ``FORK_SITES`` sites, whose windows
+never reach the far-tail split, also steps on both CPUs where ``fits``
+allows and the child's runs hold at least ``STACK_SITE_STEPS`` site
+steps, where its work repays the fork.  A forked child steps the last
+floor(B/2) runs as their own stack and sends each observed state; the
+parent steps the first ceil(B/2) runs, each half serially, and yields
+each observation as its block followed by the child's.  Every run's block
+is that run's single-run bits in whatever stack it lies, so the yielded
+states are the serial run's.  A DivergenceError on either side (the
+child's names a site of its own layout) or a child that gives no answer
+steps the whole stack serially from the last observed state for the rest
+of the run, so every error is the serial run's, in stack order.
 """
 
 from __future__ import annotations
@@ -120,8 +116,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .conserved import FORK_SITES, _fork_piped, _worker_fits
 from .errors import DivergenceError, InvalidParameterError
+from .forked import FORK_SITES, Child, NoAnswer, fits
 from .state import FieldState, assert_finite
 from .topology import (
     KIND_INTERNAL,
@@ -313,15 +309,12 @@ def _run(y: FieldState, couplings: CouplingCoefficients, steps: int, dt: float, 
     return y
 
 
-def _step_far(couplings, start: FieldState, steps: int, dt: float, owned: np.ndarray, reader, writer) -> None:
+def _step_far(couplings, start: FieldState, steps: int, dt: float, owned: np.ndarray, writer) -> None:
     """A stepping child's work: ``steps`` steps of ``start``, then its ``owned`` sites on ``writer``.
 
-    Its halo may overflow where the serial run does not, so it warns of
-    nothing, and a DivergenceError sends nothing: the parent reads the end
-    of the pipe and steps the stretch serially.
-    """
-    reader.close()  # else a parent that died leaves this child blocked in its write
-    with np.errstate(all="ignore"), contextlib.suppress(DivergenceError, BrokenPipeError):
+    Its halo may overflow where the serial run does not: it warns of nothing, and a
+    DivergenceError sends nothing, so the parent gets no answer and steps the stretch."""
+    with np.errstate(all="ignore"), contextlib.suppress(DivergenceError):
         writer.send_bytes(_run(start, couplings, steps, dt).data[owned])
 
 
@@ -333,8 +326,7 @@ def _split_stretch(
     Returns the stretch's last state in the full layout.  Returns None,
     for the caller to step the stretch serially, on a window too short for
     a cut with a halo on each side, or when either side raised
-    DivergenceError or the child ended without its sites.  A failed fork
-    raises OSError.  The child is ended and joined on every exit.
+    DivergenceError.  A child that gives no answer raises ``NoAnswer``.
     """
     cut = 7 * truncation // 10  # the far tails cost about twice as much a site
     halo = 4 * steps
@@ -348,24 +340,16 @@ def _split_stretch(
         for t in couplings.topologies
     ))
     start = FieldState(current.data[far_sites], current.time)
-    child, reader = _fork_piped(_step_far, far, start, steps, dt, far_owned, duplex=False)
-    try:
+    tail = np.empty(np.count_nonzero(far_owned), dtype=np.complex128)
+    with contextlib.suppress(DivergenceError), Child(_step_far, far, start, steps, dt, far_owned, duplex=False) as child:
         near = coupling_coefficients(*(with_truncation(t, cut + halo) for t in couplings.topologies))
         y = _run(FieldState(current.data[near_sites], current.time), near, steps, dt)
-        tail = reader.recv_bytes()
-        child.join()
-        if child.exitcode != 0:
-            return None
-    except (DivergenceError, EOFError, ConnectionResetError):  # the latter two: a child that ended early
-        return None
-    finally:
-        reader.close()
-        child.terminate()  # a no-op once it has been joined
-        child.join()
-        child.close()
-    out = _embed(y, near_sites, current.data.shape)  # its halo, then the child's sites over it
-    out.data[far_sites[far_owned]] = np.frombuffer(tail, dtype=np.complex128)
-    return out
+        child.recv(into=tail)
+        child.ended()
+        out = _embed(y, near_sites, current.data.shape)  # its halo, then the child's sites over it
+        out.data[far_sites[far_owned]] = tail
+        return out
+    return None
 
 
 def _observations(
@@ -390,11 +374,11 @@ def _observations(
             window = None  # free its workspace before the next one's
         after = None
         # a fork costs more than the half step that it saves on a stretch of one step
-        if split and steps > 1 and np.count_nonzero(distance <= truncation) >= FORK_SITES and _worker_fits():
+        if split and steps > 1 and np.count_nonzero(distance <= truncation) >= FORK_SITES and fits():
             try:
                 after = _split_stretch(current, couplings, distance, truncation, steps, dt)
-            except OSError:  # a failed fork: the rest of the run steps serially
-                split = False
+            except NoAnswer as exc:  # after a failed fork the rest of the run steps serially
+                split = exc.started
         if after is not None:
             window = None
         else:
@@ -407,14 +391,11 @@ def _observations(
             yield current
 
 
-def _step_runs(couplings: CouplingCoefficients, start: FieldState, config: SimConfig, reader, writer) -> None:
+def _step_runs(couplings: CouplingCoefficients, start: FieldState, config: SimConfig, writer) -> None:
     """A stack child's work: the run of ``start``, each observed state's bytes on ``writer``.
 
-    It warns of nothing, and a DivergenceError ends it: the parent reads
-    the end of the pipe and steps the rest of the run serially.
-    """
-    reader.close()  # else a parent that died leaves this child blocked in its write
-    with np.errstate(all="ignore"), contextlib.suppress(DivergenceError, BrokenPipeError):
+    It warns of nothing, and a DivergenceError ends it: the parent gets no answer."""
+    with np.errstate(all="ignore"), contextlib.suppress(DivergenceError):
         for state in _observations(start, couplings, config):
             writer.send_bytes(state.data)
 
@@ -422,35 +403,22 @@ def _step_runs(couplings: CouplingCoefficients, start: FieldState, config: SimCo
 def _split_stack(start: FieldState, couplings: CouplingCoefficients, config: SimConfig) -> Iterator[FieldState]:
     """The observed states after ``start``, the last half of the stack's runs stepped by a forked child.
 
-    The parent steps the first ceil(B/2) runs and the child the rest, each
-    half serially, and each yielded state is the parent's block followed by
-    the child's.  Ends early, for the caller to step the rest of the run
-    serially from the last state yielded, when the fork fails, when either
-    half raises DivergenceError or when the child ends without its state.
-    The child is ended and joined on every exit.
+    Each yielded state is the parent's first ceil(B/2) runs followed by the
+    child's.  Ends early, for the caller to step the rest of the run from the
+    last state yielded, on a DivergenceError or a child that gives no answer.
     """
     runs = couplings.topologies
     first = (len(runs) + 1) // 2
     cut = first * couplings.topology.n_sites
     tail = FieldState(start.data[cut:], start.time)
-    try:
-        child, reader = _fork_piped(_step_runs, coupling_coefficients(*runs[first:]), tail, config, duplex=False)
-    except OSError:
-        return
-    try:
+    with contextlib.suppress(DivergenceError, NoAnswer), \
+            Child(_step_runs, coupling_coefficients(*runs[first:]), tail, config, duplex=False) as child:
         head = FieldState(start.data[:cut], start.time)
         for y in _observations(head, coupling_coefficients(*runs[:first]), config):
             out = FieldState(np.empty_like(start.data), y.time)
             out.data[:cut] = y.data
-            reader.recv_bytes_into(out.data[cut:])
+            child.recv(into=out.data[cut:])
             yield out
-    except (DivergenceError, EOFError, ConnectionResetError):  # the latter two: a child that ended early
-        return
-    finally:
-        reader.close()
-        child.terminate()  # a no-op once it has ended
-        child.join()
-        child.close()
 
 
 def evolve(
@@ -478,7 +446,7 @@ def evolve(
     done = 0
     child_runs = len(couplings.topologies) // 2
     if child_runs and current.data.size < FORK_SITES \
-            and child_runs * couplings.topology.n_sites * n_steps >= STACK_SITE_STEPS and _worker_fits():
+            and child_runs * couplings.topology.n_sites * n_steps >= STACK_SITE_STEPS and fits():
         with contextlib.closing(_split_stack(current, couplings, config)) as halves:
             for current in halves:
                 done = min(done + config.output_stride, n_steps)

@@ -8,13 +8,9 @@ Each file is written whole or not at all: it goes to a hidden ``.part``
 sibling first and is renamed over its name only once complete.
 
 A snapshot file holds one row per lattice site, and on a big state most
-of its time is the float format of those rows.  ``SnapshotFiles`` takes
-each of a run's picks as soon as no later observation can replace it
-and, on a state of at least ``conserved.FORK_SITES`` sites, has a forked
-child format its rows into an unlinked temporary file while the run steps
-on; a pick final only at the run's end is split, half to a child and half
-formatted here.  ``write_outputs`` copies each child's file into the
-``.part`` file after the rows it formats itself, so the bytes are those of
+of its time is the float format of those rows, which ``SnapshotFiles``
+hands to forked children while the run steps on; ``write_outputs`` copies
+their files after the rows it formats itself, so the bytes are those of
 the in-process format.
 """
 
@@ -31,9 +27,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .conserved import FORK_SITES, DriftReport, _check_m_max, _fork, _worker_fits
+from .conserved import DriftReport, _check_m_max
 from .dynamics import SimConfig
 from .errors import InvalidParameterError, TopologyError
+from .forked import FORK_SITES, Child, NoAnswer, fits
 from .soliton import SolitonParams
 from .state import FieldState
 from .topology import BondSpec, GraphTopology, build_star, build_tree
@@ -255,10 +252,10 @@ class SnapshotRows:
         self.child = self.file = None
 
     def fork(self, start: int) -> None:
-        with contextlib.suppress(OSError):
+        with contextlib.suppress(OSError, NoAnswer):
             file = tempfile.TemporaryFile()
             try:
-                self.child = _fork(_format_into, file, self.state, self.topology, start, self.topology.n_sites)
+                self.child = Child(_format_into, file, self.state, self.topology, start, self.topology.n_sites)
             except BaseException:
                 file.close()
                 raise
@@ -266,14 +263,16 @@ class SnapshotRows:
 
     def settle(self, wait: bool) -> None:
         """Reap a child that has ended, after waiting for it if ``wait``: keep its file, or fall back."""
-        if self.child is None or not wait and self.child.exitcode is None:
+        if self.child is None:
             return
-        self.child.join()
-        if self.child.exitcode != 0:
+        try:
+            if not self.child.ended(wait):
+                return
+            if self.start == 0:
+                self.state = None
+        except NoAnswer:
             self.file.close()
             self.file, self.start = None, self.topology.n_sites
-        elif self.start == 0:
-            self.state = None
         self.child.close()
         self.child = None
 
@@ -290,27 +289,24 @@ class SnapshotRows:
             yield _snapshot_rows(self.state, self.topology, start, n).encode()
 
     def close(self) -> None:
-        if self.child is not None:
-            self.child.terminate()
-            self.settle(wait=True)
-        if self.file is not None:
-            self.file.close()
-            self.file = None
+        for part in (self.child, self.file):
+            if part is not None:
+                part.close()
+        self.child = self.file = None
 
 
-class SnapshotFiles:
+class SnapshotFiles(contextlib.AbstractContextManager):
     """The snapshot files of one run: ``add`` takes each pick once it is final, and starts its formatting.
 
-    On a state of at least ``FORK_SITES`` sites, where
-    ``conserved._worker_fits`` allows a child beside the run, a pick made
-    final before the run's last observation goes whole to a forked
-    formatter; one final only at the run's end is split, its second half
-    to a child and its first half formatted in ``write_outputs``.  A
-    smaller state is formatted whole in ``write_outputs``.  ``add`` returns
-    the file's ``SnapshotRows``, what ``write_outputs`` takes in place of
-    the state, and first reaps the children that have ended.  Use it as
-    a context manager: leaving it ends every child and closes its file,
-    on every exit.
+    On a state of at least ``FORK_SITES`` sites, where ``fits`` allows a
+    child beside the run, a pick made final before the run's last
+    observation goes whole to a forked formatter; one final only at the
+    run's end is split, its second half to a child and its first half
+    formatted in ``write_outputs``.  A smaller state is formatted whole in
+    ``write_outputs``.  ``add`` returns the file's ``SnapshotRows``, what
+    ``write_outputs`` takes in place of the state, and first reaps the
+    children that have ended.  Use it as a context manager: leaving it
+    ends every child and closes its file, on every exit.
     """
 
     def __init__(self, topology: GraphTopology):
@@ -322,13 +318,10 @@ class SnapshotFiles:
             rows.settle(wait=False)
         rows = SnapshotRows(state, self.topology)
         n = self.topology.n_sites
-        if n >= FORK_SITES and _worker_fits():
+        if n >= FORK_SITES and fits():
             rows.fork(n // 2 if at_end else 0)
         self.files.append(rows)
         return rows
-
-    def __enter__(self) -> "SnapshotFiles":
-        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         for rows in self.files:

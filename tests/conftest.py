@@ -1,5 +1,8 @@
+import contextlib
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +189,25 @@ def assert_no_child_is_left():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def temp_fds() -> list[str]:
+    """What this process's open descriptors name under the temporary directory."""
+    names = []
+    for fd in Path("/proc/self/fd").iterdir():
+        with contextlib.suppress(OSError):
+            names.append(os.readlink(fd))
+    return sorted(name for name in names if name.startswith(tempfile.gettempdir()))
+
+
+@contextlib.contextmanager
+def fds_left_open():
+    """The descriptors that the block opened and left open, as ``{fd: what it names}``."""
+    before, left = set(os.listdir("/proc/self/fd")), {}
+    yield left
+    for fd in set(os.listdir("/proc/self/fd")) - before:
+        with contextlib.suppress(OSError):
+            left[fd] = os.readlink(f"/proc/self/fd/{fd}")
 
 
 def peak_tracker(states, topology, bond):

@@ -1,4 +1,3 @@
-import contextlib
 import filecmp
 import json
 import math
@@ -8,7 +7,6 @@ import shutil
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -46,7 +44,7 @@ from alnet.cli import (
 )
 from alnet.conserved import M_MAX_LIMIT
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
-from conftest import ALPHA_FIG4, PROPERTY_SETTINGS, assert_no_child_is_left, audit, zero_state
+from conftest import ALPHA_FIG4, PROPERTY_SETTINGS, assert_no_child_is_left, audit, temp_fds, zero_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -979,16 +977,6 @@ class TestAuditWorker:
         assert "truncated end of bond '1'" in capsys.readouterr().err
         assert worker_forks == []
         assert_no_child_is_left()
-
-
-def temp_fds() -> list[str]:
-    """What this process's open descriptors name under the temporary directory."""
-    fds = Path("/proc/self/fd")
-    names = []
-    for fd in fds.iterdir():
-        with contextlib.suppress(OSError):
-            names.append(os.readlink(fd))
-    return sorted(name for name in names if name.startswith(tempfile.gettempdir()))
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="reads the open descriptors in /proc")

@@ -39,6 +39,7 @@ from conftest import (
     chain_gaps,
     closed_form_constant,
     decaying_random_field,
+    fds_left_open,
     glued_state,
     higher_constants_recursive,
     lax_log_a,
@@ -403,20 +404,15 @@ class TestSnapshotFold:
             raise BlockingIOError(errno.EAGAIN, "fork: no process slot")
 
         monkeypatch.setattr(os, "fork", failing_fork)
-        before = set(os.listdir("/proc/self/fd"))
-        with SnapshotFold(top, 8) as fold:
+        with fds_left_open() as left, SnapshotFold(top, 8) as fold:
             for state in states:
                 fold.add(state)
-            assert fold.worker is None and fold.pipe is None
+            assert fold.worker is None
             snaps = fold.snapshots()
         assert snaps == [snapshot(state, top, 8) for state in states]
-        # CPython's fork Popen opens two sentinel pipes before os.fork and
-        # closes neither when it raises; the fold's Pipe is a socket pair,
-        # and both of its ends must be closed
-        left = {fd: os.readlink(f"/proc/self/fd/{fd}") for fd in set(os.listdir("/proc/self/fd")) - before}
-        for fd in left:
-            os.close(int(fd))
-        assert all(target.startswith("pipe:") for target in left.values()), left
+        # neither the fold's Pipe, a socket pair, nor the two sentinel pipes
+        # that CPython's fork Popen opens before os.fork
+        assert left == {}
 
     def test_a_daemonic_process_runs_in_process(self, worker_forks, monkeypatch):
         # a daemonic multiprocessing process, a Pool's worker say, may not start children

@@ -41,6 +41,7 @@ from conftest import (
     ReferenceShift,
     assert_no_child_is_left,
     bits,
+    fds_left_open,
     rhs,
     tree_spec,
     tree_stacks,
@@ -420,7 +421,7 @@ def windowed_run(start, couplings, config):
     The run has no second CPU, so that this process steps every run of a stack.
     """
     with mock.patch.object(dynamics, "step", wraps=dynamics.step) as spy, \
-            mock.patch.object(dynamics, "_worker_fits", lambda: False):
+            mock.patch.object(dynamics, "fits", lambda: False):
         states = list(evolve(start, couplings, config))
     return states, [call.args[0].data.shape[0] for call in spy.call_args_list]
 
@@ -554,7 +555,7 @@ def test_window_on_random_sum_rule_trees(tops, seed):
 def split_and_serial(start, couplings, config, **patches):
     """``evolve``'s states with every big-enough stretch split, its serial states, and the forks it made.
 
-    ``FORK_SITES`` is 0 and ``_worker_fits`` True for the split run, so it
+    ``FORK_SITES`` is 0 and ``fits`` True for the split run, so it
     splits whatever the machine; ``patches`` set more attributes of
     ``dynamics`` for it.  The serial run has no second CPU.
     """
@@ -563,11 +564,11 @@ def split_and_serial(start, couplings, config, **patches):
 
 def run_split_and_serial(run, **patches):
     """``run()`` with the patches of ``split_and_serial``, ``run()`` without a second CPU, and the forks."""
-    with mock.patch.object(dynamics, "_worker_fits", lambda: False):
+    with mock.patch.object(dynamics, "fits", lambda: False):
         serial = run()
-    patches = {"FORK_SITES": 0, "_worker_fits": lambda: True, **patches}
+    patches = {"FORK_SITES": 0, "fits": lambda: True, **patches}
     with mock.patch.multiple(dynamics, **patches), \
-            mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+            mock.patch.object(dynamics, "Child", wraps=dynamics.Child) as forks:
         split = run()
     assert_no_child_is_left()
     return split, serial, forks.call_count
@@ -661,17 +662,12 @@ class TestSplit:
             attempts.append(1)
             raise BlockingIOError(errno.EAGAIN, "fork: no process slot")
 
-        before = set(os.listdir("/proc/self/fd"))
-        with mock.patch.object(os, "fork", failing_fork):
+        with fds_left_open() as left, mock.patch.object(os, "fork", failing_fork):
             split, serial, forks = split_and_serial(start, cp, cfg)
         assert forks == len(attempts) == 1
         assert_same_states(split, serial)
-        # the four sentinel pipe ends that CPython's fork Popen leaks on a
-        # failed fork, once a run; the stretch's own Pipe is closed
-        left = {fd: os.readlink(f"/proc/self/fd/{fd}") for fd in set(os.listdir("/proc/self/fd")) - before}
-        for fd in left:
-            os.close(int(fd))
-        assert len(left) == 4 and all(target.startswith("pipe:") for target in left.values()), left
+        # neither the stretch's own Pipe nor the sentinel pipes of CPython's fork Popen
+        assert left == {}
 
     def test_a_child_that_exits_nonzero_leaves_its_stretch_to_the_parent(self):
         start, cp, cfg = self.case()
@@ -702,10 +698,10 @@ class TestSplit:
         cfg = SimConfig(dt=0.1, t_final=100.0, output_stride=5)
         errors = []
         for serially in (True, False):
-            patches = {"_worker_fits": lambda: False} if serially else \
-                {"FORK_SITES": 0, "_worker_fits": lambda: True}
+            patches = {"fits": lambda: False} if serially else \
+                {"FORK_SITES": 0, "fits": lambda: True}
             with mock.patch.multiple(dynamics, **patches), \
-                    mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+                    mock.patch.object(dynamics, "Child", wraps=dynamics.Child) as forks:
                 with pytest.raises(DivergenceError) as error:
                     list(evolve(start, cp, cfg))
             errors.append((error.value.bond, error.value.site, error.value.time, forks.call_count))
@@ -723,8 +719,8 @@ class TestSplit:
                     raise KeyboardInterrupt
             return real(*args)
 
-        with mock.patch.multiple(dynamics, FORK_SITES=0, _worker_fits=lambda: True, step=interrupted), \
-                mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+        with mock.patch.multiple(dynamics, FORK_SITES=0, fits=lambda: True, step=interrupted), \
+                mock.patch.object(dynamics, "Child", wraps=dynamics.Child) as forks:
             with pytest.raises(KeyboardInterrupt):
                 list(evolve(start, cp, cfg))
         assert forks.call_count == 2
@@ -799,7 +795,7 @@ class TestStackSplit:
         if shape == "short-run":  # 13 steps of one 360-site run: far below the threshold
             patches = {"FORK_SITES": dynamics.FORK_SITES}
         elif shape == "one-cpu":
-            patches["_worker_fits"] = lambda: False
+            patches["fits"] = lambda: False
         else:  # the far-tail split's size; the window stays below it
             patches["FORK_SITES"] = start.data.size
         split, serial, forks = split_and_serial(start, cp, cfg, **patches)
@@ -814,16 +810,12 @@ class TestStackSplit:
             attempts.append(1)
             raise BlockingIOError(errno.EAGAIN, "fork: no process slot")
 
-        before = set(os.listdir("/proc/self/fd"))
-        with mock.patch.object(os, "fork", failing_fork):
+        with fds_left_open() as left, mock.patch.object(os, "fork", failing_fork):
             split, serial, forks = split_and_serial(*self.case(), **STACK_SPLIT)
         assert forks == len(attempts) == 1
         assert_same_states(split, serial)
-        # the four sentinel pipe ends that CPython's fork Popen leaks on a failed fork
-        left = {fd: os.readlink(f"/proc/self/fd/{fd}") for fd in set(os.listdir("/proc/self/fd")) - before}
-        for fd in left:
-            os.close(int(fd))
-        assert len(left) == 4 and all(target.startswith("pipe:") for target in left.values()), left
+        # neither the split's own Pipe nor the sentinel pipes of CPython's fork Popen
+        assert left == {}
 
     def test_a_child_that_exits_nonzero_leaves_its_runs_to_the_parent(self):
         patches = {**STACK_SPLIT, "_step_runs": lambda *args: os._exit(1)}
@@ -862,9 +854,9 @@ class TestStackSplit:
             data[run, tops[0].vertex_distance <= 5] = height
         cp, cfg = coupling_coefficients(*tops), SimConfig(dt=0.1, t_final=100.0, output_stride=2)
         errors = []
-        for patches in ({"_worker_fits": lambda: False}, {**STACK_SPLIT, "_worker_fits": lambda: True}):
+        for patches in ({"fits": lambda: False}, {**STACK_SPLIT, "fits": lambda: True}):
             with mock.patch.multiple(dynamics, **patches), \
-                    mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+                    mock.patch.object(dynamics, "Child", wraps=dynamics.Child) as forks:
                 with pytest.raises(DivergenceError) as error:
                     list(evolve(FieldState(data.ravel()), cp, cfg))
             errors.append((error.value.bond, error.value.site, error.value.time, forks.call_count))
@@ -896,8 +888,8 @@ class TestStackSplit:
                 raise RuntimeError("the observer failed")
 
         tops = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 145) for r in (0.3, 0.6)]
-        with mock.patch.multiple(dynamics, **STACK_SPLIT, _worker_fits=lambda: True), \
-                mock.patch.object(dynamics, "_fork_piped", wraps=dynamics._fork_piped) as forks:
+        with mock.patch.multiple(dynamics, **STACK_SPLIT, fits=lambda: True), \
+                mock.patch.object(dynamics, "Child", wraps=dynamics.Child) as forks:
             with pytest.raises(RuntimeError, match="observer failed"):
                 scattering_run(tops, FAST, SimConfig(dt=0.1, output_stride=10), folds=[failing])
         assert forks.call_count == 1
