@@ -235,9 +235,11 @@ class SnapshotFold(contextlib.AbstractContextManager):
 
     Where ``forked.fits`` allows, the first ``add`` forks a worker that
     computes each ``snapshot`` while the caller steps on; elsewhere, or
-    when the fork fails, ``add`` calls ``snapshot`` in-process.  Either way
-    one ``SnapshotWorkspace``, the ladder's scratch, serves the run, and
-    ``snapshots()`` returns the same bits, in observation order.
+    when the fork fails, ``add`` calls ``snapshot`` in-process.  A worker
+    that gives no answer is closed, and the state in flight and every later
+    one go in-process.  Either way one ``SnapshotWorkspace``, the ladder's
+    scratch, serves the run, and ``snapshots()`` returns the same bits, in
+    observation order.
     At most one snapshot is in flight: ``add`` reads the outcome of the
     previous observation before it sends the next, and raises its error.
     Use the fold as a context manager.  Leaving it reads the outcome in
@@ -251,7 +253,7 @@ class SnapshotFold(contextlib.AbstractContextManager):
         _check_m_max(m_max)
         self.topology, self.m_max = topology, m_max
         self.snaps: list[ConservedSnapshot] = []
-        self.pending = False
+        self.pending: FieldState | None = None  # the state whose snapshot is in flight
         self.worker: Child | None = None
         self.workspace: SnapshotWorkspace | None = None
 
@@ -261,22 +263,37 @@ class SnapshotFold(contextlib.AbstractContextManager):
             with contextlib.suppress(NoAnswer):
                 self.worker = Child(_serve, self.topology, self.m_max, duplex=True) if fits() else None
             if self.worker is None:
-                self.workspace = SnapshotWorkspace(self.m_max, self.topology.n_sites)
-        if self.worker is None:
-            self.snaps.append(snapshot(state, self.topology, self.m_max, self.workspace))
-            return
+                self._in_process()
         self._collect()
-        self.worker.pipe.send(state.time)
-        self.worker.pipe.send_bytes(state.data)
-        self.pending = True
+        if self.worker is not None:
+            try:
+                self.worker.pipe.send(state.time)
+                self.worker.pipe.send_bytes(state.data)
+                self.pending = state
+                return
+            except OSError:  # BrokenPipeError: the worker has ended
+                self._in_process()
+        self.snaps.append(snapshot(state, self.topology, self.m_max, self.workspace))
+
+    def _in_process(self) -> None:
+        """Close the worker, if any: every snapshot from here on is computed in-process."""
+        if self.worker is not None:
+            self.worker.close()
+            self.worker = None
+        self.workspace = SnapshotWorkspace(self.m_max, self.topology.n_sites)
 
     def _collect(self) -> None:
-        if self.pending:
-            self.pending = False
+        state, self.pending = self.pending, None
+        if state is None:
+            return
+        try:
             outcome = self.worker.recv()
-            if isinstance(outcome, Exception):
-                raise outcome
-            self.snaps.append(outcome)
+        except NoAnswer:
+            self._in_process()
+            outcome = snapshot(state, self.topology, self.m_max, self.workspace)
+        if isinstance(outcome, Exception):
+            raise outcome
+        self.snaps.append(outcome)
 
     def snapshots(self) -> list[ConservedSnapshot]:
         """Every observation's snapshot so far, after the one in flight."""
@@ -289,7 +306,7 @@ class SnapshotFold(contextlib.AbstractContextManager):
                 self._collect()
         finally:
             if self.worker is not None:
-                self.pending = False
+                self.pending = None
                 self.worker.close()
 
 

@@ -295,13 +295,26 @@ class SnapshotRows:
         self.child = self.file = None
 
 
+def _half_work_row(state: FieldState) -> int:
+    """The row that halves the time to format ``state``'s rows, by the rows' estimated costs.
+
+    On big-star's 60k-site file a row of two +0 words took about 0.3 us and
+    any other row about 2.2 us, and most of the other rows lie in the first
+    half of the layout.
+    """
+    words = state.data.view(np.uint64)
+    cost = np.where(words[0::2] | words[1::2], 22, 3).cumsum()
+    return int(np.searchsorted(cost, cost[-1] / 2)) + 1
+
+
 class SnapshotFiles(contextlib.AbstractContextManager):
     """The snapshot files of one run: ``add`` takes each pick once it is final, and starts its formatting.
 
     On a state of at least ``FORK_SITES`` sites, where ``fits`` allows a
     child beside the run, a pick made final before the run's last
     observation goes whole to a forked formatter; one final only at the
-    run's end is split, its second half to a child and its first half
+    run's end is split where its estimated formatting time halves
+    (``_half_work_row``), its last rows to a child and its first rows
     formatted in ``write_outputs``.  A smaller state is formatted whole in
     ``write_outputs``.  ``add`` returns the file's ``SnapshotRows``, what
     ``write_outputs`` takes in place of the state, and first reaps the
@@ -319,7 +332,7 @@ class SnapshotFiles(contextlib.AbstractContextManager):
         rows = SnapshotRows(state, self.topology)
         n = self.topology.n_sites
         if n >= FORK_SITES and fits():
-            rows.fork(n // 2 if at_end else 0)
+            rows.fork(_half_work_row(state) if at_end else 0)
         self.files.append(rows)
         return rows
 

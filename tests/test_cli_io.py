@@ -43,6 +43,8 @@ from alnet.cli import (
     run_cli,
 )
 from alnet.conserved import M_MAX_LIMIT
+from alnet.io import SnapshotFiles, SnapshotRows
+from alnet.state import FieldState
 from alnet.topology import KIND_INCOMING, KIND_INTERNAL, KIND_LEAF
 from conftest import ALPHA_FIG4, PROPERTY_SETTINGS, assert_no_child_is_left, audit, temp_fds, zero_state
 
@@ -906,6 +908,18 @@ class TestAuditWorker:
         assert wrote and len(set(wrote)) == len(wrote)
         assert worker_out.replace(str(tmp_path / "worker"), str(tmp_path / "in-process")) == capfd.readouterr().out
 
+    def test_a_dead_worker_leaves_the_audit_to_the_parent(self, tmp_path, monkeypatch, worker_forks):
+        argv = ["conserved-audit", "--config", str(CONFIGS / "tree_audit.json")]
+        with monkeypatch.context() as dead:
+            dead.setattr("alnet.conserved._serve", lambda *args: os._exit(1))
+            assert run_cli([*argv, "--out", str(tmp_path / "dead")]) == EXIT_OK
+        assert len(worker_forks) == 1
+        assert_no_child_is_left()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli([*argv, "--out", str(tmp_path / "in-process")]) == EXIT_OK
+        for file in ("drift.csv", "summary.json"):
+            assert (tmp_path / "dead" / file).read_bytes() == (tmp_path / "in-process" / file).read_bytes()
+
     def test_every_exit_leaves_no_child(self, tmp_path, capsys, monkeypatch, worker_forks):
         ok, _ = write_config(tmp_path, m_max=6)
         assert run_cli(["conserved-audit", "--config", str(ok)]) == EXIT_OK
@@ -1039,6 +1053,21 @@ class TestFormatterChildren:
         assert capfd.readouterr() == (stdout * 2, "")
         assert_no_child_is_left()
         assert temp_fds() == before
+
+    def test_the_last_file_splits_where_its_formatting_time_halves(self, formatter_forks):
+        # 30 formatted rows of 22 cost units and 90 rows of +0 of 3: the first
+        # 22 rows cost 484 of the 930
+        top = build_star((1.0, 1.5, 3.0), 40)
+        data = np.zeros(top.n_sites, dtype=np.complex128)
+        data[:30] = 0.25 - 0.5j
+        state = FieldState(data, 2.0)
+        with SnapshotFiles(top) as files:
+            rows = files.add(state, at_end=True)
+            assert rows.start == 22
+            split = b"".join(rows.chunks())
+        assert len(formatter_forks) == 1
+        assert split == b"".join(SnapshotRows(state, top).chunks())
+        assert_no_child_is_left()
 
     def test_ctrl_c_to_the_group_prints_nothing_from_a_formatter(self, tmp_path):
         # a formatter that survives a Ctrl-C of its own, then lives until it

@@ -939,3 +939,155 @@ class TestStackSplit:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         assert not (tmp_path / "out").exists()
+
+
+SIGNED_PARTS = [p for q in (0.0, 5e-324, 1e-310, 3e-200, 0.7) for p in (q, -q)]
+
+
+@pytest.mark.parametrize("im", SIGNED_PARTS)
+@pytest.mark.parametrize("re", SIGNED_PARTS)
+def test_times_i_is_numpys_two_products_bit_for_bit(re, im):
+    pair = np.array([re, im]).view(np.complex128)  # a complex literal would lose the signs of zero
+    expected, got = pair.copy(), pair.copy()
+    expected *= np.ones(1)
+    expected *= 1j
+    dynamics._times_i(got, np.empty(1))
+    assert bits(got).tolist() == bits(expected).tolist()
+
+
+def test_the_probe_finds_numpys_products_exact():
+    # where it does not, the tiny zone takes the linear zone's products
+    assert dynamics._real_view_exact()
+
+
+def zoned_run_states(start, couplings, steps, dt, zoned):
+    """The state after each step of a ``_run``, and the text of a DivergenceError that ended it."""
+    real, states = dynamics.step, []
+
+    def recorded(*args):
+        states.append(real(*args))
+        return states[-1]
+
+    with mock.patch.object(dynamics, "step", recorded), np.errstate(all="ignore"):
+        try:
+            dynamics._run(start, couplings, steps, dt, zoned=zoned)
+        except DivergenceError as exc:
+            states.append(str(exc))
+    return states
+
+
+def assert_same_steps(zoned, plain):
+    assert len(zoned) == len(plain)
+    for a, b in zip(zoned, plain):
+        if isinstance(b, str):
+            assert a == b
+        else:
+            assert np.array_equal(bits(a.data), bits(b.data))
+
+
+@st.composite
+def zone_cases(draw):
+    """Stars or same-shape trees, one run or a stack of two, with a windowed field and a stretch.
+
+    Each run's field has a core of order one at a random vertex distance
+    and tails that fall by 3 to 30 decades a site, through the subnormals
+    into zeros of both signs; a twentieth of its words are -0, and every
+    site beyond a frontier is +0.  ``dt * steps`` runs up to 300.
+    """
+    truncation = draw(st.integers(40, 120))
+    if draw(st.booleans()):
+        leaves, runs = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+        gammas = st.lists(st.floats(0.25, 8.0), min_size=leaves + 1, max_size=leaves + 1)
+        tops = [build_star(draw(gammas), truncation) for _ in range(runs)]
+    else:
+        tops = [with_truncation(t, truncation) for t in draw(tree_stacks(max_columns=2))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distance = np.tile(tops[0].vertex_distance, len(tops))
+    center, fall = draw(st.integers(0, 20)), draw(st.floats(3.0, 30.0))
+    with np.errstate(under="ignore"):
+        magnitude = 10.0 ** (-fall * np.abs(distance - center) * rng.uniform(0.9, 1.1, distance.shape))
+        y = magnitude * np.exp(2j * np.pi * rng.random(distance.shape))
+    parts = y.view(np.float64)
+    parts[rng.random(parts.shape) < 0.05] = -0.0
+    y[distance > draw(st.integers(10, truncation))] = 0.0
+    dt, steps = draw(st.sampled_from([0.01, 0.1, 1.0, 50.0])), draw(st.integers(1, 6))
+    return coupling_coefficients(*tops), FieldState(y), dt, steps
+
+
+@PROPERTY_SETTINGS
+@given(case=zone_cases())
+def test_a_zoned_run_equals_the_plain_run_at_every_step(case):
+    couplings, start, dt, steps = case
+    zoned = zoned_run_states(start, couplings, steps, dt, zoned=True)
+    assert_same_steps(zoned, zoned_run_states(start, couplings, steps, dt, zoned=False))
+
+
+class TestZones:
+    """A window's stretch steps its linear and tiny zones without the arithmetic whose result is known."""
+
+    @staticmethod
+    def case():
+        # at beta = 1 the sech tails underflow about 745 sites from the peak
+        top = build_star((1.0, 1.5, 3.0), truncation=1500)
+        start = soliton_profile(SolitonParams(alpha=ALPHA_FIG4, beta=1.0, n0=-20.0), top)
+        return start, coupling_coefficients(top), SimConfig(dt=0.01, t_final=1.0, output_stride=20)
+
+    @staticmethod
+    def chosen(run):
+        """``run()``'s result, and the zones of every call to the zone selector."""
+        real, zones = dynamics._zones, []
+
+        def recorded(*args):
+            zones.append(real(*args))
+            return zones[-1]
+
+        with mock.patch.object(dynamics, "_zones", recorded), mock.patch.object(dynamics, "fits", lambda: False):
+            return run(), zones
+
+    def test_a_soliton_window_steps_on_all_three_zones(self):
+        start, cp, cfg = self.case()
+        states, zones = self.chosen(lambda: list(evolve(start, cp, cfg)))
+        # step 1 clears the launch's -0 tails on the full layout; then the
+        # stretches of 19 and 4 * 20 steps on windows
+        assert len(zones) == 5
+        for z in zones:
+            assert z.core and z.tiny and z.scaled != z.core
+        assert_equals_full_loop(states, start, cp, cfg)
+
+    def test_a_stretch_too_long_for_a_linear_zone_steps_plainly(self):
+        # 2 rho dt s = 2 * 2 * 50 * 3: e^-600 takes the bound below the normal floats, with no OverflowError
+        start, cp, _ = self.case()
+        assert dynamics._zones(start.data, cp, 3, 50.0) is None
+
+    def test_a_probe_that_disagrees_steps_the_tiny_zone_as_linear(self):
+        start, cp, cfg = self.case()
+        zoned, _ = self.chosen(lambda: list(evolve(start, cp, cfg)))
+        with mock.patch.object(dynamics, "_real_view_exact", lambda: False):
+            linear, zones = self.chosen(lambda: list(evolve(start, cp, cfg)))
+        assert zones and all(not z.tiny for z in zones)
+        assert_same_states(linear, zoned)
+
+    @pytest.mark.parametrize("workload", ["fig4", "sweep", "tree-audit"])
+    def test_the_runs_that_reach_their_walls_build_no_zones(self, workload):
+        # the first 300 steps of the benchmark's workloads: their soliton tails reach the walls at t = 0
+        soliton, stride = SolitonParams(alpha=ALPHA_FIG4, beta=0.1, n0=-150.0), 100
+        if workload == "fig4":
+            tops = [build_star((1.0, 1.5, 3.0), 400)]
+        elif workload == "sweep":
+            tops = [build_star((1.0, 1.0 / r, 1.0 / (1.0 - r)), 300) for r in (0.1, 0.5, 0.9)]
+            soliton = dataclasses.replace(soliton, n0=-120.0)
+        else:
+            def tree(depth):
+                node = {"gamma": float(3**depth)}
+                if depth < 3:
+                    node["children"] = [tree(depth + 1) for _ in range(3)]
+                    node["length"] = 30
+                return node
+
+            tops = [build_tree(tree(0), 200)]
+            soliton, stride = dataclasses.replace(soliton, n0=-60.0), 5
+        start = FieldState(np.concatenate([soliton_profile(soliton, t).data for t in tops]))
+        cfg = SimConfig(dt=0.01, t_final=3.0, output_stride=stride)
+        states, zones = self.chosen(lambda: list(evolve(start, coupling_coefficients(*tops), cfg)))
+        assert len(states) == 300 // stride + 1
+        assert zones == []
